@@ -73,7 +73,7 @@ def _load_index(path, center_boxes=False):
 
 
 def _eval_config(cfg: RunConfig) -> EvalConfig:
-    return EvalConfig(max_dets=cfg.eval.max_dets, workers=cfg.eval.workers)
+    return EvalConfig(max_dets=cfg.eval.max_dets)
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:

@@ -72,7 +72,6 @@ class LossSection:
 @dataclass
 class EvalSection:
     max_dets: int = 100
-    workers: int = 1
 
 
 @dataclass

@@ -9,7 +9,6 @@ The error decomposition produces the seven progressively forgiving PR curves
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,6 @@ class EvalConfig:
     iou_thresholds: tuple = IOU_THRESHOLDS
     recall_points: int = 101
     max_dets: int = 100
-    workers: int = 1
 
     def __post_init__(self):
         if list(self.iou_thresholds) != sorted(self.iou_thresholds):
@@ -140,18 +138,24 @@ def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None):
 
 def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
     """101-point interpolated AP from score-ordered TP flags; -1.0 if no GTs."""
+    curve = _pr_curve(tp, det_ignore, num_gt, recall_grid)
+    return SENTINEL if curve is None else float(curve.mean())
+
+
+def _pr_curve(tp, det_ignore, num_gt, grid):
+    """Interpolated precision at each recall in ``grid``; None if no GTs.
+
+    Ignored detections drop out of the ranking; with no kept detection the
+    curve is all zeros.
+    """
     if num_gt == 0:
-        return SENTINEL
-    tp = np.asarray(tp, dtype=bool)
-    keep = ~np.asarray(det_ignore, dtype=bool)
-    flags = tp[keep]
+        return None
+    flags = np.asarray(tp, dtype=bool)[~np.asarray(det_ignore, dtype=bool)]
     if len(flags) == 0:
-        return 0.0
+        return np.zeros_like(grid)
     ctp = np.cumsum(flags)
     cfp = np.cumsum(~flags)
-    recall = ctp / num_gt
-    precision = ctp / (ctp + cfp)
-    return float(_interp_precision(recall, precision, recall_grid).mean())
+    return _interp_precision(ctp / num_gt, ctp / (ctp + cfp), grid)
 
 
 def _interp_precision(recall, precision, grid):
@@ -166,20 +170,31 @@ def _interp_precision(recall, precision, grid):
 
 @dataclass
 class _Group:
-    """One (image, category) matching unit."""
+    """One (image, category) matching unit; detections in score order."""
 
     det_scores: np.ndarray
     det_order: np.ndarray
     det_boxes: np.ndarray
+    gt_boxes: np.ndarray
     gt_areas: np.ndarray
-    results: dict = field(default_factory=dict)
+
+    def match(self, thr, gt_ignore):
+        """(tp, det_ignore, num_gt) of this group at one IoU threshold."""
+        tp, det_ignore, _ = match_detections(self.det_boxes, self.det_scores,
+                                             self.gt_boxes, thr, gt_ignore)
+        return tp, det_ignore, int((~gt_ignore).sum())
 
 
 def _collect_groups(index, detections, cfg):
+    """Category ids, and each category's groups in image order.
+
+    Each group keeps its ``cfg.max_dets`` best detections; ties in score keep
+    input order.
+    """
     cat_ids = [c.id for c in index.categories]
     cat_set = set(cat_ids)
     image_set = {im.id for im in index.images}
-    for i, det in enumerate(detections):
+    for det in detections:
         if det.category_id not in cat_set:
             raise CrackdetError(f"unknown category id {det.category_id} in detections")
         if det.image_id not in image_set:
@@ -192,50 +207,37 @@ def _collect_groups(index, detections, cfg):
     for i, det in enumerate(detections):
         dets.setdefault((det.image_id, det.category_id), []).append((det.score, i, det.box))
 
-    groups = {}
-    for key in sorted(set(gts) | set(dets), key=lambda k: (k[0], k[1])):
+    groups = {cat: [] for cat in cat_ids}
+    for key in sorted(set(gts) | set(dets)):
+        if key[1] not in groups:
+            continue
         rows = sorted(dets.get(key, ()), key=lambda r: (-r[0], r[1]))[:cfg.max_dets]
         gt_boxes = np.array(gts.get(key, ()), dtype=np.float64).reshape(-1, 4)
-        areas = (gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1])
-        groups[key] = _Group(
+        groups[key[1]].append(_Group(
             det_scores=np.array([r[0] for r in rows], dtype=np.float64),
             det_order=np.array([r[1] for r in rows], dtype=np.int64),
             det_boxes=np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4),
-            gt_areas=areas,
-        ), gt_boxes
+            gt_boxes=gt_boxes,
+            gt_areas=(gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1]),
+        ))
     return cat_ids, groups
 
 
-def _match_group(args):
-    """Match one (image, category) group at every (threshold, bucket) pair."""
-    group, gt_boxes, thresholds, buckets = args
-    results = {}
-    for bucket in buckets:
-        lo, hi = AREA_RANGES[bucket]
-        ignore = (group.gt_areas < lo) | (group.gt_areas >= hi)
-        for thr in thresholds:
-            tp, det_ignore, _ = match_detections(group.det_boxes, group.det_scores,
-                                                 gt_boxes, thr, ignore)
-            results[(thr, bucket)] = (tp, det_ignore, int((~ignore).sum()))
-    return results
+def _score_rank(groups):
+    """Order of one category's pooled detections: score, then input order."""
+    if not groups:
+        return np.zeros(0, dtype=np.int64)
+    scores = np.concatenate([g.det_scores for g in groups])
+    orders = np.concatenate([g.det_order for g in groups])
+    return np.lexsort((orders, -scores))
 
 
-def _pool(groups_for_cat, thr, bucket):
-    """Concatenate one category's matches across images, score-ordered."""
-    scores, orders, tps, igns, num_gt = [], [], [], [], 0
-    for group, _ in groups_for_cat:
-        tp, det_ignore, n = group.results[(thr, bucket)]
-        scores.append(group.det_scores)
-        orders.append(group.det_order)
-        tps.append(tp)
-        igns.append(det_ignore)
-        num_gt += n
-    if not scores:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), num_gt
-    scores = np.concatenate(scores)
-    orders = np.concatenate(orders)
-    rank = np.lexsort((orders, -scores))
-    return np.concatenate(tps)[rank], np.concatenate(igns)[rank], num_gt
+def _pool(rows, rank):
+    """Concatenate per-group (tp, det_ignore, num_gt) rows in ``rank`` order."""
+    if not rows:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), 0
+    tps, igns, counts = zip(*rows)
+    return np.concatenate(tps)[rank], np.concatenate(igns)[rank], sum(counts)
 
 
 def _aggregate(values):
@@ -249,28 +251,20 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     cat_ids, groups = _collect_groups(index, detections, cfg)
     thresholds = tuple(cfg.iou_thresholds)
     grid = cfg.recall_grid()
-    buckets = tuple(AREA_RANGES)
-
-    keys = sorted(groups)
-    tasks = [(groups[k][0], groups[k][1], thresholds, buckets) for k in keys]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            matched = list(pool.map(_match_group, tasks))
-    else:
-        matched = [_match_group(t) for t in tasks]
-    for key, results in zip(keys, matched):
-        groups[key][0].results = results
 
     names = {c.id: c.name for c in index.categories}
     per_class = {}
     for cat in cat_ids:
-        cat_groups = [groups[k] for k in keys if k[1] == cat]
+        cat_groups = groups[cat]
+        rank = _score_rank(cat_groups)
         aps = {}
         recalls = {}
-        for bucket in buckets:
+        for bucket, (lo, hi) in AREA_RANGES.items():
+            ignores = [(g.gt_areas < lo) | (g.gt_areas >= hi) for g in cat_groups]
             ap_per_thr, rec_per_thr = [], []
             for thr in thresholds:
-                tp, ign, num_gt = _pool(cat_groups, thr, bucket)
+                tp, ign, num_gt = _pool([g.match(thr, ignore)
+                                         for g, ignore in zip(cat_groups, ignores)], rank)
                 ap_per_thr.append(compute_ap(tp, ign, num_gt, grid))
                 if num_gt == 0:
                     rec_per_thr.append(SENTINEL)
@@ -303,66 +297,8 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     return EvalReport(per_class=per_class, aggregate=aggregate)
 
 
-def _stage_eval(index, detections, cfg, thr, forgive_cross=None, drop_all_fp=False):
-    """One error-analysis stage: AP + interpolated curve per class at one IoU.
-
-    ``forgive_cross`` maps each detection index to True when, if unmatched,
-    it should be ignored because it overlaps a same-supercategory GT of
-    another class. ``drop_all_fp`` ignores every unmatched detection.
-    """
-    cat_ids, groups = _collect_groups(index, detections, cfg)
-    keys = sorted(groups)
-    grid = cfg.recall_grid()
-    per_class_ap, per_class_curve = {}, {}
-    for cat in cat_ids:
-        scores, orders, tps, igns, num_gt = [], [], [], [], 0
-        for key in keys:
-            if key[1] != cat:
-                continue
-            group, gt_boxes = groups[key]
-            tp, det_ignore, _ = match_detections(group.det_boxes, group.det_scores,
-                                                 gt_boxes, thr)
-            unmatched = ~tp & ~det_ignore
-            if drop_all_fp:
-                det_ignore = det_ignore | unmatched
-            elif forgive_cross is not None:
-                forgiven = np.array([forgive_cross.get(int(i), False) for i in group.det_order],
-                                    dtype=bool)
-                det_ignore = det_ignore | (unmatched & forgiven)
-            scores.append(group.det_scores)
-            orders.append(group.det_order)
-            tps.append(tp)
-            igns.append(det_ignore)
-            num_gt += len(gt_boxes)
-        if num_gt == 0:
-            per_class_ap[cat] = SENTINEL
-            per_class_curve[cat] = None
-            continue
-        if scores:
-            s = np.concatenate(scores)
-            o = np.concatenate(orders)
-            rank = np.lexsort((o, -s))
-            tp = np.concatenate(tps)[rank]
-            ign = np.concatenate(igns)[rank]
-        else:
-            tp = np.zeros(0, dtype=bool)
-            ign = np.zeros(0, dtype=bool)
-        keep = ~ign
-        flags = tp[keep]
-        if len(flags) == 0:
-            per_class_ap[cat] = 0.0
-            per_class_curve[cat] = np.zeros_like(grid)
-            continue
-        ctp = np.cumsum(flags)
-        cfp = np.cumsum(~flags)
-        curve = _interp_precision(ctp / num_gt, ctp / (ctp + cfp), grid)
-        per_class_ap[cat] = float(curve.mean())
-        per_class_curve[cat] = curve
-    return per_class_ap, per_class_curve
-
-
 def _cross_class_overlaps(index, detections, iou_thr=0.1):
-    """detection index -> True when it overlaps another class's GT >= iou_thr.
+    """Bool per detection: it overlaps a GT of another class with IoU >= iou_thr.
 
     All damage classes share one supercategory, so the Sim and Oth stages use
     the same forgiveness set.
@@ -370,49 +306,63 @@ def _cross_class_overlaps(index, detections, iou_thr=0.1):
     gts_by_image = {}
     for ann in index.annotations:
         gts_by_image.setdefault(ann.image_id, []).append(ann)
-    out = {}
+    dets_by_image = {}
     for i, det in enumerate(detections):
-        hit = False
-        for ann in gts_by_image.get(det.image_id, ()):
-            if ann.category_id == det.category_id:
-                continue
-            if iou_matrix(np.array([det.box]), np.array([ann.box]))[0, 0] >= iou_thr:
-                hit = True
-                break
-        out[i] = hit
+        dets_by_image.setdefault(det.image_id, []).append(i)
+    out = np.zeros(len(detections), dtype=bool)
+    for image_id, idx in dets_by_image.items():
+        anns = gts_by_image.get(image_id)
+        if not anns:
+            continue
+        ious = iou_matrix(np.array([detections[i].box for i in idx], dtype=np.float64),
+                          np.array([a.box for a in anns], dtype=np.float64))
+        other = (np.array([detections[i].category_id for i in idx])[:, None]
+                 != np.array([a.category_id for a in anns])[None, :])
+        out[idx] = ((ious >= iou_thr) & other).any(axis=1)
     return out
 
 
 def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBreakdown:
-    """Seven progressive PR stages; APs are monotone and FN pins at 1.0."""
-    cfg = cfg or EvalConfig()
-    cross = _cross_class_overlaps(index, detections)
-    cat_ids = [c.id for c in index.categories]
-    gt_counts = {c: 0 for c in cat_ids}
-    for ann in index.annotations:
-        gt_counts[ann.category_id] += 1
+    """Seven progressive PR stages; APs are monotone and FN pins at 1.0.
 
-    stage_results = {
-        "C75": _stage_eval(index, detections, cfg, 0.75),
-        "C50": _stage_eval(index, detections, cfg, 0.50),
-        "Loc": _stage_eval(index, detections, cfg, 0.10),
-        "Sim": _stage_eval(index, detections, cfg, 0.10, forgive_cross=cross),
-        "Oth": _stage_eval(index, detections, cfg, 0.10, forgive_cross=cross),
-        "BG": _stage_eval(index, detections, cfg, 0.10, drop_all_fp=True),
-    }
-    fn_aps = {c: (1.0 if gt_counts[c] else SENTINEL) for c in cat_ids}
+    Every stage matches all GTs of a category with none ignored. C75 and C50
+    match at IoU 0.75 and 0.5. Loc, Sim, Oth and BG share one match at IoU
+    0.1 and differ only in which unmatched detections they ignore: none (Loc),
+    those overlapping another class's GT at IoU >= 0.1 (Sim), all of them
+    (BG). Oth forgives cross-class confusions outside the supercategory; all
+    damage classes share one supercategory, so Oth's set is Sim's and the two
+    stages are one result. FN scores every category with GTs at 1.0.
+    """
+    cfg = cfg or EvalConfig()
+    cat_ids, groups = _collect_groups(index, detections, cfg)
+    cross = _cross_class_overlaps(index, detections)
     grid = cfg.recall_grid()
-    fn_curves = {c: (np.ones_like(grid) if gt_counts[c] else None) for c in cat_ids}
-    stage_results["FN"] = (fn_aps, fn_curves)
+
+    stage_curves = {stage: {} for stage in ERROR_STAGES}
+    for cat in cat_ids:
+        cat_groups = groups[cat]
+        rank = _score_rank(cat_groups)
+        no_ignore = [np.zeros(len(g.gt_boxes), dtype=bool) for g in cat_groups]
+        c75, c50, loc = ([g.match(thr, ignore) for g, ignore in zip(cat_groups, no_ignore)]
+                         for thr in (0.75, 0.50, 0.10))
+        sim = [(tp, ign | (~tp & ~ign & cross[g.det_order]), n)
+               for g, (tp, ign, n) in zip(cat_groups, loc)]
+        bg = [(tp, ign | ~tp, n) for tp, ign, n in loc]
+        for stage, rows in (("C75", c75), ("C50", c50), ("Loc", loc), ("Sim", sim), ("BG", bg)):
+            stage_curves[stage][cat] = _pr_curve(*_pool(rows, rank), grid)
+        stage_curves["Oth"][cat] = stage_curves["Sim"][cat]
+        has_gt = any(n for _, _, n in loc)
+        stage_curves["FN"][cat] = np.ones_like(grid) if has_gt else None
 
     aps, per_class_aps, curves = {}, {}, {}
     for stage in ERROR_STAGES:
-        stage_aps, stage_curves = stage_results[stage]
-        per_class_aps[stage] = {c: stage_aps[c] for c in cat_ids}
-        live = [c for c in cat_ids if stage_aps[c] != SENTINEL]
-        aps[stage] = float(np.mean([stage_aps[c] for c in live])) if live else SENTINEL
+        by_cat = stage_curves[stage]
+        per_class_aps[stage] = {c: SENTINEL if by_cat[c] is None else float(by_cat[c].mean())
+                                for c in cat_ids}
+        aps[stage] = _aggregate(per_class_aps[stage].values())
+        live = [c for c in cat_ids if by_cat[c] is not None]
         if live:
-            curves[stage] = np.mean([stage_curves[c] for c in live], axis=0)
+            curves[stage] = np.mean([by_cat[c] for c in live], axis=0)
         else:
             curves[stage] = np.zeros_like(grid)
     return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves,

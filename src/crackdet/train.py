@@ -150,6 +150,9 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         raise ConfigError("model.num_classes must equal synthetic.num_classes for train-toy")
     if cfg.model.image_size != cfg.synthetic.image_size:
         raise ConfigError("model.image_size must equal synthetic.image_size for train-toy")
+    if not 1 <= cfg.training.batch_size <= cfg.synthetic.num_images:
+        raise ConfigError(f"training.batch_size must be in 1..synthetic.num_images "
+                          f"({cfg.synthetic.num_images}), got {cfg.training.batch_size}")
     synth = SyntheticConfig(num_images=cfg.synthetic.num_images,
                             image_size=cfg.synthetic.image_size,
                             num_classes=cfg.synthetic.num_classes,

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from crackdet.geometry import iou as scalar_iou
+
 
 def conv1x1_loop(x, w, b=None):
     """Per-pixel matrix-vector products."""
@@ -227,3 +229,18 @@ def ap_101_reference(tp_flags, num_gt):
                 break
         total += p
     return total / 101.0
+
+
+def cross_class_overlaps_loop(index, detections, iou_thr=0.1):
+    """Per detection: does it overlap a GT of another class, same image,
+    at IoU >= iou_thr? One scalar IoU per (detection, GT) pair."""
+    out = []
+    for det in detections:
+        hit = False
+        for ann in index.annotations:
+            if ann.image_id != det.image_id or ann.category_id == det.category_id:
+                continue
+            if scalar_iou(det.box, ann.box) >= iou_thr:
+                hit = True
+        out.append(hit)
+    return out

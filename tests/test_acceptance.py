@@ -226,8 +226,19 @@ def test_criterion_9_determinism(tmp_path):
         blobs.append((out_dir / "loss.csv").read_bytes())
     assert blobs[0] == blobs[1], "loss CSVs differ between identical runs"
 
+    # evaluator reports are byte-identical across reruns and across any order
+    # of the input detections (the scene's scores are distinct)
     index, dets = random_scene(42, num_images=6)
-    solo = evaluate(index, dets, EvalConfig(workers=1)).to_dict()
-    pooled = evaluate(index, dets, EvalConfig(workers=4)).to_dict()
-    assert json.dumps(solo, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-    return "identical loss CSVs; evaluator bitwise equal across 1 and 4 workers"
+    assert len({d.score for d in dets}) == len(dets)
+
+    def reports(detections):
+        return (json.dumps(evaluate(index, detections).to_dict(), sort_keys=True),
+                json.dumps(error_breakdown(index, detections).to_dict(), sort_keys=True))
+
+    base = reports(dets)
+    assert reports(dets) == base, "evaluator reports differ between identical calls"
+    for perm in (list(reversed(range(len(dets)))),
+                 np.random.default_rng(9).permutation(len(dets))):
+        assert reports([dets[i] for i in perm]) == base, \
+            "evaluator reports depend on the order of the detections"
+    return "identical loss CSVs; evaluator reports bitwise equal across reruns and permutations"

@@ -183,6 +183,17 @@ class TestTrainInferPipeline:
         # 10 images / batch 4 -> 2 steps per epoch -> 4 steps total
         assert len(lines) == 1 + 2 * (10 // 4)
 
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_batch_size_outside_image_count_exit_1(self, tmp_path, capsys, batch_size):
+        out_dir = tmp_path / "bs"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY
+                  + ["--set", "synthetic.num_images=2",
+                     "--set", f"training.batch_size={batch_size}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "training.batch_size must be in 1..synthetic.num_images (2)" in err
+        assert not (out_dir / "checkpoint.npz").exists()
+
     def test_eval_accepts_wrapped_detections(self, tmp_path):
         gt_path, det_path = make_eval_fixture(tmp_path)
         wrapped = tmp_path / "wrapped.json"

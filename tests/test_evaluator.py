@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import CrackdetError
-from crackdet.evaluator import (ERROR_STAGES, SENTINEL, EvalConfig, compute_ap,
-                                error_breakdown, evaluate, match_detections)
+from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, SENTINEL, EvalConfig,
+                                _cross_class_overlaps, compute_ap, error_breakdown, evaluate,
+                                match_detections)
 from crackdet.model import Detection
 
-from oracles import ap_101_reference
+from oracles import ap_101_reference, cross_class_overlaps_loop
 
 
 def make_index(gts, num_images=4, categories=("crack", "pothole")):
@@ -220,11 +223,19 @@ class TestEvaluateProperties:
                 continue
             assert a >= b - 1e-12
 
-    def test_workers_bitwise_identical(self):
+    def test_permuted_detections_bitwise_identical(self):
         index, dets = random_scene(123, num_images=6)
-        r1 = evaluate(index, dets, EvalConfig(workers=1)).to_dict()
-        r4 = evaluate(index, dets, EvalConfig(workers=4)).to_dict()
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r4, sort_keys=True)
+        assert len({d.score for d in dets}) == len(dets)
+
+        def reports(detections):
+            return (json.dumps(evaluate(index, detections).to_dict(), sort_keys=True),
+                    json.dumps(error_breakdown(index, detections).to_dict(), sort_keys=True))
+
+        base = reports(dets)
+        assert reports(dets) == base
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(len(dets))
+            assert reports([dets[i] for i in perm]) == base
 
 
 class TestErrorBreakdown:
@@ -285,3 +296,84 @@ class TestErrorBreakdown:
         lines = breakdown.to_csv().strip().splitlines()
         assert lines[0] == "recall," + ",".join(ERROR_STAGES)
         assert len(lines) == 102
+
+
+class TestCrossClassOverlaps:
+    def test_matches_pairwise_oracle_over_seeds(self):
+        hits = misses = 0
+        for seed in range(40):
+            index, dets = random_scene(seed, num_images=6)
+            got = _cross_class_overlaps(index, dets)
+            assert got.dtype == bool and got.shape == (len(dets),)
+            assert got.tolist() == cross_class_overlaps_loop(index, dets)
+            hits += int(got.sum())
+            misses += int((~got).sum())
+        assert hits > 0 and misses > 0
+
+    def test_detections_on_images_without_gts(self):
+        index = make_index([(1, 1, (0.0, 0.0, 40.0, 40.0))], num_images=3)
+        dets = [det(2, 2, 0.9, (0.0, 0.0, 40.0, 40.0)),
+                det(1, 2, 0.8, (0.0, 0.0, 40.0, 38.0)),
+                det(3, 1, 0.7, (0.0, 0.0, 40.0, 40.0)),
+                det(1, 2, 0.6, (100.0, 100.0, 120.0, 120.0))]
+        got = _cross_class_overlaps(index, dets)
+        assert got.tolist() == [False, True, False, False]
+        assert got.tolist() == cross_class_overlaps_loop(index, dets)
+
+    def test_same_class_detections_never_overlap_another_class(self):
+        gts = [(1, 1, (0.0, 0.0, 40.0, 40.0)), (2, 1, (10.0, 10.0, 60.0, 60.0))]
+        index = make_index(gts, num_images=2)
+        dets = [det(g[0], 1, 0.9 - 0.1 * k, g[2]) for k, g in enumerate(gts)]
+        assert _cross_class_overlaps(index, dets).tolist() == [False, False]
+        assert cross_class_overlaps_loop(index, dets) == [False, False]
+
+    def test_empty_detection_list(self):
+        index, _ = random_scene(3)
+        got = _cross_class_overlaps(index, [])
+        assert got.dtype == bool and got.shape == (0,)
+        assert cross_class_overlaps_loop(index, []) == []
+
+
+# Integer corners so zero-area boxes, shared edges and exact overlaps are
+# common; three score levels so ties are common.
+_box = st.builds(lambda x, y, w, h: (float(x), float(y), float(x + w), float(y + h)),
+                 st.integers(0, 40), st.integers(0, 40), st.integers(0, 20), st.integers(0, 20))
+
+
+@st.composite
+def scenes(draw):
+    """A 1-4 image dataset (some images empty) and its scored detections."""
+    num_images = draw(st.integers(1, 4))
+    item = st.tuples(st.integers(1, num_images), st.integers(1, 2), _box)
+    gts = draw(st.lists(item, max_size=8))
+    dets = draw(st.lists(st.tuples(item, st.sampled_from((0.25, 0.5, 0.75))), max_size=12))
+    return (make_index(gts, num_images=num_images),
+            [det(image_id, cat, score, box) for (image_id, cat, box), score in dets])
+
+
+class TestEvaluatorProperties:
+    @given(scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_error_breakdown_monotone_and_fn_pinned(self, scene):
+        index, dets = scene
+        breakdown = error_breakdown(index, dets)
+        values = [breakdown.aps[stage] for stage in ERROR_STAGES]
+        if not index.annotations:
+            assert values == [SENTINEL] * len(ERROR_STAGES)
+            return
+        assert all(a <= b for a, b in zip(values, values[1:])), values
+        assert breakdown.aps["FN"] == 1.0
+        cats_with_gt = {a.category_id for a in index.annotations}
+        for cat in (1, 2):
+            fn = breakdown.per_class_aps["FN"][cat]
+            assert fn == (1.0 if cat in cats_with_gt else SENTINEL)
+
+    @given(scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_values_in_range(self, scene):
+        index, dets = scene
+        report = evaluate(index, dets)
+        rows = list(report.per_class.values()) + [report.aggregate]
+        for row in rows:
+            for key in METRIC_KEYS:
+                assert row[key] == SENTINEL or 0.0 <= row[key] <= 1.0, (key, row[key])
