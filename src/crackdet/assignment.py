@@ -12,6 +12,7 @@ soft classification label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import ConfigError
 from .geometry import iou_matrix
 
 _FLOOR = 1e-7
+# Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
+# candidates cost this much instead of overflowing to inf.
+_CENTER_COST_CAP = 1e150
 
 
 @dataclass
@@ -39,6 +43,8 @@ class AssignConfig:
     def __post_init__(self):
         if min(self.lambda_cls, self.lambda_loc, self.lambda_center) <= 0:
             raise ConfigError("cost weights must be positive")
+        if self.alpha <= 1:
+            raise ConfigError("alpha must be > 1")
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         if self.dynamic_k_cap < 1:
@@ -64,7 +70,8 @@ def center_cost_from_distance(d, cfg: AssignConfig):
     """Cost of a stride-normalized center distance d under the configured mode."""
     d = np.asarray(d, dtype=np.float64)
     if cfg.center_cost_mode == "soft_center_prior":
-        return cfg.alpha ** (d - cfg.beta)
+        cap = math.log(_CENTER_COST_CAP) / math.log(cfg.alpha)
+        return cfg.alpha ** np.minimum(d - cfg.beta, cap)
     return cfg.eta / np.maximum(d - cfg.epsilon, _FLOOR)
 
 

@@ -41,7 +41,7 @@ class Attention4DConfig:
 
 
 @dataclass
-class Attention4DParams:
+class Attention4DParams(nm.Module):
     cfg: Attention4DConfig
     w_q: Tensor
     bn_q: BatchNorm
@@ -55,23 +55,13 @@ class Attention4DParams:
     w_out: Tensor
     bn_out: BatchNorm
 
-    def params(self, prefix="attn"):
-        yield f"{prefix}.w_q", self.w_q
-        yield from self.bn_q.params(f"{prefix}.bn_q")
-        yield f"{prefix}.w_k", self.w_k
-        yield from self.bn_k.params(f"{prefix}.bn_k")
-        yield f"{prefix}.w_v", self.w_v
-        yield from self.bn_v.params(f"{prefix}.bn_v")
-        yield f"{prefix}.pos_bias", self.pos_bias
-        yield f"{prefix}.t_pre", self.t_pre
-        yield f"{prefix}.t_post", self.t_post
-        yield f"{prefix}.w_out", self.w_out
-        yield from self.bn_out.params(f"{prefix}.bn_out")
+    prefix = "attn"
 
-    def states(self, prefix="attn"):
-        for tag, bn in (("bn_q", self.bn_q), ("bn_k", self.bn_k),
-                        ("bn_v", self.bn_v), ("bn_out", self.bn_out)):
-            yield from bn.states(f"{prefix}.{tag}")
+    def children(self):
+        return [("w_q", self.w_q), ("bn_q", self.bn_q), ("w_k", self.w_k), ("bn_k", self.bn_k),
+                ("w_v", self.w_v), ("bn_v", self.bn_v), ("pos_bias", self.pos_bias),
+                ("t_pre", self.t_pre), ("t_post", self.t_post), ("w_out", self.w_out),
+                ("bn_out", self.bn_out)]
 
 
 def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,

@@ -18,16 +18,16 @@ import numpy as np
 
 from . import numerics as nm
 from .assignment import build_cost_matrix, dynamic_assign
-from .config import RunConfig, __version__, config_dict, load_config
+from .config import RunConfig, __version__, config_dict, eval_config, load_config
 from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
                      load_image_batch, load_voc, normalize_images, save_synthetic, stats,
                      stats_table)
 from .errors import CrackdetError
-from .evaluator import EvalConfig, error_breakdown, evaluate
+from .evaluator import error_breakdown, evaluate
 from .model import decode_boxes
 from .neck import describe_layout
-from .train import (assign_config, detector_from_config, image_gts, load_checkpoint,
-                    predict_dataset, train_toy)
+from .train import (detector_from_config, image_gts, load_checkpoint, predict_dataset,
+                    train_toy)
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -72,10 +72,6 @@ def _load_index(path, center_boxes=False):
     return load_coco(path, center_boxes=center_boxes)
 
 
-def _eval_config(cfg: RunConfig) -> EvalConfig:
-    return EvalConfig(max_dets=cfg.eval.max_dets)
-
-
 def cmd_stats(args, cfg: RunConfig) -> int:
     index = _load_index(args.dataset, center_boxes=args.center_boxes)
     table = stats(index)
@@ -105,7 +101,7 @@ def _load_detections(path):
 def cmd_eval(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = _load_detections(args.dets)
-    report = evaluate(index, detections, _eval_config(cfg))
+    report = evaluate(index, detections, eval_config(cfg))
     print(report.to_table())
     write_json(report.to_dict(), os.path.join(args.out, "eval.json"), cfg)
     write_text(report.to_table() + "\n", os.path.join(args.out, "eval.txt"))
@@ -115,7 +111,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = _load_detections(args.dets)
-    breakdown = error_breakdown(index, detections, _eval_config(cfg))
+    breakdown = error_breakdown(index, detections, eval_config(cfg))
     for stage, ap in breakdown.aps.items():
         print(f"{stage}: {ap:.3f}")
     write_json(breakdown.to_dict(), os.path.join(args.out, "analyze.json"), cfg)
@@ -136,11 +132,10 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
     images = load_image_batch(index, args.dataset, [image_id])
     probs, dists = detector.predict_arrays(images)
     boxes, labels = image_gts(index, image_id)
-    acfg = assign_config(cfg)
     pred_boxes = decode_boxes(dists[0], detector.points_xy, detector.strides)
     cm = build_cost_matrix(probs[0], pred_boxes, detector.points_xy, detector.strides,
-                           boxes, labels, acfg)
-    asg = dynamic_assign(cm, acfg)
+                           boxes, labels, cfg.assignment)
+    asg = dynamic_assign(cm, cfg.assignment)
     cost_rows = [[float(v) if np.isfinite(v) else None for v in row] for row in cm.cost]
     payload = {
         "image_id": image_id,
@@ -284,7 +279,7 @@ def cmd_train_toy(args, cfg: RunConfig) -> int:
     images = normalize_images(raw_images)
     image_ids = [im.id for im in index.images]
     detections = predict_dataset(detector, images, image_ids)
-    report = evaluate(index, detections, _eval_config(cfg))
+    report = evaluate(index, detections, eval_config(cfg))
     print(f"trained {len(rows)} steps; final total loss {rows[-1][3]:.6f}")
     print(report.to_table())
     write_json({"report": report.to_dict(),
@@ -309,15 +304,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
-    from .dataio import SyntheticConfig
-
-    synth = SyntheticConfig(num_images=cfg.synthetic.num_images,
-                            image_size=cfg.synthetic.image_size,
-                            num_classes=cfg.synthetic.num_classes,
-                            min_shapes=cfg.synthetic.min_shapes,
-                            max_shapes=cfg.synthetic.max_shapes,
-                            seed=cfg.synthetic.seed)
-    images, index = gen_synthetic(synth)
+    images, index = gen_synthetic(cfg.synthetic)
     save_synthetic(images, index, args.out)
     print(f"wrote {len(images)} images, {len(index.annotations)} annotations to {args.out}")
     return 0
@@ -399,8 +386,6 @@ def main(argv=None) -> int:
             cfg.training.seed = args.seed
             cfg.synthetic.seed = args.seed
         if args.dump_arch:
-            from .train import detector_from_config
-
             detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
             write_json({"arch": describe_layout(detector.neck.cfg)},
                        os.path.join(args.out, "arch.json"), cfg)

@@ -2,8 +2,10 @@
 
 A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
-with ``--set section.key=value``. The effective config is echoed into every
-output artifact for provenance.
+with ``--set section.key=value``. The ``assignment`` and ``synthetic`` sections
+are the library's own ``AssignConfig`` and ``SyntheticConfig``. Every section
+is built once from its final values and validated when the config loads. The
+effective config is echoed into every output artifact for provenance.
 """
 
 from __future__ import annotations
@@ -11,8 +13,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, fields
+from functools import partial
+from types import UnionType
+from typing import get_args, get_type_hints
 
+from .assignment import AssignConfig
+from .dataio import SyntheticConfig
 from .errors import ConfigError
+from .evaluator import EvalConfig
 
 __version__ = "0.1.0"
 
@@ -49,21 +57,6 @@ class NeckSection:
 
 
 @dataclass
-class AssignmentSection:
-    lambda_cls: float = 1.0
-    lambda_loc: float = 3.0
-    lambda_center: float = 1.0
-    center_cost_mode: str = "soft_center_prior"
-    eta: float = 1.0
-    epsilon: float = 1e-7
-    alpha: float = 10.0
-    beta: float = 3.0
-    dynamic_k_cap: int = 10
-    iou_floor: float = 1e-7
-    prob_clamp: float = 1e-7
-
-
-@dataclass
 class LossSection:
     w_cls: float = 1.0
     w_reg: float = 2.0
@@ -72,16 +65,6 @@ class LossSection:
 @dataclass
 class EvalSection:
     max_dets: int = 100
-
-
-@dataclass
-class SyntheticSection:
-    num_images: int = 200
-    image_size: int = 64
-    num_classes: int = 3
-    min_shapes: int = 2
-    max_shapes: int = 4
-    seed: int = 0
 
 
 @dataclass
@@ -102,40 +85,64 @@ class RunConfig:
     numerics: NumericsSection = field(default_factory=NumericsSection)
     model: ModelSection = field(default_factory=ModelSection)
     neck: NeckSection = field(default_factory=NeckSection)
-    assignment: AssignmentSection = field(default_factory=AssignmentSection)
+    assignment: AssignConfig = field(default_factory=AssignConfig)
     loss: LossSection = field(default_factory=LossSection)
     eval: EvalSection = field(default_factory=EvalSection)
-    synthetic: SyntheticSection = field(default_factory=SyntheticSection)
+    synthetic: SyntheticConfig = field(default_factory=partial(
+        SyntheticConfig, num_classes=3, min_shapes=2, max_shapes=4))
     training: TrainingSection = field(default_factory=TrainingSection)
 
 
-def _apply(section, values: dict, path: str):
-    valid = {f.name: f for f in fields(section)}
+def _fits(value, hint) -> bool:
+    """Whether ``value`` fits a field annotation: an int fits a float, a bool
+    fits only a bool, and None fits only an ``X | None`` field."""
+    if isinstance(hint, UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _apply(section, values: dict, path: str) -> dict:
+    """``values`` checked against the section's fields (a JSON list becomes a
+    tuple); unknown keys and mistyped values raise ConfigError."""
+    hints = get_type_hints(type(section))
+    out = {}
     for key, value in values.items():
-        if key not in valid:
+        if key not in hints:
             raise ConfigError(f"unknown config key '{path}.{key}'")
-        current = getattr(section, key)
-        if isinstance(current, tuple) and isinstance(value, list):
+        hint = hints[key]
+        if hint is tuple and isinstance(value, list):
             value = tuple(value)
-        setattr(section, key, value)
+        if not _fits(value, hint):
+            raise ConfigError(f"config key '{path}.{key}' expects "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        out[key] = value
+    return out
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Defaults, then the JSON file, then --set overrides, strictly validated."""
+    """Defaults, then the JSON file, then --set overrides, strictly validated.
+
+    Each section is built once from its collected values, so its own
+    ``__post_init__`` checks the final combination.
+    """
     cfg = RunConfig()
+    changes = {f.name: {} for f in fields(cfg)}
     if path is not None:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        section_names = {f.name for f in fields(cfg)}
         for name, values in raw.items():
-            if name not in section_names:
+            if name not in changes:
                 raise ConfigError(f"unknown config section '{name}'")
             if not isinstance(values, dict):
                 raise ConfigError(f"config section '{name}' must be an object")
-            _apply(getattr(cfg, name), values, name)
+            changes[name].update(_apply(getattr(cfg, name), values, name))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form section.key=value")
@@ -144,13 +151,16 @@ def load_config(path=None, overrides=()) -> RunConfig:
         if len(parts) != 2:
             raise ConfigError(f"override key '{dotted}' is not of the form section.key")
         section_name, key = parts
-        if section_name not in {f.name for f in fields(cfg)}:
+        if section_name not in changes:
             raise ConfigError(f"unknown config section '{section_name}'")
         try:
             value = json.loads(raw_value)
         except json.JSONDecodeError:
             value = raw_value
-        _apply(getattr(cfg, section_name), {key: value}, section_name)
+        changes[section_name].update(_apply(getattr(cfg, section_name), {key: value},
+                                            section_name))
+    for name, values in changes.items():
+        setattr(cfg, name, dataclasses.replace(getattr(cfg, name), **values))
     validate_config(cfg)
     return cfg
 
@@ -166,6 +176,11 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("backbone_widths must list five stage widths")
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
+    eval_config(cfg)
+
+
+def eval_config(cfg: RunConfig) -> EvalConfig:
+    return EvalConfig(max_dets=cfg.eval.max_dets)
 
 
 def config_dict(cfg: RunConfig) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrackdetError
+from .errors import ConfigError, CrackdetError
 from .geometry import MEDIUM_MAX_AREA, SMALL_MAX_AREA, iou_matrix
 
 SENTINEL = -1.0
@@ -42,6 +42,8 @@ class EvalConfig:
             raise CrackdetError("iou thresholds must be sorted ascending")
         if self.recall_points < 2:
             raise CrackdetError("recall grid needs at least two points")
+        if self.max_dets < 1:
+            raise ConfigError(f"max_dets must be >= 1, got {self.max_dets}")
 
     def recall_grid(self):
         return np.linspace(0.0, 1.0, self.recall_points)

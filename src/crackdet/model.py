@@ -72,16 +72,13 @@ def points_arrays(points: list[AnchorPoint]):
 
 
 @dataclass
-class BackboneParams:
+class BackboneParams(nm.Module):
     stages: list[ConvBNLayer]
 
-    def params(self, prefix="backbone"):
-        for i, stage in enumerate(self.stages):
-            yield from stage.params(f"{prefix}.stage{i}")
+    prefix = "backbone"
 
-    def states(self, prefix="backbone"):
-        for i, stage in enumerate(self.stages):
-            yield from stage.states(f"{prefix}.stage{i}")
+    def children(self):
+        return [(f"stage{i}", stage) for i, stage in enumerate(self.stages)]
 
 
 def init_backbone(widths, rng, dtype=np.float64, bn=None) -> BackboneParams:
@@ -104,7 +101,7 @@ def backbone_forward(image: Tensor, p: BackboneParams, training=True) -> Pyramid
 
 
 @dataclass
-class HeadParams:
+class HeadParams(nm.Module):
     stem_cls: ConvBNLayer
     stem_reg: ConvBNLayer
     w_cls: Tensor
@@ -112,17 +109,11 @@ class HeadParams:
     w_reg: Tensor
     b_reg: Tensor
 
-    def params(self, prefix="head"):
-        yield from self.stem_cls.params(f"{prefix}.stem_cls")
-        yield from self.stem_reg.params(f"{prefix}.stem_reg")
-        yield f"{prefix}.w_cls", self.w_cls
-        yield f"{prefix}.b_cls", self.b_cls
-        yield f"{prefix}.w_reg", self.w_reg
-        yield f"{prefix}.b_reg", self.b_reg
+    prefix = "head"
 
-    def states(self, prefix="head"):
-        yield from self.stem_cls.states(f"{prefix}.stem_cls")
-        yield from self.stem_reg.states(f"{prefix}.stem_reg")
+    def children(self):
+        return [("stem_cls", self.stem_cls), ("stem_reg", self.stem_reg), ("w_cls", self.w_cls),
+                ("b_cls", self.b_cls), ("w_reg", self.w_reg), ("b_reg", self.b_reg)]
 
 
 def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64,
@@ -213,7 +204,7 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points: list[AnchorPoin
 
 
 @dataclass
-class Detector:
+class Detector(nm.Module):
     """Backbone + neck + head bundle with its anchor grid."""
 
     backbone: BackboneParams
@@ -232,15 +223,8 @@ class Detector:
     def input_batch(self, images: np.ndarray) -> Tensor:
         return Tensor(np.asarray(images, dtype=self.dtype))
 
-    def params(self):
-        yield from self.backbone.params()
-        yield from self.neck.params()
-        yield from self.head.params()
-
-    def states(self):
-        yield from self.backbone.states()
-        yield from self.neck.states()
-        yield from self.head.states()
+    def children(self):
+        return [("backbone", self.backbone), ("neck", self.neck), ("head", self.head)]
 
     def state_dict(self) -> dict:
         out = {f"param:{name}": t.data for name, t in self.params()}

@@ -79,7 +79,7 @@ class NeckConfig:
 
 
 @dataclass
-class ConvBNLayer:
+class ConvBNLayer(nm.Module):
     """1x1 or 3x3/s2 conv followed by batchnorm and SiLU."""
 
     w: Tensor
@@ -90,12 +90,8 @@ class ConvBNLayer:
         y = nm.conv3x3s2(x, self.w) if self.stride2 else nm.conv1x1(x, self.w)
         return nm.silu(self.bn(y, training))
 
-    def params(self, prefix):
-        yield f"{prefix}.w", self.w
-        yield from self.bn.params(f"{prefix}.bn")
-
-    def states(self, prefix):
-        yield from self.bn.states(f"{prefix}.bn")
+    def children(self):
+        return [("w", self.w), ("bn", self.bn)]
 
 
 def _conv_bn(rng, in_ch, out_ch, dtype, stride2=False, bn=None):
@@ -107,7 +103,7 @@ def _conv_bn(rng, in_ch, out_ch, dtype, stride2=False, bn=None):
 
 
 @dataclass
-class CSPParams:
+class CSPParams(nm.Module):
     """Split-transform-merge block: two half-width branches, one stacked with
     residual bottlenecks, concatenated and fused back to the output width."""
 
@@ -116,19 +112,10 @@ class CSPParams:
     bottlenecks: list[ConvBNLayer]
     conv_final: ConvBNLayer
 
-    def params(self, prefix):
-        yield from self.conv_a.params(f"{prefix}.a")
-        yield from self.conv_b.params(f"{prefix}.b")
-        for i, layer in enumerate(self.bottlenecks):
-            yield from layer.params(f"{prefix}.bottleneck{i}")
-        yield from self.conv_final.params(f"{prefix}.final")
-
-    def states(self, prefix):
-        yield from self.conv_a.states(f"{prefix}.a")
-        yield from self.conv_b.states(f"{prefix}.b")
-        for i, layer in enumerate(self.bottlenecks):
-            yield from layer.states(f"{prefix}.bottleneck{i}")
-        yield from self.conv_final.states(f"{prefix}.final")
+    def children(self):
+        return [("a", self.conv_a), ("b", self.conv_b),
+                *((f"bottleneck{i}", layer) for i, layer in enumerate(self.bottlenecks)),
+                ("final", self.conv_final)]
 
 
 def init_csp(rng, in_ch, out_ch, depth, dtype=np.float64, bn=None) -> CSPParams:
@@ -152,7 +139,7 @@ def csp_layer(x: Tensor, p: CSPParams, training=True) -> Tensor:
 
 
 @dataclass
-class NeckParams:
+class NeckParams(nm.Module):
     cfg: NeckConfig
     attn: dict[str, Attention4DParams]
     csp_td4: CSPParams
@@ -162,57 +149,35 @@ class NeckParams:
     down3: ConvBNLayer | None
     down4: ConvBNLayer | None
 
-    def params(self, prefix="neck"):
-        for slot in sorted(self.attn):
-            yield from self.attn[slot].params(f"{prefix}.attn.{slot}")
-        yield from self.csp_td4.params(f"{prefix}.csp_td4")
-        yield from self.csp_td3.params(f"{prefix}.csp_td3")
-        yield from self.csp_bu4.params(f"{prefix}.csp_bu4")
-        yield from self.csp_bu5.params(f"{prefix}.csp_bu5")
-        if self.down3 is not None:
-            yield from self.down3.params(f"{prefix}.down3")
-        if self.down4 is not None:
-            yield from self.down4.params(f"{prefix}.down4")
+    prefix = "neck"
 
-    def states(self, prefix="neck"):
-        for slot in sorted(self.attn):
-            yield from self.attn[slot].states(f"{prefix}.attn.{slot}")
-        yield from self.csp_td4.states(f"{prefix}.csp_td4")
-        yield from self.csp_td3.states(f"{prefix}.csp_td3")
-        yield from self.csp_bu4.states(f"{prefix}.csp_bu4")
-        yield from self.csp_bu5.states(f"{prefix}.csp_bu5")
-        if self.down3 is not None:
-            yield from self.down3.states(f"{prefix}.down3")
-        if self.down4 is not None:
-            yield from self.down4.states(f"{prefix}.down4")
+    def children(self):
+        return [*((f"attn.{slot}", self.attn[slot]) for slot in sorted(self.attn)),
+                ("csp_td4", self.csp_td4), ("csp_td3", self.csp_td3),
+                ("csp_bu4", self.csp_bu4), ("csp_bu5", self.csp_bu5),
+                ("down3", self.down3), ("down4", self.down4)]
 
 
-def _slot_geometry(cfg: NeckConfig) -> dict[str, tuple[int, tuple[int, int]]]:
-    """Channel count and spatial size of the feature each slot refines."""
+def _slot_configs(cfg: NeckConfig) -> dict[str, Attention4DConfig]:
+    """Attention config of each active slot, sized to the feature it refines."""
     c3, c4, c5 = cfg.in_channels
     s3, s4, s5 = cfg.spatial
-    return {
-        "td_c5": (c5, s5),
-        "td_c4": (c4, s4),
-        "bu_c4": (cfg.out_channels, s4),
-        "bu_c5": (cfg.out_channels, s5),
-        "end": (cfg.out_channels, s5),
-    }
+    oc = cfg.out_channels
+    geometry = {"td_c5": (c5, s5), "td_c4": (c4, s4), "bu_c4": (oc, s4), "bu_c5": (oc, s5),
+                "end": (oc, s5)}
+    return {slot: Attention4DConfig(channels=geometry[slot][0], heads=cfg.attn_heads,
+                                    key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
+                                    spatial=geometry[slot][1], residual=cfg.attn_residual,
+                                    scale=cfg.attn_scale)
+            for slot in cfg.active_slots()}
 
 
 def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64,
               bn=None) -> NeckParams:
     c3, c4, c5 = cfg.in_channels
     oc = cfg.out_channels
-    geometry = _slot_geometry(cfg)
-    attn = {}
-    for slot in cfg.active_slots():
-        channels, spatial = geometry[slot]
-        acfg = Attention4DConfig(channels=channels, heads=cfg.attn_heads,
-                                 key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
-                                 spatial=spatial, residual=cfg.attn_residual,
-                                 scale=cfg.attn_scale)
-        attn[slot] = init_attention4d(acfg, rng, dtype=dtype, bn=bn)
+    attn = {slot: init_attention4d(acfg, rng, dtype=dtype, bn=bn)
+            for slot, acfg in _slot_configs(cfg).items()}
     use_conv_down = cfg.downsample == "conv"
     return NeckParams(
         cfg=cfg,
@@ -264,20 +229,9 @@ def describe_layout(cfg: NeckConfig) -> dict:
     """Block-by-block layout summary for the --dump-arch CLI output."""
     from .attention import attention4d_param_count
 
-    geometry = _slot_geometry(cfg)
-    blocks = []
-    for slot in cfg.active_slots():
-        channels, spatial = geometry[slot]
-        acfg = Attention4DConfig(channels=channels, heads=cfg.attn_heads,
-                                 key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
-                                 spatial=spatial, residual=cfg.attn_residual,
-                                 scale=cfg.attn_scale)
-        blocks.append({
-            "slot": slot,
-            "channels": channels,
-            "spatial": list(spatial),
-            "parameters": attention4d_param_count(acfg),
-        })
+    blocks = [{"slot": slot, "channels": acfg.channels, "spatial": list(acfg.spatial),
+               "parameters": attention4d_param_count(acfg)}
+              for slot, acfg in _slot_configs(cfg).items()]
     return {
         "placement": cfg.placement,
         "num_attention_blocks": cfg.num_attention_blocks,

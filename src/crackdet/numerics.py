@@ -616,13 +616,13 @@ BN_DEFAULTS = BNSettings()
 class BatchNorm:
     """Parameter bundle (gamma, beta, running stats) for one normalized layer."""
 
-    def __init__(self, channels, eps=None, momentum=None, dtype=np.float64, bn=None):
+    def __init__(self, channels, dtype=np.float64, bn=None):
         bn = bn or BN_DEFAULTS
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.state = BNState.fresh(channels, dtype)
-        self.eps = bn.eps if eps is None else eps
-        self.momentum = bn.momentum if momentum is None else momentum
+        self.eps = bn.eps
+        self.momentum = bn.momentum
 
     def __call__(self, x, training=True):
         return batchnorm(x, self.gamma, self.beta, self.state,
@@ -635,6 +635,38 @@ class BatchNorm:
     def states(self, prefix):
         yield f"{prefix}.running_mean", self.state.mean
         yield f"{prefix}.running_var", self.state.var
+
+
+class Module:
+    """A parameter tree: each subclass lists its ``children()`` once, as
+    ``(suffix, Tensor | BatchNorm | Module | None)`` pairs, and both walks
+    derive their dotted names from that list, skipping absent (None)
+    children. ``prefix`` names the root when no prefix is passed."""
+
+    prefix = ""
+
+    def children(self):
+        raise NotImplementedError
+
+    def _named(self, prefix):
+        prefix = self.prefix if prefix is None else prefix
+        for suffix, child in self.children():
+            if child is not None:
+                yield (f"{prefix}.{suffix}" if prefix else suffix), child
+
+    def params(self, prefix=None):
+        """(name, Tensor) for every trainable tensor, in children order."""
+        for name, child in self._named(prefix):
+            if isinstance(child, Tensor):
+                yield name, child
+            else:
+                yield from child.params(name)
+
+    def states(self, prefix=None):
+        """(name, array) for every batchnorm running statistic."""
+        for name, child in self._named(prefix):
+            if not isinstance(child, Tensor):
+                yield from child.states(name)
 
 
 @dataclass

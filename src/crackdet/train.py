@@ -16,35 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .assignment import AssignConfig, build_cost_matrix, dynamic_assign
+from .assignment import build_cost_matrix, dynamic_assign
 from .config import RunConfig, optimizer_settings
-from .dataio import SyntheticConfig, gen_synthetic, normalize_images
+from .dataio import gen_synthetic, normalize_images
 from .errors import ConfigError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
 from .model import Detector, build_detector, decode_boxes, flatten_levels
 from .numerics import Tensor
 
 
-def assign_config(cfg: RunConfig) -> AssignConfig:
-    a = cfg.assignment
-    return AssignConfig(lambda_cls=a.lambda_cls, lambda_loc=a.lambda_loc,
-                        lambda_center=a.lambda_center, center_cost_mode=a.center_cost_mode,
-                        eta=a.eta, epsilon=a.epsilon, alpha=a.alpha, beta=a.beta,
-                        dynamic_k_cap=a.dynamic_k_cap, iou_floor=a.iou_floor,
-                        prob_clamp=a.prob_clamp)
-
-
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     dtype = np.float64 if cfg.numerics.dtype == "float64" else np.float32
-    neck_kwargs = dict(out_channels=cfg.neck.out_channels, csp_depth=cfg.neck.csp_depth,
-                       placement=cfg.neck.placement,
-                       num_attention_blocks=cfg.neck.num_attention_blocks,
-                       attn_heads=cfg.neck.attn_heads, attn_key_dim=cfg.neck.attn_key_dim,
-                       attn_value_dim=cfg.neck.attn_value_dim, attn_scale=cfg.neck.attn_scale,
-                       attn_residual=cfg.neck.attn_residual, downsample=cfg.neck.downsample)
     bn = nm.BNSettings(eps=cfg.numerics.bn_eps, momentum=cfg.numerics.bn_momentum)
     return build_detector(cfg.model.num_classes, cfg.model.image_size,
-                          cfg.model.backbone_widths, neck_kwargs, cfg.model.head_channels,
+                          cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
                           rng, dtype=dtype, score_thr=cfg.model.score_thr,
                           nms_iou=cfg.model.nms_iou, bn=bn)
 
@@ -58,7 +43,7 @@ def image_gts(index, image_id):
 
 
 def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunConfig,
-                 acfg: AssignConfig, training=True):
+                 training=True):
     """Forward a batch and assemble the assignment-driven losses.
 
     ``gt_per_image`` is a list of (boxes, labels) pairs aligned with the batch.
@@ -84,8 +69,8 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
             continue
         pred_boxes = decode_boxes(dists_np[b], detector.points_xy, detector.strides)
         cm = build_cost_matrix(probs[b], pred_boxes, detector.points_xy,
-                               detector.strides, boxes, labels, acfg)
-        asg = dynamic_assign(cm, acfg)
+                               detector.strides, boxes, labels, cfg.assignment)
+        asg = dynamic_assign(cm, cfg.assignment)
         assignments.append(asg)
         targets[b] = asg.targets(labels, num_classes)
         for a in np.where(asg.gt_index >= 0)[0]:
@@ -153,18 +138,11 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     if not 1 <= cfg.training.batch_size <= cfg.synthetic.num_images:
         raise ConfigError(f"training.batch_size must be in 1..synthetic.num_images "
                           f"({cfg.synthetic.num_images}), got {cfg.training.batch_size}")
-    synth = SyntheticConfig(num_images=cfg.synthetic.num_images,
-                            image_size=cfg.synthetic.image_size,
-                            num_classes=cfg.synthetic.num_classes,
-                            min_shapes=cfg.synthetic.min_shapes,
-                            max_shapes=cfg.synthetic.max_shapes,
-                            seed=cfg.synthetic.seed)
-    raw_images, index = gen_synthetic(synth)
+    raw_images, index = gen_synthetic(cfg.synthetic)
     images = normalize_images(raw_images)
 
     rng = np.random.default_rng(cfg.training.seed)
     detector = detector_from_config(cfg, rng)
-    acfg = assign_config(cfg)
     momentum, weight_decay = optimizer_settings(cfg.training)
     params = list(detector.params())
     opt = SGD(params, cfg.training.lr, momentum, weight_decay)
@@ -182,7 +160,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         batch_imgs = images[batch_ids]
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
-        total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg, acfg)
+        total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg)
         total.backward()
         lr = cosine_lr(cfg.training.lr, step, steps) if cfg.training.schedule == "cosine" \
             else cfg.training.lr

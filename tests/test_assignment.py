@@ -89,6 +89,18 @@ class TestCostTerms:
         with pytest.raises(ConfigError):
             AssignConfig(center_cost_mode="nope")
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_alpha_must_exceed_one(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            AssignConfig(alpha=alpha)
+
+    def test_center_cost_clamp_keeps_near_values_bitwise(self):
+        cfg = AssignConfig()
+        d = np.linspace(0.0, 150.0, 301)
+        assert np.array_equal(center_cost_from_distance(d, cfg), cfg.alpha ** (d - cfg.beta))
+        far = center_cost_from_distance(np.array([400.0, 1e4, 1e300]), cfg)
+        assert np.all(np.isfinite(far)) and np.all(far == far[0])
+
 
 class TestDynamicAssign:
     def test_single_forced_match(self):
@@ -198,3 +210,18 @@ class TestBuildCostMatrix:
         cm_good = build_cost_matrix(probs, boxes, points, strides, gt, np.array([0]), cfg)
         cm_bad = build_cost_matrix(probs, boxes, points, strides, gt, np.array([1]), cfg)
         assert cm_good.cost[0, 0] < cm_bad.cost[0, 0]
+
+    def test_candidate_costs_finite_for_huge_predicted_distances(self):
+        from crackdet.model import anchor_points, decode_boxes, points_arrays
+
+        points_xy, strides = points_arrays(anchor_points(64))
+        distances = np.zeros((len(points_xy), 4))
+        distances[:, 2:] = 1e4  # right and bottom edges pushed far away
+        boxes = decode_boxes(distances, points_xy, strides)
+        probs = np.full((len(points_xy), 3), 0.5)
+        gt = np.array([[8.0, 8.0, 40.0, 40.0]])
+        cm = build_cost_matrix(probs, boxes, points_xy, strides, gt, np.array([0]),
+                               AssignConfig())
+        assert cm.candidates.sum() == 26
+        assert np.all(np.isfinite(cm.cost[cm.candidates]))
+        assert dynamic_assign(cm, AssignConfig()).num_pos >= 1

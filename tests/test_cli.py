@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from crackdet.cli import main
-from crackdet.config import __version__, load_config
-from crackdet.errors import ConfigError
+from crackdet.config import __version__, config_dict, load_config
+from crackdet.errors import ConfigError, CrackdetError
 
 TINY = [
     "--set", "model.backbone_widths=[2,3,4,6,8]",
@@ -62,6 +63,79 @@ class TestConfig:
         assert optimizer_settings(cfg.training) == (0.9, 5e-4)
         cfg_alt = load_config(overrides=["training.optimizer_convention=swapped"])
         assert optimizer_settings(cfg_alt.training) == (5e-4, 0.9)
+
+
+    @pytest.mark.parametrize("override", ["training.lr=fast", "assignment.lambda_loc=abc",
+                                          "model.num_classes=true"])
+    def test_mistyped_value_exit_1(self, tmp_path, capsys, override):
+        rc = main(["stats", "--dataset", str(tmp_path / "none.json"), "--out", str(tmp_path / "o"),
+                   "--set", override])
+        assert rc == 1
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["training.epochs=null", "neck.attn_scale=0.5"])
+    def test_typed_values_still_load(self, override):
+        key, value = override.split("=")
+        cfg = load_config(overrides=[override])
+        section, name = key.split(".")
+        assert getattr(getattr(cfg, section), name) == json.loads(value)
+
+    def test_int_fits_float_and_list_becomes_tuple(self):
+        cfg = load_config(overrides=["training.lr=1", "model.backbone_widths=[1,2,3,4,5]"])
+        assert cfg.training.lr == 1
+        assert cfg.model.backbone_widths == (1, 2, 3, 4, 5)
+        with pytest.raises(ConfigError, match="neck.attn_key_dim"):
+            load_config(overrides=["neck.attn_key_dim=null"])
+        with pytest.raises(ConfigError, match="training.lr"):
+            load_config(overrides=["training.lr=false"])
+
+    def test_section_validated_on_final_values(self, tmp_path):
+        cfg = load_config(overrides=["synthetic.min_shapes=5", "synthetic.max_shapes=6"])
+        assert (cfg.synthetic.min_shapes, cfg.synthetic.max_shapes) == (5, 6)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"synthetic": {"min_shapes": 5}}))
+        assert load_config(path, ["synthetic.max_shapes=5"]).synthetic.max_shapes == 5
+        with pytest.raises(CrackdetError, match="shapes_per_image"):
+            load_config(path)
+
+    def test_default_config_echo(self):
+        assert config_dict(load_config()) == {
+            "numerics": {"dtype": "float64", "bn_eps": 1e-05, "bn_momentum": 0.1},
+            "model": {"num_classes": 3, "image_size": 64,
+                      "backbone_widths": [32, 48, 64, 96, 128], "head_channels": 96,
+                      "score_thr": 0.05, "nms_iou": 0.65},
+            "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
+                     "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16,
+                     "attn_value_dim": None, "attn_scale": None, "attn_residual": True,
+                     "downsample": "conv"},
+            "assignment": {"lambda_cls": 1.0, "lambda_loc": 3.0, "lambda_center": 1.0,
+                           "center_cost_mode": "soft_center_prior", "eta": 1.0,
+                           "epsilon": 1e-07, "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10,
+                           "iou_floor": 1e-07, "prob_clamp": 1e-07},
+            "loss": {"w_cls": 1.0, "w_reg": 2.0},
+            "eval": {"max_dets": 100},
+            "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
+                          "min_shapes": 2, "max_shapes": 4, "seed": 0},
+            "training": {"batch_size": 4, "steps": 300, "epochs": None, "lr": 0.004,
+                         "momentum": 0.9, "weight_decay": 0.0005,
+                         "optimizer_convention": "standard", "schedule": "cosine", "seed": 0},
+        }
+
+    @pytest.mark.parametrize("overrides, count, digest", [
+        ([], 175, "45a556d308afe44a"),
+        (["neck.placement=both", "neck.downsample=pool", "neck.csp_depth=2"], 185,
+         "d03bcc9a3806f343"),
+        (["neck.placement=single_at_end", "neck.num_attention_blocks=1"], 152,
+         "d6dbc69397b07d2b"),
+    ])
+    def test_state_dict_keys_pinned(self, overrides, count, digest):
+        from crackdet.train import detector_from_config
+
+        detector = detector_from_config(load_config(overrides=overrides),
+                                        np.random.default_rng(0))
+        keys = list(detector.state_dict())
+        assert len(keys) == count
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16] == digest
 
 
 class TestStats:
@@ -192,6 +266,13 @@ class TestTrainInferPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "training.batch_size must be in 1..synthetic.num_images (2)" in err
+        assert not (out_dir / "checkpoint.npz").exists()
+
+    def test_max_dets_below_one_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "md"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY + ["--set", "eval.max_dets=0"])
+        assert rc == 1
+        assert "max_dets" in capsys.readouterr().err
         assert not (out_dir / "checkpoint.npz").exists()
 
     def test_eval_accepts_wrapped_detections(self, tmp_path):

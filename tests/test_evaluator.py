@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
-from crackdet.errors import CrackdetError
+from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, SENTINEL, EvalConfig,
                                 _cross_class_overlaps, compute_ap, error_breakdown, evaluate,
                                 match_detections)
@@ -82,6 +82,13 @@ class TestMatchDetections:
         tp, ignore, _ = match_detections([(0, 0, 10, 10)], [0.9], [(0, 0, 10, 10)], 0.5,
                                          gt_ignore=[True])
         assert tp.tolist() == [False] and ignore.tolist() == [True]
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("max_dets", [0, -1])
+    def test_max_dets_below_one_rejected(self, max_dets):
+        with pytest.raises(ConfigError, match="max_dets"):
+            EvalConfig(max_dets=max_dets)
 
 
 class TestComputeAP:
