@@ -119,8 +119,9 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, training=True,
 
     logits = nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k) * cfg.scale
     logits = nm.add_posbias(logits, p.pos_bias)
-    attn = nm.softmax_lastdim(nm.head_mix(logits, p.t_pre))
-    attn = nm.head_mix(attn, p.t_post)
+    # talking heads: a 1x1 conv with the heads as the channel axis
+    attn = nm.softmax_lastdim(nm.conv1x1(logits, p.t_pre))
+    attn = nm.conv1x1(attn, p.t_post)
 
     tokens = nm.matmul_tokens(v, nm.transpose(attn, (0, 1, 3, 2)))
     y = nm.reshape(tokens, (b, h * dv, hh, ww))

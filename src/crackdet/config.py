@@ -21,6 +21,7 @@ from .assignment import AssignConfig
 from .dataio import SyntheticConfig
 from .errors import ConfigError
 from .evaluator import EvalConfig
+from .model import neck_config
 
 __version__ = "0.1.0"
 
@@ -137,6 +138,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: top level must be a JSON object")
         for name, values in raw.items():
             if name not in changes:
                 raise ConfigError(f"unknown config section '{name}'")
@@ -176,6 +179,7 @@ def validate_config(cfg: RunConfig):
         raise ConfigError("backbone_widths must list five stage widths")
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
+    neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
     eval_config(cfg)
 
 

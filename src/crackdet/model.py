@@ -266,16 +266,21 @@ class Detector(nm.Module):
         return out
 
 
+def neck_config(image_size: int, backbone_widths, neck_cfg_kwargs: dict) -> NeckConfig:
+    """The neck's config, with its input channels and pyramid sizes derived
+    from the backbone's last three stages."""
+    if image_size % 32:
+        raise ShapeError(f"image_size {image_size} must be divisible by 32")
+    spatial = tuple((image_size // s, image_size // s) for s in STRIDES)
+    return NeckConfig(in_channels=tuple(backbone_widths)[2:], spatial=spatial, **neck_cfg_kwargs)
+
+
 def build_detector(num_classes: int, image_size: int, backbone_widths,
                    neck_cfg_kwargs: dict, head_channels: int,
                    rng: np.random.Generator, dtype=np.float64,
                    score_thr=0.05, nms_iou=0.65, bn=None) -> Detector:
-    if image_size % 32:
-        raise ShapeError(f"image_size {image_size} must be divisible by 32")
-    widths = tuple(backbone_widths)
-    spatial = tuple((image_size // s, image_size // s) for s in STRIDES)
-    neck_cfg = NeckConfig(in_channels=widths[2:], spatial=spatial, **neck_cfg_kwargs)
-    backbone = init_backbone(widths, rng, dtype, bn=bn)
+    neck_cfg = neck_config(image_size, backbone_widths, neck_cfg_kwargs)
+    backbone = init_backbone(backbone_widths, rng, dtype, bn=bn)
     neck = init_neck(neck_cfg, rng, dtype, bn=bn)
     head = init_head(neck_cfg.out_channels, head_channels, num_classes, rng, dtype, bn=bn)
     return Detector(backbone=backbone, neck=neck, head=head, num_classes=num_classes,

@@ -68,6 +68,11 @@ class NeckConfig:
         if self.num_attention_blocks > len(slots):
             raise ConfigError(f"placement '{self.placement}' offers {len(slots)} slots, "
                               f"got num_attention_blocks={self.num_attention_blocks}")
+        if self.attn_heads < 1 or self.attn_key_dim < 1:
+            raise ConfigError(f"attn_heads and attn_key_dim must be >= 1, "
+                              f"got {self.attn_heads} and {self.attn_key_dim}")
+        if self.attn_value_dim is not None and self.attn_value_dim < 1:
+            raise ConfigError(f"attn_value_dim must be >= 1 when set, got {self.attn_value_dim}")
         if self.out_channels % 2:
             raise ConfigError("out_channels must be even (CSP splits channels in half)")
         for (ha, wa), (hb, wb) in zip(self.spatial, self.spatial[1:]):

@@ -5,7 +5,7 @@ Tensors wrap numpy arrays and record the ops applied to them; calling
 accumulates gradients additively into every tensor created with
 ``requires_grad=True``. Shapes are strict: elementwise ops accept equal shapes
 or a python scalar, nothing else broadcasts. All parameterized layers
-(conv1x1, batchnorm, positional bias, head mixing) spell out their own
+(conv1x1, conv3x3s2, batchnorm, positional bias) spell out their own
 backward rules instead.
 
 The default dtype is float64; float32 can be requested per tensor for speed.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -416,63 +416,78 @@ def matmul_tokens(a, b):
 
 
 def conv1x1(x, w, b=None):
-    """Pointwise conv: x (B,Ci,H,W), w (Co,Ci), optional bias (Co,) -> (B,Co,H,W)."""
+    """Pointwise conv: x (B,Ci,H,W), w (Co,Ci), optional bias (Co,) -> (B,Co,H,W).
+
+    One matmul over the (B, Ci, H*W) view. This is the engine's one channel
+    mix: projections, CSP convs and the talking-heads mix over the head axis
+    all run through it.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 4:
         raise ShapeError(f"conv1x1: input must be 4-D, got {x.data.shape}")
     if w.data.ndim != 2 or w.data.shape[1] != x.data.shape[1]:
         raise ShapeError(f"conv1x1: weight {w.data.shape} incompatible with input {x.data.shape}")
-    out = np.einsum("oi,bihw->bohw", w.data, x.data, optimize=True)
-    if b is None:
-        def backward(g):
-            gx = np.einsum("oi,bohw->bihw", w.data, g, optimize=True)
-            gw = np.einsum("bohw,bihw->oi", g, x.data, optimize=True)
-            return (gx, gw)
-
-        return _make(out, "conv1x1", (x, w), backward)
-    b = as_tensor(b)
-    if b.data.shape != (w.data.shape[0],):
-        raise ShapeError(f"conv1x1: bias shape {b.data.shape} != ({w.data.shape[0]},)")
+    B, Ci, H, W = x.data.shape
+    Co = w.data.shape[0]
+    out = (w.data @ x.data.reshape(B, Ci, H * W)).reshape(B, Co, H, W)
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.data.shape != (Co,):
+            raise ShapeError(f"conv1x1: bias shape {b.data.shape} != ({Co},)")
+        out = out + b.data[:, None, None]
+        parents = (x, w, b)
 
     def backward(g):
-        gx = np.einsum("oi,bohw->bihw", w.data, g, optimize=True)
-        gw = np.einsum("bohw,bihw->oi", g, x.data, optimize=True)
-        gb = g.sum(axis=(0, 2, 3))
-        return (gx, gw, gb)
+        gf = g.reshape(B, Co, H * W)
+        gx = (w.data.T @ gf).reshape(B, Ci, H, W)
+        gw = (gf @ x.data.reshape(B, Ci, H * W).transpose(0, 2, 1)).sum(axis=0)
+        if b is None:
+            return gx, gw
+        return gx, gw, gf.sum(axis=(0, 2))
 
-    return _make(out + b.data[None, :, None, None], "conv1x1", (x, w, b), backward)
+    return _make(out, "conv1x1", parents, backward)
 
 
-def conv3x3s2(x, w, b=None):
-    """3x3 conv, stride 2, pad 1: x (B,Ci,H,W) even H,W; w (Co,Ci,3,3) -> (B,Co,H/2,W/2)."""
+def _im2col3x3s2(xp, Ho, Wo):
+    """(B, Ci*9, Ho*Wo) patches of a padded input; row i*9 + 3*dy + dx holds
+    xp[b, i, 2y+dy, 2x+dx] at column y*Wo + x."""
+    B, Ci = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(B, Ci * 9, Ho * Wo)
+
+
+def conv3x3s2(x, w):
+    """3x3 conv, stride 2, pad 1: x (B,Ci,H,W) even H,W; w (Co,Ci,3,3) -> (B,Co,H/2,W/2).
+
+    A matmul over im2col patches. The patches are rebuilt in the backward
+    rather than kept, so none outlives the op.
+    """
     x, w = as_tensor(x), as_tensor(w)
     B, Ci, H, W = x.data.shape
     if w.data.shape[1] != Ci or w.data.shape[2:] != (3, 3):
         raise ShapeError(f"conv3x3s2: weight {w.data.shape} incompatible with input {x.data.shape}")
     if H % 2 or W % 2:
         raise ShapeError(f"conv3x3s2: spatial size {(H, W)} must be even")
-    Ho, Wo = H // 2, W // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    # patches[b, i, dy, dx, y, x] = xp[b, i, 2y+dy, 2x+dx]
-    patches = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
-    out = np.einsum("oiuv,biyxuv->boyx", w.data, patches, optimize=True)
+    Co, Ho, Wo = w.data.shape[0], H // 2, W // 2
 
-    def grad_x(g):
+    def padded():
+        return np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+    out = (w.data.reshape(Co, Ci * 9) @ _im2col3x3s2(padded(), Ho, Wo)).reshape(B, Co, Ho, Wo)
+
+    def backward(g):
+        gf = g.reshape(B, Co, Ho * Wo)
+        xp = padded()
+        gw = (gf @ _im2col3x3s2(xp, Ho, Wo).transpose(0, 2, 1)).sum(axis=0)
         gxp = np.zeros_like(xp)
         for dy in range(3):
             for dx in range(3):
-                contrib = np.einsum("oi,boyx->biyx", w.data[:, :, dy, dx], g, optimize=True)
-                gxp[:, :, dy:dy + 2 * Ho:2, dx:dx + 2 * Wo:2] += contrib
-        return gxp[:, :, 1:H + 1, 1:W + 1]
+                gxp[:, :, dy:dy + 2 * Ho:2, dx:dx + 2 * Wo:2] += (
+                    w.data[:, :, dy, dx].T @ gf).reshape(B, Ci, Ho, Wo)
+        return (gxp[:, :, 1:H + 1, 1:W + 1], gw.reshape(w.data.shape))
 
-    def grad_w(g):
-        return np.einsum("boyx,biyxuv->oiuv", g, patches, optimize=True)
-
-    if b is None:
-        return _make(out, "conv3x3s2", (x, w), lambda g: (grad_x(g), grad_w(g)))
-    b = as_tensor(b)
-    return _make(out + b.data[None, :, None, None], "conv3x3s2", (x, w, b),
-                 lambda g: (grad_x(g), grad_w(g), g.sum(axis=(0, 2, 3))))
+    return _make(out, "conv3x3s2", (x, w), backward)
 
 
 def upsample2x(x):
@@ -511,22 +526,6 @@ def softmax_lastdim(x):
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return _make(out, "softmax_lastdim", (x,), backward)
-
-
-def head_mix(x, t):
-    """Mix the head axis: out[b,g,i,j] = sum_h t[g,h] * x[b,h,i,j]."""
-    x, t = as_tensor(x), as_tensor(t)
-    h = x.data.shape[1]
-    if t.data.shape != (h, h):
-        raise ShapeError(f"head_mix: mixing matrix {t.data.shape} != ({h}, {h})")
-    out = np.einsum("gh,bhij->bgij", t.data, x.data, optimize=True)
-
-    def backward(g):
-        gx = np.einsum("gh,bgij->bhij", t.data, g, optimize=True)
-        gt = np.einsum("bgij,bhij->gh", g, x.data, optimize=True)
-        return (gx, gt)
-
-    return _make(out, "head_mix", (x, t), backward)
 
 
 def add_posbias(x, bias):
@@ -669,38 +668,13 @@ class Module:
                 yield from child.states(name)
 
 
-@dataclass
-class Param:
-    """A named trainable grid; names are unique within a model."""
-
-    name: str
-    value: Tensor
-    trainable: bool = True
-
-
-def collect_params(named) -> list[Param]:
-    """Materialize (name, tensor) pairs into Params, enforcing unique names."""
-    out, seen = [], set()
-    for name, tensor in named:
-        if name in seen:
-            raise NumericsError(f"duplicate parameter name '{name}'")
-        seen.add(name)
-        out.append(Param(name, tensor))
-    return out
-
-
-def zero_grads(params):
-    for p in params:
-        (p.value if isinstance(p, Param) else p).zero_grad()
-
-
 # -- gradient checking ------------------------------------------------------
 
 
 def finite_diff_check(f, params, h=1e-5, max_coords=None, rng=None):
     """Compare analytic gradients of the scalar ``f()`` against central differences.
 
-    ``params`` is a sequence of tensors (or Params) that f closes over. Returns
+    ``params`` is a sequence of tensors that f closes over. Returns
     the max over checked coordinates of |analytic - numeric| / max(1, |analytic|).
     With ``max_coords`` set, a seeded subset of coordinates across all parameters
     is checked instead of every scalar (mandatory for big composites; fresh
@@ -708,7 +682,7 @@ def finite_diff_check(f, params, h=1e-5, max_coords=None, rng=None):
     are frozen throughout so f is evaluated as a pure function. Any non-finite
     intermediate raises NumericsError naming the offending op.
     """
-    tensors = [(p.value if isinstance(p, Param) else p) for p in params]
+    tensors = list(params)
     with frozen_bn_stats():
         for t in tensors:
             t.zero_grad()

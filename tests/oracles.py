@@ -30,6 +30,27 @@ def conv1x1_loop(x, w, b=None):
     return out
 
 
+def conv3x3s2_loop(x, w):
+    """3x3 kernel, stride 2, zero padding 1: each output cell sums the nine
+    taps that land inside the input, read by explicit index arithmetic."""
+    bs, ci, hh, ww = x.shape
+    co = w.shape[0]
+    out = np.zeros((bs, co, hh // 2, ww // 2))
+    for n in range(bs):
+        for o in range(co):
+            for y in range(hh // 2):
+                for xx in range(ww // 2):
+                    acc = 0.0
+                    for i in range(ci):
+                        for dy in range(3):
+                            for dx in range(3):
+                                row, col = 2 * y + dy - 1, 2 * xx + dx - 1
+                                if 0 <= row < hh and 0 <= col < ww:
+                                    acc += w[o][i][dy][dx] * x[n][i][row][col]
+                    out[n][o][y][xx] = acc
+    return out
+
+
 def matmul_loop(a, b):
     """Triple loop over the trailing two axes, outer loop over batch cells."""
     lead = a.shape[:-2]

@@ -138,6 +138,52 @@ class TestConfig:
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16] == digest
 
 
+@pytest.fixture(scope="module")
+def two_image_set(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("two") / "data"
+    assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=2"]) == 0
+    return str(data_dir)
+
+
+class TestConfigRejectedAtLoad:
+    """Bad config values stop `stats` at load: exit 1, an error line, no
+    traceback and no artifact, although `stats` builds no detector."""
+
+    def _stats_fails(self, data_dir, tmp_path, capsys, extra):
+        out_dir = tmp_path / "out"
+        rc = main(["stats", "--dataset", data_dir, "--out", str(out_dir), *extra])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out_dir / "stats.json").exists()
+        return err
+
+    def test_non_object_config_file(self, two_image_set, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("[1]")
+        err = self._stats_fails(two_image_set, tmp_path, capsys, ["--config", str(path)])
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize("override,message", [
+        ("neck.placement=bogus", "placement"),
+        ("neck.out_channels=95", "out_channels"),
+        ("neck.num_attention_blocks=7", "num_attention_blocks"),
+        ("neck.attn_heads=0", "attn_heads"),
+        ("neck.attn_key_dim=0", "attn_key_dim"),
+        ("neck.attn_value_dim=0", "attn_value_dim"),
+        ("neck.downsample=stride", "downsample"),
+    ])
+    def test_bad_neck_value(self, two_image_set, tmp_path, capsys, override, message):
+        err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
+        assert message in err
+
+    def test_valid_neck_values_still_run(self, two_image_set, tmp_path):
+        rc = main(["stats", "--dataset", two_image_set, "--out", str(tmp_path / "out"),
+                   "--set", "neck.attn_value_dim=1", "--set", "neck.placement=both",
+                   "--set", "neck.num_attention_blocks=4"])
+        assert rc == 0
+
+
 class TestStats:
     def test_stats_on_generated_dataset(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -3,9 +3,9 @@ import pytest
 
 from crackdet import numerics as nm
 from crackdet.errors import NumericsError, ShapeError
-from crackdet.numerics import BatchNorm, Tensor, collect_params, finite_diff_check
+from crackdet.numerics import BatchNorm, Tensor, finite_diff_check
 
-from oracles import batchnorm_stats, conv1x1_loop, matmul_loop, softmax_row
+from oracles import batchnorm_stats, conv1x1_loop, conv3x3s2_loop, matmul_loop, softmax_row
 
 
 class TestConv1x1:
@@ -37,6 +37,52 @@ class TestConv1x1:
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
             nm.conv1x1(Tensor(rng.normal(size=(1, 3, 2, 2))), Tensor(rng.normal(size=(4, 5))))
+
+
+class TestConv3x3s2:
+    @pytest.mark.parametrize("seed,shape,co", [
+        (0, (2, 3, 4, 4), 5),
+        (1, (1, 5, 6, 10), 3),
+        (2, (3, 1, 8, 2), 7),
+        (3, (2, 7, 2, 6), 4),
+    ])
+    def test_matches_loop_oracle(self, seed, shape, co):
+        r = np.random.default_rng(seed)
+        x = r.normal(size=shape)
+        w = r.normal(size=(co, shape[1], 3, 3))
+        out = nm.conv3x3s2(Tensor(x), Tensor(w))
+        assert out.shape == (shape[0], co, shape[2] // 2, shape[3] // 2)
+        assert np.abs(out.data - conv3x3s2_loop(x, w)).max() < 1e-12
+
+    def test_odd_spatial_size_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            nm.conv3x3s2(Tensor(rng.normal(size=(1, 2, 5, 4))), Tensor(rng.normal(size=(3, 2, 3, 3))))
+
+
+class TestFloat32:
+    """A float32 graph stays float32: outputs and every gradient an op returns."""
+
+    @staticmethod
+    def _dtypes(out, parents):
+        grads = out._backward(np.ones_like(out.data))
+        assert len(grads) == len(parents)
+        return [out.data.dtype] + [g.dtype for g in grads]
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_conv1x1(self, rng, with_bias):
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 3)).astype(np.float32), requires_grad=True)
+        parents = [x, w]
+        if with_bias:
+            parents.append(Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True))
+        out = nm.conv1x1(*parents)
+        assert self._dtypes(out, parents) == [np.float32] * (1 + len(parents))
+
+    def test_conv3x3s2(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        out = nm.conv3x3s2(x, w)
+        assert self._dtypes(out, [x, w]) == [np.float32] * 3
 
 
 class TestBatchNorm:
@@ -235,12 +281,6 @@ def test_grad_mode_is_thread_local(rng):
 def test_updown_identity_for_pooling(rng):
     x = rng.normal(size=(2, 3, 5, 4))
     assert np.array_equal(nm.avgpool2x2(nm.upsample2x(Tensor(x))).data, x)
-
-
-def test_param_names_must_be_unique(rng):
-    t = Tensor(rng.normal(size=3), requires_grad=True)
-    with pytest.raises(NumericsError, match="duplicate"):
-        collect_params([("a", t), ("a", t)])
 
 
 def test_strict_shape_errors(rng):
