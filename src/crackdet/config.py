@@ -175,8 +175,12 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown optimizer_convention '{cfg.training.optimizer_convention}'")
     if cfg.training.schedule not in ("cosine", "constant"):
         raise ConfigError(f"unknown schedule '{cfg.training.schedule}'")
-    if len(cfg.model.backbone_widths) != 5:
-        raise ConfigError("backbone_widths must list five stage widths")
+    widths = cfg.model.backbone_widths
+    if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
+        raise ConfigError(f"model.backbone_widths must list five positive integer stage widths, "
+                          f"got {list(widths)}")
+    if cfg.model.head_channels < 1:
+        raise ConfigError(f"model.head_channels must be >= 1, got {cfg.model.head_channels}")
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))

@@ -9,6 +9,7 @@ corner box; class-wise greedy NMS prunes overlaps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class Detection:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.box
-        if x2 < x1 or y2 < y1 or not np.isfinite(self.score):
+        if x2 < x1 or y2 < y1 or not math.isfinite(self.score):
             raise ShapeError(f"invalid detection {self}")
 
 
@@ -164,20 +165,18 @@ def encode_box(box, point: AnchorPoint) -> tuple[float, float, float, float]:
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> list[int]:
-    """Greedy NMS; returns kept indices in descending score order."""
+    """Greedy NMS; returns kept indices in descending score order (ties go to
+    the lower index). One IoU matrix over the score-sorted boxes, then a walk
+    that ORs each kept row's overlaps into the suppressed mask."""
     order = np.lexsort((np.arange(len(scores)), -scores))
+    overlaps = iou_matrix(boxes[order], boxes[order]) > iou_thr
+    suppressed = np.zeros(len(order), dtype=bool)
     keep = []
-    suppressed = np.zeros(len(scores), dtype=bool)
-    for pos, i in enumerate(order):
-        if suppressed[i]:
-            continue
-        keep.append(int(i))
-        later = order[pos + 1:]
-        later = later[~suppressed[later]]
-        if len(later):
-            ious = iou_matrix(boxes[i:i + 1], boxes[later])[0]
-            suppressed[later[ious > iou_thr]] = True
-    return keep
+    for pos in range(len(order)):
+        if not suppressed[pos]:
+            keep.append(pos)
+            suppressed |= overlaps[pos]
+    return order[keep].tolist()
 
 
 def decode(cls_probs: np.ndarray, distances: np.ndarray, points: list[AnchorPoint],
@@ -193,12 +192,10 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points: list[AnchorPoin
         picked = np.where(scores > score_thr)[0]
         if not len(picked):
             continue
-        kept = nms(boxes[picked], scores[picked], nms_iou)
-        for j in kept:
-            idx = picked[j]
+        kept = picked[nms(boxes[picked], scores[picked], nms_iou)]
+        for score, box in zip(scores[kept].tolist(), boxes[kept].tolist()):
             detections.append(Detection(image_id=image_id, category_id=k + 1,
-                                        score=float(scores[idx]),
-                                        box=tuple(float(v) for v in boxes[idx])))
+                                        score=score, box=tuple(box)))
     detections.sort(key=lambda d: (-d.score, d.category_id))
     return detections
 

@@ -73,11 +73,15 @@ class NeckConfig:
                               f"got {self.attn_heads} and {self.attn_key_dim}")
         if self.attn_value_dim is not None and self.attn_value_dim < 1:
             raise ConfigError(f"attn_value_dim must be >= 1 when set, got {self.attn_value_dim}")
-        if self.out_channels % 2:
-            raise ConfigError("out_channels must be even (CSP splits channels in half)")
+        if self.out_channels < 1 or self.out_channels % 2:
+            raise ConfigError(f"out_channels must be positive and even (CSP splits channels "
+                              f"in half), got {self.out_channels}")
+        if self.csp_depth < 0:
+            raise ConfigError(f"csp_depth must be >= 0, got {self.csp_depth}")
         for (ha, wa), (hb, wb) in zip(self.spatial, self.spatial[1:]):
             if ha != 2 * hb or wa != 2 * wb:
                 raise ConfigError(f"pyramid spatial sizes must halve level to level, got {self.spatial}")
+        _slot_configs(self)  # each slot's Attention4DConfig checks heads*key_dim <= 8*channels
 
     def active_slots(self) -> tuple[str, ...]:
         return PLACEMENT_SLOTS[self.placement][:self.num_attention_blocks]

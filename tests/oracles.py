@@ -265,3 +265,15 @@ def cross_class_overlaps_loop(index, detections, iou_thr=0.1):
                 hit = True
         out.append(hit)
     return out
+
+
+def nms_loop(boxes, scores, iou_thr):
+    """Greedy NMS by scalar IoU: visit candidates by descending score (ties
+    to the lower index) and keep each one that overlaps no kept box by more
+    than iou_thr."""
+    order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
+    keep = []
+    for i in order:
+        if all(scalar_iou(tuple(boxes[i]), tuple(boxes[k])) <= iou_thr for k in keep):
+            keep.append(i)
+    return keep

@@ -172,15 +172,52 @@ class TestConfigRejectedAtLoad:
         ("neck.attn_key_dim=0", "attn_key_dim"),
         ("neck.attn_value_dim=0", "attn_value_dim"),
         ("neck.downsample=stride", "downsample"),
+        ("neck.out_channels=0", "out_channels"),
+        ("neck.out_channels=-2", "out_channels"),
+        ("neck.csp_depth=-1", "csp_depth"),
+        ("neck.attn_heads=100", "heads*key_dim"),
     ])
     def test_bad_neck_value(self, two_image_set, tmp_path, capsys, override, message):
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
         assert message in err
 
+    @pytest.mark.parametrize("override,message", [
+        ("model.head_channels=0", "head_channels"),
+        ("model.head_channels=-4", "head_channels"),
+        ("model.backbone_widths=[32,48,0,96,128]", "backbone_widths"),
+        ("model.backbone_widths=[-1,48,64,96,128]", "backbone_widths"),
+        ("model.backbone_widths=[32,48,64,96,\"x\"]", "backbone_widths"),
+    ])
+    def test_bad_model_value(self, two_image_set, tmp_path, capsys, override, message):
+        err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
+        assert message in err
+
+    @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
+                                          "model.backbone_widths=[32,48,0,96,128]",
+                                          "neck.attn_heads=100"])
+    @pytest.mark.parametrize("command", ["stats", "assign-debug"])
+    def test_rejected_alike_by_stats_and_assign_debug(self, two_image_set, tmp_path, capsys,
+                                                      command, override):
+        """A value that would only fail once a detector is built (a raw
+        OverflowError from the init, or the attention's heads*key_dim limit)
+        stops every subcommand at load."""
+        out_dir = tmp_path / "out"
+        rc = main([command, "--dataset", two_image_set, "--out", str(out_dir),
+                   "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_valid_neck_values_still_run(self, two_image_set, tmp_path):
         rc = main(["stats", "--dataset", two_image_set, "--out", str(tmp_path / "out"),
                    "--set", "neck.attn_value_dim=1", "--set", "neck.placement=both",
                    "--set", "neck.num_attention_blocks=4"])
+        assert rc == 0
+
+    def test_zero_csp_depth_still_runs(self, two_image_set, tmp_path):
+        rc = main(["assign-debug", "--dataset", two_image_set, "--out", str(tmp_path / "out"),
+                   "--set", "neck.csp_depth=0"])
         assert rc == 0
 
 

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crackdet import numerics as nm
 from crackdet.errors import ShapeError
 from crackdet.geometry import iou
 from crackdet.model import (AnchorPoint, Detection, anchor_points, backbone_forward,
                             build_detector, decode, decode_boxes, encode_box,
-                            head_forward, init_backbone, init_head, nms)
+                            head_forward, init_backbone, init_head, nms, points_arrays)
 from crackdet.neck import PyramidFeatures
 from crackdet.numerics import Tensor, finite_diff_check
+from oracles import nms_loop
 
 
 class TestBackbone:
@@ -154,11 +158,119 @@ class TestNMS:
                 for b in keep[i + 1:]:
                     assert iou(tuple(boxes[a]), tuple(boxes[b])) <= 0.5
 
+    @staticmethod
+    def _random_case(seed):
+        """Integer-grid boxes (some of zero area, some repeated) with scores
+        drawn from a few levels, so IoU and score ties both occur."""
+        r = np.random.default_rng(seed)
+        n = seed % 30
+        xy = r.integers(0, 20, size=(n, 2)).astype(float)
+        wh = r.integers(0, 12, size=(n, 2)).astype(float)
+        boxes = np.concatenate([xy, xy + wh], axis=1)
+        if n > 2:
+            boxes[r.integers(0, n)] = boxes[r.integers(0, n)]
+        scores = r.choice([0.2, 0.5, 0.7, 0.9], size=n) if seed % 2 else r.uniform(0.1, 1.0, n)
+        return boxes, scores
+
+    @pytest.mark.parametrize("iou_thr", [0.0, 0.3, 0.5, 0.65, 1.0])
+    def test_matches_scalar_oracle(self, iou_thr):
+        for seed in range(240):
+            boxes, scores = self._random_case(seed)
+            assert nms(boxes, scores, iou_thr) == nms_loop(boxes, scores, iou_thr), seed
+
+    @pytest.mark.parametrize("boxes,scores,iou_thr,expected", [
+        (np.zeros((0, 4)), np.zeros(0), 0.5, []),
+        (np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0.3]), 0.5, [0]),
+        (np.array([[5.0, 5.0, 5.0, 5.0]] * 3), np.array([0.4, 0.4, 0.4]), 0.0, [0, 1, 2]),
+        (np.array([[0.0, 0.0, 4.0, 4.0]] * 3), np.array([0.4, 0.6, 0.6]), 0.5, [1]),
+        (np.array([[0.0, 0.0, 4.0, 4.0]] * 3), np.array([0.4, 0.6, 0.6]), 1.0, [1, 2, 0]),
+        (np.array([[0.0, 0.0, 4.0, 4.0], [3.0, 3.0, 8.0, 8.0], [4.0, 0.0, 8.0, 4.0]]),
+         np.array([0.9, 0.8, 0.7]), 0.0, [0, 2]),
+    ])
+    def test_edge_cases_match_oracle(self, boxes, scores, iou_thr, expected):
+        assert nms(boxes, scores, iou_thr) == nms_loop(boxes, scores, iou_thr) == expected
+
     def test_keeps_highest_scoring_of_duplicates(self):
         boxes = np.array([[0, 0, 10, 10], [0.5, 0, 10, 10], [30, 30, 40, 40]], dtype=float)
         scores = np.array([0.6, 0.9, 0.5])
         keep = nms(boxes, scores, 0.5)
         assert keep == [1, 2]
+
+
+GRID32 = anchor_points(32)  # 16 + 4 + 1 anchors
+SCORE_THR, NMS_IOU = 0.05, 0.65
+score_levels = st.sampled_from([0.0, 0.03, SCORE_THR, 0.2, 0.5, 0.5, 0.9])
+grid_probs = hnp.arrays(np.float64, (len(GRID32), 2), elements=score_levels)
+grid_dists = hnp.arrays(np.float64, (len(GRID32), 4), elements=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+
+
+class TestDecodeProperties:
+    """Post-processing invariants on the 32-px grid, with score ties, exact
+    threshold hits and zero distances drawn often."""
+
+    @given(hnp.arrays(np.float64, (len(GRID32), 2),
+                      elements=st.sampled_from([0.0, 0.01, SCORE_THR])), grid_dists)
+    @settings(max_examples=60, deadline=None)
+    def test_empty_image_gives_nothing(self, probs, dists):
+        assert decode(probs, dists, GRID32, SCORE_THR, NMS_IOU) == []
+
+    @given(grid_probs)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_distances_keep_every_candidate(self, probs):
+        dets = decode(probs, np.zeros((len(GRID32), 4)), GRID32, SCORE_THR, NMS_IOU)
+        assert len(dets) == int((probs > SCORE_THR).sum())
+
+    @given(grid_probs, grid_dists)
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_thresholded_and_suppressed(self, probs, dists):
+        dets = decode(probs, dists, GRID32, SCORE_THR, NMS_IOU, image_id=3)
+        assert [(-d.score, d.category_id) for d in dets] == \
+            sorted((-d.score, d.category_id) for d in dets)
+        assert all(d.score > SCORE_THR and d.image_id == 3 for d in dets)
+        for i, a in enumerate(dets):
+            for b in dets[i + 1:]:
+                if a.category_id == b.category_id:
+                    assert iou(a.box, b.box) <= NMS_IOU
+
+    @given(hnp.arrays(bool, (len(GRID32),)), st.sampled_from([0.2, 0.5, 0.9]))
+    @settings(max_examples=100, deadline=None)
+    def test_tied_scores_lowest_anchor_wins(self, above, level):
+        """Every anchor predicts a near-copy of one box (IoU > nms_iou), told
+        apart by a small per-anchor stretch; with one shared score the
+        lowest-index candidate is the one detection left."""
+        assume(above.any())
+        dists = np.array([encode_box((0.0, 0.0, 32.0 + i / 64, 32.0), p)
+                          for i, p in enumerate(GRID32)])
+        probs = np.where(above, level, 0.01)[:, None]
+        dets = decode(probs, dists, GRID32, SCORE_THR, NMS_IOU)
+        xy, strides = points_arrays(GRID32)
+        first = int(np.flatnonzero(above)[0])
+        assert [d.box for d in dets] == [tuple(decode_boxes(dists, xy, strides)[first].tolist())]
+
+    @given(hnp.arrays(np.int64, (12, 4), elements=st.integers(0, 6)),
+           hnp.arrays(np.float64, (12,), elements=st.sampled_from([0.3, 0.6])),
+           st.sampled_from([0.0, 0.5, 0.99]))
+    @settings(max_examples=150, deadline=None)
+    def test_nms_greedy_invariants(self, corners, scores, iou_thr):
+        """Kept boxes overlap each other by at most iou_thr, every dropped box
+        overlaps a kept one that outranks it, and an exact duplicate (same
+        box, same score) never survives its lower-index twin."""
+        boxes = np.concatenate([np.minimum(corners[:, :2], corners[:, 2:]),
+                                np.maximum(corners[:, :2], corners[:, 2:])], axis=1).astype(float)
+        keep = nms(boxes, scores, iou_thr)
+        rank = {i: (-scores[i], i) for i in range(len(scores))}
+        assert keep == sorted(keep, key=rank.get)
+        for i, a in enumerate(keep):
+            for b in keep[i + 1:]:
+                assert iou(tuple(boxes[a]), tuple(boxes[b])) <= iou_thr
+        for j in set(range(len(scores))) - set(keep):
+            assert any(rank[k] < rank[j] and iou(tuple(boxes[k]), tuple(boxes[j])) > iou_thr
+                       for k in keep)
+        for i in range(len(scores)):
+            for j in range(i + 1, len(scores)):
+                twins = (boxes[i] == boxes[j]).all() and scores[i] == scores[j]
+                if twins and iou(tuple(boxes[i]), tuple(boxes[j])) > iou_thr:
+                    assert j not in keep
 
 
 class TestDetectorBundle:
