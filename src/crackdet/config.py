@@ -181,8 +181,16 @@ def validate_config(cfg: RunConfig):
                           f"got {list(widths)}")
     if cfg.model.head_channels < 1:
         raise ConfigError(f"model.head_channels must be >= 1, got {cfg.model.head_channels}")
+    if cfg.model.num_classes < 1:
+        raise ConfigError(f"model.num_classes must be >= 1, got {cfg.model.num_classes}")
+    if cfg.model.image_size <= 0:
+        raise ConfigError(f"model.image_size must be positive, got {cfg.model.image_size}")
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
+    if not 0.0 <= cfg.model.score_thr < 1.0:
+        raise ConfigError(f"model.score_thr must be in [0, 1), got {cfg.model.score_thr}")
+    if not 0.0 <= cfg.model.nms_iou <= 1.0:
+        raise ConfigError(f"model.nms_iou must be in [0, 1], got {cfg.model.nms_iou}")
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
     eval_config(cfg)
 

@@ -38,6 +38,11 @@ class EvalConfig:
     max_dets: int = 100
 
     def __post_init__(self):
+        if len(self.iou_thresholds) == 0:
+            raise ConfigError("iou_thresholds must list at least one threshold")
+        if not all(0.0 < t <= 1.0 for t in self.iou_thresholds):
+            raise ConfigError(f"iou_thresholds must lie in (0, 1], "
+                              f"got {tuple(self.iou_thresholds)}")
         if list(self.iou_thresholds) != sorted(self.iou_thresholds):
             raise CrackdetError("iou thresholds must be sorted ascending")
         if self.recall_points < 2:
@@ -100,41 +105,60 @@ class ErrorBreakdown:
         return "\n".join(lines) + "\n"
 
 
-def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None):
-    """Greedy per-image, per-class matching.
+def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None, ious=None):
+    """Greedy per-image, per-class matching at one IoU threshold or several.
 
     Detections must arrive sorted by descending score. Each detection takes
-    the unmatched ground truth of highest IoU >= iou_thr, preferring
-    non-ignored ground truths; a detection whose only match is ignored is
-    itself ignored. Returns (tp flags, det_ignore flags, gt_matched flags).
+    the unmatched ground truth of highest IoU >= iou_thr (inclusive),
+    preferring non-ignored ground truths; among equal IoUs the ground truth
+    that comes last in that preference order (non-ignored, then ignored, each
+    in input order) wins. A detection whose only match is ignored is itself
+    ignored. ``ious`` is the (n_det, n_gt) IoU matrix, if the caller holds it.
+
+    A scalar ``iou_thr`` returns 1-D (tp flags, det_ignore flags, gt_matched
+    flags). A sequence of T thresholds returns (T, n) arrays, one row per
+    threshold, from a single walk that keeps a (T, n_gt) matched mask and
+    visits only the detections whose best IoU reaches the smallest threshold:
+    no other detection can match at any of them.
     """
     det_boxes = np.asarray(det_boxes, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     n_det, n_gt = len(det_boxes), len(gt_boxes)
     gt_ignore = np.zeros(n_gt, dtype=bool) if gt_ignore is None else np.asarray(gt_ignore, dtype=bool)
-    order = np.argsort(gt_ignore, kind="stable")
-    ious = iou_matrix(det_boxes, gt_boxes) if n_det and n_gt else np.zeros((n_det, n_gt))
+    thrs = np.asarray(iou_thr, dtype=np.float64)
+    scalar = thrs.ndim == 0
+    thrs = thrs.reshape(-1, 1)
+    n_thr = len(thrs)
 
-    tp = np.zeros(n_det, dtype=bool)
-    det_ignore = np.zeros(n_det, dtype=bool)
-    gt_matched = np.zeros(n_gt, dtype=bool)
-    for d in range(n_det):
-        best, m = iou_thr, -1
-        for g in order:
-            if gt_matched[g]:
-                continue
-            if m > -1 and not gt_ignore[m] and gt_ignore[g]:
-                break
-            if ious[d, g] < best:
-                continue
-            best, m = ious[d, g], g
-        if m == -1:
-            continue
-        gt_matched[m] = True
-        if gt_ignore[m]:
-            det_ignore[d] = True
-        else:
-            tp[d] = True
+    tp = np.zeros((n_thr, n_det), dtype=bool)
+    det_ignore = np.zeros((n_thr, n_det), dtype=bool)
+    gt_matched = np.zeros((n_thr, n_gt), dtype=bool)
+    if n_det and n_gt and n_thr:
+        if ious is None:
+            ious = iou_matrix(det_boxes, gt_boxes)
+        # Columns in reversed preference order: ignored GTs, then non-ignored,
+        # each by descending index, so argmax's first hit within a segment is
+        # the last GT of that segment among equal IoUs.
+        cols = np.argsort(gt_ignore, kind="stable")[::-1]
+        n_ign = int(gt_ignore.sum())
+        rev = ious[:, cols]
+        free = np.ones((n_thr, n_gt), dtype=bool)
+        rows = np.arange(n_thr)
+        for d in np.flatnonzero(ious.max(axis=1) >= thrs.min()):
+            # -1 marks a GT that is taken or below the threshold; IoUs are >= 0.
+            cand = np.where(free & (rev[d] >= thrs), rev[d], -1.0)
+            hit = np.zeros(n_thr, dtype=bool)
+            for lo, hi, flags in ((n_ign, n_gt, tp), (0, n_ign, det_ignore)):
+                if lo == hi:
+                    continue
+                j = lo + cand[:, lo:hi].argmax(axis=1)
+                take = ~hit & (cand[rows, j] >= 0.0)
+                free[rows[take], j[take]] = False
+                flags[take, d] = True
+                hit |= take
+        gt_matched[:, cols] = ~free
+    if scalar:
+        return tp[0], det_ignore[0], gt_matched[0]
     return tp, det_ignore, gt_matched
 
 
@@ -172,18 +196,21 @@ def _interp_precision(recall, precision, grid):
 
 @dataclass
 class _Group:
-    """One (image, category) matching unit; detections in score order."""
+    """One (image, category) matching unit; detections in score order, with
+    their IoU against the GTs computed once."""
 
     det_scores: np.ndarray
     det_order: np.ndarray
     det_boxes: np.ndarray
     gt_boxes: np.ndarray
     gt_areas: np.ndarray
+    ious: np.ndarray
 
-    def match(self, thr, gt_ignore):
-        """(tp, det_ignore, num_gt) of this group at one IoU threshold."""
-        tp, det_ignore, _ = match_detections(self.det_boxes, self.det_scores,
-                                             self.gt_boxes, thr, gt_ignore)
+    def match(self, thresholds, gt_ignore):
+        """(tp, det_ignore, num_gt) of this group: (T, n_det) flags, one row
+        per IoU threshold."""
+        tp, det_ignore, _ = match_detections(self.det_boxes, self.det_scores, self.gt_boxes,
+                                             thresholds, gt_ignore, ious=self.ious)
         return tp, det_ignore, int((~gt_ignore).sum())
 
 
@@ -214,13 +241,16 @@ def _collect_groups(index, detections, cfg):
         if key[1] not in groups:
             continue
         rows = sorted(dets.get(key, ()), key=lambda r: (-r[0], r[1]))[:cfg.max_dets]
+        det_boxes = np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4)
         gt_boxes = np.array(gts.get(key, ()), dtype=np.float64).reshape(-1, 4)
         groups[key[1]].append(_Group(
             det_scores=np.array([r[0] for r in rows], dtype=np.float64),
             det_order=np.array([r[1] for r in rows], dtype=np.int64),
-            det_boxes=np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4),
+            det_boxes=det_boxes,
             gt_boxes=gt_boxes,
             gt_areas=(gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1]),
+            ious=(iou_matrix(det_boxes, gt_boxes) if len(det_boxes) and len(gt_boxes)
+                  else np.zeros((len(det_boxes), len(gt_boxes)))),
         ))
     return cat_ids, groups
 
@@ -235,11 +265,13 @@ def _score_rank(groups):
 
 
 def _pool(rows, rank):
-    """Concatenate per-group (tp, det_ignore, num_gt) rows in ``rank`` order."""
+    """Concatenate per-group (tp, det_ignore, num_gt) rows along the detection
+    axis, in ``rank`` order."""
     if not rows:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), 0
     tps, igns, counts = zip(*rows)
-    return np.concatenate(tps)[rank], np.concatenate(igns)[rank], sum(counts)
+    return (np.concatenate(tps, axis=-1)[..., rank], np.concatenate(igns, axis=-1)[..., rank],
+            sum(counts))
 
 
 def _aggregate(values):
@@ -263,17 +295,14 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
         recalls = {}
         for bucket, (lo, hi) in AREA_RANGES.items():
             ignores = [(g.gt_areas < lo) | (g.gt_areas >= hi) for g in cat_groups]
-            ap_per_thr, rec_per_thr = [], []
-            for thr in thresholds:
-                tp, ign, num_gt = _pool([g.match(thr, ignore)
-                                         for g, ignore in zip(cat_groups, ignores)], rank)
-                ap_per_thr.append(compute_ap(tp, ign, num_gt, grid))
-                if num_gt == 0:
-                    rec_per_thr.append(SENTINEL)
-                else:
-                    rec_per_thr.append(float(tp.sum()) / num_gt)
-            aps[bucket] = ap_per_thr
-            recalls[bucket] = rec_per_thr
+            tp, ign, num_gt = _pool([g.match(thresholds, ignore)
+                                     for g, ignore in zip(cat_groups, ignores)], rank)
+            if num_gt == 0:
+                aps[bucket] = recalls[bucket] = [SENTINEL] * len(thresholds)
+                continue
+            aps[bucket] = [compute_ap(tp[t], ign[t], num_gt, grid)
+                           for t in range(len(thresholds))]
+            recalls[bucket] = [float(tp[t].sum()) / num_gt for t in range(len(thresholds))]
 
         def mean_ap(bucket):
             return _aggregate(aps[bucket]) if aps[bucket][0] != SENTINEL else SENTINEL
@@ -327,13 +356,14 @@ def _cross_class_overlaps(index, detections, iou_thr=0.1):
 def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBreakdown:
     """Seven progressive PR stages; APs are monotone and FN pins at 1.0.
 
-    Every stage matches all GTs of a category with none ignored. C75 and C50
-    match at IoU 0.75 and 0.5. Loc, Sim, Oth and BG share one match at IoU
-    0.1 and differ only in which unmatched detections they ignore: none (Loc),
-    those overlapping another class's GT at IoU >= 0.1 (Sim), all of them
-    (BG). Oth forgives cross-class confusions outside the supercategory; all
-    damage classes share one supercategory, so Oth's set is Sim's and the two
-    stages are one result. FN scores every category with GTs at 1.0.
+    Every stage matches all GTs of a category with none ignored, in one walk
+    per group at IoU 0.1, 0.5 and 0.75. C75 and C50 take the matches at 0.75
+    and 0.5. Loc, Sim, Oth and BG share the match at IoU 0.1 and differ only
+    in which unmatched detections they ignore: none (Loc), those overlapping
+    another class's GT at IoU >= 0.1 (Sim), all of them (BG). Oth forgives
+    cross-class confusions outside the supercategory; all damage classes
+    share one supercategory, so Oth's set is Sim's and the two stages are one
+    result. FN scores every category with GTs at 1.0.
     """
     cfg = cfg or EvalConfig()
     cat_ids, groups = _collect_groups(index, detections, cfg)
@@ -344,9 +374,9 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     for cat in cat_ids:
         cat_groups = groups[cat]
         rank = _score_rank(cat_groups)
-        no_ignore = [np.zeros(len(g.gt_boxes), dtype=bool) for g in cat_groups]
-        c75, c50, loc = ([g.match(thr, ignore) for g, ignore in zip(cat_groups, no_ignore)]
-                         for thr in (0.75, 0.50, 0.10))
+        matched = [g.match((0.10, 0.50, 0.75), np.zeros(len(g.gt_boxes), dtype=bool))
+                   for g in cat_groups]
+        loc, c50, c75 = ([(tp[t], ign[t], n) for tp, ign, n in matched] for t in range(3))
         sim = [(tp, ign | (~tp & ~ign & cross[g.det_order]), n)
                for g, (tp, ign, n) in zip(cat_groups, loc)]
         bg = [(tp, ign | ~tp, n) for tp, ign, n in loc]

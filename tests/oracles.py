@@ -277,3 +277,39 @@ def nms_loop(boxes, scores, iou_thr):
         if all(scalar_iou(tuple(boxes[i]), tuple(boxes[k])) <= iou_thr for k in keep):
             keep.append(i)
     return keep
+
+
+def greedy_match_loop(det_boxes, gt_boxes, iou_thr, gt_ignore=None):
+    """COCO greedy matching at one IoU threshold, one scalar IoU per pair.
+
+    Detections are visited in the order given (descending score). Each one
+    looks at every GT not yet taken whose IoU with it is >= iou_thr. Of
+    those it takes the best by, in turn: a non-ignored GT over an ignored
+    one, the higher IoU, the later GT in input order. Taking a non-ignored
+    GT makes the detection a TP, taking an ignored one makes it ignored,
+    taking none leaves it a FP. Returns (tp, det_ignore, gt_matched) lists.
+    """
+    n_gt = len(gt_boxes)
+    gt_ignore = [False] * n_gt if gt_ignore is None else [bool(f) for f in gt_ignore]
+    gt_matched = [False] * n_gt
+    tp, det_ignore = [], []
+    for d in det_boxes:
+        best = None
+        for g in range(n_gt):
+            if gt_matched[g]:
+                continue
+            v = scalar_iou(tuple(d), tuple(gt_boxes[g]))
+            if v < iou_thr:
+                continue
+            key = (not gt_ignore[g], v, g)
+            if best is None or key > best:
+                best = key
+        if best is None:
+            tp.append(False)
+            det_ignore.append(False)
+            continue
+        g = best[2]
+        gt_matched[g] = True
+        tp.append(not gt_ignore[g])
+        det_ignore.append(gt_ignore[g])
+    return tp, det_ignore, gt_matched

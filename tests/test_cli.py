@@ -187,6 +187,15 @@ class TestConfigRejectedAtLoad:
         ("model.backbone_widths=[32,48,0,96,128]", "backbone_widths"),
         ("model.backbone_widths=[-1,48,64,96,128]", "backbone_widths"),
         ("model.backbone_widths=[32,48,64,96,\"x\"]", "backbone_widths"),
+        ("model.num_classes=0", "model.num_classes"),
+        ("model.num_classes=-1", "model.num_classes"),
+        ("model.image_size=0", "model.image_size"),
+        ("model.image_size=-32", "model.image_size"),
+        ("model.score_thr=1", "model.score_thr"),
+        ("model.score_thr=2", "model.score_thr"),
+        ("model.score_thr=-0.1", "model.score_thr"),
+        ("model.nms_iou=1.5", "model.nms_iou"),
+        ("model.nms_iou=-1", "model.nms_iou"),
     ])
     def test_bad_model_value(self, two_image_set, tmp_path, capsys, override, message):
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
@@ -194,7 +203,8 @@ class TestConfigRejectedAtLoad:
 
     @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
                                           "model.backbone_widths=[32,48,0,96,128]",
-                                          "neck.attn_heads=100"])
+                                          "neck.attn_heads=100", "model.num_classes=0",
+                                          "model.image_size=0"])
     @pytest.mark.parametrize("command", ["stats", "assign-debug"])
     def test_rejected_alike_by_stats_and_assign_debug(self, two_image_set, tmp_path, capsys,
                                                       command, override):
@@ -208,6 +218,12 @@ class TestConfigRejectedAtLoad:
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("override", ["model.score_thr=0", "model.score_thr=0.99",
+                                          "model.nms_iou=0", "model.nms_iou=1",
+                                          "model.num_classes=1"])
+    def test_model_range_edges_still_load(self, override):
+        load_config(overrides=[override])
 
     def test_valid_neck_values_still_run(self, two_image_set, tmp_path):
         rc = main(["stats", "--dataset", two_image_set, "--out", str(tmp_path / "out"),

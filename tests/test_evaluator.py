@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, SENTINEL, EvalConfig,
                                 _cross_class_overlaps, compute_ap, error_breakdown, evaluate,
                                 match_detections)
+from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
-from oracles import ap_101_reference, cross_class_overlaps_loop
+from oracles import ap_101_reference, cross_class_overlaps_loop, greedy_match_loop
 
 
 def make_index(gts, num_images=4, categories=("crack", "pothole")):
@@ -83,12 +85,62 @@ class TestMatchDetections:
                                          gt_ignore=[True])
         assert tp.tolist() == [False] and ignore.tolist() == [True]
 
+    def test_threshold_sequence_gives_one_row_per_threshold(self):
+        # IoU exactly 0.6: inclusive at 0.6, a miss at 0.65.
+        tp, ignore, matched = match_detections([(0, 0, 10, 6)], [0.9], [(0, 0, 10, 10)],
+                                               (0.5, 0.6, 0.65))
+        assert tp.tolist() == [[True], [True], [False]]
+        assert ignore.tolist() == [[False]] * 3
+        assert matched.tolist() == [[True], [True], [False]]
+
+    def test_equal_iou_goes_to_last_gt(self):
+        gt = [(0, 0, 10, 10), (0, 0, 10, 10), (20, 20, 30, 30)]
+        _, _, matched = match_detections([(0, 0, 10, 10)], [0.9], gt, (0.5, 1.0))
+        assert matched.tolist() == [[False, True, False]] * 2
+
+    def test_unignored_gt_wins_over_higher_iou_ignored_ones(self):
+        # GT 1 (IoU 0.6) is the only non-ignored one; GTs 0 and 2 (IoU 1) tie.
+        gt = [(0, 0, 10, 10), (0, 0, 10, 6), (0, 0, 10, 10)]
+        tp, ignore, matched = match_detections([(0, 0, 10, 10)], [0.9], gt, (0.5, 0.7),
+                                               gt_ignore=[True, False, True])
+        assert tp.tolist() == [[True], [False]]
+        assert ignore.tolist() == [[False], [True]]
+        assert matched.tolist() == [[False, True, False], [False, False, True]]
+
+    def test_zero_area_boxes_match_nothing(self):
+        tp, ignore, matched = match_detections([(5, 5, 5, 9)], [0.9], [(5, 5, 5, 9)],
+                                               (0.1, 0.5))
+        assert not tp.any() and not ignore.any() and not matched.any()
+
+    @pytest.mark.parametrize("n_det,n_gt", [(0, 2), (3, 0), (0, 0)])
+    def test_empty_sides_give_empty_flags(self, n_det, n_gt):
+        dets = [(0, 0, 10, 10)] * n_det
+        gts = [(0, 0, 10, 10)] * n_gt
+        tp, ignore, matched = match_detections(dets, [0.5] * n_det, gts, (0.5, 0.75))
+        assert tp.shape == ignore.shape == (2, n_det) and matched.shape == (2, n_gt)
+        assert not tp.any() and not ignore.any() and not matched.any()
+        tp, _, matched = match_detections(dets, [0.5] * n_det, gts, 0.5)
+        assert tp.shape == (n_det,) and matched.shape == (n_gt,)
+
 
 class TestEvalConfig:
     @pytest.mark.parametrize("max_dets", [0, -1])
     def test_max_dets_below_one_rejected(self, max_dets):
         with pytest.raises(ConfigError, match="max_dets"):
             EvalConfig(max_dets=max_dets)
+
+    @pytest.mark.parametrize("thresholds", [(), (0.0, 0.5), (0.5, 1.5), (-0.1,),
+                                            (float("nan"),)])
+    def test_bad_iou_thresholds_rejected(self, thresholds):
+        with pytest.raises(ConfigError, match="iou_thresholds"):
+            EvalConfig(iou_thresholds=thresholds)
+
+    def test_descending_thresholds_rejected(self):
+        with pytest.raises(CrackdetError, match="ascending"):
+            EvalConfig(iou_thresholds=(0.75, 0.5))
+
+    def test_threshold_one_accepted(self):
+        assert EvalConfig(iou_thresholds=(0.5, 1.0)).iou_thresholds == (0.5, 1.0)
 
 
 class TestComputeAP:
@@ -345,6 +397,65 @@ class TestCrossClassOverlaps:
 # common; three score levels so ties are common.
 _box = st.builds(lambda x, y, w, h: (float(x), float(y), float(x + w), float(y + h)),
                  st.integers(0, 40), st.integers(0, 40), st.integers(0, 20), st.integers(0, 20))
+
+
+@st.composite
+def match_cases(draw):
+    """Detections and GTs drawn partly from one shared pool of boxes, so exact
+    IoU ties (duplicate GTs) are common; mixed ignore flags; ascending
+    thresholds that often equal one of the case's own IoUs exactly."""
+    pool = draw(st.lists(_box, min_size=1, max_size=4))
+    pick = st.one_of(st.sampled_from(pool), _box)
+    dets = draw(st.lists(pick, max_size=8))
+    gts = draw(st.lists(pick, max_size=6))
+    ignore = draw(st.lists(st.booleans(), min_size=len(gts), max_size=len(gts)))
+    exact = sorted({iou(d, g) for d in dets for g in gts} - {0.0})
+    level = st.sampled_from((0.1, 0.3, 0.5, 0.75, 0.95, 1.0))
+    if exact:
+        level = st.one_of(level, st.sampled_from(exact))
+    thresholds = sorted(draw(st.lists(level, min_size=1, max_size=5)))
+    return dets, gts, ignore, thresholds
+
+
+class TestMatchOracle:
+    @given(match_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_threshold_matches_greedy_loop(self, case):
+        dets, gts, ignore, thresholds = case
+        scores = [1.0] * len(dets)
+        rows = match_detections(dets, scores, gts, thresholds, ignore)
+        tp, det_ignore, matched = rows
+        assert tp.shape == det_ignore.shape == (len(thresholds), len(dets))
+        assert matched.shape == (len(thresholds), len(gts))
+        ious = iou_matrix(dets, gts) if dets and gts else None
+        given_ious = match_detections(dets, scores, gts, thresholds, ignore, ious=ious)
+        for t, thr in enumerate(thresholds):
+            want = greedy_match_loop(dets, gts, thr, ignore)
+            assert (tp[t].tolist(), det_ignore[t].tolist(), matched[t].tolist()) == want
+            scalar = match_detections(dets, scores, gts, thr, ignore)
+            assert [a.tolist() for a in scalar] == list(want)
+            assert [a[t].tolist() for a in given_ious] == list(want)
+
+
+class TestIouOncePerGroup:
+    def test_one_iou_matrix_per_group(self, monkeypatch):
+        """evaluate computes each (image, category) group's IoU once, not once
+        per (threshold, bucket); error_breakdown adds one call per image."""
+        index, dets = random_scene(42, 6)
+        gt_keys = {(a.image_id, a.category_id) for a in index.annotations}
+        det_keys = {(d.image_id, d.category_id) for d in dets}
+        groups = len(gt_keys & det_keys)
+        images = len({k[0] for k in gt_keys} & {k[0] for k in det_keys})
+        assert groups > 0
+        calls = []
+        real = evaluator_module.iou_matrix
+        monkeypatch.setattr(evaluator_module, "iou_matrix",
+                            lambda a, b: calls.append(1) or real(a, b))
+        evaluate(index, dets)
+        assert 0 < len(calls) <= groups
+        calls.clear()
+        error_breakdown(index, dets)
+        assert 0 < len(calls) <= groups + images
 
 
 @st.composite
