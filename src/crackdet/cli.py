@@ -17,14 +17,12 @@ import sys
 import numpy as np
 
 from . import numerics as nm
-from .assignment import build_cost_matrix, dynamic_assign
 from .config import RunConfig, __version__, config_dict, eval_config, load_config
 from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
                      load_image_batch, load_voc, normalize_images, save_synthetic, stats,
                      stats_table)
-from .errors import CrackdetError
+from .errors import CrackdetError, DataError, NumericsError
 from .evaluator import error_breakdown, evaluate
-from .model import decode_boxes
 from .neck import describe_layout
 from .train import (detector_from_config, image_gts, load_checkpoint, predict_dataset,
                     train_toy)
@@ -92,7 +90,10 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 def _load_detections(path):
     """Accept a bare COCO results list or this kit's wrapped output."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if isinstance(raw, dict):
         raw = raw.get("detections", raw)
     return detections_from_coco(raw)
@@ -132,10 +133,7 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
     images = load_image_batch(index, args.dataset, [image_id])
     probs, dists = detector.predict_arrays(images)
     boxes, labels = image_gts(index, image_id)
-    pred_boxes = decode_boxes(dists[0], detector.points_xy, detector.strides)
-    cm = build_cost_matrix(probs[0], pred_boxes, detector.points_xy, detector.strides,
-                           boxes, labels, cfg.assignment)
-    asg = dynamic_assign(cm, cfg.assignment)
+    cm, asg = detector.assign(probs[0], dists[0], boxes, labels, cfg.assignment)
     cost_rows = [[float(v) if np.isfinite(v) else None for v in row] for row in cm.cost]
     payload = {
         "image_id": image_id,
@@ -390,10 +388,10 @@ def main(argv=None) -> int:
             write_json({"arch": describe_layout(detector.neck.cfg)},
                        os.path.join(args.out, "arch.json"), cfg)
         return args.func(args, cfg)
-    except CrackdetError as exc:
+    except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return 2
+    except (CrackdetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -467,12 +467,25 @@ def detections_to_coco(detections) -> list[dict]:
 def detections_from_coco(rows) -> list:
     from .model import Detection
 
+    if not isinstance(rows, list):
+        raise DataError(f"results: expected a list of detections, got {type(rows).__name__}")
     out = []
     for i, r in enumerate(rows):
+        if not isinstance(r, dict):
+            raise DataError(f"results[{i}]: expected an object, got {type(r).__name__}")
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in r:
                 raise DataError(f"results[{i}]: missing field '{key}'")
-        x, y, w, h = (float(v) for v in r["bbox"])
+        if any(isinstance(r[key], (list, dict)) for key in ("image_id", "category_id")):
+            raise DataError(f"results[{i}]: image_id and category_id must be scalars")
+        bbox = r["bbox"]
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise DataError(f"results[{i}]: bbox must be a list of 4 numbers, got {bbox!r}")
+        try:
+            x, y, w, h = (float(v) for v in bbox)
+            score = float(r["score"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"results[{i}]: bbox and score must be numbers ({exc})") from None
         out.append(Detection(image_id=r["image_id"], category_id=r["category_id"],
-                             score=float(r["score"]), box=(x, y, x + w, y + h)))
+                             score=score, box=(x, y, x + w, y + h)))
     return out

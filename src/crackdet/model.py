@@ -15,22 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .assignment import AssignConfig, Assignment, CostMatrix, build_cost_matrix, dynamic_assign
 from .errors import ShapeError
 from .geometry import iou_matrix
 from .neck import ConvBNLayer, NeckConfig, NeckParams, PyramidFeatures, _conv_bn, init_neck, neck_forward
 from .numerics import Tensor
 
 STRIDES = (8, 16, 32)
-
-
-@dataclass(frozen=True)
-class AnchorPoint:
-    """Cell center in pixels plus the stride and pyramid level that own it."""
-
-    cx: float
-    cy: float
-    stride: int
-    level: int
 
 
 @dataclass
@@ -50,26 +41,21 @@ class Detection:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.box
-        if x2 < x1 or y2 < y1 or not math.isfinite(self.score):
+        # the sum is finite only when every coordinate and the score are
+        if not (x1 <= x2 and y1 <= y2 and math.isfinite(x2 - x1 + y2 - y1 + self.score)):
             raise ShapeError(f"invalid detection {self}")
 
 
-def anchor_points(image_size: int, strides=STRIDES) -> list[AnchorPoint]:
-    """Every cell of every level exactly once: level 3 first, row-major."""
-    points = []
-    for level, stride in zip((3, 4, 5), strides):
-        cells = image_size // stride
-        for iy in range(cells):
-            for ix in range(cells):
-                points.append(AnchorPoint((ix + 0.5) * stride, (iy + 0.5) * stride, stride, level))
-    return points
-
-
-def points_arrays(points: list[AnchorPoint]):
-    """(N,2) centers and (N,) strides as arrays."""
-    xy = np.array([(p.cx, p.cy) for p in points], dtype=np.float64)
-    strides = np.array([p.stride for p in points], dtype=np.float64)
-    return xy, strides
+def anchor_points(image_size: int, strides=STRIDES) -> tuple[np.ndarray, np.ndarray]:
+    """(N,2) cell centres in pixels and (N,) strides: every cell of every
+    level exactly once, stride 8 first, row-major (x fastest) within a level."""
+    xy, per_cell = [], []
+    for stride in strides:
+        centres = (np.arange(image_size // stride) + 0.5) * stride
+        cx, cy = np.meshgrid(centres, centres)
+        xy.append(np.stack([cx.ravel(), cy.ravel()], axis=1))
+        per_cell.append(np.full(cx.size, float(stride)))
+    return np.concatenate(xy), np.concatenate(per_cell)
 
 
 @dataclass
@@ -157,13 +143,6 @@ def decode_boxes(distances: np.ndarray, points_xy: np.ndarray, strides: np.ndarr
                      points_xy[:, 0] + off[:, 2], points_xy[:, 1] + off[:, 3]], axis=1)
 
 
-def encode_box(box, point: AnchorPoint) -> tuple[float, float, float, float]:
-    """Inverse of decoding for a point interior to the box (stride units)."""
-    x1, y1, x2, y2 = box
-    s = float(point.stride)
-    return ((point.cx - x1) / s, (point.cy - y1) / s, (x2 - point.cx) / s, (y2 - point.cy) / s)
-
-
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> list[int]:
     """Greedy NMS; returns kept indices in descending score order (ties go to
     the lower index). One IoU matrix over the score-sorted boxes, then a walk
@@ -179,30 +158,35 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> list[int]:
     return order[keep].tolist()
 
 
-def decode(cls_probs: np.ndarray, distances: np.ndarray, points: list[AnchorPoint],
-           score_thr: float, nms_iou: float, image_id: int = 0) -> list[Detection]:
-    """One image's (N,K) class probabilities + (N,4) distances -> detections."""
-    points_xy, strides = points_arrays(points)
-    if cls_probs.shape[0] != len(points) or distances.shape[0] != len(points):
+def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
+           strides: np.ndarray, score_thr: float, nms_iou: float,
+           image_id: int = 0) -> list[Detection]:
+    """One image's (N,K) class probabilities + (N,4) distances -> detections
+    by descending score, ties by category, then by class-wise NMS order."""
+    if cls_probs.shape[0] != len(points_xy) or distances.shape[0] != len(points_xy):
         raise ShapeError("decode: predictions do not match the anchor grid")
     boxes = decode_boxes(distances, points_xy, strides)
-    detections = []
+    anchors, classes = [], []
     for k in range(cls_probs.shape[1]):
         scores = cls_probs[:, k]
-        picked = np.where(scores > score_thr)[0]
-        if not len(picked):
-            continue
-        kept = picked[nms(boxes[picked], scores[picked], nms_iou)]
-        for score, box in zip(scores[kept].tolist(), boxes[kept].tolist()):
-            detections.append(Detection(image_id=image_id, category_id=k + 1,
-                                        score=score, box=tuple(box)))
-    detections.sort(key=lambda d: (-d.score, d.category_id))
-    return detections
+        picked = np.flatnonzero(scores > score_thr)
+        if len(picked):
+            anchors.append(picked[nms(boxes[picked], scores[picked], nms_iou)])
+            classes.append(np.full(len(anchors[-1]), k))
+    if not anchors:
+        return []
+    anchors, classes = np.concatenate(anchors), np.concatenate(classes)
+    scores = cls_probs[anchors, classes]
+    order = np.lexsort((classes, -scores))
+    return [Detection(image_id, k + 1, score, tuple(box))
+            for k, score, box in zip(classes[order].tolist(), scores[order].tolist(),
+                                     boxes[anchors[order]].tolist())]
 
 
 @dataclass
 class Detector(nm.Module):
-    """Backbone + neck + head bundle with its anchor grid."""
+    """Backbone + neck + head bundle with its anchor grid: ``points_xy`` (N,2)
+    cell centres and ``strides`` (N,), in ``flatten_levels`` order."""
 
     backbone: BackboneParams
     neck: NeckParams
@@ -214,8 +198,7 @@ class Detector(nm.Module):
     dtype: type = np.float64
 
     def __post_init__(self):
-        self.points = anchor_points(self.image_size)
-        self.points_xy, self.strides = points_arrays(self.points)
+        self.points_xy, self.strides = anchor_points(self.image_size)
 
     def input_batch(self, images: np.ndarray) -> Tensor:
         return Tensor(np.asarray(images, dtype=self.dtype))
@@ -258,9 +241,18 @@ class Detector(nm.Module):
         image_ids = image_ids if image_ids is not None else range(len(images))
         out = []
         for b, image_id in enumerate(image_ids):
-            out.extend(decode(probs[b], dists[b], self.points,
+            out.extend(decode(probs[b], dists[b], self.points_xy, self.strides,
                               self.score_thr, self.nms_iou, image_id=image_id))
         return out
+
+    def assign(self, probs: np.ndarray, distances: np.ndarray, gt_boxes: np.ndarray,
+               gt_labels: np.ndarray, acfg: AssignConfig) -> tuple[CostMatrix, Assignment]:
+        """One image's (N,K) probabilities + (N,4) distances -> the (GT, anchor)
+        cost grid on this detector's anchors and its dynamic assignment."""
+        boxes = decode_boxes(distances, self.points_xy, self.strides)
+        cm = build_cost_matrix(probs, boxes, self.points_xy, self.strides,
+                               gt_boxes, gt_labels, acfg)
+        return cm, dynamic_assign(cm, acfg)
 
 
 def neck_config(image_size: int, backbone_widths, neck_cfg_kwargs: dict) -> NeckConfig:

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .assignment import build_cost_matrix, dynamic_assign
 from .config import RunConfig, optimizer_settings
 from .dataio import gen_synthetic, normalize_images
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
-from .model import Detector, build_detector, decode_boxes, flatten_levels
+from .model import Detector, build_detector, flatten_levels
 from .numerics import Tensor
+
+# A step whose total loss exceeds this multiple of step 0's (the default run
+# peaks near 1.1x) has diverged: train_toy stops it before any checkpoint.
+DIVERGENCE_FACTOR = 1e3
 
 
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
@@ -67,10 +70,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
         if len(boxes) == 0:
             assignments.append(None)
             continue
-        pred_boxes = decode_boxes(dists_np[b], detector.points_xy, detector.strides)
-        cm = build_cost_matrix(probs[b], pred_boxes, detector.points_xy,
-                               detector.strides, boxes, labels, cfg.assignment)
-        asg = dynamic_assign(cm, cfg.assignment)
+        _, asg = detector.assign(probs[b], dists_np[b], boxes, labels, cfg.assignment)
         assignments.append(asg)
         targets[b] = asg.targets(labels, num_classes)
         for a in np.where(asg.gt_index >= 0)[0]:
@@ -167,6 +167,9 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         opt.step(lr)
         rows.append((step, breakdown.cls_loss, breakdown.reg_loss,
                      breakdown.total, breakdown.num_pos))
+        if not math.isfinite(breakdown.total) or breakdown.total > DIVERGENCE_FACTOR * rows[0][3]:
+            raise NumericsError(f"training diverged at step {step}: total loss "
+                                f"{breakdown.total:.6g}, step 0 had {rows[0][3]:.6g}")
         if progress is not None:
             progress(step, breakdown)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from crackdet.geometry import iou as scalar_iou
+from crackdet.model import Detection, decode_boxes
 
 
 def conv1x1_loop(x, w, b=None):
@@ -277,6 +278,44 @@ def nms_loop(boxes, scores, iou_thr):
         if all(scalar_iou(tuple(boxes[i]), tuple(boxes[k])) <= iou_thr for k in keep):
             keep.append(i)
     return keep
+
+
+def anchor_points_loop(image_size, strides=(8, 16, 32)):
+    """(cx, cy, stride) per grid cell, built cell by cell: every level in
+    stride order, rows top to bottom, x fastest within a row."""
+    points = []
+    for stride in strides:
+        cells = image_size // stride
+        for iy in range(cells):
+            for ix in range(cells):
+                points.append(((ix + 0.5) * stride, (iy + 0.5) * stride, stride))
+    return points
+
+
+def encode_box(box, cx, cy, stride):
+    """Inverse of box decoding for a cell centre inside the box: its
+    (left, top, right, bottom) edge distances in stride units."""
+    x1, y1, x2, y2 = box
+    s = float(stride)
+    return ((cx - x1) / s, (cy - y1) / s, (x2 - cx) / s, (y2 - cy) / s)
+
+
+def decode_loop(cls_probs, distances, points_xy, strides, score_thr, nms_iou, image_id=0):
+    """Per class: threshold, NMS by nms_loop, one Detection per kept anchor;
+    then one stable Python sort on (-score, category)."""
+    boxes = decode_boxes(distances, points_xy, strides)
+    detections = []
+    for k in range(cls_probs.shape[1]):
+        scores = cls_probs[:, k]
+        picked = np.where(scores > score_thr)[0]
+        if not len(picked):
+            continue
+        kept = picked[nms_loop(boxes[picked], scores[picked], nms_iou)]
+        for score, box in zip(scores[kept].tolist(), boxes[kept].tolist()):
+            detections.append(Detection(image_id=image_id, category_id=k + 1,
+                                        score=score, box=tuple(box)))
+    detections.sort(key=lambda d: (-d.score, d.category_id))
+    return detections
 
 
 def greedy_match_loop(det_boxes, gt_boxes, iou_thr, gt_ignore=None):

@@ -212,9 +212,9 @@ class TestBuildCostMatrix:
         assert cm_good.cost[0, 0] < cm_bad.cost[0, 0]
 
     def test_candidate_costs_finite_for_huge_predicted_distances(self):
-        from crackdet.model import anchor_points, decode_boxes, points_arrays
+        from crackdet.model import anchor_points, decode_boxes
 
-        points_xy, strides = points_arrays(anchor_points(64))
+        points_xy, strides = anchor_points(64)
         distances = np.zeros((len(points_xy), 4))
         distances[:, 2:] = 1e4  # right and bottom edges pushed far away
         boxes = decode_boxes(distances, points_xy, strides)

@@ -298,6 +298,49 @@ class TestEvalCommand:
         assert blobs[0] == blobs[1]
 
 
+class TestResultsRejected:
+    """A malformed results file stops `eval` and `analyze` with exit 1, one
+    error line naming the bad entry, no traceback and no report."""
+
+    GOOD = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 10, 6], "score": 0.9}
+
+    @pytest.mark.parametrize("results,message", [
+        ([dict(GOOD, bbox=[0, 0, 10])], "results[0]"),
+        ([dict(GOOD, bbox="abcd")], "results[0]"),
+        ([dict(GOOD, bbox="1234")], "results[0]"),
+        ([dict(GOOD, bbox=[0, 0, "x", 1])], "results[0]"),
+        ([dict(GOOD, score="high")], "results[0]"),
+        ([GOOD, dict(GOOD, bbox=None)], "results[1]"),
+        ({"detections": 5}, "results"),
+        ([1], "results[0]"),
+        ([GOOD, dict(GOOD, image_id=[1])], "results[1]"),
+        ([dict(GOOD, category_id={"id": 1})], "results[0]"),
+        ([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "invalid detection"),
+        ([dict(GOOD, bbox=[0, 0, float("inf"), 1])], "invalid detection"),
+        ([dict(GOOD, score=float("nan"))], "invalid detection"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_exit_1_with_error_line(self, tmp_path, capsys, command, results, message):
+        gt_path, _ = make_eval_fixture(tmp_path)
+        det_path = tmp_path / "bad.json"
+        det_path.write_text(json.dumps(results))
+        out_dir = tmp_path / "out"
+        rc = main([command, "--gt", gt_path, "--dets", str(det_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+        assert not out_dir.exists()
+
+    def test_invalid_json_exit_1(self, tmp_path, capsys):
+        gt_path, _ = make_eval_fixture(tmp_path)
+        det_path = tmp_path / "bad.json"
+        det_path.write_text("[{")
+        rc = main(["eval", "--gt", gt_path, "--dets", str(det_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_exit_0_and_report(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -372,6 +415,15 @@ class TestTrainInferPipeline:
         rc = main(["train-toy", "--out", str(out_dir)] + TINY + ["--set", "eval.max_dets=0"])
         assert rc == 1
         assert "max_dets" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.npz").exists()
+
+    def test_divergence_exit_2_without_checkpoint(self, tmp_path, capsys):
+        out_dir = tmp_path / "div"
+        rc = main(["train-toy", "--out", str(out_dir),
+                   "--set", "training.lr=1e6", "--set", "training.steps=20"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step ") and "Traceback" not in err
         assert not (out_dir / "checkpoint.npz").exists()
 
     def test_eval_accepts_wrapped_detections(self, tmp_path):

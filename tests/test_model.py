@@ -7,12 +7,11 @@ from hypothesis.extra import numpy as hnp
 from crackdet import numerics as nm
 from crackdet.errors import ShapeError
 from crackdet.geometry import iou
-from crackdet.model import (AnchorPoint, Detection, anchor_points, backbone_forward,
-                            build_detector, decode, decode_boxes, encode_box,
-                            head_forward, init_backbone, init_head, nms, points_arrays)
+from crackdet.model import (Detection, anchor_points, backbone_forward, build_detector, decode,
+                            decode_boxes, head_forward, init_backbone, init_head, nms)
 from crackdet.neck import PyramidFeatures
 from crackdet.numerics import Tensor, finite_diff_check
-from oracles import nms_loop
+from oracles import anchor_points_loop, decode_loop, encode_box, nms_loop
 
 
 class TestBackbone:
@@ -87,22 +86,29 @@ class TestHead:
 
 class TestAnchors:
     def test_total_count_for_640(self):
-        points = anchor_points(640)
-        assert len(points) == 80 * 80 + 40 * 40 + 20 * 20 == 8400
+        xy, strides = anchor_points(640)
+        assert xy.shape == (8400, 2) and strides.shape == (8400,)
+        assert len(strides) == 80 * 80 + 40 * 40 + 20 * 20 == 8400
 
     def test_enumeration_deterministic_and_complete(self):
-        points = anchor_points(64)
-        assert points == anchor_points(64)
-        seen = {(p.level, p.cx, p.cy) for p in points}
-        assert len(seen) == len(points) == 64 + 16 + 4
-        assert points[0] == AnchorPoint(4.0, 4.0, 8, 3)
-        assert points[1] == AnchorPoint(12.0, 4.0, 8, 3)  # row-major: x fastest
-        assert points[64].stride == 16
+        xy, strides = anchor_points(64)
+        again_xy, again_strides = anchor_points(64)
+        assert np.array_equal(xy, again_xy) and np.array_equal(strides, again_strides)
+        seen = {(s, x, y) for s, (x, y) in zip(strides.tolist(), xy.tolist())}
+        assert len(seen) == len(strides) == 64 + 16 + 4
+        assert xy[0].tolist() == [4.0, 4.0] and strides[0] == 8
+        assert xy[1].tolist() == [12.0, 4.0] and strides[1] == 8  # row-major: x fastest
+        assert strides[64] == 16
 
     def test_levels_ordered_3_first(self):
-        points = anchor_points(64)
-        levels = [p.level for p in points]
-        assert levels == sorted(levels)
+        _, strides = anchor_points(64)
+        assert np.all(np.diff(strides) >= 0)
+
+    @pytest.mark.parametrize("size", [32, 64, 640])
+    def test_matches_loop_oracle(self, size):
+        xy, strides = anchor_points(size)
+        got = list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), strides.tolist()))
+        assert got == anchor_points_loop(size)
 
 
 class TestDecode:
@@ -116,33 +122,72 @@ class TestDecode:
 
     def test_decode_encode_identity(self, rng):
         for _ in range(50):
-            point = AnchorPoint(float(rng.uniform(20, 80)), float(rng.uniform(20, 80)),
-                                int(rng.choice([8, 16, 32])), 3)
-            x1 = point.cx - rng.uniform(0.1, 30)
-            y1 = point.cy - rng.uniform(0.1, 30)
-            x2 = point.cx + rng.uniform(0.1, 30)
-            y2 = point.cy + rng.uniform(0.1, 30)
-            dist = encode_box((x1, y1, x2, y2), point)
-            back = decode_boxes(np.array([dist]), np.array([[point.cx, point.cy]]),
-                                np.array([float(point.stride)]))[0]
+            cx, cy = rng.uniform(20, 80, size=2)
+            stride = float(rng.choice([8, 16, 32]))
+            x1 = cx - rng.uniform(0.1, 30)
+            y1 = cy - rng.uniform(0.1, 30)
+            x2 = cx + rng.uniform(0.1, 30)
+            y2 = cy + rng.uniform(0.1, 30)
+            dist = encode_box((x1, y1, x2, y2), cx, cy, stride)
+            back = decode_boxes(np.array([dist]), np.array([[cx, cy]]), np.array([stride]))[0]
             assert np.abs(back - np.array([x1, y1, x2, y2])).max() < 1e-9
 
     def test_detections_sorted_and_thresholded(self, rng):
-        points = anchor_points(64)
-        n = len(points)
+        xy, strides = anchor_points(64)
+        n = len(xy)
         probs = np.full((n, 2), 0.01)
         probs[3, 0] = 0.9
         probs[40, 1] = 0.7
         dists = np.ones((n, 4))
-        dets = decode(probs, dists, points, score_thr=0.05, nms_iou=0.65, image_id=7)
+        dets = decode(probs, dists, xy, strides, score_thr=0.05, nms_iou=0.65, image_id=7)
         assert [d.score for d in dets] == sorted((d.score for d in dets), reverse=True)
         assert all(d.score > 0.05 for d in dets)
         assert dets[0].category_id == 1 and dets[0].image_id == 7
 
     def test_grid_mismatch_rejected(self):
-        points = anchor_points(64)
+        xy, strides = anchor_points(64)
         with pytest.raises(ShapeError):
-            decode(np.zeros((5, 2)), np.zeros((5, 4)), points, 0.05, 0.65)
+            decode(np.zeros((5, 2)), np.zeros((5, 4)), xy, strides, 0.05, 0.65)
+
+    @staticmethod
+    def _assert_same(got, want):
+        """Equal detections in the same order, with the same Python type per field."""
+        assert got == want
+        for g, w in zip(got, want):
+            fields = [(g.image_id, w.image_id), (g.category_id, w.category_id),
+                      (g.score, w.score)] + list(zip(g.box, w.box))
+            assert [type(a) for a, _ in fields] == [type(b) for _, b in fields]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("score_thr,nms_iou", [(0.05, 0.65), (0.3, 0.3), (0.0, 0.9)])
+    def test_matches_loop_oracle(self, dtype, score_thr, nms_iou):
+        """Scores from a few levels tie across classes and anchors, so the
+        final order leans on every tie-break."""
+        xy, strides = anchor_points(64)
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            levels = np.array([0.01, 0.3, 0.5, 0.5, 0.9]) if seed % 2 else r.uniform(size=5)
+            probs = r.choice(levels, size=(len(xy), 3)).astype(dtype)
+            dists = r.uniform(0.0, 3.0, size=(len(xy), 4)).astype(dtype)
+            self._assert_same(decode(probs, dists, xy, strides, score_thr, nms_iou, image_id=seed),
+                              decode_loop(probs, dists, xy, strides, score_thr, nms_iou,
+                                          image_id=seed))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fresh_detector_matches_loop_oracle(self, dtype):
+        for seed in range(3):
+            r = np.random.default_rng(seed)
+            det = build_detector(2, 64, (2, 3, 4, 5, 6),
+                                 dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
+                                 4, r, dtype=dtype)
+            probs, dists = det.predict_arrays(r.normal(size=(2, 3, 64, 64)))
+            for b, image_id in enumerate((5, np.int64(6))):
+                for score_thr, nms_iou in [(0.05, 0.65), (0.1, 0.2)]:
+                    self._assert_same(
+                        decode(probs[b], dists[b], det.points_xy, det.strides,
+                               score_thr, nms_iou, image_id=image_id),
+                        decode_loop(probs[b], dists[b], det.points_xy, det.strides,
+                                    score_thr, nms_iou, image_id=image_id))
 
 
 class TestNMS:
@@ -197,33 +242,34 @@ class TestNMS:
         assert keep == [1, 2]
 
 
-GRID32 = anchor_points(32)  # 16 + 4 + 1 anchors
+GRID32 = anchor_points(32)  # 16 + 4 + 1 anchors: (centres, strides)
+N32 = len(GRID32[1])
 SCORE_THR, NMS_IOU = 0.05, 0.65
 score_levels = st.sampled_from([0.0, 0.03, SCORE_THR, 0.2, 0.5, 0.5, 0.9])
-grid_probs = hnp.arrays(np.float64, (len(GRID32), 2), elements=score_levels)
-grid_dists = hnp.arrays(np.float64, (len(GRID32), 4), elements=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+grid_probs = hnp.arrays(np.float64, (N32, 2), elements=score_levels)
+grid_dists = hnp.arrays(np.float64, (N32, 4), elements=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
 
 
 class TestDecodeProperties:
     """Post-processing invariants on the 32-px grid, with score ties, exact
     threshold hits and zero distances drawn often."""
 
-    @given(hnp.arrays(np.float64, (len(GRID32), 2),
+    @given(hnp.arrays(np.float64, (N32, 2),
                       elements=st.sampled_from([0.0, 0.01, SCORE_THR])), grid_dists)
     @settings(max_examples=60, deadline=None)
     def test_empty_image_gives_nothing(self, probs, dists):
-        assert decode(probs, dists, GRID32, SCORE_THR, NMS_IOU) == []
+        assert decode(probs, dists, *GRID32, SCORE_THR, NMS_IOU) == []
 
     @given(grid_probs)
     @settings(max_examples=100, deadline=None)
     def test_zero_distances_keep_every_candidate(self, probs):
-        dets = decode(probs, np.zeros((len(GRID32), 4)), GRID32, SCORE_THR, NMS_IOU)
+        dets = decode(probs, np.zeros((N32, 4)), *GRID32, SCORE_THR, NMS_IOU)
         assert len(dets) == int((probs > SCORE_THR).sum())
 
     @given(grid_probs, grid_dists)
     @settings(max_examples=150, deadline=None)
     def test_sorted_thresholded_and_suppressed(self, probs, dists):
-        dets = decode(probs, dists, GRID32, SCORE_THR, NMS_IOU, image_id=3)
+        dets = decode(probs, dists, *GRID32, SCORE_THR, NMS_IOU, image_id=3)
         assert [(-d.score, d.category_id) for d in dets] == \
             sorted((-d.score, d.category_id) for d in dets)
         assert all(d.score > SCORE_THR and d.image_id == 3 for d in dets)
@@ -232,18 +278,18 @@ class TestDecodeProperties:
                 if a.category_id == b.category_id:
                     assert iou(a.box, b.box) <= NMS_IOU
 
-    @given(hnp.arrays(bool, (len(GRID32),)), st.sampled_from([0.2, 0.5, 0.9]))
+    @given(hnp.arrays(bool, (N32,)), st.sampled_from([0.2, 0.5, 0.9]))
     @settings(max_examples=100, deadline=None)
     def test_tied_scores_lowest_anchor_wins(self, above, level):
         """Every anchor predicts a near-copy of one box (IoU > nms_iou), told
         apart by a small per-anchor stretch; with one shared score the
         lowest-index candidate is the one detection left."""
         assume(above.any())
-        dists = np.array([encode_box((0.0, 0.0, 32.0 + i / 64, 32.0), p)
-                          for i, p in enumerate(GRID32)])
+        xy, strides = GRID32
+        dists = np.array([encode_box((0.0, 0.0, 32.0 + i / 64, 32.0), cx, cy, s)
+                          for i, ((cx, cy), s) in enumerate(zip(xy.tolist(), strides.tolist()))])
         probs = np.where(above, level, 0.01)[:, None]
-        dets = decode(probs, dists, GRID32, SCORE_THR, NMS_IOU)
-        xy, strides = points_arrays(GRID32)
+        dets = decode(probs, dists, xy, strides, SCORE_THR, NMS_IOU)
         first = int(np.flatnonzero(above)[0])
         assert [d.box for d in dets] == [tuple(decode_boxes(dists, xy, strides)[first].tolist())]
 
@@ -291,3 +337,29 @@ class TestDetectorBundle:
     def test_invalid_detection_rejected(self):
         with pytest.raises(ShapeError):
             Detection(image_id=1, category_id=1, score=0.5, box=(10, 10, 5, 20))
+
+    @pytest.mark.parametrize("box,score", [
+        ((float("nan"), 0.0, 1.0, 1.0), 0.5), ((0.0, 0.0, 1.0, float("nan")), 0.5),
+        ((0.0, 0.0, float("inf"), 1.0), 0.5), ((float("-inf"), 0.0, 1.0, 1.0), 0.5),
+        ((0.0, float("inf"), 1.0, float("inf")), 0.5), ((0.0, 0.0, 1.0, 1.0), float("inf")),
+        ((0.0, 0.0, 1.0, 1.0), float("nan")), ((0.0, 0.0, 1.0, 1.0), float("-inf")),
+    ])
+    def test_non_finite_detection_rejected(self, box, score):
+        with pytest.raises(ShapeError):
+            Detection(image_id=1, category_id=1, score=score, box=box)
+
+    def test_detector_assign_matches_the_spelled_out_steps(self, rng):
+        from crackdet.assignment import AssignConfig, build_cost_matrix, dynamic_assign
+
+        det = build_detector(2, 64, (2, 3, 4, 5, 6),
+                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
+                             4, rng)
+        probs, dists = det.predict_arrays(rng.normal(size=(1, 3, 64, 64)))
+        gt, labels = np.array([[4.0, 6.0, 40.0, 30.0], [20.0, 20.0, 60.0, 60.0]]), np.array([0, 1])
+        cm, asg = det.assign(probs[0], dists[0], gt, labels, AssignConfig())
+        boxes = decode_boxes(dists[0], det.points_xy, det.strides)
+        want_cm = build_cost_matrix(probs[0], boxes, det.points_xy, det.strides, gt, labels,
+                                    AssignConfig())
+        want = dynamic_assign(want_cm, AssignConfig())
+        assert np.array_equal(cm.cost, want_cm.cost) and np.array_equal(cm.iou, want_cm.iou)
+        assert np.array_equal(asg.gt_index, want.gt_index) and asg.num_pos > 0
