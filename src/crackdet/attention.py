@@ -65,7 +65,7 @@ class Attention4DParams(nm.Module):
 
 
 def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
-                     dtype=np.float64, bn=None) -> Attention4DParams:
+                     dtype=np.float64) -> Attention4DParams:
     """Fresh parameters: fan-in uniform projections, zero positional bias,
     identity head mixing. The output batchnorm scale starts at zero, so with
     the residual on the block is exactly the identity map at initialization
@@ -79,16 +79,16 @@ def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
                       requires_grad=True)
 
     hw = cfg.spatial[0] * cfg.spatial[1]
-    bn_out = BatchNorm(c, dtype=dtype, bn=bn)
+    bn_out = BatchNorm(c, dtype=dtype)
     bn_out.gamma.data[...] = 0.0
     return Attention4DParams(
         cfg=cfg,
         w_q=uniform(h * d, c),
-        bn_q=BatchNorm(h * d, dtype=dtype, bn=bn),
+        bn_q=BatchNorm(h * d, dtype=dtype),
         w_k=uniform(h * d, c),
-        bn_k=BatchNorm(h * d, dtype=dtype, bn=bn),
+        bn_k=BatchNorm(h * d, dtype=dtype),
         w_v=uniform(h * dv, c),
-        bn_v=BatchNorm(h * dv, dtype=dtype, bn=bn),
+        bn_v=BatchNorm(h * dv, dtype=dtype),
         pos_bias=Tensor(np.zeros((h, hw, hw), dtype=dtype), requires_grad=True),
         t_pre=Tensor(np.eye(h, dtype=dtype), requires_grad=True),
         t_post=Tensor(np.eye(h, dtype=dtype), requires_grad=True),
@@ -97,8 +97,7 @@ def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
     )
 
 
-def attention4d_forward(x: Tensor, p: Attention4DParams, training=True,
-                        return_attn=False):
+def attention4d_forward(x: Tensor, p: Attention4DParams, return_attn=False):
     """Refine a (B, C, H, W) feature map; output keeps the same shape.
 
     Set ``return_attn`` to also get the post-mixing attention weights
@@ -113,9 +112,9 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, training=True,
     h, d, dv = cfg.heads, cfg.key_dim, cfg.value_dim
     hw = hh * ww
 
-    q = nm.reshape(p.bn_q(nm.conv1x1(x, p.w_q), training), (b, h, d, hw))
-    k = nm.reshape(p.bn_k(nm.conv1x1(x, p.w_k), training), (b, h, d, hw))
-    v = nm.reshape(p.bn_v(nm.conv1x1(x, p.w_v), training), (b, h, dv, hw))
+    q = nm.reshape(p.bn_q(nm.conv1x1(x, p.w_q)), (b, h, d, hw))
+    k = nm.reshape(p.bn_k(nm.conv1x1(x, p.w_k)), (b, h, d, hw))
+    v = nm.reshape(p.bn_v(nm.conv1x1(x, p.w_v)), (b, h, dv, hw))
 
     logits = nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k) * cfg.scale
     logits = nm.add_posbias(logits, p.pos_bias)
@@ -125,7 +124,7 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, training=True,
 
     tokens = nm.matmul_tokens(v, nm.transpose(attn, (0, 1, 3, 2)))
     y = nm.reshape(tokens, (b, h * dv, hh, ww))
-    y = p.bn_out(nm.conv1x1(y, p.w_out), training)
+    y = p.bn_out(nm.conv1x1(y, p.w_out))
     out = nm.add(x, y) if cfg.residual else y
     if return_attn:
         return out, attn

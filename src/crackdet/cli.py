@@ -271,8 +271,6 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 
 def cmd_train_toy(args, cfg: RunConfig) -> int:
-    if args.epochs is not None:
-        cfg.training.epochs = args.epochs
     detector, index, raw_images, rows = train_toy(cfg, out_dir=args.out)
     images = normalize_images(raw_images)
     image_ids = [im.id for im in index.images]
@@ -378,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "epochs", None) is not None:  # train-toy's --epochs is one more override
+        args.overrides.append(f"training.epochs={args.epochs}")
     try:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:

@@ -175,6 +175,10 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown optimizer_convention '{cfg.training.optimizer_convention}'")
     if cfg.training.schedule not in ("cosine", "constant"):
         raise ConfigError(f"unknown schedule '{cfg.training.schedule}'")
+    if cfg.training.steps < 1:
+        raise ConfigError(f"training.steps must be >= 1, got {cfg.training.steps}")
+    if cfg.training.epochs is not None and cfg.training.epochs < 1:
+        raise ConfigError(f"training.epochs must be >= 1 when set, got {cfg.training.epochs}")
     widths = cfg.model.backbone_widths
     if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
         raise ConfigError(f"model.backbone_widths must list five positive integer stage widths, "

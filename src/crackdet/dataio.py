@@ -52,19 +52,16 @@ class DatasetIndex:
     categories: list[Category]
     clamp_warnings: int = 0
 
-    def image_by_id(self, image_id):
-        return {im.id: im for im in self.images}[image_id]
-
-    def annotations_of(self, image_id):
-        return [a for a in self.annotations if a.image_id == image_id]
-
     def category_names(self):
         return {c.id: c.name for c in self.categories}
 
 
-def _require(record, key, path):
+def _require(record, key, path, entry):
+    """``record[key]`` of one COCO entry; DataError naming the file and entry otherwise."""
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: {entry} must be an object, got {type(record).__name__}")
     if key not in record:
-        raise DataError(f"missing field '{path}.{key}'")
+        raise DataError(f"{path}: missing field '{entry}.{key}'")
     return record[key]
 
 
@@ -88,13 +85,13 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
         if key not in raw:
             raise DataError(f"{path}: missing top-level key '{key}'")
 
-    images = [ImageInfo(id=_require(r, "id", f"images[{i}]"),
-                        file_name=_require(r, "file_name", f"images[{i}]"),
-                        width=_require(r, "width", f"images[{i}]"),
-                        height=_require(r, "height", f"images[{i}]"))
+    images = [ImageInfo(id=_require(r, "id", path, f"images[{i}]"),
+                        file_name=_require(r, "file_name", path, f"images[{i}]"),
+                        width=_require(r, "width", path, f"images[{i}]"),
+                        height=_require(r, "height", path, f"images[{i}]"))
               for i, r in enumerate(raw["images"])]
-    categories = [Category(id=_require(r, "id", f"categories[{i}]"),
-                           name=_require(r, "name", f"categories[{i}]"))
+    categories = [Category(id=_require(r, "id", path, f"categories[{i}]"),
+                           name=_require(r, "name", path, f"categories[{i}]"))
                   for i, r in enumerate(raw["categories"])]
     _check_unique([im.id for im in images], "images")
     _check_unique([c.id for c in categories], "categories")
@@ -104,17 +101,20 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
     annotations = []
     clamped = 0
     for i, r in enumerate(raw["annotations"]):
-        ann_id = _require(r, "id", f"annotations[{i}]")
-        image_id = _require(r, "image_id", f"annotations[{i}]")
-        category_id = _require(r, "category_id", f"annotations[{i}]")
-        bbox = _require(r, "bbox", f"annotations[{i}]")
+        ann_id = _require(r, "id", path, f"annotations[{i}]")
+        image_id = _require(r, "image_id", path, f"annotations[{i}]")
+        category_id = _require(r, "category_id", path, f"annotations[{i}]")
+        bbox = _require(r, "bbox", path, f"annotations[{i}]")
         if image_id not in image_ids:
             raise DataError(f"annotation {ann_id} references unknown image id {image_id}")
         if category_id not in category_ids:
             raise DataError(f"annotation {ann_id} references unknown category id {category_id}")
-        if len(bbox) != 4:
-            raise DataError(f"annotations[{i}].bbox must have 4 entries")
-        x, y, w, h = (float(v) for v in bbox)
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise DataError(f"{path}: annotations[{i}].bbox must be a list of 4 entries")
+        try:
+            x, y, w, h = (float(v) for v in bbox)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: annotations[{i}].bbox must be numbers ({exc})") from None
         if w < 0 or h < 0:
             raise DataError(f"annotation {ann_id} has negative box size")
         if center_boxes:
@@ -167,6 +167,18 @@ def save_coco(index: DatasetIndex, path, center_boxes=False):
         fh.write("\n")
 
 
+def _voc_number(node, tag, where):
+    """The finite number in child ``<tag>`` of ``node``; DataError naming ``where`` otherwise."""
+    text = node.findtext(tag)
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise DataError(f"{where}: <{tag}> must be a finite number, got {text!r}")
+    return value
+
+
 def load_voc(dirpath) -> DatasetIndex:
     """Parse a directory of VOC XML files; category ids follow sorted names."""
     files = sorted(f for f in os.listdir(dirpath) if f.endswith(".xml"))
@@ -184,17 +196,18 @@ def load_voc(dirpath) -> DatasetIndex:
         size = root.find("size")
         if size is None:
             raise DataError(f"{fpath}: missing <size>")
-        width = int(float(size.findtext("width")))
-        height = int(float(size.findtext("height")))
+        width = int(_voc_number(size, "width", f"{fpath}: <size>"))
+        height = int(_voc_number(size, "height", f"{fpath}: <size>"))
         objects = []
-        for obj in root.findall("object"):
+        for j, obj in enumerate(root.findall("object")):
             name = obj.findtext("name")
             if name is None:
                 raise DataError(f"{fpath}: <object> without <name>")
             bnd = obj.find("bndbox")
             if bnd is None:
                 raise DataError(f"{fpath}: <object> without <bndbox>")
-            coords = {k: float(bnd.findtext(k)) for k in ("xmin", "ymin", "xmax", "ymax")}
+            coords = {k: _voc_number(bnd, k, f"{fpath}: object[{j}] <bndbox>")
+                      for k in ("xmin", "ymin", "xmax", "ymax")}
             if coords["xmax"] < coords["xmin"] or coords["ymax"] < coords["ymin"]:
                 raise DataError(f"{fpath}: inverted bndbox")
             objects.append((name, coords))
@@ -439,13 +452,9 @@ def save_synthetic(images, index: DatasetIndex, out_dir):
 
 def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
     """Read PPM images into a normalized (B,3,H,W) float batch."""
-    imgs = []
     by_id = {im.id: im for im in index.images}
-    for image_id in image_ids:
-        path = os.path.join(root, "images", by_id[image_id].file_name)
-        arr = read_ppm(path).astype(np.float64) / 255.0 - 0.5
-        imgs.append(arr.transpose(2, 0, 1))
-    return np.stack(imgs)
+    return normalize_images([read_ppm(os.path.join(root, "images", by_id[i].file_name))
+                             for i in image_ids])
 
 
 def normalize_images(images) -> np.ndarray:

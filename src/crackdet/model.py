@@ -68,21 +68,20 @@ class BackboneParams(nm.Module):
         return [(f"stage{i}", stage) for i, stage in enumerate(self.stages)]
 
 
-def init_backbone(widths, rng, dtype=np.float64, bn=None) -> BackboneParams:
+def init_backbone(widths, rng, dtype=np.float64) -> BackboneParams:
     """Five stride-2 stages from RGB; the last three feed the neck."""
     chans = (3,) + tuple(widths)
-    stages = [_conv_bn(rng, chans[i], chans[i + 1], dtype, stride2=True, bn=bn)
-              for i in range(5)]
+    stages = [_conv_bn(rng, chans[i], chans[i + 1], dtype, stride2=True) for i in range(5)]
     return BackboneParams(stages)
 
 
-def backbone_forward(image: Tensor, p: BackboneParams, training=True) -> PyramidFeatures:
+def backbone_forward(image: Tensor, p: BackboneParams) -> PyramidFeatures:
     if image.shape[2] % 32 or image.shape[3] % 32:
         raise ShapeError(f"backbone: spatial size {image.shape[2:]} must be divisible by 32")
     feats = []
     x = image
     for stage in p.stages:
-        x = stage(x, training)
+        x = stage(x)
         feats.append(x)
     return PyramidFeatures(feats[2], feats[3], feats[4])
 
@@ -104,11 +103,11 @@ class HeadParams(nm.Module):
 
 
 def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64,
-              cls_bias_prior=-2.0, bn=None) -> HeadParams:
+              cls_bias_prior=-2.0) -> HeadParams:
     bound = 1.0 / np.sqrt(hidden)
     return HeadParams(
-        stem_cls=_conv_bn(rng, in_channels, hidden, dtype, bn=bn),
-        stem_reg=_conv_bn(rng, in_channels, hidden, dtype, bn=bn),
+        stem_cls=_conv_bn(rng, in_channels, hidden, dtype),
+        stem_reg=_conv_bn(rng, in_channels, hidden, dtype),
         w_cls=Tensor(rng.uniform(-bound, bound, size=(num_classes, hidden)).astype(dtype),
                      requires_grad=True),
         b_cls=Tensor(np.full(num_classes, cls_bias_prior, dtype=dtype), requires_grad=True),
@@ -118,12 +117,12 @@ def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64,
     )
 
 
-def head_forward(pyramid: PyramidFeatures, p: HeadParams, training=True) -> RawPredictions:
+def head_forward(pyramid: PyramidFeatures, p: HeadParams) -> RawPredictions:
     """Shared-across-levels branch towers; distances come out nonnegative."""
     cls_logits, distances = [], []
     for feat in pyramid.levels():
-        cls_logits.append(nm.conv1x1(p.stem_cls(feat, training), p.w_cls, p.b_cls))
-        distances.append(nm.softplus(nm.conv1x1(p.stem_reg(feat, training), p.w_reg, p.b_reg)))
+        cls_logits.append(nm.conv1x1(p.stem_cls(feat), p.w_cls, p.b_cls))
+        distances.append(nm.softplus(nm.conv1x1(p.stem_reg(feat), p.w_reg, p.b_reg)))
     return RawPredictions(cls_logits, distances)
 
 
@@ -223,15 +222,14 @@ class Detector(nm.Module):
                                 f"model expects {target.shape}")
             target[...] = arrays[key]
 
-    def forward(self, images: Tensor, training=True) -> RawPredictions:
-        pyramid = neck_forward(backbone_forward(images, self.backbone, training),
-                               self.neck, training)
-        return head_forward(pyramid, self.head, training)
+    def forward(self, images: Tensor) -> RawPredictions:
+        pyramid = neck_forward(backbone_forward(images, self.backbone), self.neck)
+        return head_forward(pyramid, self.head)
 
     def predict_arrays(self, images: np.ndarray):
         """(B,3,H,W) float input -> per-image (probs (N,K), distances (N,4))."""
-        with nm.no_grad():
-            preds = self.forward(self.input_batch(images), training=False)
+        with nm.no_grad(), nm.eval_mode():
+            preds = self.forward(self.input_batch(images))
             probs = nm.sigmoid(flatten_levels(preds.cls_logits)).data
             dists = flatten_levels(preds.distances).data
         return probs, dists
@@ -267,11 +265,11 @@ def neck_config(image_size: int, backbone_widths, neck_cfg_kwargs: dict) -> Neck
 def build_detector(num_classes: int, image_size: int, backbone_widths,
                    neck_cfg_kwargs: dict, head_channels: int,
                    rng: np.random.Generator, dtype=np.float64,
-                   score_thr=0.05, nms_iou=0.65, bn=None) -> Detector:
+                   score_thr=0.05, nms_iou=0.65) -> Detector:
     neck_cfg = neck_config(image_size, backbone_widths, neck_cfg_kwargs)
-    backbone = init_backbone(backbone_widths, rng, dtype, bn=bn)
-    neck = init_neck(neck_cfg, rng, dtype, bn=bn)
-    head = init_head(neck_cfg.out_channels, head_channels, num_classes, rng, dtype, bn=bn)
+    backbone = init_backbone(backbone_widths, rng, dtype)
+    neck = init_neck(neck_cfg, rng, dtype)
+    head = init_head(neck_cfg.out_channels, head_channels, num_classes, rng, dtype)
     return Detector(backbone=backbone, neck=neck, head=head, num_classes=num_classes,
                     image_size=image_size, score_thr=score_thr, nms_iou=nms_iou,
                     dtype=dtype)

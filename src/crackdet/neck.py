@@ -95,20 +95,20 @@ class ConvBNLayer(nm.Module):
     bn: BatchNorm
     stride2: bool = False
 
-    def __call__(self, x, training=True):
+    def __call__(self, x):
         y = nm.conv3x3s2(x, self.w) if self.stride2 else nm.conv1x1(x, self.w)
-        return nm.silu(self.bn(y, training))
+        return nm.silu(self.bn(y))
 
     def children(self):
         return [("w", self.w), ("bn", self.bn)]
 
 
-def _conv_bn(rng, in_ch, out_ch, dtype, stride2=False, bn=None):
+def _conv_bn(rng, in_ch, out_ch, dtype, stride2=False):
     fan_in = in_ch * (9 if stride2 else 1)
     bound = 1.0 / np.sqrt(fan_in)
     shape = (out_ch, in_ch, 3, 3) if stride2 else (out_ch, in_ch)
     w = Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
-    return ConvBNLayer(w, BatchNorm(out_ch, dtype=dtype, bn=bn), stride2=stride2)
+    return ConvBNLayer(w, BatchNorm(out_ch, dtype=dtype), stride2=stride2)
 
 
 @dataclass
@@ -127,24 +127,24 @@ class CSPParams(nm.Module):
                 ("final", self.conv_final)]
 
 
-def init_csp(rng, in_ch, out_ch, depth, dtype=np.float64, bn=None) -> CSPParams:
+def init_csp(rng, in_ch, out_ch, depth, dtype=np.float64) -> CSPParams:
     hidden = out_ch // 2
     return CSPParams(
-        conv_a=_conv_bn(rng, in_ch, hidden, dtype, bn=bn),
-        conv_b=_conv_bn(rng, in_ch, hidden, dtype, bn=bn),
-        bottlenecks=[_conv_bn(rng, hidden, hidden, dtype, bn=bn) for _ in range(depth)],
-        conv_final=_conv_bn(rng, 2 * hidden, out_ch, dtype, bn=bn),
+        conv_a=_conv_bn(rng, in_ch, hidden, dtype),
+        conv_b=_conv_bn(rng, in_ch, hidden, dtype),
+        bottlenecks=[_conv_bn(rng, hidden, hidden, dtype) for _ in range(depth)],
+        conv_final=_conv_bn(rng, 2 * hidden, out_ch, dtype),
     )
 
 
-def csp_layer(x: Tensor, p: CSPParams, training=True) -> Tensor:
+def csp_layer(x: Tensor, p: CSPParams) -> Tensor:
     if x.shape[1] != p.conv_a.w.shape[1]:
         raise ShapeError(f"csp_layer: expected {p.conv_a.w.shape[1]} channels, got {x.shape[1]}")
-    a = p.conv_a(x, training)
-    b = p.conv_b(x, training)
+    a = p.conv_a(x)
+    b = p.conv_b(x)
     for layer in p.bottlenecks:
-        b = nm.add(b, layer(b, training))
-    return p.conv_final(nm.concat([a, b], axis=1), training)
+        b = nm.add(b, layer(b))
+    return p.conv_final(nm.concat([a, b], axis=1))
 
 
 @dataclass
@@ -181,49 +181,48 @@ def _slot_configs(cfg: NeckConfig) -> dict[str, Attention4DConfig]:
             for slot in cfg.active_slots()}
 
 
-def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64,
-              bn=None) -> NeckParams:
+def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> NeckParams:
     c3, c4, c5 = cfg.in_channels
     oc = cfg.out_channels
-    attn = {slot: init_attention4d(acfg, rng, dtype=dtype, bn=bn)
+    attn = {slot: init_attention4d(acfg, rng, dtype=dtype)
             for slot, acfg in _slot_configs(cfg).items()}
     use_conv_down = cfg.downsample == "conv"
     return NeckParams(
         cfg=cfg,
         attn=attn,
-        csp_td4=init_csp(rng, c5 + c4, c4, cfg.csp_depth, dtype, bn=bn),
-        csp_td3=init_csp(rng, c4 + c3, oc, cfg.csp_depth, dtype, bn=bn),
-        csp_bu4=init_csp(rng, oc + c4, oc, cfg.csp_depth, dtype, bn=bn),
-        csp_bu5=init_csp(rng, oc + c5, oc, cfg.csp_depth, dtype, bn=bn),
-        down3=_conv_bn(rng, oc, oc, dtype, stride2=True, bn=bn) if use_conv_down else None,
-        down4=_conv_bn(rng, oc, oc, dtype, stride2=True, bn=bn) if use_conv_down else None,
+        csp_td4=init_csp(rng, c5 + c4, c4, cfg.csp_depth, dtype),
+        csp_td3=init_csp(rng, c4 + c3, oc, cfg.csp_depth, dtype),
+        csp_bu4=init_csp(rng, oc + c4, oc, cfg.csp_depth, dtype),
+        csp_bu5=init_csp(rng, oc + c5, oc, cfg.csp_depth, dtype),
+        down3=_conv_bn(rng, oc, oc, dtype, stride2=True) if use_conv_down else None,
+        down4=_conv_bn(rng, oc, oc, dtype, stride2=True) if use_conv_down else None,
     )
 
 
-def _downsample(x, layer, training):
-    return layer(x, training) if layer is not None else nm.avgpool2x2(x)
+def _downsample(x, layer):
+    return layer(x) if layer is not None else nm.avgpool2x2(x)
 
 
-def neck_forward(c: PyramidFeatures, p: NeckParams, training=True) -> PyramidFeatures:
+def neck_forward(c: PyramidFeatures, p: NeckParams) -> PyramidFeatures:
     """Fuse a 3-level pyramid; every output level carries cfg.out_channels."""
     cfg = p.cfg
     slots = p.attn
 
     def refine(slot, x):
         if slot in slots:
-            return attention4d_forward(x, slots[slot], training)
+            return attention4d_forward(x, slots[slot])
         return x
 
     a5 = refine("td_c5", c.p5)
     u4 = nm.concat([nm.upsample2x(a5), c.p4], axis=1)
-    a4 = refine("td_c4", csp_layer(u4, p.csp_td4, training))
+    a4 = refine("td_c4", csp_layer(u4, p.csp_td4))
     u3 = nm.concat([nm.upsample2x(a4), c.p3], axis=1)
-    q3 = csp_layer(u3, p.csp_td3, training)
+    q3 = csp_layer(u3, p.csp_td3)
 
-    d4 = nm.concat([_downsample(q3, p.down3, training), a4], axis=1)
-    q4 = refine("bu_c4", csp_layer(d4, p.csp_bu4, training))
-    d5 = nm.concat([_downsample(q4, p.down4, training), a5], axis=1)
-    q5 = refine("bu_c5", csp_layer(d5, p.csp_bu5, training))
+    d4 = nm.concat([_downsample(q3, p.down3), a4], axis=1)
+    q4 = refine("bu_c4", csp_layer(d4, p.csp_bu4))
+    d5 = nm.concat([_downsample(q4, p.down4), a5], axis=1)
+    q5 = refine("bu_c5", csp_layer(d5, p.csp_bu5))
     q5 = refine("end", q5)
     return PyramidFeatures(q3, q4, q5)
 

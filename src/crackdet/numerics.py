@@ -27,6 +27,7 @@ class _Mode(threading.local):
 
     def __init__(self):
         self.grad_enabled = True
+        self.training = True
         self.bn_stats_enabled = True
         self.check_finite = False
 
@@ -35,33 +36,34 @@ _mode = _Mode()
 
 
 @contextlib.contextmanager
+def _set_mode(flag, value):
+    """Set one engine flag inside the block, restoring it on exit (also on a raise)."""
+    prev = getattr(_mode, flag)
+    setattr(_mode, flag, value)
+    try:
+        yield
+    finally:
+        setattr(_mode, flag, prev)
+
+
 def no_grad():
     """Disable graph recording inside the block."""
-    prev, _mode.grad_enabled = _mode.grad_enabled, False
-    try:
-        yield
-    finally:
-        _mode.grad_enabled = prev
+    return _set_mode("grad_enabled", False)
 
 
-@contextlib.contextmanager
+def eval_mode():
+    """Batchnorm normalizes with (and leaves alone) its running stats inside the block."""
+    return _set_mode("training", False)
+
+
 def frozen_bn_stats():
     """Suspend running-statistic updates so repeated evals are side-effect free."""
-    prev, _mode.bn_stats_enabled = _mode.bn_stats_enabled, False
-    try:
-        yield
-    finally:
-        _mode.bn_stats_enabled = prev
+    return _set_mode("bn_stats_enabled", False)
 
 
-@contextlib.contextmanager
 def finite_checks():
     """Validate every op output for NaN/inf, raising NumericsError naming the op."""
-    prev, _mode.check_finite = _mode.check_finite, True
-    try:
-        yield
-    finally:
-        _mode.check_finite = prev
+    return _set_mode("check_finite", True)
 
 
 class Tensor:
@@ -88,12 +90,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -159,9 +155,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __pow__(self, e):
-        return power(self, e)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -250,13 +243,6 @@ def div(a, b):
     _same_shape(a, b, "div")
     out = a.data / b.data
     return _make(out, "div", (a, b), lambda g: (g / b.data, -g * out / b.data))
-
-
-def power(a, e):
-    a = as_tensor(a)
-    e = float(e)
-    out = a.data ** e
-    return _make(out, "pow", (a,), lambda g: (g * e * a.data ** (e - 1.0),))
 
 
 def exp(a):
@@ -540,12 +526,12 @@ def add_posbias(x, bias):
 # -- batch normalization ---------------------------------------------------
 
 
-def batchnorm(x, gamma, beta, state, eps=1e-5, momentum=0.1, training=True):
+def batchnorm(x, gamma, beta, state, eps, momentum):
     """Per-channel normalization of (B,C,H,W) over the (B,H,W) slice.
 
     Train mode normalizes with batch statistics and nudges ``state`` (running
-    mean/var) by an exponential moving average; eval mode normalizes with the
-    stored running statistics. Differentiable w.r.t. x, gamma, beta.
+    mean/var) by an exponential moving average; ``eval_mode()`` normalizes with
+    the stored running statistics. Differentiable w.r.t. x, gamma, beta.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     B, C, H, W = x.data.shape
@@ -556,6 +542,7 @@ def batchnorm(x, gamma, beta, state, eps=1e-5, momentum=0.1, training=True):
     n = B * H * W
     if n == 0:
         raise ShapeError("batchnorm: channel slices are empty")
+    training = _mode.training
     if training:
         m = x.data.mean(axis=(0, 2, 3))
         v = x.data.var(axis=(0, 2, 3))
@@ -601,31 +588,18 @@ class BNState:
         return BNState(self.mean.copy(), self.var.copy())
 
 
-@dataclass(frozen=True)
-class BNSettings:
-    """eps / running-momentum pair threaded from the run config into every layer."""
-
-    eps: float = 1e-5
-    momentum: float = 0.1
-
-
-BN_DEFAULTS = BNSettings()
-
-
 class BatchNorm:
     """Parameter bundle (gamma, beta, running stats) for one normalized layer."""
 
-    def __init__(self, channels, dtype=np.float64, bn=None):
-        bn = bn or BN_DEFAULTS
+    eps, momentum = 1e-5, 0.1  # library defaults; detector_from_config sets the run's
+
+    def __init__(self, channels, dtype=np.float64):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.state = BNState.fresh(channels, dtype)
-        self.eps = bn.eps
-        self.momentum = bn.momentum
 
-    def __call__(self, x, training=True):
-        return batchnorm(x, self.gamma, self.beta, self.state,
-                         eps=self.eps, momentum=self.momentum, training=training)
+    def __call__(self, x):
+        return batchnorm(x, self.gamma, self.beta, self.state, self.eps, self.momentum)
 
     def params(self, prefix):
         yield f"{prefix}.gamma", self.gamma
@@ -638,9 +612,9 @@ class BatchNorm:
 
 class Module:
     """A parameter tree: each subclass lists its ``children()`` once, as
-    ``(suffix, Tensor | BatchNorm | Module | None)`` pairs, and both walks
-    derive their dotted names from that list, skipping absent (None)
-    children. ``prefix`` names the root when no prefix is passed."""
+    ``(suffix, Tensor | BatchNorm | Module | None)`` pairs, and every walk
+    derives from that list, skipping absent (None) children. ``prefix`` names
+    the root when no prefix is passed."""
 
     prefix = ""
 
@@ -666,6 +640,14 @@ class Module:
         for name, child in self._named(prefix):
             if not isinstance(child, Tensor):
                 yield from child.states(name)
+
+    def batchnorms(self):
+        """Every BatchNorm layer, in children order."""
+        for _, child in self.children():
+            if isinstance(child, BatchNorm):
+                yield child
+            elif isinstance(child, Module):
+                yield from child.batchnorms()
 
 
 # -- gradient checking ------------------------------------------------------

@@ -30,11 +30,13 @@ DIVERGENCE_FACTOR = 1e3
 
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     dtype = np.float64 if cfg.numerics.dtype == "float64" else np.float32
-    bn = nm.BNSettings(eps=cfg.numerics.bn_eps, momentum=cfg.numerics.bn_momentum)
-    return build_detector(cfg.model.num_classes, cfg.model.image_size,
-                          cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
-                          rng, dtype=dtype, score_thr=cfg.model.score_thr,
-                          nms_iou=cfg.model.nms_iou, bn=bn)
+    detector = build_detector(cfg.model.num_classes, cfg.model.image_size,
+                              cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
+                              rng, dtype=dtype, score_thr=cfg.model.score_thr,
+                              nms_iou=cfg.model.nms_iou)
+    for bn in detector.batchnorms():
+        bn.eps, bn.momentum = cfg.numerics.bn_eps, cfg.numerics.bn_momentum
+    return detector
 
 
 def image_gts(index, image_id):
@@ -45,8 +47,7 @@ def image_gts(index, image_id):
     return boxes, labels
 
 
-def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunConfig,
-                 training=True):
+def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunConfig):
     """Forward a batch and assemble the assignment-driven losses.
 
     ``gt_per_image`` is a list of (boxes, labels) pairs aligned with the batch.
@@ -54,7 +55,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     """
     batch = len(images)
     num_classes = detector.num_classes
-    preds = detector.forward(detector.input_batch(images), training=training)
+    preds = detector.forward(detector.input_batch(images))
     cls_flat = flatten_levels(preds.cls_logits)
     dist_flat = flatten_levels(preds.distances)
     n_anchors = cls_flat.shape[1]

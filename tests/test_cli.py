@@ -201,6 +201,16 @@ class TestConfigRejectedAtLoad:
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
         assert message in err
 
+    @pytest.mark.parametrize("override,message", [
+        ("training.steps=0", "training.steps"),
+        ("training.steps=-1", "training.steps"),
+        ("training.epochs=0", "training.epochs"),
+        ("training.epochs=-3", "training.epochs"),
+    ])
+    def test_bad_training_value(self, two_image_set, tmp_path, capsys, override, message):
+        err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
+        assert message in err
+
     @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
                                           "model.backbone_widths=[32,48,0,96,128]",
                                           "neck.attn_heads=100", "model.num_classes=0",
@@ -262,6 +272,49 @@ class TestStats:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["stats", "--dataset", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+class TestAnnotationsRejected:
+    """A malformed annotation file stops `stats` with exit 1 and one error
+    line naming the file and the bad entry, never a traceback."""
+
+    VOC = """<annotation><filename>a.ppm</filename>
+  <size>{size}</size>
+  <object><name>crack</name>
+    <bndbox><xmin>{xmin}</xmin><ymin>1</ymin><xmax>9</xmax><ymax>9</ymax></bndbox>
+  </object>
+</annotation>"""
+    COCO = {"images": [{"id": 1, "file_name": "a.ppm", "width": 10, "height": 10}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 4, 3]}],
+            "categories": [{"id": 1, "name": "crack"}]}
+
+    def _stats_fails(self, dataset, tmp_path, capsys, *messages):
+        rc = main(["stats", "--dataset", str(dataset), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert all(m in err for m in messages), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("size,xmin,messages", [
+        ("<height>10</height>", "1", ("a.xml", "<size>", "<width>")),
+        ("<width>10</width><height>10</height>", "one", ("a.xml", "object[0]", "<xmin>", "one")),
+    ])
+    def test_voc(self, tmp_path, capsys, size, xmin, messages):
+        voc = tmp_path / "voc"
+        voc.mkdir()
+        (voc / "a.xml").write_text(self.VOC.format(size=size, xmin=xmin))
+        self._stats_fails(voc, tmp_path, capsys, *messages)
+
+    @pytest.mark.parametrize("section,entry,messages", [
+        ("annotations", dict(COCO["annotations"][0], bbox=[0, 0, "w", 3]),
+         ("ann.json", "annotations[0].bbox")),
+        ("images", 5, ("ann.json", "images[0]", "must be an object")),
+    ])
+    def test_coco(self, tmp_path, capsys, section, entry, messages):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(dict(self.COCO, **{section: [entry]})))
+        self._stats_fails(path, tmp_path, capsys, *messages)
 
 
 class TestEvalCommand:
@@ -409,6 +462,21 @@ class TestTrainInferPipeline:
         err = capsys.readouterr().err
         assert "training.batch_size must be in 1..synthetic.num_images (2)" in err
         assert not (out_dir / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("extra,key", [
+        (["--set", "training.steps=0"], "training.steps"),
+        (["--set", "training.steps=-2"], "training.steps"),
+        (["--set", "training.epochs=0"], "training.epochs"),
+        (["--epochs", "0"], "training.epochs"),
+    ])
+    def test_no_steps_exit_1_without_artifacts(self, tmp_path, capsys, extra, key):
+        out_dir = tmp_path / "zero"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY + extra)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not (out_dir / "checkpoint.npz").exists()
+        assert not (out_dir / "loss.csv").exists()
 
     def test_max_dets_below_one_exit_1(self, tmp_path, capsys):
         out_dir = tmp_path / "md"

@@ -334,6 +334,37 @@ class TestDetectorBundle:
         after, _ = det2.predict_arrays(imgs)
         assert np.array_equal(before, after)
 
+    def test_predict_arrays_leaves_train_mode_and_running_stats(self, rng):
+        det = build_detector(2, 64, (2, 3, 4, 5, 6),
+                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
+                             4, rng)
+        imgs = rng.normal(size=(2, 3, 64, 64))
+        with nm.no_grad():
+            det.forward(det.input_batch(imgs))  # train mode: moves the running stats
+        before = {name: arr.copy() for name, arr in det.states()}
+        det.predict_arrays(imgs)
+        assert nm._mode.training and nm._mode.grad_enabled
+        assert all(np.array_equal(arr, before[name]) for name, arr in det.states())
+        with nm.no_grad():
+            det.forward(det.input_batch(imgs))
+        assert any(not np.array_equal(arr, before[name]) for name, arr in det.states())
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_detector_from_config_sets_bn_settings_on_every_layer(self, dtype):
+        from crackdet.config import load_config
+        from crackdet.train import detector_from_config
+
+        cfg = load_config(overrides=[f"numerics.dtype={dtype}", "numerics.bn_eps=1e-3",
+                                     "numerics.bn_momentum=0.3", "neck.placement=both",
+                                     "neck.num_attention_blocks=4"])
+        det = detector_from_config(cfg, np.random.default_rng(0))
+        layers = list(det.batchnorms())
+        running_means = [arr for name, arr in det.states() if name.endswith(".running_mean")]
+        assert len(layers) == len(running_means) > 0
+        assert all(bn.eps == 1e-3 and bn.momentum == 0.3 for bn in layers)
+        assert all(arr.dtype == np.dtype(dtype) for arr in running_means)
+        assert all(bn.state.mean is arr for bn, arr in zip(layers, running_means))
+
     def test_invalid_detection_rejected(self):
         with pytest.raises(ShapeError):
             Detection(image_id=1, category_id=1, score=0.5, box=(10, 10, 5, 20))

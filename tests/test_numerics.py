@@ -121,9 +121,23 @@ class TestBatchNorm:
         bn.state.mean[...] = 2.0
         bn.state.var[...] = 4.0
         x = np.full((1, 1, 2, 2), 4.0)
-        out = bn(Tensor(x), training=False)
+        with nm.eval_mode():
+            out = bn(Tensor(x))
         expected = (4.0 - 2.0) / np.sqrt(4.0 + bn.eps)
         assert np.abs(out.data - expected).max() < 1e-12
+
+    def test_eval_mode_gradient_is_fixed_at_forward(self, rng):
+        """A batchnorm forwarded under eval_mode() back-propagates as the
+        fixed affine map gamma / sqrt(var + eps), even once the block is left."""
+        bn = BatchNorm(2)
+        bn.state.var[...] = [4.0, 0.25]
+        bn.gamma.data[...] = [3.0, -1.0]
+        x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        with nm.eval_mode():
+            out = nm.tsum(bn(x))
+        out.backward()
+        scale = bn.gamma.data / np.sqrt(bn.state.var + bn.eps)
+        assert np.abs(x.grad - scale[None, :, None, None]).max() < 1e-12
 
     def test_empty_slice_rejected(self):
         bn = BatchNorm(2)
@@ -276,6 +290,28 @@ def test_grad_mode_is_thread_local(rng):
     release.set()
     t1.join()
     assert results == {"tracked": True, "untracked": True}
+
+
+@pytest.mark.parametrize("helper,flag,inside", [
+    (nm.no_grad, "grad_enabled", False),
+    (nm.eval_mode, "training", False),
+    (nm.frozen_bn_stats, "bn_stats_enabled", False),
+    (nm.finite_checks, "check_finite", True),
+])
+def test_mode_helpers_nest_and_restore_on_raise(helper, flag, inside):
+    outside = getattr(nm._mode, flag)
+    assert outside != inside
+    with helper():
+        with helper():
+            assert getattr(nm._mode, flag) == inside
+        assert getattr(nm._mode, flag) == inside
+        with pytest.raises(RuntimeError), helper():
+            raise RuntimeError("inner")
+        assert getattr(nm._mode, flag) == inside
+    assert getattr(nm._mode, flag) == outside
+    with pytest.raises(RuntimeError), helper():
+        raise RuntimeError("outer")
+    assert getattr(nm._mode, flag) == outside
 
 
 def test_updown_identity_for_pooling(rng):
