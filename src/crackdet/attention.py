@@ -112,9 +112,9 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, return_attn=False):
     h, d, dv = cfg.heads, cfg.key_dim, cfg.value_dim
     hw = hh * ww
 
-    q = nm.reshape(p.bn_q(nm.conv1x1(x, p.w_q)), (b, h, d, hw))
-    k = nm.reshape(p.bn_k(nm.conv1x1(x, p.w_k)), (b, h, d, hw))
-    v = nm.reshape(p.bn_v(nm.conv1x1(x, p.w_v)), (b, h, dv, hw))
+    q = nm.reshape(nm.conv_bn(x, p.w_q, p.bn_q), (b, h, d, hw))
+    k = nm.reshape(nm.conv_bn(x, p.w_k, p.bn_k), (b, h, d, hw))
+    v = nm.reshape(nm.conv_bn(x, p.w_v, p.bn_v), (b, h, dv, hw))
 
     logits = nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k) * cfg.scale
     logits = nm.add_posbias(logits, p.pos_bias)
@@ -124,7 +124,7 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, return_attn=False):
 
     tokens = nm.matmul_tokens(v, nm.transpose(attn, (0, 1, 3, 2)))
     y = nm.reshape(tokens, (b, h * dv, hh, ww))
-    y = p.bn_out(nm.conv1x1(y, p.w_out))
+    y = nm.conv_bn(y, p.w_out, p.bn_out)
     out = nm.add(x, y) if cfg.residual else y
     if return_attn:
         return out, attn

@@ -65,6 +65,29 @@ def _require(record, key, path, entry):
     return record[key]
 
 
+def _id(record, key, path, entry):
+    """An id field of one COCO entry: ids key dicts and sets, so a list or an
+    object is a DataError naming the file and entry."""
+    value = _require(record, key, path, entry)
+    if isinstance(value, (list, dict)):
+        raise DataError(f"{path}: {entry}.{key} must be a number or string, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _size(record, key, path, entry):
+    """An image's ``width``/``height``: a finite number, or a DataError naming
+    the file and entry."""
+    value = _require(record, key, path, entry)
+    try:
+        finite = np.isfinite(float(value))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise DataError(f"{path}: {entry}.{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _check_unique(ids, table):
     seen = set()
     for i in ids:
@@ -85,12 +108,12 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
         if key not in raw:
             raise DataError(f"{path}: missing top-level key '{key}'")
 
-    images = [ImageInfo(id=_require(r, "id", path, f"images[{i}]"),
+    images = [ImageInfo(id=_id(r, "id", path, f"images[{i}]"),
                         file_name=_require(r, "file_name", path, f"images[{i}]"),
-                        width=_require(r, "width", path, f"images[{i}]"),
-                        height=_require(r, "height", path, f"images[{i}]"))
+                        width=_size(r, "width", path, f"images[{i}]"),
+                        height=_size(r, "height", path, f"images[{i}]"))
               for i, r in enumerate(raw["images"])]
-    categories = [Category(id=_require(r, "id", path, f"categories[{i}]"),
+    categories = [Category(id=_id(r, "id", path, f"categories[{i}]"),
                            name=_require(r, "name", path, f"categories[{i}]"))
                   for i, r in enumerate(raw["categories"])]
     _check_unique([im.id for im in images], "images")
@@ -101,9 +124,9 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
     annotations = []
     clamped = 0
     for i, r in enumerate(raw["annotations"]):
-        ann_id = _require(r, "id", path, f"annotations[{i}]")
-        image_id = _require(r, "image_id", path, f"annotations[{i}]")
-        category_id = _require(r, "category_id", path, f"annotations[{i}]")
+        ann_id = _id(r, "id", path, f"annotations[{i}]")
+        image_id = _id(r, "image_id", path, f"annotations[{i}]")
+        category_id = _id(r, "category_id", path, f"annotations[{i}]")
         bbox = _require(r, "bbox", path, f"annotations[{i}]")
         if image_id not in image_ids:
             raise DataError(f"annotation {ann_id} references unknown image id {image_id}")

@@ -144,17 +144,16 @@ def decode_boxes(distances: np.ndarray, points_xy: np.ndarray, strides: np.ndarr
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> list[int]:
     """Greedy NMS; returns kept indices in descending score order (ties go to
-    the lower index). One IoU matrix over the score-sorted boxes, then a walk
-    that ORs each kept row's overlaps into the suppressed mask."""
+    the lower index). One IoU matrix over the score-sorted boxes, keeping
+    only each box's overlaps with lower-ranked ones; the walk visits just the
+    rows with any overlap and ORs each unsuppressed one into the mask."""
     order = np.lexsort((np.arange(len(scores)), -scores))
-    overlaps = iou_matrix(boxes[order], boxes[order]) > iou_thr
+    overlaps = np.triu(iou_matrix(boxes[order], boxes[order]) > iou_thr, k=1)
     suppressed = np.zeros(len(order), dtype=bool)
-    keep = []
-    for pos in range(len(order)):
+    for pos in np.flatnonzero(overlaps.any(axis=1)):
         if not suppressed[pos]:
-            keep.append(pos)
             suppressed |= overlaps[pos]
-    return order[keep].tolist()
+    return order[~suppressed].tolist()
 
 
 def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,

@@ -96,8 +96,7 @@ class ConvBNLayer(nm.Module):
     stride2: bool = False
 
     def __call__(self, x):
-        y = nm.conv3x3s2(x, self.w) if self.stride2 else nm.conv1x1(x, self.w)
-        return nm.silu(self.bn(y))
+        return nm.conv_bn(x, self.w, self.bn, stride2=self.stride2, act=True)
 
     def children(self):
         return [("w", self.w), ("bn", self.bn)]

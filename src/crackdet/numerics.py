@@ -266,9 +266,13 @@ def sqrt(a):
 
 
 def _sigmoid_np(x):
-    """Overflow-safe logistic on a raw array."""
-    z = np.exp(-np.abs(x))
-    return np.where(np.asarray(x) >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Logistic on a raw array as 0.5 * (1 + tanh(x / 2)): one transcendental
+    ufunc, and no overflow at any x (tanh saturates to +-1)."""
+    s = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(a):
@@ -409,13 +413,9 @@ def conv1x1(x, w, b=None):
     all run through it.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv1x1: input must be 4-D, got {x.data.shape}")
-    if w.data.ndim != 2 or w.data.shape[1] != x.data.shape[1]:
-        raise ShapeError(f"conv1x1: weight {w.data.shape} incompatible with input {x.data.shape}")
+    out = _conv_forward(x.data, w.data, stride2=False)
     B, Ci, H, W = x.data.shape
     Co = w.data.shape[0]
-    out = (w.data @ x.data.reshape(B, Ci, H * W)).reshape(B, Co, H, W)
     parents = (x, w)
     if b is not None:
         b = as_tensor(b)
@@ -435,12 +435,39 @@ def conv1x1(x, w, b=None):
     return _make(out, "conv1x1", parents, backward)
 
 
-def _im2col3x3s2(xp, Ho, Wo):
-    """(B, Ci*9, Ho*Wo) patches of a padded input; row i*9 + 3*dy + dx holds
-    xp[b, i, 2y+dy, 2x+dx] at column y*Wo + x."""
-    B, Ci = xp.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(B, Ci * 9, Ho * Wo)
+def _im2col3x3s2(x):
+    """(B, Ci*9, Ho*Wo) patches of x zero-padded by one; row i*9 + 3*dy + dx
+    holds xpad[b, i, 2y+dy, 2x+dx] at column y*Wo + x. The padding is never
+    materialised: tap dy reads input row 2y+dy-1, which is off the top edge
+    only for dy = 0, y = 0 (and likewise for dx)."""
+    B, Ci, H, W = x.shape
+    Ho, Wo = H // 2, W // 2
+    cols = np.empty((B, Ci, 3, 3, Ho, Wo), dtype=x.dtype)
+    cols[:, :, 0, :, 0, :] = 0.0
+    cols[:, :, :, 0, :, 0] = 0.0
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, :, dy, dx, dy == 0:, dx == 0:] = \
+                x[:, :, dy != 1:H - (dy == 0):2, dx != 1:W - (dx == 0):2]
+    return cols.reshape(B, Ci * 9, Ho * Wo)
+
+
+def _conv_forward(x, w, stride2):
+    """Raw-array forward of conv3x3s2 (``stride2``) or conv1x1: x (B,Ci,H,W)
+    by w (Co,Ci,3,3) or (Co,Ci) -> (B,Co,Ho,Wo), one matmul either way."""
+    op = "conv3x3s2" if stride2 else "conv1x1"
+    if x.ndim != 4:
+        raise ShapeError(f"{op}: input must be 4-D, got {x.shape}")
+    B, Ci, H, W = x.shape
+    if w.ndim != (4 if stride2 else 2) or w.shape[1:] != ((Ci, 3, 3) if stride2 else (Ci,)):
+        raise ShapeError(f"{op}: weight {w.shape} incompatible with input {x.shape}")
+    Co = w.shape[0]
+    if not stride2:
+        return (w @ x.reshape(B, Ci, H * W)).reshape(B, Co, H, W)
+    if H % 2 or W % 2:
+        raise ShapeError(f"conv3x3s2: spatial size {(H, W)} must be even")
+    Ho, Wo = H // 2, W // 2
+    return (w.reshape(Co, Ci * 9) @ _im2col3x3s2(x)).reshape(B, Co, Ho, Wo)
 
 
 def conv3x3s2(x, w):
@@ -450,23 +477,14 @@ def conv3x3s2(x, w):
     rather than kept, so none outlives the op.
     """
     x, w = as_tensor(x), as_tensor(w)
+    out = _conv_forward(x.data, w.data, stride2=True)
     B, Ci, H, W = x.data.shape
-    if w.data.shape[1] != Ci or w.data.shape[2:] != (3, 3):
-        raise ShapeError(f"conv3x3s2: weight {w.data.shape} incompatible with input {x.data.shape}")
-    if H % 2 or W % 2:
-        raise ShapeError(f"conv3x3s2: spatial size {(H, W)} must be even")
     Co, Ho, Wo = w.data.shape[0], H // 2, W // 2
-
-    def padded():
-        return np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-
-    out = (w.data.reshape(Co, Ci * 9) @ _im2col3x3s2(padded(), Ho, Wo)).reshape(B, Co, Ho, Wo)
 
     def backward(g):
         gf = g.reshape(B, Co, Ho * Wo)
-        xp = padded()
-        gw = (gf @ _im2col3x3s2(xp, Ho, Wo).transpose(0, 2, 1)).sum(axis=0)
-        gxp = np.zeros_like(xp)
+        gw = (gf @ _im2col3x3s2(x.data).transpose(0, 2, 1)).sum(axis=0)
+        gxp = np.zeros((B, Ci, H + 2, W + 2), dtype=x.data.dtype)
         for dy in range(3):
             for dx in range(3):
                 gxp[:, :, dy:dy + 2 * Ho:2, dx:dx + 2 * Wo:2] += (
@@ -573,6 +591,34 @@ def batchnorm(x, gamma, beta, state, eps, momentum):
     return _make(out, "batchnorm", (x, gamma, beta), backward)
 
 
+def conv_bn(x, w, bn, stride2=False, act=False):
+    """conv3x3s2 (``stride2``) or conv1x1 by ``w``, then the BatchNorm ``bn``,
+    then SiLU when ``act`` is set.
+
+    Under ``no_grad()`` in eval mode the batchnorm is a fixed per-channel
+    affine map, so it is folded into the conv on every call (nothing is
+    cached, so loaded or updated parameters take effect at once):
+    ``scale = gamma / sqrt(var + eps)``, ``w' = w * scale`` and
+    ``b' = beta - mean * scale``. The chain is then one matmul, an in-place
+    bias and SiLU, and one 'conv_bn' tensor with no backward. Otherwise it is
+    the op chain itself, so training and eval-mode gradients are unchanged.
+    """
+    if _mode.training or _mode.grad_enabled:
+        y = bn(conv3x3s2(x, w) if stride2 else conv1x1(x, w))
+        return silu(y) if act else y
+    if bn.eps <= 0:
+        raise ShapeError("batchnorm: eps must be > 0")
+    w = as_tensor(w).data
+    scale = bn.gamma.data / np.sqrt(bn.state.var + bn.eps)
+    if scale.shape != w.shape[:1]:
+        raise ShapeError(f"conv_bn: batchnorm of {scale.shape[0]} channels after weight {w.shape}")
+    y = _conv_forward(as_tensor(x).data, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)), stride2)
+    y += (bn.beta.data - bn.state.mean * scale)[:, None, None]
+    if act:
+        y *= _sigmoid_np(y)
+    return _make(y, "conv_bn", (), None)
+
+
 @dataclass
 class BNState:
     """Running statistics for one batchnorm layer (not trainable)."""
@@ -583,9 +629,6 @@ class BNState:
     @classmethod
     def fresh(cls, channels, dtype=np.float64):
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
-
-    def copy(self):
-        return BNState(self.mean.copy(), self.var.copy())
 
 
 class BatchNorm:

@@ -310,6 +310,10 @@ class TestAnnotationsRejected:
         ("annotations", dict(COCO["annotations"][0], bbox=[0, 0, "w", 3]),
          ("ann.json", "annotations[0].bbox")),
         ("images", 5, ("ann.json", "images[0]", "must be an object")),
+        ("images", dict(COCO["images"][0], width="x"), ("ann.json", "images[0].width")),
+        ("categories", {"id": [1], "name": "crack"}, ("ann.json", "categories[0].id")),
+        ("annotations", dict(COCO["annotations"][0], category_id=[1]),
+         ("ann.json", "annotations[0].category_id")),
     ])
     def test_coco(self, tmp_path, capsys, section, entry, messages):
         path = tmp_path / "ann.json"

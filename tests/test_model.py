@@ -8,7 +8,8 @@ from crackdet import numerics as nm
 from crackdet.errors import ShapeError
 from crackdet.geometry import iou
 from crackdet.model import (Detection, anchor_points, backbone_forward, build_detector, decode,
-                            decode_boxes, head_forward, init_backbone, init_head, nms)
+                            decode_boxes, flatten_levels, head_forward, init_backbone, init_head,
+                            nms)
 from crackdet.neck import PyramidFeatures
 from crackdet.numerics import Tensor, finite_diff_check
 from oracles import anchor_points_loop, decode_loop, encode_box, nms_loop
@@ -231,6 +232,10 @@ class TestNMS:
         (np.array([[0.0, 0.0, 4.0, 4.0]] * 3), np.array([0.4, 0.6, 0.6]), 1.0, [1, 2, 0]),
         (np.array([[0.0, 0.0, 4.0, 4.0], [3.0, 3.0, 8.0, 8.0], [4.0, 0.0, 8.0, 4.0]]),
          np.array([0.9, 0.8, 0.7]), 0.0, [0, 2]),
+        # a chain with IoU 1/3 between neighbours only: A suppresses B, so B's
+        # overlap with C does not count; C is kept and suppresses D
+        (np.array([[0.0, 0.0, 4.0, 4.0], [2.0, 0.0, 6.0, 4.0], [4.0, 0.0, 8.0, 4.0],
+                   [6.0, 0.0, 10.0, 4.0]]), np.array([0.9, 0.8, 0.7, 0.6]), 0.3, [0, 2]),
     ])
     def test_edge_cases_match_oracle(self, boxes, scores, iou_thr, expected):
         assert nms(boxes, scores, iou_thr) == nms_loop(boxes, scores, iou_thr) == expected
@@ -364,6 +369,49 @@ class TestDetectorBundle:
         assert all(bn.eps == 1e-3 and bn.momentum == 0.3 for bn in layers)
         assert all(arr.dtype == np.dtype(dtype) for arr in running_means)
         assert all(bn.state.mean is arr for bn, arr in zip(layers, running_means))
+
+    @staticmethod
+    def _small_detector(rng, dtype=np.float64):
+        return build_detector(2, 64, (2, 3, 4, 5, 6),
+                              dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
+                              4, rng, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_folded_predict_matches_op_chain(self, rng, dtype, tol, perturb):
+        """predict_arrays folds every conv->BN(->SiLU) into one op; the same
+        eval-mode forward with grad on takes the conv, batchnorm, silu chain.
+        Folding reorders the arithmetic, so the two agree to ``tol`` (relative
+        to max(1, |value|)), not bit for bit."""
+        det = self._small_detector(rng, dtype)
+        if perturb:
+            for bn in det.batchnorms():
+                c = len(bn.gamma.data)
+                bn.state.mean[...] = rng.normal(size=c)
+                bn.state.var[...] = rng.uniform(0.5, 2.0, size=c)
+                bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=c) * rng.choice([-1, 1], size=c)
+                bn.beta.data[...] = rng.normal(size=c)
+        imgs = rng.normal(size=(2, 3, 64, 64))
+        probs, dists = det.predict_arrays(imgs)
+        with nm.eval_mode():
+            preds = det.forward(det.input_batch(imgs))
+        assert preds.cls_logits[0]._parents  # the reference recorded the chain
+        for got, want in ((probs, nm.sigmoid(flatten_levels(preds.cls_logits)).data),
+                          (dists, flatten_levels(preds.distances).data)):
+            assert got.dtype == want.dtype == dtype
+            assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= tol
+
+    def test_predict_runs_no_batchnorm_op(self, rng, monkeypatch):
+        det = self._small_detector(rng)
+        imgs = rng.normal(size=(2, 3, 64, 64))
+        calls = []
+        real = nm.batchnorm
+        monkeypatch.setattr(nm, "batchnorm", lambda *args: calls.append(1) or real(*args))
+        det.predict(imgs)
+        assert calls == []
+        with nm.no_grad():
+            det.forward(det.input_batch(imgs))  # train mode takes the chain
+        assert len(calls) >= len(list(det.batchnorms()))
 
     def test_invalid_detection_rejected(self):
         with pytest.raises(ShapeError):

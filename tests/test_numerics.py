@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,61 @@ class TestBatchNorm:
         bn = BatchNorm(2)
         with pytest.raises(ShapeError):
             bn(Tensor(np.zeros((0, 2, 3, 3))))
+
+
+class TestConvBN:
+    @staticmethod
+    def _layer(rng, stride2):
+        w = rng.normal(size=(5, 3, 3, 3) if stride2 else (5, 3))
+        bn = BatchNorm(5)
+        bn.state.mean[...] = rng.normal(size=5)
+        bn.state.var[...] = rng.uniform(0.5, 2.0, size=5)
+        bn.gamma.data[...] = rng.normal(size=5)
+        bn.beta.data[...] = rng.normal(size=5)
+        return w, bn
+
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("act", [False, True])
+    def test_folded_matches_op_chain(self, rng, stride2, act):
+        """Under no_grad() + eval_mode() the op folds BN into the conv and
+        records one node; with grad on it is the conv, batchnorm, silu chain."""
+        w, bn = self._layer(rng, stride2)
+        x = rng.normal(size=(2, 3, 4, 4))
+        with nm.eval_mode():
+            want = nm.conv_bn(Tensor(x), Tensor(w, requires_grad=True), bn, stride2, act)
+            with nm.no_grad():
+                got = nm.conv_bn(Tensor(x), Tensor(w), bn, stride2, act)
+        assert want.op == ("silu" if act else "batchnorm")
+        assert got.op == "conv_bn" and got._backward is None and not got._parents
+        assert np.abs(got.data - want.data).max() < 1e-12
+
+    def test_non_finite_input_names_the_op(self, rng):
+        w, bn = self._layer(rng, stride2=False)
+        x = rng.normal(size=(1, 3, 4, 4))
+        x[0, 1, 2, 3] = np.nan
+        with nm.no_grad(), nm.eval_mode(), nm.finite_checks():
+            with pytest.raises(NumericsError, match="conv_bn"):
+                nm.conv_bn(Tensor(x), Tensor(w), bn, act=True)
+
+    @pytest.mark.parametrize("channels,eps", [(4, 1e-5), (5, 0.0)])
+    def test_bad_batchnorm_rejected(self, rng, channels, eps):
+        w, _ = self._layer(rng, stride2=False)
+        bn = BatchNorm(channels)
+        bn.eps = eps
+        with nm.no_grad(), nm.eval_mode(), pytest.raises(ShapeError):
+            nm.conv_bn(Tensor(rng.normal(size=(1, 3, 2, 2))), Tensor(w), bn)
+
+
+class TestSigmoid:
+    def test_matches_logistic_without_warnings(self):
+        x = np.concatenate([[-np.inf, -1e3, 1e3, np.inf, 0.0], np.linspace(-40.0, 40.0, 801)])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = nm._sigmoid_np(x)
+        assert got[:5].tolist() == [0.0, 0.0, 1.0, 1.0, 0.5]
+        assert np.abs(got - want).max() <= 2.3e-16
 
 
 class TestSoftmax:
