@@ -45,15 +45,11 @@ def write_json(payload: dict, path, cfg: RunConfig):
     body = dict(payload)
     body["config"] = config_dict(cfg)
     body["version"] = __version__
-    text = json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n"
-    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_text(json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n", path)
 
 
 def write_text(text: str, path):
+    """Atomic write: a temp file beside ``path``, then a rename over it."""
     os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:

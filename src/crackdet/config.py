@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import partial
 from types import UnionType
@@ -175,6 +176,12 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"unknown optimizer_convention '{cfg.training.optimizer_convention}'")
     if cfg.training.schedule not in ("cosine", "constant"):
         raise ConfigError(f"unknown schedule '{cfg.training.schedule}'")
+    if not (math.isfinite(cfg.numerics.bn_eps) and cfg.numerics.bn_eps > 0.0):
+        raise ConfigError(f"numerics.bn_eps must be finite and positive, "
+                          f"got {cfg.numerics.bn_eps}")
+    if not 0.0 <= cfg.numerics.bn_momentum <= 1.0:
+        raise ConfigError(f"numerics.bn_momentum must be in [0, 1], "
+                          f"got {cfg.numerics.bn_momentum}")
     if cfg.training.steps < 1:
         raise ConfigError(f"training.steps must be >= 1, got {cfg.training.steps}")
     if cfg.training.epochs is not None and cfg.training.epochs < 1:

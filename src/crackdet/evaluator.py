@@ -164,33 +164,35 @@ def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None, i
 
 def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
     """101-point interpolated AP from score-ordered TP flags; -1.0 if no GTs."""
-    curve = _pr_curve(tp, det_ignore, num_gt, recall_grid)
-    return SENTINEL if curve is None else float(curve.mean())
+    curves = _pr_curves(np.asarray(tp, dtype=bool).reshape(1, -1),
+                        np.asarray(det_ignore, dtype=bool).reshape(1, -1), num_gt, recall_grid)
+    return SENTINEL if curves is None else float(curves[0].mean())
 
 
-def _pr_curve(tp, det_ignore, num_gt, grid):
-    """Interpolated precision at each recall in ``grid``; None if no GTs.
+def _pr_curves(tp, det_ignore, num_gt, grid):
+    """Interpolated precision at each recall in ``grid`` for every row of an
+    (S, n) block of score-ordered flags: (S, len(grid)), or None if no GTs.
 
-    Ignored detections drop out of the ranking; with no kept detection the
-    curve is all zeros.
+    An ignored detection gets precision 0 and repeats the recall of the kept
+    detection before it (0 if none), so it never raises the right-to-left
+    envelope and a recall search lands on it only at recall 0, where the
+    envelope already equals that of the first kept detection: each row is
+    exactly the curve of its kept detections alone. A row with no kept
+    detection is all zeros.
     """
     if num_gt == 0:
         return None
-    flags = np.asarray(tp, dtype=bool)[~np.asarray(det_ignore, dtype=bool)]
-    if len(flags) == 0:
-        return np.zeros_like(grid)
-    ctp = np.cumsum(flags)
-    cfp = np.cumsum(~flags)
-    return _interp_precision(ctp / num_gt, ctp / (ctp + cfp), grid)
-
-
-def _interp_precision(recall, precision, grid):
-    """Right-to-left precision envelope sampled at the recall grid."""
-    prec = np.maximum.accumulate(np.asarray(precision, dtype=np.float64)[::-1])[::-1]
-    idx = np.searchsorted(recall, grid, side="left")
-    out = np.zeros_like(grid)
-    valid = idx < len(prec)
-    out[valid] = prec[idx[valid]]
+    kept = ~det_ignore
+    ctp = np.cumsum(tp & kept, axis=1)
+    cfp = np.cumsum(~tp & kept, axis=1)
+    precision = np.divide(ctp, ctp + cfp, out=np.zeros(ctp.shape), where=kept)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    recall = ctp / num_gt
+    out = np.zeros((len(tp), len(grid)))
+    for row, (rec, env) in enumerate(zip(recall, envelope)):
+        idx = np.searchsorted(rec, grid, side="left")
+        valid = idx < len(rec)
+        out[row, valid] = env[idx[valid]]
     return out
 
 
@@ -297,31 +299,25 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
             ignores = [(g.gt_areas < lo) | (g.gt_areas >= hi) for g in cat_groups]
             tp, ign, num_gt = _pool([g.match(thresholds, ignore)
                                      for g, ignore in zip(cat_groups, ignores)], rank)
-            if num_gt == 0:
+            curves = _pr_curves(tp, ign, num_gt, grid)
+            if curves is None:
                 aps[bucket] = recalls[bucket] = [SENTINEL] * len(thresholds)
-                continue
-            aps[bucket] = [compute_ap(tp[t], ign[t], num_gt, grid)
-                           for t in range(len(thresholds))]
-            recalls[bucket] = [float(tp[t].sum()) / num_gt for t in range(len(thresholds))]
-
-        def mean_ap(bucket):
-            return _aggregate(aps[bucket]) if aps[bucket][0] != SENTINEL else SENTINEL
-
-        def mean_ar(bucket):
-            return _aggregate(recalls[bucket]) if recalls[bucket][0] != SENTINEL else SENTINEL
+            else:
+                aps[bucket] = [float(c.mean()) for c in curves]
+                recalls[bucket] = (tp.sum(axis=1) / num_gt).tolist()
 
         per_class[cat] = {
             "name": names[cat],
-            "ap": mean_ap("all"),
+            "ap": _aggregate(aps["all"]),
             "ap50": aps["all"][thresholds.index(0.5)] if 0.5 in thresholds else SENTINEL,
             "ap75": aps["all"][thresholds.index(0.75)] if 0.75 in thresholds else SENTINEL,
-            "ap_small": mean_ap("small"),
-            "ap_medium": mean_ap("medium"),
-            "ap_large": mean_ap("large"),
-            "ar": mean_ar("all"),
-            "ar_small": mean_ar("small"),
-            "ar_medium": mean_ar("medium"),
-            "ar_large": mean_ar("large"),
+            "ap_small": _aggregate(aps["small"]),
+            "ap_medium": _aggregate(aps["medium"]),
+            "ap_large": _aggregate(aps["large"]),
+            "ar": _aggregate(recalls["all"]),
+            "ar_small": _aggregate(recalls["small"]),
+            "ar_medium": _aggregate(recalls["medium"]),
+            "ar_large": _aggregate(recalls["large"]),
         }
 
     aggregate = {k: _aggregate([per_class[c][k] for c in cat_ids]) for k in METRIC_KEYS}
@@ -370,32 +366,29 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     cross = _cross_class_overlaps(index, detections)
     grid = cfg.recall_grid()
 
-    stage_curves = {stage: {} for stage in ERROR_STAGES}
+    by_cat = {}
     for cat in cat_ids:
         cat_groups = groups[cat]
-        rank = _score_rank(cat_groups)
-        matched = [g.match((0.10, 0.50, 0.75), np.zeros(len(g.gt_boxes), dtype=bool))
-                   for g in cat_groups]
-        loc, c50, c75 = ([(tp[t], ign[t], n) for tp, ign, n in matched] for t in range(3))
-        sim = [(tp, ign | (~tp & ~ign & cross[g.det_order]), n)
-               for g, (tp, ign, n) in zip(cat_groups, loc)]
-        bg = [(tp, ign | ~tp, n) for tp, ign, n in loc]
-        for stage, rows in (("C75", c75), ("C50", c50), ("Loc", loc), ("Sim", sim), ("BG", bg)):
-            stage_curves[stage][cat] = _pr_curve(*_pool(rows, rank), grid)
-        stage_curves["Oth"][cat] = stage_curves["Sim"][cat]
-        has_gt = any(n for _, _, n in loc)
-        stage_curves["FN"][cat] = np.ones_like(grid) if has_gt else None
+        rows = []
+        for g in cat_groups:
+            tp, ign, n = g.match((0.10, 0.50, 0.75), np.zeros(len(g.gt_boxes), dtype=bool))
+            loc_tp, loc_ign = tp[0], ign[0]
+            sim_ign = loc_ign | (~loc_tp & ~loc_ign & cross[g.det_order])
+            # Block rows: C75, C50, Loc, Sim, BG.
+            rows.append((np.stack([tp[2], tp[1], loc_tp, loc_tp, loc_tp]),
+                         np.stack([ign[2], ign[1], loc_ign, sim_ign, loc_ign | ~loc_tp]), n))
+        block = _pr_curves(*_pool(rows, _score_rank(cat_groups)), grid)
+        if block is not None:
+            # Oth repeats Sim; FN pins every category with GTs at 1.0.
+            by_cat[cat] = np.vstack([block[[0, 1, 2, 3, 3, 4]], np.ones_like(grid)])
 
+    mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
+                   else np.zeros((len(ERROR_STAGES), len(grid))))
     aps, per_class_aps, curves = {}, {}, {}
-    for stage in ERROR_STAGES:
-        by_cat = stage_curves[stage]
-        per_class_aps[stage] = {c: SENTINEL if by_cat[c] is None else float(by_cat[c].mean())
+    for s, stage in enumerate(ERROR_STAGES):
+        per_class_aps[stage] = {c: float(by_cat[c][s].mean()) if c in by_cat else SENTINEL
                                 for c in cat_ids}
         aps[stage] = _aggregate(per_class_aps[stage].values())
-        live = [c for c in cat_ids if by_cat[c] is not None]
-        if live:
-            curves[stage] = np.mean([by_cat[c] for c in live], axis=0)
-        else:
-            curves[stage] = np.zeros_like(grid)
+        curves[stage] = mean_curves[s]
     return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves,
                           recall_grid=grid)

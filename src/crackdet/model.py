@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .assignment import AssignConfig, Assignment, CostMatrix, build_cost_matrix, dynamic_assign
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .geometry import iou_matrix
 from .neck import ConvBNLayer, NeckConfig, NeckParams, PyramidFeatures, _conv_bn, init_neck, neck_forward
 from .numerics import Tensor
@@ -210,10 +210,12 @@ class Detector(nm.Module):
         return out
 
     def load_state_dict(self, arrays: dict):
-        from .errors import DataError
-
-        for key, target in [(f"param:{n}", t.data) for n, t in self.params()] \
-                + [(f"state:{n}", arr) for n, arr in self.states()]:
+        targets = self.state_dict()
+        unexpected = next((key for key in arrays if key not in targets), None)
+        if unexpected is not None:
+            raise DataError(f"checkpoint has unexpected entry '{unexpected}' "
+                            f"(model config mismatch?)")
+        for key, target in targets.items():
             if key not in arrays:
                 raise DataError(f"checkpoint is missing '{key}' (model config mismatch?)")
             if arrays[key].shape != target.shape:

@@ -229,10 +229,13 @@ def assign_oracle(cost, iou, candidates, cap):
     return owner, ks, sorted(unassigned)
 
 
-def ap_101_reference(tp_flags, num_gt):
-    """Plain-python 101-point interpolated AP."""
+def ap_101_reference(tp_flags, num_gt, ignore=None):
+    """Plain-python 101-point interpolated AP; detections flagged in
+    ``ignore`` are skipped."""
     if num_gt == 0:
         return -1.0
+    if ignore is not None:
+        tp_flags = [flag for flag, skip in zip(tp_flags, ignore) if not skip]
     precisions, recalls = [], []
     tp = 0
     for rank, flag in enumerate(tp_flags, start=1):

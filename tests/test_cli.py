@@ -206,6 +206,13 @@ class TestConfigRejectedAtLoad:
         ("training.steps=-1", "training.steps"),
         ("training.epochs=0", "training.epochs"),
         ("training.epochs=-3", "training.epochs"),
+        ("numerics.bn_eps=0", "numerics.bn_eps"),
+        ("numerics.bn_eps=-1e-5", "numerics.bn_eps"),
+        ("numerics.bn_eps=Infinity", "numerics.bn_eps"),
+        ("numerics.bn_eps=NaN", "numerics.bn_eps"),
+        ("numerics.bn_momentum=5", "numerics.bn_momentum"),
+        ("numerics.bn_momentum=-0.1", "numerics.bn_momentum"),
+        ("numerics.bn_momentum=NaN", "numerics.bn_momentum"),
     ])
     def test_bad_training_value(self, two_image_set, tmp_path, capsys, override, message):
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
@@ -447,6 +454,25 @@ class TestTrainInferPipeline:
         dets = json.loads((inf_dir / "detections.json").read_text())["detections"]
         for row in dets:
             assert set(row) == {"image_id", "category_id", "bbox", "score"}
+
+    def test_infer_rejects_checkpoint_with_extra_blocks(self, tmp_path, capsys):
+        """A two-block checkpoint loaded into a one-block neck names the first
+        entry the model lacks instead of dropping the td_c4 weights."""
+        out_dir = tmp_path / "train"
+        assert main(["train-toy", "--out", str(out_dir)] + TINY
+                    + ["--set", "training.steps=3"]) == 0
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir)] + TINY) == 0
+        capsys.readouterr()
+        inf_dir = tmp_path / "inf"
+        rc = main(["infer", "--checkpoint", str(out_dir / "checkpoint.npz"),
+                   "--images", str(data_dir), "--out", str(inf_dir)] + TINY
+                  + ["--set", "neck.num_attention_blocks=1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "unexpected entry 'param:neck.attn.td_c4." in err
+        assert not (inf_dir / "detections.json").exists()
 
     def test_epochs_flag_switches_schedule(self, tmp_path):
         out_dir = tmp_path / "ep"

@@ -9,8 +9,8 @@ from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, SENTINEL, EvalConfig,
-                                _cross_class_overlaps, compute_ap, error_breakdown, evaluate,
-                                match_detections)
+                                _cross_class_overlaps, _pr_curves, compute_ap, error_breakdown,
+                                evaluate, match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
@@ -163,6 +163,33 @@ class TestComputeAP:
             num_gt = 1
         mine = compute_ap(flags, np.zeros(n, dtype=bool), num_gt)
         assert mine == pytest.approx(ap_101_reference(list(flags), num_gt), abs=1e-12)
+        # Ignored detections drop out, wherever they sit: a random share, a
+        # leading run, and the whole row.
+        lead = np.arange(n) < r.integers(1, n + 1)
+        for ignore in (r.random(n) < 0.3, lead | (r.random(n) < 0.2), np.ones(n, dtype=bool)):
+            mine = compute_ap(flags, ignore, num_gt)
+            want = ap_101_reference(list(flags), num_gt, ignore=list(ignore))
+            assert mine == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_rows_match_single_rows(self, seed):
+        """Each row of one (S, n) block is bitwise the curve of that row alone."""
+        r = np.random.default_rng(seed)
+        S, n = 6, int(r.integers(1, 40))
+        tp = r.random((S, n)) < 0.5
+        ignore = r.random((S, n)) < 0.3
+        ignore[1, :3] = True
+        ignore[2] = True
+        num_gt = int(tp.sum(axis=1).max()) + 1
+        grid = EvalConfig().recall_grid()
+        block = _pr_curves(tp, ignore, num_gt, grid)
+        assert block.shape == (S, len(grid))
+        for s in range(S):
+            alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], num_gt, grid)
+            assert np.array_equal(block[s], alone[0])
+            assert compute_ap(tp[s], ignore[s], num_gt, grid) == float(block[s].mean())
+        assert not block[2].any()
+        assert _pr_curves(tp, ignore, 0, grid) is None
 
 
 class TestEvaluateHandCases:
