@@ -184,6 +184,18 @@ def validate_config(cfg: RunConfig):
                           f"got {cfg.numerics.bn_momentum}")
     if cfg.training.steps < 1:
         raise ConfigError(f"training.steps must be >= 1, got {cfg.training.steps}")
+    if not 0.0 < cfg.training.lr < math.inf:
+        raise ConfigError(f"training.lr must be finite and > 0, got {cfg.training.lr}")
+    momentum, weight_decay = optimizer_settings(cfg.training)
+    momentum_key, decay_key = ("training.weight_decay", "training.momentum") \
+        if cfg.training.optimizer_convention == "swapped" \
+        else ("training.momentum", "training.weight_decay")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigError(f"{momentum_key} must be in [0, 1) as the SGD momentum, got {momentum}")
+    for key, value in ((decay_key, weight_decay), ("loss.w_cls", cfg.loss.w_cls),
+                       ("loss.w_reg", cfg.loss.w_reg)):
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {value}")
     if cfg.training.epochs is not None and cfg.training.epochs < 1:
         raise ConfigError(f"training.epochs must be >= 1 when set, got {cfg.training.epochs}")
     widths = cfg.model.backbone_widths

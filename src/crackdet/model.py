@@ -221,6 +221,9 @@ class Detector(nm.Module):
             if arrays[key].shape != target.shape:
                 raise DataError(f"checkpoint entry '{key}' has shape {arrays[key].shape}, "
                                 f"model expects {target.shape}")
+            if arrays[key].dtype != target.dtype:
+                raise DataError(f"checkpoint entry '{key}' has dtype {arrays[key].dtype}, "
+                                f"model expects {target.dtype} (numerics.dtype mismatch?)")
             target[...] = arrays[key]
 
     def forward(self, images: Tensor) -> RawPredictions:

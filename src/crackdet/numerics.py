@@ -5,10 +5,12 @@ Tensors wrap numpy arrays and record the ops applied to them; calling
 accumulates gradients additively into every tensor created with
 ``requires_grad=True``. Shapes are strict: elementwise ops accept equal shapes
 or a python scalar, nothing else broadcasts. All parameterized layers
-(conv1x1, conv3x3s2, batchnorm, positional bias) spell out their own
-backward rules instead.
+(conv1x1, conv3x3s2, batchnorm, the fused conv_bn, positional bias) spell
+out their own backward rules instead.
 
 The default dtype is float64; float32 can be requested per tensor for speed.
+A gradient always takes the dtype of the tensor it flows into, so a float64
+loss term does not turn a float32 network's backward into float64.
 """
 
 from __future__ import annotations
@@ -118,10 +120,13 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
+            if g.dtype != node.data.dtype:  # a float64 loss term must not upcast a float32 net
+                g = g.astype(node.data.dtype)
             if node.requires_grad:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    node.grad = np.array(g)  # a copy: g may be shared with other nodes
+                else:
+                    node.grad += g
             if node._backward is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
@@ -185,6 +190,12 @@ def _make(data, op, parents, backward):
     if _mode.grad_enabled and any(p.requires_grad or p._parents for p in parents):
         return Tensor(data, op=op, parents=parents, backward=backward)
     return Tensor(data, op=op)
+
+
+def _needs_grad(t):
+    """Whether a gradient reaching ``t`` goes anywhere: it is a leaf that
+    requires grad or the output of a recorded op."""
+    return t.requires_grad or bool(t._parents)
 
 
 def _same_shape(a, b, op):
@@ -408,13 +419,12 @@ def matmul_tokens(a, b):
 def conv1x1(x, w, b=None):
     """Pointwise conv: x (B,Ci,H,W), w (Co,Ci), optional bias (Co,) -> (B,Co,H,W).
 
-    One matmul over the (B, Ci, H*W) view. This is the engine's one channel
-    mix: projections, CSP convs and the talking-heads mix over the head axis
-    all run through it.
+    One matmul over the (B, Ci, H*W) view. Outside ``conv_bn`` this is the
+    engine's one channel mix: the head's biased convs and the talking-heads
+    mix over the head axis run through it.
     """
     x, w = as_tensor(x), as_tensor(w)
     out = _conv_forward(x.data, w.data, stride2=False)
-    B, Ci, H, W = x.data.shape
     Co = w.data.shape[0]
     parents = (x, w)
     if b is not None:
@@ -425,12 +435,8 @@ def conv1x1(x, w, b=None):
         parents = (x, w, b)
 
     def backward(g):
-        gf = g.reshape(B, Co, H * W)
-        gx = (w.data.T @ gf).reshape(B, Ci, H, W)
-        gw = (gf @ x.data.reshape(B, Ci, H * W).transpose(0, 2, 1)).sum(axis=0)
-        if b is None:
-            return gx, gw
-        return gx, gw, gf.sum(axis=(0, 2))
+        gx, gw = _conv_backward(g, x.data, w.data, _needs_grad(x))
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=(0, 2, 3)))
 
     return _make(out, "conv1x1", parents, backward)
 
@@ -470,6 +476,46 @@ def _conv_forward(x, w, stride2):
     return (w.reshape(Co, Ci * 9) @ _im2col3x3s2(x)).reshape(B, Co, Ho, Wo)
 
 
+# The taps with dy, dx in {1, 2} each read whole even or odd rows and columns,
+# so together they cover every input pixel once: they assign, the others add.
+_COL2IM_TAPS = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
+
+
+def _conv_backward(g, x, w, need_gx=True):
+    """Raw-array backward of ``_conv_forward``: (gx, gw) for the output
+    gradient g (B,Co,Ho,Wo), stride 2 when w is (Co,Ci,3,3); gx is None
+    unless ``need_gx``.
+
+    The weight gradient is one batched matmul against the input matrix (the
+    (B, Ci, H*W) view, or the im2col patches rebuilt here: keeping the
+    forward's measured no faster and held ~8 MB more at a train step's peak),
+    summed over the batch. The input gradient is one (Ci*9, Co) @ (Co, Ho*Wo)
+    matmul and a col2im: nine strided writes over the slices ``_im2col3x3s2``
+    reads, into an unpadded, unzeroed buffer.
+    """
+    B, Ci, H, W = x.shape
+    Co = w.shape[0]
+    stride2 = w.ndim == 4
+    gf = g.reshape(B, Co, -1)
+    cols = _im2col3x3s2(x) if stride2 else x.reshape(B, Ci, H * W)
+    gw = (gf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if not need_gx:
+        return None, gw
+    gcols = w.reshape(Co, -1).T @ gf
+    if not stride2:
+        return gcols.reshape(x.shape), gw
+    gcols = gcols.reshape(B, Ci, 3, 3, H // 2, W // 2)
+    gx = np.empty_like(x)
+    for dy, dx in _COL2IM_TAPS:
+        dst = gx[:, :, dy != 1:H - (dy == 0):2, dx != 1:W - (dx == 0):2]
+        src = gcols[:, :, dy, dx, dy == 0:, dx == 0:]
+        if dy and dx:
+            dst[...] = src
+        else:
+            dst += src
+    return gx, gw
+
+
 def conv3x3s2(x, w):
     """3x3 conv, stride 2, pad 1: x (B,Ci,H,W) even H,W; w (Co,Ci,3,3) -> (B,Co,H/2,W/2).
 
@@ -478,20 +524,8 @@ def conv3x3s2(x, w):
     """
     x, w = as_tensor(x), as_tensor(w)
     out = _conv_forward(x.data, w.data, stride2=True)
-    B, Ci, H, W = x.data.shape
-    Co, Ho, Wo = w.data.shape[0], H // 2, W // 2
-
-    def backward(g):
-        gf = g.reshape(B, Co, Ho * Wo)
-        gw = (gf @ _im2col3x3s2(x.data).transpose(0, 2, 1)).sum(axis=0)
-        gxp = np.zeros((B, Ci, H + 2, W + 2), dtype=x.data.dtype)
-        for dy in range(3):
-            for dx in range(3):
-                gxp[:, :, dy:dy + 2 * Ho:2, dx:dx + 2 * Wo:2] += (
-                    w.data[:, :, dy, dx].T @ gf).reshape(B, Ci, Ho, Wo)
-        return (gxp[:, :, 1:H + 1, 1:W + 1], gw.reshape(w.data.shape))
-
-    return _make(out, "conv3x3s2", (x, w), backward)
+    return _make(out, "conv3x3s2", (x, w),
+                 lambda g: _conv_backward(g, x.data, w.data, _needs_grad(x)))
 
 
 def upsample2x(x):
@@ -591,6 +625,71 @@ def batchnorm(x, gamma, beta, state, eps, momentum):
     return _make(out, "batchnorm", (x, gamma, beta), backward)
 
 
+def _conv_bn_train(x, w, bn, stride2, act):
+    """``conv_bn`` as one graph node with parents (x, w, gamma, beta).
+
+    Forward: the conv matmul, the batchnorm with batch statistics in train
+    mode (nudging ``bn.state`` as ``batchnorm`` does: same momentum, unbiased
+    variance, ``frozen_bn_stats()``) or the running statistics in eval mode,
+    then SiLU. The backward takes the SiLU derivative from the saved sigmoid
+    and output, then gbeta, ggamma and the conv-output gradient from the
+    saved ``xhat``, using sum(gxhat) = gamma*gbeta and sum(gxhat*xhat) =
+    gamma*ggamma (Ioffe & Szegedy 2015), then ``_conv_backward``.
+    """
+    z = _conv_forward(x.data, w.data, stride2)
+    B, Co, Ho, Wo = z.shape
+    gamma, beta, state = bn.gamma, bn.beta, bn.state
+    if gamma.data.shape != (Co,) or beta.data.shape != (Co,):
+        raise ShapeError(f"batchnorm: gamma/beta must be ({Co},)")
+    if bn.eps <= 0:
+        raise ShapeError("batchnorm: eps must be > 0")
+    n = B * Ho * Wo
+    if n == 0:
+        raise ShapeError("batchnorm: channel slices are empty")
+    training = _mode.training
+    xhat = z.reshape(B, Co, Ho * Wo)  # normalized in place
+    if training:
+        m = xhat.mean(axis=(0, 2))
+        xhat -= m[:, None]
+        v = np.square(xhat).mean(axis=(0, 2))
+        if _mode.bn_stats_enabled:
+            state.mean += bn.momentum * (m - state.mean)
+            state.var += bn.momentum * (v * (n / max(1, n - 1)) - state.var)
+    else:
+        v = state.var
+        xhat -= state.mean[:, None]
+    istd = 1.0 / np.sqrt(v + bn.eps)
+    xhat *= istd[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
+    if act:
+        s = _sigmoid_np(out)
+        out *= s
+
+    def backward(g):
+        gy = g.reshape(B, Co, Ho * Wo)
+        if act:  # silu'(y) = s + silu(y) * (1 - s)
+            gy = np.subtract(1.0, s)
+            gy *= out
+            gy += s
+            gy *= g.reshape(B, Co, Ho * Wo)
+        gbeta = gy.sum(axis=(0, 2))
+        gz = gy * xhat
+        ggamma = gz.sum(axis=(0, 2))
+        k = (gamma.data * istd)[:, None]
+        if training:  # gz = k * (gy - gbeta / n - xhat * ggamma / n)
+            np.multiply(xhat, (-ggamma / n)[:, None], out=gz)
+            gz += gy
+            gz -= (gbeta / n)[:, None]
+            gz *= k
+        else:
+            np.multiply(gy, k, out=gz)
+        gx, gw = _conv_backward(gz, x.data, w.data, _needs_grad(x))
+        return gx, gw, ggamma, gbeta
+
+    return _make(out.reshape(B, Co, Ho, Wo), "conv_bn", (x, w, gamma, beta), backward)
+
+
 def conv_bn(x, w, bn, stride2=False, act=False):
     """conv3x3s2 (``stride2``) or conv1x1 by ``w``, then the BatchNorm ``bn``,
     then SiLU when ``act`` is set.
@@ -600,12 +699,12 @@ def conv_bn(x, w, bn, stride2=False, act=False):
     cached, so loaded or updated parameters take effect at once):
     ``scale = gamma / sqrt(var + eps)``, ``w' = w * scale`` and
     ``b' = beta - mean * scale``. The chain is then one matmul, an in-place
-    bias and SiLU, and one 'conv_bn' tensor with no backward. Otherwise it is
-    the op chain itself, so training and eval-mode gradients are unchanged.
+    bias and SiLU, and one 'conv_bn' tensor with no backward. Otherwise
+    (training, or grad on) it is one 'conv_bn' node with a hand-written
+    backward, ``_conv_bn_train``.
     """
     if _mode.training or _mode.grad_enabled:
-        y = bn(conv3x3s2(x, w) if stride2 else conv1x1(x, w))
-        return silu(y) if act else y
+        return _conv_bn_train(as_tensor(x), as_tensor(w), bn, stride2, act)
     if bn.eps <= 0:
         raise ShapeError("batchnorm: eps must be > 0")
     w = as_tensor(w).data

@@ -174,6 +174,13 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         if progress is not None:
             progress(step, breakdown)
 
+    # The loss guard sees each step's loss before its update, so the last
+    # update is checked here, once: a non-finite value writes no checkpoint.
+    bad = next((key for key, arr in detector.state_dict().items()
+                if not np.isfinite(arr).all()), None)
+    if bad is not None:
+        raise NumericsError(f"training left a non-finite value in '{bad}' after step "
+                            f"{steps - 1}; no checkpoint written")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_loss_csv(os.path.join(out_dir, "loss.csv"), rows)

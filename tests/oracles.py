@@ -107,6 +107,36 @@ def _bn_loop(x, gamma, beta, eps):
     return out
 
 
+def conv_bn_loop(x, w, gamma, beta, mean, var, eps, momentum, stride2, act, training):
+    """conv (the loops above) -> batchnorm -> SiLU when ``act``, scalar by scalar.
+
+    Train mode normalizes with the batch's direct per-channel statistics and
+    moves each running statistic by ``momentum`` toward the batch mean and
+    the unbiased (n - 1) variance; eval mode normalizes with the running
+    statistics and keeps them. Returns (out, running mean, running var).
+    """
+    y = conv3x3s2_loop(x, w) if stride2 else conv1x1_loop(x, w)
+    bs, c, hh, ww = y.shape
+    n = bs * hh * ww
+    new_mean, new_var = [float(m) for m in mean], [float(v) for v in var]
+    if training:
+        means, variances = batchnorm_stats(y)
+        for ch in range(c):
+            new_mean[ch] += momentum * (means[ch] - new_mean[ch])
+            new_var[ch] += momentum * (variances[ch] * n / (n - 1) - new_var[ch])
+    else:
+        means, variances = new_mean, new_var
+    out = np.zeros_like(y)
+    for ch in range(c):
+        scale = gamma[ch] / math.sqrt(variances[ch] + eps)
+        for n_ in range(bs):
+            for yy in range(hh):
+                for xx in range(ww):
+                    v = (y[n_][ch][yy][xx] - means[ch]) * scale + beta[ch]
+                    out[n_][ch][yy][xx] = v / (1.0 + math.exp(-v)) if act else v
+    return out, np.array(new_mean), np.array(new_var)
+
+
 def attention4d_loop(x, p):
     """Whole attention block recomputed with per-token double loops.
 

@@ -213,10 +213,46 @@ class TestConfigRejectedAtLoad:
         ("numerics.bn_momentum=5", "numerics.bn_momentum"),
         ("numerics.bn_momentum=-0.1", "numerics.bn_momentum"),
         ("numerics.bn_momentum=NaN", "numerics.bn_momentum"),
+        ("training.lr=0", "training.lr"),
+        ("training.lr=-1", "training.lr"),
+        ("training.lr=NaN", "training.lr"),
+        ("training.lr=Infinity", "training.lr"),
+        ("training.momentum=5", "training.momentum"),
+        ("training.momentum=1", "training.momentum"),
+        ("training.momentum=-0.1", "training.momentum"),
+        ("training.momentum=NaN", "training.momentum"),
+        ("training.weight_decay=-1", "training.weight_decay"),
+        ("training.weight_decay=NaN", "training.weight_decay"),
+        ("training.weight_decay=Infinity", "training.weight_decay"),
+        ("loss.w_cls=-1", "loss.w_cls"),
+        ("loss.w_cls=NaN", "loss.w_cls"),
+        ("loss.w_reg=-0.5", "loss.w_reg"),
+        ("loss.w_reg=Infinity", "loss.w_reg"),
     ])
     def test_bad_training_value(self, two_image_set, tmp_path, capsys, override, message):
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
         assert message in err
+
+    @pytest.mark.parametrize("override,message", [
+        ("training.weight_decay=5", "training.weight_decay"),
+        ("training.momentum=-1", "training.momentum"),
+    ])
+    def test_swapped_convention_bounds_name_the_source_key(self, two_image_set, tmp_path,
+                                                           capsys, override, message):
+        """Under "swapped" weight_decay becomes the momentum (bounded to [0, 1))
+        and momentum the weight decay (bounded below by 0): each bound names
+        the key the value came from."""
+        err = self._stats_fails(two_image_set, tmp_path, capsys,
+                                ["--set", "training.optimizer_convention=swapped",
+                                 "--set", override])
+        assert message in err
+
+    @pytest.mark.parametrize("overrides", [
+        ["training.optimizer_convention=swapped"],
+        ["training.momentum=0", "training.weight_decay=0", "loss.w_cls=0", "loss.w_reg=0"],
+    ])
+    def test_training_range_edges_still_load(self, overrides):
+        load_config(overrides=overrides)
 
     @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
                                           "model.backbone_widths=[32,48,0,96,128]",
@@ -523,6 +559,57 @@ class TestTrainInferPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at step ") and "Traceback" not in err
         assert not (out_dir / "checkpoint.npz").exists()
+
+    def test_momentum_out_of_range_exit_1_without_artifacts(self, tmp_path, capsys):
+        out_dir = tmp_path / "mom"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY
+                  + ["--set", "training.momentum=5", "--set", "training.steps=5"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "training.momentum" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_non_finite_parameter_exit_2_without_checkpoint(self, tmp_path, capsys, monkeypatch):
+        """A non-finite gradient on the last step passes the loss guard (that
+        loss was computed before the update) but leaves a NaN parameter: the
+        run stops naming the entry and writes nothing."""
+        import crackdet.train as train
+
+        real_step, steps = train.SGD.step, []
+
+        def poisoned_step(opt, lr):
+            steps.append(lr)
+            if len(steps) == 3:
+                opt.params[1][1].grad[...] = np.nan
+            real_step(opt, lr)
+
+        monkeypatch.setattr(train.SGD, "step", poisoned_step)
+        out_dir = tmp_path / "nan"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY + ["--set", "training.steps=3"])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(steps) == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "'param:" in err and "non-finite" in err
+        assert not (out_dir / "checkpoint.npz").exists()
+        assert not (out_dir / "loss.csv").exists()
+
+    def test_infer_rejects_checkpoint_of_another_dtype(self, tmp_path, capsys):
+        """A float32 checkpoint loaded into the default float64 model names the
+        entry and both dtypes instead of casting silently."""
+        out_dir = tmp_path / "train"
+        assert main(["train-toy", "--out", str(out_dir)] + TINY
+                    + ["--set", "training.steps=3", "--set", "numerics.dtype=float32"]) == 0
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir)] + TINY) == 0
+        capsys.readouterr()
+        inf_dir = tmp_path / "inf"
+        rc = main(["infer", "--checkpoint", str(out_dir / "checkpoint.npz"),
+                   "--images", str(data_dir), "--out", str(inf_dir)] + TINY)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "float32" in err and "float64" in err
+        assert not (inf_dir / "detections.json").exists()
 
     def test_eval_accepts_wrapped_detections(self, tmp_path):
         gt_path, det_path = make_eval_fixture(tmp_path)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -402,16 +404,48 @@ class TestDetectorBundle:
             assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= tol
 
     def test_predict_runs_no_batchnorm_op(self, rng, monkeypatch):
+        """Neither inference nor training calls the standalone batchnorm: the
+        train-mode forward records fused conv_bn nodes with parents."""
         det = self._small_detector(rng)
         imgs = rng.normal(size=(2, 3, 64, 64))
         calls = []
         real = nm.batchnorm
         monkeypatch.setattr(nm, "batchnorm", lambda *args: calls.append(1) or real(*args))
         det.predict(imgs)
+        preds = det.forward(det.input_batch(imgs))
         assert calls == []
-        with nm.no_grad():
-            det.forward(det.input_batch(imgs))  # train mode takes the chain
-        assert len(calls) >= len(list(det.batchnorms()))
+        stem = preds.cls_logits[0]._parents[0]
+        assert stem.op == "conv_bn" and stem._parents[2] is det.head.stem_cls.bn.gamma
+
+    def test_train_forward_records_one_conv_bn_node_per_unit(self, rng):
+        """Every call of a conv->BN(->SiLU) unit (backbone stages, CSP convs,
+        head stems, attention projections) is one conv_bn node with parents
+        (x, w, gamma, beta): one per unit, three for the head stems shared by
+        the levels. No batchnorm, silu or conv3x3s2 node remains, and conv1x1
+        nodes are only the head's biased convs and the talking-heads mix."""
+        det = build_detector(2, 64, (2, 3, 4, 5, 6),
+                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4,
+                                  placement="both", num_attention_blocks=4),
+                             4, rng)
+        preds = det.forward(det.input_batch(rng.normal(size=(2, 3, 64, 64))))
+        nodes, stack = {}, list(preds.cls_logits) + list(preds.distances)
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        ops = [t.op for t in nodes.values()]
+        assert not {"batchnorm", "silu", "conv3x3s2"} & set(ops)
+        units = [t for t in nodes.values() if t.op == "conv_bn"]
+        stems = (det.head.stem_cls.bn, det.head.stem_reg.bn)
+        want = Counter({id(bn.gamma): 3 if bn in stems else 1 for bn in det.batchnorms()})
+        assert Counter(id(t._parents[2]) for t in units) == want
+        betas = {id(bn.gamma): bn.beta for bn in det.batchnorms()}
+        assert all(t._parents[3] is betas[id(t._parents[2])] for t in units)
+        unit_weights = {id(t._parents[1]) for t in units}
+        mixes = [t for t in nodes.values() if t.op == "conv1x1"]
+        assert len(mixes) == 2 * 3 + 2 * 4  # cls/reg per level, pre/post mix per block
+        assert not any(id(t._parents[1]) in unit_weights for t in mixes)
 
     def test_invalid_detection_rejected(self):
         with pytest.raises(ShapeError):
@@ -442,3 +476,27 @@ class TestDetectorBundle:
         want = dynamic_assign(want_cm, AssignConfig())
         assert np.array_equal(cm.cost, want_cm.cost) and np.array_equal(cm.iou, want_cm.iou)
         assert np.array_equal(asg.gt_index, want.gt_index) and asg.num_pos > 0
+
+
+def test_train_toy_float32_end_to_end(monkeypatch):
+    """Ten float32 training steps on the default architecture: every loss is
+    finite and every parameter, gradient and running statistic stays float32,
+    also the gradients reaching each conv backward (the GIoU terms are
+    float64, and must not upcast the network's backward)."""
+    from crackdet.config import load_config
+    from crackdet.train import train_toy
+
+    seen = set()
+    real = nm._conv_backward
+    monkeypatch.setattr(nm, "_conv_backward",
+                        lambda g, *args: seen.add(g.dtype) or real(g, *args))
+    cfg = load_config(overrides=["numerics.dtype=float32", "training.steps=10",
+                                 "synthetic.num_images=8"])
+    det, _, _, rows = train_toy(cfg)
+    assert seen == {np.dtype(np.float32)}
+    assert len(rows) == 10
+    assert all(np.isfinite(r[1:4]).all() for r in rows)
+    params = list(det.params())
+    assert all(t.data.dtype == np.float32 for _, t in params)
+    assert all(t.grad is not None and t.grad.dtype == np.float32 for _, t in params)
+    assert all(arr.dtype == np.float32 for _, arr in det.states())

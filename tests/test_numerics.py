@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from crackdet import numerics as nm
 from crackdet.errors import NumericsError, ShapeError
 from crackdet.numerics import BatchNorm, Tensor, finite_diff_check
 
-from oracles import batchnorm_stats, conv1x1_loop, conv3x3s2_loop, matmul_loop, softmax_row
+from oracles import (batchnorm_stats, conv1x1_loop, conv3x3s2_loop, conv_bn_loop, matmul_loop,
+                     softmax_row)
 
 
 class TestConv1x1:
@@ -61,6 +63,11 @@ class TestConv3x3s2:
             nm.conv3x3s2(Tensor(rng.normal(size=(1, 2, 5, 4))), Tensor(rng.normal(size=(3, 2, 3, 3))))
 
 
+def _mode_ctx(training):
+    """Train mode (the default) or eval_mode()."""
+    return contextlib.nullcontext() if training else nm.eval_mode()
+
+
 class TestFloat32:
     """A float32 graph stays float32: outputs and every gradient an op returns."""
 
@@ -85,6 +92,18 @@ class TestFloat32:
         w = Tensor(rng.normal(size=(5, 3, 3, 3)).astype(np.float32), requires_grad=True)
         out = nm.conv3x3s2(x, w)
         assert self._dtypes(out, [x, w]) == [np.float32] * 3
+
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_conv_bn(self, rng, stride2, training):
+        x = Tensor(rng.normal(size=(2, 3, 4, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 3, 3) if stride2 else (5, 3)).astype(np.float32),
+                   requires_grad=True)
+        bn = BatchNorm(5, dtype=np.float32)
+        with _mode_ctx(training):
+            out = nm.conv_bn(x, w, bn, stride2, act=True)
+        assert self._dtypes(out, [x, w, bn.gamma, bn.beta]) == [np.float32] * 5
+        assert bn.state.mean.dtype == bn.state.var.dtype == np.float32
 
 
 class TestBatchNorm:
@@ -117,6 +136,12 @@ class TestBatchNorm:
         bn(Tensor(x))
         m = x.mean()
         assert abs(bn.state.mean[0] - 0.1 * m) < 1e-12
+
+    def test_running_var_moves_toward_unbiased_variance(self, rng):
+        x = rng.normal(scale=2.0, size=(4, 1, 2, 2))
+        bn = BatchNorm(1)
+        bn(Tensor(x))
+        assert abs(bn.state.var[0] - (0.9 + 0.1 * x.var(ddof=1))) < 1e-12
 
     def test_eval_mode_uses_running_stats(self, rng):
         bn = BatchNorm(1)
@@ -162,16 +187,81 @@ class TestConvBN:
     @pytest.mark.parametrize("act", [False, True])
     def test_folded_matches_op_chain(self, rng, stride2, act):
         """Under no_grad() + eval_mode() the op folds BN into the conv and
-        records one node; with grad on it is the conv, batchnorm, silu chain."""
+        records one node that agrees with the explicit conv, batchnorm, silu
+        chain of the standalone ops."""
         w, bn = self._layer(rng, stride2)
         x = rng.normal(size=(2, 3, 4, 4))
         with nm.eval_mode():
-            want = nm.conv_bn(Tensor(x), Tensor(w, requires_grad=True), bn, stride2, act)
+            conv = nm.conv3x3s2(Tensor(x), Tensor(w)) if stride2 else nm.conv1x1(Tensor(x), Tensor(w))
+            want = nm.batchnorm(conv, bn.gamma, bn.beta, bn.state, bn.eps, bn.momentum)
+            want = nm.silu(want) if act else want
             with nm.no_grad():
                 got = nm.conv_bn(Tensor(x), Tensor(w), bn, stride2, act)
         assert want.op == ("silu" if act else "batchnorm")
         assert got.op == "conv_bn" and got._backward is None and not got._parents
         assert np.abs(got.data - want.data).max() < 1e-12
+
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_loop_oracle(self, rng, stride2, act, training):
+        """One node with parents (x, w, gamma, beta); its output and the
+        running-statistic update (train mode) or none (eval mode) match the
+        scalar conv -> batchnorm -> SiLU oracle."""
+        w, bn = self._layer(rng, stride2)
+        x = rng.normal(size=(2, 3, 4, 4))
+        want, mean, var = conv_bn_loop(x, w, bn.gamma.data, bn.beta.data, bn.state.mean,
+                                       bn.state.var, bn.eps, bn.momentum, stride2, act, training)
+        with _mode_ctx(training):
+            got = nm.conv_bn(Tensor(x), Tensor(w, requires_grad=True), bn, stride2, act)
+        assert got.op == "conv_bn"
+        assert got._parents[2] is bn.gamma and got._parents[3] is bn.beta
+        assert np.abs(got.data - want).max() < 1e-12
+        assert np.abs(bn.state.mean - mean).max() < 1e-12
+        assert np.abs(bn.state.var - var).max() < 1e-12
+
+    def test_frozen_bn_stats_keep_running_stats(self, rng):
+        w, bn = self._layer(rng, stride2=True)
+        before = (bn.state.mean.copy(), bn.state.var.copy())
+        with nm.frozen_bn_stats():
+            nm.conv_bn(Tensor(rng.normal(size=(2, 3, 4, 4))), Tensor(w), bn, stride2=True)
+        assert np.array_equal(bn.state.mean, before[0]) and np.array_equal(bn.state.var, before[1])
+
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradcheck(self, rng, stride2, act, training):
+        w, bn = self._layer(rng, stride2)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(w, requires_grad=True)
+        readout = nm.as_tensor(rng.normal(size=(2, 5, 2, 2) if stride2 else (2, 5, 4, 4)))
+        with _mode_ctx(training):
+            err = finite_diff_check(
+                lambda: nm.tsum(nm.mul(nm.conv_bn(x, w, bn, stride2, act), readout)),
+                [x, w, bn.gamma, bn.beta])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("op", ["conv1x1", "conv3x3s2", "conv_bn"])
+    def test_input_gradient_only_where_it_goes(self, rng, op):
+        """An input that neither requires grad nor has parents (the image
+        batch) gets no gradient; a leaf that requires grad and an op output do."""
+        shape = (5, 3, 3, 3) if op == "conv3x3s2" else (5, 3)
+        w = Tensor(rng.normal(size=shape), requires_grad=True)
+        bn = BatchNorm(5)
+        data = rng.normal(size=(2, 3, 4, 4))
+
+        def run(x):
+            if op == "conv_bn":
+                out = nm.conv_bn(x, w, bn, stride2=False, act=True)
+            else:
+                out = getattr(nm, op)(x, w)
+            return out._backward(np.ones_like(out.data))
+
+        gx, gw = run(Tensor(data))[:2]
+        assert gx is None and gw.shape == shape
+        for x in (Tensor(data, requires_grad=True), nm.mul(Tensor(data, requires_grad=True), 2.0)):
+            gx = run(x)[0]
+            assert gx is not None and gx.shape == data.shape
 
     def test_non_finite_input_names_the_op(self, rng):
         w, bn = self._layer(rng, stride2=False)
