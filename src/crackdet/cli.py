@@ -234,14 +234,12 @@ def _gradcheck_suite(cfg: RunConfig, seeds: int):
         return finite_diff_check(lambda: soft_cls_loss_pooled(logits, targets, 4), [logits])
 
     def giou_case(rng):
-        base = rng.uniform(2.0, 8.0, size=(5, 4))
-        gt = np.stack([base[:, 0], base[:, 1], base[:, 0] + base[:, 2],
-                       base[:, 1] + base[:, 3]], axis=1)
-        x1 = Tensor(rng.uniform(1.0, 6.0, size=5), requires_grad=True)
-        y1 = Tensor(rng.uniform(1.0, 6.0, size=5), requires_grad=True)
-        x2 = Tensor(x1.data + rng.uniform(1.0, 6.0, size=5), requires_grad=True)
-        y2 = Tensor(y1.data + rng.uniform(1.0, 6.0, size=5), requires_grad=True)
-        return finite_diff_check(lambda: giou_loss((x1, y1, x2, y2), gt), [x1, y1, x2, y2])
+        points = rng.uniform(8.0, 24.0, size=(5, 2))
+        strides = rng.choice((1.0, 2.0, 4.0), size=5)
+        reach = rng.uniform(0.5, 3.0, size=(5, 4)) * strides[:, None]
+        gt = np.concatenate([points - reach[:, :2], points + reach[:, 2:]], axis=1)
+        d = Tensor(rng.uniform(0.5, 3.0, size=(5, 4)), requires_grad=True)
+        return finite_diff_check(lambda: giou_loss(d, points, strides, gt), [d])
 
     record("conv1x1", conv_case)
     record("batchnorm", bn_case)
@@ -374,11 +372,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "epochs", None) is not None:  # train-toy's --epochs is one more override
         args.overrides.append(f"training.epochs={args.epochs}")
+    if args.seed is not None:  # --seed is two more, so load_config checks its value
+        args.overrides += [f"training.seed={args.seed}", f"synthetic.seed={args.seed}"]
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg.training.seed = args.seed
-            cfg.synthetic.seed = args.seed
         if args.dump_arch:
             detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
             write_json({"arch": describe_layout(detector.neck.cfg)},

@@ -169,51 +169,61 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return cfg
 
 
+# Scalar bounds checked at load: (key, low, high, ends), where ends "[)" reads
+# low <= value < high. A NaN fails every row; an unset (None) optional value
+# is skipped. Under the "swapped" convention the momentum row reads (and names)
+# training.weight_decay and the weight-decay row training.momentum.
+_BOUNDS = (
+    ("numerics.bn_eps", 0, math.inf, "()"),
+    ("numerics.bn_momentum", 0, 1, "[]"),
+    ("training.steps", 1, math.inf, "[)"),
+    ("training.epochs", 1, math.inf, "[)"),
+    ("training.lr", 0, math.inf, "()"),
+    ("training.momentum", 0, 1, "[)"),
+    ("training.weight_decay", 0, math.inf, "[)"),
+    ("training.seed", 0, math.inf, "[)"),
+    ("synthetic.seed", 0, math.inf, "[)"),
+    ("loss.w_cls", 0, math.inf, "[)"),
+    ("loss.w_reg", 0, math.inf, "[)"),
+    ("model.head_channels", 1, math.inf, "[)"),
+    ("model.num_classes", 1, math.inf, "[)"),
+    ("model.image_size", 0, math.inf, "()"),
+    ("model.score_thr", 0, 1, "[)"),
+    ("model.nms_iou", 0, 1, "[]"),
+    ("neck.attn_scale", 0, math.inf, "()"),
+)
+_SWAPPED = {"training.momentum": "training.weight_decay",
+            "training.weight_decay": "training.momentum"}
+_CHOICES = (("numerics.dtype", ("float64", "float32")),
+            ("training.optimizer_convention", ("standard", "swapped")),
+            ("training.schedule", ("cosine", "constant")))
+
+
+def _value(cfg: RunConfig, key: str):
+    section, name = key.split(".")
+    return getattr(getattr(cfg, section), name)
+
+
 def validate_config(cfg: RunConfig):
-    if cfg.numerics.dtype not in ("float64", "float32"):
-        raise ConfigError(f"unknown dtype '{cfg.numerics.dtype}'")
-    if cfg.training.optimizer_convention not in ("standard", "swapped"):
-        raise ConfigError(f"unknown optimizer_convention '{cfg.training.optimizer_convention}'")
-    if cfg.training.schedule not in ("cosine", "constant"):
-        raise ConfigError(f"unknown schedule '{cfg.training.schedule}'")
-    if not (math.isfinite(cfg.numerics.bn_eps) and cfg.numerics.bn_eps > 0.0):
-        raise ConfigError(f"numerics.bn_eps must be finite and positive, "
-                          f"got {cfg.numerics.bn_eps}")
-    if not 0.0 <= cfg.numerics.bn_momentum <= 1.0:
-        raise ConfigError(f"numerics.bn_momentum must be in [0, 1], "
-                          f"got {cfg.numerics.bn_momentum}")
-    if cfg.training.steps < 1:
-        raise ConfigError(f"training.steps must be >= 1, got {cfg.training.steps}")
-    if not 0.0 < cfg.training.lr < math.inf:
-        raise ConfigError(f"training.lr must be finite and > 0, got {cfg.training.lr}")
-    momentum, weight_decay = optimizer_settings(cfg.training)
-    momentum_key, decay_key = ("training.weight_decay", "training.momentum") \
-        if cfg.training.optimizer_convention == "swapped" \
-        else ("training.momentum", "training.weight_decay")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError(f"{momentum_key} must be in [0, 1) as the SGD momentum, got {momentum}")
-    for key, value in ((decay_key, weight_decay), ("loss.w_cls", cfg.loss.w_cls),
-                       ("loss.w_reg", cfg.loss.w_reg)):
-        if not 0.0 <= value < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-    if cfg.training.epochs is not None and cfg.training.epochs < 1:
-        raise ConfigError(f"training.epochs must be >= 1 when set, got {cfg.training.epochs}")
+    for key, allowed in _CHOICES:
+        if _value(cfg, key) not in allowed:
+            raise ConfigError(f"unknown {key} '{_value(cfg, key)}'")
+    swapped = cfg.training.optimizer_convention == "swapped"
+    for key, low, high, ends in _BOUNDS:
+        key = _SWAPPED.get(key, key) if swapped else key
+        value = _value(cfg, key)
+        if value is None:
+            continue
+        above = low < value if ends[0] == "(" else low <= value
+        below = value < high if ends[1] == ")" else value <= high
+        if not (above and below):
+            raise ConfigError(f"{key} must be in {ends[0]}{low}, {high}{ends[1]}, got {value}")
     widths = cfg.model.backbone_widths
     if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
         raise ConfigError(f"model.backbone_widths must list five positive integer stage widths, "
                           f"got {list(widths)}")
-    if cfg.model.head_channels < 1:
-        raise ConfigError(f"model.head_channels must be >= 1, got {cfg.model.head_channels}")
-    if cfg.model.num_classes < 1:
-        raise ConfigError(f"model.num_classes must be >= 1, got {cfg.model.num_classes}")
-    if cfg.model.image_size <= 0:
-        raise ConfigError(f"model.image_size must be positive, got {cfg.model.image_size}")
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
-    if not 0.0 <= cfg.model.score_thr < 1.0:
-        raise ConfigError(f"model.score_thr must be in [0, 1), got {cfg.model.score_thr}")
-    if not 0.0 <= cfg.model.nms_iou <= 1.0:
-        raise ConfigError(f"model.nms_iou must be in [0, 1], got {cfg.model.nms_iou}")
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
     eval_config(cfg)
 

@@ -2,9 +2,10 @@
 
 Classification uses the quality-focal form — binary cross entropy against the
 soft IoU label, damped by the squared gap — evaluated in logit space so no
-probability clamping is needed. Regression penalizes 1 - GIoU over matched
-anchors. Both are normalized by the positive count, floored at one so
-background-only batches stay finite.
+probability clamping is needed; it is normalized by the positive count,
+floored at one so background-only batches stay finite. Regression is the mean
+1 - GIoU over matched anchors: one fused op on their predicted distances, with
+a closed-form backward, whose value stays float64 whatever the network dtype.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ShapeError
+from .model import decode_boxes
 from .numerics import Tensor
 
 
@@ -41,40 +43,53 @@ def soft_cls_loss_pooled(logits: Tensor, targets: np.ndarray, num_pos: int) -> T
     return nm.mul(nm.tsum(quality_focal_terms(logits, targets)), 1.0 / max(1, num_pos))
 
 
-def soft_cls_loss(logits: Tensor, assignment, gt_labels) -> Tensor:
-    """Classification loss of one image's (N, K) logits under an Assignment."""
-    targets = assignment.targets(gt_labels, logits.shape[-1])
-    return soft_cls_loss_pooled(logits, targets, assignment.num_pos)
+def giou_loss(distances: Tensor, points_xy: np.ndarray, strides: np.ndarray,
+              gt_boxes: np.ndarray) -> Tensor:
+    """Mean (1 - GIoU) of the boxes that the (P, 4) stride-unit (l, t, r, b)
+    ``distances`` decode to at their (P, 2) cell centres and (P,) strides,
+    against the (P, 4) matched GT boxes; the zero Tensor when P = 0.
 
-
-def giou_tensor(x1: Tensor, y1: Tensor, x2: Tensor, y2: Tensor,
-                gt_boxes: np.ndarray) -> Tensor:
-    """Differentiable GIoU of predicted corner coordinates against fixed boxes."""
-    g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    gx1, gy1, gx2, gy2 = (nm.as_tensor(g[:, i]) for i in range(4))
-    iw = nm.maximum(nm.sub(nm.minimum(x2, gx2), nm.maximum(x1, gx1)), 0.0)
-    ih = nm.maximum(nm.sub(nm.minimum(y2, gy2), nm.maximum(y1, gy1)), 0.0)
-    inter = nm.mul(iw, ih)
-    area_p = nm.mul(nm.sub(x2, x1), nm.sub(y2, y1))
-    area_g = nm.mul(nm.sub(gx2, gx1), nm.sub(gy2, gy1))
-    union = nm.sub(nm.add(area_p, area_g), inter)
-    ex1, ey1 = nm.minimum(x1, gx1), nm.minimum(y1, gy1)
-    ex2, ey2 = nm.maximum(x2, gx2), nm.maximum(y2, gy2)
-    enclosing = nm.mul(nm.sub(ex2, ex1), nm.sub(ey2, ey1))
-    return nm.sub(nm.div(inter, union), nm.div(nm.sub(enclosing, union), enclosing))
-
-
-def giou_loss(pred_corners, gt_boxes: np.ndarray) -> Tensor:
-    """Mean (1 - GIoU) over matched anchors; zero Tensor when none matched.
-
-    ``pred_corners`` is the (x1, y1, x2, y2) quadruple of (P,) coordinate
-    tensors for the matched anchors.
+    One graph node whose only parent is ``distances``. With G = I/U - (E - U)/E
+    for intersection I, union U and enclosing area E, the backward takes
+    dG/dI = 1/U + I/U^2 - 1/E, dG/dA = 1/E - I/U^2 for the predicted area A and
+    dG/dE = -U/E^2 (Rezatofighi et al. 2019), routes them to the corners
+    through the max/min branches the forward took, and maps the corner
+    gradients to the distances as [-gx1, -gy1, gx2, gy2] * stride.
     """
     g = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    if g.shape[0] == 0:
+    n = g.shape[0]
+    if n == 0:
         return Tensor(np.float64(0.0))
-    x1, y1, x2, y2 = pred_corners
-    return nm.tmean(nm.sub(1.0, giou_tensor(x1, y1, x2, y2, g)))
+    if distances.shape != (n, 4):
+        raise ShapeError(f"giou_loss: distances {distances.shape} for {n} GT boxes")
+    x1, y1, x2, y2 = decode_boxes(distances.data, points_xy, strides).T
+    gx1, gy1, gx2, gy2 = g.T
+    iw = np.minimum(x2, gx2) - np.maximum(x1, gx1)
+    ih = np.minimum(y2, gy2) - np.maximum(y1, gy1)
+    iw_pos, ih_pos = np.maximum(iw, 0.0), np.maximum(ih, 0.0)
+    inter = iw_pos * ih_pos
+    pw, ph = x2 - x1, y2 - y1
+    union = (pw * ph + (gx2 - gx1) * (gy2 - gy1)) - inter
+    ew = np.maximum(x2, gx2) - np.minimum(x1, gx1)
+    eh = np.maximum(y2, gy2) - np.minimum(y1, gy1)
+    enclosing = ew * eh
+    giou = inter / union - (enclosing - union) / enclosing
+
+    def backward(grad):
+        dg = -(grad * (1.0 / n))
+        d_area = dg * (1.0 / enclosing - inter / union ** 2)
+        d_inter = dg * (1.0 / union) - d_area
+        d_enc = dg * (-union / enclosing ** 2)
+        d_iw = d_inter * ih_pos * (iw >= 0.0)
+        d_ih = d_inter * iw_pos * (ih >= 0.0)
+        d_ew, d_eh = d_enc * eh, d_enc * ew
+        d_x1 = -d_area * ph - d_iw * (x1 >= gx1) - d_ew * (x1 <= gx1)
+        d_y1 = -d_area * pw - d_ih * (y1 >= gy1) - d_eh * (y1 <= gy1)
+        d_x2 = d_area * ph + d_iw * (x2 <= gx2) + d_ew * (x2 >= gx2)
+        d_y2 = d_area * pw + d_ih * (y2 <= gy2) + d_eh * (y2 >= gy2)
+        return (np.stack([-d_x1, -d_y1, d_x2, d_y2], axis=1) * strides[:, None],)
+
+    return nm._make((1.0 - giou).sum() * (1.0 / n), "giou_loss", (distances,), backward)
 
 
 def total_loss(cls_loss: Tensor, reg_loss: Tensor, num_pos: int,

@@ -158,14 +158,8 @@ class Tensor:
     def __rsub__(self, other):
         return add(neg(self), other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -247,35 +241,6 @@ def mul(a, b):
     return _make(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def div(a, b):
-    if _is_scalar(b):
-        return mul(a, 1.0 / b)
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape(a, b, "div")
-    out = a.data / b.data
-    return _make(out, "div", (a, b), lambda g: (g / b.data, -g * out / b.data))
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, "exp", (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-    return _make(out, "log", (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-    return _make(out, "sqrt", (a,), lambda g: (g * 0.5 / out,))
-
-
 def _sigmoid_np(x):
     """Logistic on a raw array as 0.5 * (1 + tanh(x / 2)): one transcendental
     ufunc, and no overflow at any x (tanh saturates to +-1)."""
@@ -306,22 +271,6 @@ def silu(a):
     return _make(a.data * s, "silu", (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
-def maximum(a, b):
-    a, b = as_tensor(a), as_tensor(b if isinstance(b, Tensor) else np.full_like(a.data, b))
-    _same_shape(a, b, "maximum")
-    mask = a.data >= b.data
-    return _make(np.where(mask, a.data, b.data), "maximum", (a, b),
-                 lambda g: (g * mask, g * ~mask))
-
-
-def minimum(a, b):
-    a, b = as_tensor(a), as_tensor(b if isinstance(b, Tensor) else np.full_like(a.data, b))
-    _same_shape(a, b, "minimum")
-    mask = a.data <= b.data
-    return _make(np.where(mask, a.data, b.data), "minimum", (a, b),
-                 lambda g: (g * mask, g * ~mask))
-
-
 # -- reductions and reshaping --------------------------------------------
 
 
@@ -335,12 +284,6 @@ def tsum(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward)
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def reshape(a, shape):
@@ -366,20 +309,6 @@ def concat(parts, axis):
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), "concat",
                  tuple(parts), backward)
-
-
-def index_axis(a, i, axis):
-    """Select one slice along an axis (the axis is dropped)."""
-    a = as_tensor(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = i
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[tuple(idx)] = g
-        return (ga,)
-
-    return _make(a.data[tuple(idx)], "index_axis", (a,), backward)
 
 
 def take(a, indices, axis=0):

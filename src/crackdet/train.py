@@ -21,7 +21,6 @@ from .dataio import gen_synthetic, normalize_images
 from .errors import ConfigError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
 from .model import Detector, build_detector, flatten_levels
-from .numerics import Tensor
 
 # A step whose total loss exceeds this multiple of step 0's (the default run
 # peaks near 1.1x) has diverged: train_toy stops it before any checkpoint.
@@ -80,22 +79,10 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     num_pos = len(pos_rows)
 
     cls_loss = soft_cls_loss_pooled(cls_flat, targets, num_pos)
-    if num_pos:
-        flat = nm.reshape(dist_flat, (batch * n_anchors, 4))
-        sel = nm.take(flat, np.array(pos_rows, dtype=np.intp), axis=0)
-        anchor_idx = np.array(pos_rows, dtype=np.intp) % n_anchors
-        cx = detector.points_xy[anchor_idx, 0]
-        cy = detector.points_xy[anchor_idx, 1]
-        s = detector.strides[anchor_idx]
-        l = nm.mul(nm.index_axis(sel, 0, axis=1), nm.as_tensor(s))
-        t = nm.mul(nm.index_axis(sel, 1, axis=1), nm.as_tensor(s))
-        r = nm.mul(nm.index_axis(sel, 2, axis=1), nm.as_tensor(s))
-        d = nm.mul(nm.index_axis(sel, 3, axis=1), nm.as_tensor(s))
-        corners = (nm.sub(nm.as_tensor(cx), l), nm.sub(nm.as_tensor(cy), t),
-                   nm.add(nm.as_tensor(cx), r), nm.add(nm.as_tensor(cy), d))
-        reg_loss = giou_loss(corners, np.array(pos_boxes, dtype=np.float64))
-    else:
-        reg_loss = Tensor(np.float64(0.0))
+    rows = np.array(pos_rows, dtype=np.intp)
+    anchors = rows % n_anchors
+    sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows, axis=0)
+    reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors], pos_boxes)
     total, breakdown = total_loss(cls_loss, reg_loss, num_pos,
                                   w_cls=cfg.loss.w_cls, w_reg=cfg.loss.w_reg)
     return total, breakdown, assignments

@@ -333,6 +333,23 @@ def encode_box(box, cx, cy, stride):
     return ((cx - x1) / s, (cy - y1) / s, (x2 - cx) / s, (y2 - cy) / s)
 
 
+def giou_loss_loop(distances, points_xy, strides, gt_boxes):
+    """Mean 1 - GIoU, one row at a time in Python floats: each box is decoded
+    from its (left, top, right, bottom) stride-unit distances by hand, and its
+    intersection, union and enclosing box are computed from the corners."""
+    total = 0.0
+    for (l, t, r, b), (cx, cy), s, (gx1, gy1, gx2, gy2) in zip(
+            distances.tolist(), points_xy.tolist(), strides.tolist(), gt_boxes.tolist()):
+        x1, y1, x2, y2 = cx - l * s, cy - t * s, cx + r * s, cy + b * s
+        iw = max(0.0, min(x2, gx2) - max(x1, gx1))
+        ih = max(0.0, min(y2, gy2) - max(y1, gy1))
+        inter = iw * ih
+        union = (x2 - x1) * (y2 - y1) + (gx2 - gx1) * (gy2 - gy1) - inter
+        enclosing = (max(x2, gx2) - min(x1, gx1)) * (max(y2, gy2) - min(y1, gy1))
+        total += 1.0 - (inter / union - (enclosing - union) / enclosing)
+    return total / len(gt_boxes) if len(gt_boxes) else 0.0
+
+
 def decode_loop(cls_probs, distances, points_xy, strides, score_thr, nms_iou, image_id=0):
     """Per class: threshold, NMS by nms_loop, one Detection per kept anchor;
     then one stable Python sort on (-score, category)."""

@@ -176,6 +176,10 @@ class TestConfigRejectedAtLoad:
         ("neck.out_channels=-2", "out_channels"),
         ("neck.csp_depth=-1", "csp_depth"),
         ("neck.attn_heads=100", "heads*key_dim"),
+        ("neck.attn_scale=NaN", "neck.attn_scale"),
+        ("neck.attn_scale=Infinity", "neck.attn_scale"),
+        ("neck.attn_scale=0", "neck.attn_scale"),
+        ("neck.attn_scale=-0.5", "neck.attn_scale"),
     ])
     def test_bad_neck_value(self, two_image_set, tmp_path, capsys, override, message):
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
@@ -246,6 +250,23 @@ class TestConfigRejectedAtLoad:
                                 ["--set", "training.optimizer_convention=swapped",
                                  "--set", override])
         assert message in err
+
+    @pytest.mark.parametrize("command,extra,key", [
+        ("gen-data", ["--seed", "-1"], "training.seed"),
+        ("train-toy", ["--set", "training.seed=-1"], "training.seed"),
+        ("train-toy", ["--set", "synthetic.seed=-1"], "synthetic.seed"),
+        ("train-toy", ["--set", "neck.attn_scale=NaN"], "neck.attn_scale"),
+    ])
+    def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
+                                                     key):
+        """A negative seed (which numpy's generator rejects with a raw
+        ValueError) or a non-finite attention scale fails at load."""
+        out_dir = tmp_path / "out"
+        rc = main([command, "--out", str(out_dir)] + TINY + extra)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("overrides", [
         ["training.optimizer_convention=swapped"],
