@@ -20,7 +20,7 @@ from . import numerics as nm
 from .config import RunConfig, __version__, config_dict, eval_config, load_config
 from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
                      load_image_batch, load_voc, normalize_images, save_synthetic, stats,
-                     stats_table)
+                     stats_table, write_atomic)
 from .errors import CrackdetError, DataError, NumericsError
 from .evaluator import error_breakdown, evaluate
 from .neck import describe_layout
@@ -45,16 +45,7 @@ def write_json(payload: dict, path, cfg: RunConfig):
     body = dict(payload)
     body["config"] = config_dict(cfg)
     body["version"] = __version__
-    write_text(json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n", path)
-
-
-def write_text(text: str, path):
-    """Atomic write: a temp file beside ``path``, then a rename over it."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n")
 
 
 def _load_index(path, center_boxes=False):
@@ -101,7 +92,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     report = evaluate(index, detections, eval_config(cfg))
     print(report.to_table())
     write_json(report.to_dict(), os.path.join(args.out, "eval.json"), cfg)
-    write_text(report.to_table() + "\n", os.path.join(args.out, "eval.txt"))
+    write_atomic(os.path.join(args.out, "eval.txt"), report.to_table() + "\n")
     return 0
 
 
@@ -112,7 +103,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     for stage, ap in breakdown.aps.items():
         print(f"{stage}: {ap:.3f}")
     write_json(breakdown.to_dict(), os.path.join(args.out, "analyze.json"), cfg)
-    write_text(breakdown.to_csv(), os.path.join(args.out, "pr_curves.csv"))
+    write_atomic(os.path.join(args.out, "pr_curves.csv"), breakdown.to_csv())
     return 0
 
 

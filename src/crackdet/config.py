@@ -183,6 +183,8 @@ _BOUNDS = (
     ("training.weight_decay", 0, math.inf, "[)"),
     ("training.seed", 0, math.inf, "[)"),
     ("synthetic.seed", 0, math.inf, "[)"),
+    ("synthetic.num_images", 1, math.inf, "[)"),
+    ("synthetic.image_size", 2, math.inf, "[)"),
     ("loss.w_cls", 0, math.inf, "[)"),
     ("loss.w_reg", 0, math.inf, "[)"),
     ("model.head_channels", 1, math.inf, "[)"),

@@ -5,7 +5,8 @@ one canonical in-memory index that stores corner boxes; the top-left [x,y,w,h]
 COCO convention and the center-form convention are both handled at the
 serialization boundary. The synthetic generator paints class-coded damage
 primitives on noise backgrounds and emits tight boxes, deterministically per
-seed. Images use uncompressed PPM to stay codec-free.
+seed. Images use uncompressed PPM to stay codec-free. Every file the kit
+writes goes through ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from .errors import DataError
 from .geometry import BoxCenter, center_to_corner, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
+
+
+def write_atomic(path, data):
+    """Write ``data`` (str or bytes) to ``path``, creating its directory: a
+    temp file beside it, then a rename over it, so an interrupted write
+    leaves the previous file whole."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -185,9 +197,8 @@ def coco_dict(index: DatasetIndex, center_boxes=False) -> dict:
 
 
 def save_coco(index: DatasetIndex, path, center_boxes=False):
-    with open(path, "w") as fh:
-        json.dump(coco_dict(index, center_boxes=center_boxes), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(coco_dict(index, center_boxes=center_boxes),
+                                  indent=2, sort_keys=True) + "\n")
 
 
 def _voc_number(node, tag, where):
@@ -271,10 +282,9 @@ def save_voc(index: DatasetIndex, dirpath):
             bnd = ET.SubElement(obj, "bndbox")
             for tag, value in zip(("xmin", "ymin", "xmax", "ymax"), a.box):
                 ET.SubElement(bnd, tag).text = str(_num(value))
-        tree = ET.ElementTree(root)
-        ET.indent(tree)
+        ET.indent(root)
         stem = os.path.splitext(im.file_name)[0]
-        tree.write(os.path.join(dirpath, f"{stem}.xml"))
+        write_atomic(os.path.join(dirpath, f"{stem}.xml"), ET.tostring(root))
 
 
 def convert_voc_to_coco(src_dir, dst_json):
@@ -322,9 +332,7 @@ def write_ppm(path, image: np.ndarray):
     h, w, c = image.shape
     if c != 3 or image.dtype != np.uint8:
         raise DataError("write_ppm expects (H,W,3) uint8")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(image.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + image.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -467,7 +475,6 @@ def gen_synthetic(cfg: SyntheticConfig):
 def save_synthetic(images, index: DatasetIndex, out_dir):
     """Write the {images/, annotations.json} layout."""
     img_dir = os.path.join(out_dir, "images")
-    os.makedirs(img_dir, exist_ok=True)
     for image, info in zip(images, index.images):
         write_ppm(os.path.join(img_dir, info.file_name), image)
     save_coco(index, os.path.join(out_dir, "annotations.json"))

@@ -6,7 +6,8 @@ accumulates gradients additively into every tensor created with
 ``requires_grad=True``. Shapes are strict: elementwise ops accept equal shapes
 or a python scalar, nothing else broadcasts. All parameterized layers
 (conv1x1, conv3x3s2, batchnorm, the fused conv_bn, positional bias) spell
-out their own backward rules instead.
+out their own backward rules instead; the convs share one raw-array forward
+and backward, and ``batchnorm`` is ``conv_bn``'s batchnorm on its own.
 
 The default dtype is float64; float32 can be requested per tensor for speed.
 A gradient always takes the dtype of the tensor it flows into, so a float64
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -507,105 +507,63 @@ def add_posbias(x, bias):
 # -- batch normalization ---------------------------------------------------
 
 
-def batchnorm(x, gamma, beta, state, eps, momentum):
-    """Per-channel normalization of (B,C,H,W) over the (B,H,W) slice.
-
-    Train mode normalizes with batch statistics and nudges ``state`` (running
-    mean/var) by an exponential moving average; ``eval_mode()`` normalizes with
-    the stored running statistics. Differentiable w.r.t. x, gamma, beta.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    B, C, H, W = x.data.shape
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ShapeError(f"batchnorm: gamma/beta must be ({C},)")
-    if eps <= 0:
-        raise ShapeError("batchnorm: eps must be > 0")
-    n = B * H * W
-    if n == 0:
-        raise ShapeError("batchnorm: channel slices are empty")
-    training = _mode.training
-    if training:
-        m = x.data.mean(axis=(0, 2, 3))
-        v = x.data.var(axis=(0, 2, 3))
-        if _mode.bn_stats_enabled:
-            unbiased = v * (n / max(1, n - 1))
-            state.mean += momentum * (m - state.mean)
-            state.var += momentum * (unbiased - state.var)
-    else:
-        m, v = state.mean, state.var
-    istd = 1.0 / np.sqrt(v + eps)
-    xhat = (x.data - m[None, :, None, None]) * istd[None, :, None, None]
-    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
-
-    def backward(g):
-        gbeta = g.sum(axis=(0, 2, 3))
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gxhat = g * gamma.data[None, :, None, None]
-        if training:
-            gx = (istd[None, :, None, None] / n) * (
-                n * gxhat
-                - gxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-                - xhat * (gxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-            )
-        else:
-            gx = gxhat * istd[None, :, None, None]
-        return (gx, ggamma, gbeta)
-
-    return _make(out, "batchnorm", (x, gamma, beta), backward)
-
-
-def _conv_bn_train(x, w, bn, stride2, act):
-    """``conv_bn`` as one graph node with parents (x, w, gamma, beta).
-
-    Forward: the conv matmul, the batchnorm with batch statistics in train
-    mode (nudging ``bn.state`` as ``batchnorm`` does: same momentum, unbiased
-    variance, ``frozen_bn_stats()``) or the running statistics in eval mode,
-    then SiLU. The backward takes the SiLU derivative from the saved sigmoid
-    and output, then gbeta, ggamma and the conv-output gradient from the
-    saved ``xhat``, using sum(gxhat) = gamma*gbeta and sum(gxhat*xhat) =
-    gamma*ggamma (Ioffe & Szegedy 2015), then ``_conv_backward``.
-    """
-    z = _conv_forward(x.data, w.data, stride2)
-    B, Co, Ho, Wo = z.shape
-    gamma, beta, state = bn.gamma, bn.beta, bn.state
-    if gamma.data.shape != (Co,) or beta.data.shape != (Co,):
-        raise ShapeError(f"batchnorm: gamma/beta must be ({Co},)")
+def _check_bn(bn, channels):
+    """The gamma/beta-shape and eps checks of every batchnorm path."""
+    if bn.gamma.data.shape != (channels,) or bn.beta.data.shape != (channels,):
+        raise ShapeError(f"batchnorm: gamma/beta must be ({channels},)")
     if bn.eps <= 0:
         raise ShapeError("batchnorm: eps must be > 0")
-    n = B * Ho * Wo
+
+
+def _bn_forward(z, bn, act):
+    """The one batchnorm: normalize the raw (B, C, L) array ``z`` in place
+    over its (B, L) slices, then SiLU when ``act`` is set; returns ``(out,
+    backward)``, where ``backward`` maps the output gradient to ``(gz,
+    ggamma, gbeta)``.
+
+    Train mode uses the batch statistics and moves the running mean and the
+    unbiased running variance by ``bn.momentum`` (not under
+    ``frozen_bn_stats()``); eval mode uses the running statistics. The
+    backward takes the SiLU derivative from the saved sigmoid and output,
+    then gbeta, ggamma and gz from the saved ``xhat``, using sum(gxhat) =
+    gamma*gbeta and sum(gxhat*xhat) = gamma*ggamma (Ioffe & Szegedy 2015).
+    """
+    B, C, L = z.shape
+    _check_bn(bn, C)
+    n = B * L
     if n == 0:
         raise ShapeError("batchnorm: channel slices are empty")
     training = _mode.training
-    xhat = z.reshape(B, Co, Ho * Wo)  # normalized in place
+    xhat = z  # normalized in place
     if training:
         m = xhat.mean(axis=(0, 2))
         xhat -= m[:, None]
         v = np.square(xhat).mean(axis=(0, 2))
         if _mode.bn_stats_enabled:
-            state.mean += bn.momentum * (m - state.mean)
-            state.var += bn.momentum * (v * (n / max(1, n - 1)) - state.var)
+            bn.running_mean += bn.momentum * (m - bn.running_mean)
+            bn.running_var += bn.momentum * (v * (n / max(1, n - 1)) - bn.running_var)
     else:
-        v = state.var
-        xhat -= state.mean[:, None]
+        v = bn.running_var
+        xhat -= bn.running_mean[:, None]
     istd = 1.0 / np.sqrt(v + bn.eps)
     xhat *= istd[:, None]
-    out = xhat * gamma.data[:, None]
-    out += beta.data[:, None]
+    out = xhat * bn.gamma.data[:, None]
+    out += bn.beta.data[:, None]
     if act:
         s = _sigmoid_np(out)
         out *= s
 
     def backward(g):
-        gy = g.reshape(B, Co, Ho * Wo)
+        gy = g.reshape(B, C, L)
         if act:  # silu'(y) = s + silu(y) * (1 - s)
             gy = np.subtract(1.0, s)
             gy *= out
             gy += s
-            gy *= g.reshape(B, Co, Ho * Wo)
+            gy *= g.reshape(B, C, L)
         gbeta = gy.sum(axis=(0, 2))
         gz = gy * xhat
         ggamma = gz.sum(axis=(0, 2))
-        k = (gamma.data * istd)[:, None]
+        k = (bn.gamma.data * istd)[:, None]
         if training:  # gz = k * (gy - gbeta / n - xhat * ggamma / n)
             np.multiply(xhat, (-ggamma / n)[:, None], out=gz)
             gz += gy
@@ -613,10 +571,41 @@ def _conv_bn_train(x, w, bn, stride2, act):
             gz *= k
         else:
             np.multiply(gy, k, out=gz)
+        return gz, ggamma, gbeta
+
+    return out, backward
+
+
+def batchnorm(x, bn):
+    """The BatchNorm ``bn`` over the (B,H,W) slices of x (B,C,H,W): the fused
+    op's batchnorm on its own, as one 'batchnorm' node with parents (x,
+    gamma, beta). It normalizes a copy, never the caller's array.
+    """
+    x = as_tensor(x)
+    B, C, H, W = x.data.shape
+    out, bn_backward = _bn_forward(x.data.reshape(B, C, H * W).copy(), bn, act=False)
+
+    def backward(g):
+        gz, ggamma, gbeta = bn_backward(g)
+        return gz.reshape(B, C, H, W), ggamma, gbeta
+
+    return _make(out.reshape(B, C, H, W), "batchnorm", (x, bn.gamma, bn.beta), backward)
+
+
+def _conv_bn_train(x, w, bn, stride2, act):
+    """``conv_bn`` as one graph node with parents (x, w, gamma, beta): the
+    conv matmul, ``_bn_forward`` on its output, and a backward that chains
+    ``_conv_backward`` onto the batchnorm's."""
+    z = _conv_forward(x.data, w.data, stride2)
+    B, Co, Ho, Wo = z.shape
+    out, bn_backward = _bn_forward(z.reshape(B, Co, Ho * Wo), bn, act)
+
+    def backward(g):
+        gz, ggamma, gbeta = bn_backward(g)
         gx, gw = _conv_backward(gz, x.data, w.data, _needs_grad(x))
         return gx, gw, ggamma, gbeta
 
-    return _make(out.reshape(B, Co, Ho, Wo), "conv_bn", (x, w, gamma, beta), backward)
+    return _make(out.reshape(B, Co, Ho, Wo), "conv_bn", (x, w, bn.gamma, bn.beta), backward)
 
 
 def conv_bn(x, w, bn, stride2=False, act=False):
@@ -634,51 +623,39 @@ def conv_bn(x, w, bn, stride2=False, act=False):
     """
     if _mode.training or _mode.grad_enabled:
         return _conv_bn_train(as_tensor(x), as_tensor(w), bn, stride2, act)
-    if bn.eps <= 0:
-        raise ShapeError("batchnorm: eps must be > 0")
     w = as_tensor(w).data
-    scale = bn.gamma.data / np.sqrt(bn.state.var + bn.eps)
-    if scale.shape != w.shape[:1]:
-        raise ShapeError(f"conv_bn: batchnorm of {scale.shape[0]} channels after weight {w.shape}")
+    _check_bn(bn, w.shape[0])
+    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
     y = _conv_forward(as_tensor(x).data, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)), stride2)
-    y += (bn.beta.data - bn.state.mean * scale)[:, None, None]
+    y += (bn.beta.data - bn.running_mean * scale)[:, None, None]
     if act:
         y *= _sigmoid_np(y)
     return _make(y, "conv_bn", (), None)
 
 
-@dataclass
-class BNState:
-    """Running statistics for one batchnorm layer (not trainable)."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def fresh(cls, channels, dtype=np.float64):
-        return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
-
-
 class BatchNorm:
-    """Parameter bundle (gamma, beta, running stats) for one normalized layer."""
+    """One normalized layer: trainable gamma and beta, and the running mean
+    and variance (not trainable) that train mode updates and eval mode
+    normalizes with. ``batchnorm`` and ``conv_bn`` take the bundle whole."""
 
     eps, momentum = 1e-5, 0.1  # library defaults; detector_from_config sets the run's
 
     def __init__(self, channels, dtype=np.float64):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.state = BNState.fresh(channels, dtype)
+        self.running_mean = np.zeros(channels, dtype=dtype)
+        self.running_var = np.ones(channels, dtype=dtype)
 
     def __call__(self, x):
-        return batchnorm(x, self.gamma, self.beta, self.state, self.eps, self.momentum)
+        return batchnorm(x, self)
 
     def params(self, prefix):
         yield f"{prefix}.gamma", self.gamma
         yield f"{prefix}.beta", self.beta
 
     def states(self, prefix):
-        yield f"{prefix}.running_mean", self.state.mean
-        yield f"{prefix}.running_var", self.state.var
+        yield f"{prefix}.running_mean", self.running_mean
+        yield f"{prefix}.running_var", self.running_var
 
 
 class Module:

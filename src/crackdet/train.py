@@ -9,6 +9,7 @@ with the same config produce byte-identical logs.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .config import RunConfig, optimizer_settings
-from .dataio import gen_synthetic, normalize_images
+from .dataio import gen_synthetic, normalize_images, write_atomic
 from .errors import ConfigError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
 from .model import Detector, build_detector, flatten_levels
@@ -169,11 +170,10 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         raise NumericsError(f"training left a non-finite value in '{bad}' after step "
                             f"{steps - 1}; no checkpoint written")
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_loss_csv(os.path.join(out_dir, "loss.csv"), rows)
-        ckpt = os.path.join(out_dir, "checkpoint.npz")
-        np.savez(ckpt + ".tmp.npz", **detector.state_dict())
-        os.replace(ckpt + ".tmp.npz", ckpt)
+        ckpt = io.BytesIO()
+        np.savez(ckpt, **detector.state_dict())
+        write_atomic(os.path.join(out_dir, "checkpoint.npz"), ckpt.getvalue())
     return detector, index, raw_images, rows
 
 
@@ -181,10 +181,7 @@ def write_loss_csv(path, rows):
     lines = ["step,cls,reg,total,num_pos"]
     for step, cls_loss, reg_loss, total, num_pos in rows:
         lines.append(f"{step},{cls_loss:.6f},{reg_loss:.6f},{total:.6f},{num_pos}")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(cfg: RunConfig, path) -> Detector:

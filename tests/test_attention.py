@@ -72,8 +72,8 @@ class TestForward:
         p.w_v.data[...] = np.eye(c)
         p.w_out.data[...] = np.eye(c)
         for bn in (p.bn_v, p.bn_out):
-            bn.state.mean[...] = 0.0
-            bn.state.var[...] = 1.0
+            bn.running_mean[...] = 0.0
+            bn.running_var[...] = 1.0
             bn.gamma.data[...] = np.sqrt(1.0 + bn.eps)
             bn.beta.data[...] = 0.0
         x = np.random.default_rng(1).normal(size=(2, c, 3, 3))

@@ -256,11 +256,17 @@ class TestConfigRejectedAtLoad:
         ("train-toy", ["--set", "training.seed=-1"], "training.seed"),
         ("train-toy", ["--set", "synthetic.seed=-1"], "synthetic.seed"),
         ("train-toy", ["--set", "neck.attn_scale=NaN"], "neck.attn_scale"),
+        ("gen-data", ["--set", "synthetic.image_size=0"], "synthetic.image_size"),
+        ("gen-data", ["--set", "synthetic.image_size=1"], "synthetic.image_size"),
+        ("gen-data", ["--set", "synthetic.image_size=-5"], "synthetic.image_size"),
+        ("gen-data", ["--set", "synthetic.num_images=0"], "synthetic.num_images"),
+        ("gen-data", ["--set", "synthetic.num_images=-1"], "synthetic.num_images"),
     ])
     def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
                                                      key):
         """A negative seed (which numpy's generator rejects with a raw
-        ValueError) or a non-finite attention scale fails at load."""
+        ValueError), a non-finite attention scale, a synthetic image size
+        below 2 or a synthetic set of no images fails at load."""
         out_dir = tmp_path / "out"
         rc = main([command, "--out", str(out_dir)] + TINY + extra)
         err = capsys.readouterr().err
@@ -538,6 +544,23 @@ class TestTrainInferPipeline:
         lines = (out_dir / "loss.csv").read_text().strip().splitlines()
         # 10 images / batch 4 -> 2 steps per epoch -> 4 steps total
         assert len(lines) == 1 + 2 * (10 // 4)
+
+    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
+    def test_schedule_sets_the_step_lr(self, tmp_path, monkeypatch, schedule):
+        """Under training.schedule=constant every SGD step gets training.lr;
+        under cosine the first step gets it and each later step less."""
+        import crackdet.train as train
+
+        real_step, lrs = train.SGD.step, []
+        monkeypatch.setattr(train.SGD, "step",
+                            lambda opt, lr: lrs.append(lr) or real_step(opt, lr))
+        rc = main(["train-toy", "--out", str(tmp_path / "lr")] + TINY
+                  + ["--set", f"training.schedule={schedule}", "--set", "training.lr=0.01"])
+        assert rc == 0 and len(lrs) == 6
+        if schedule == "constant":
+            assert lrs == [0.01] * 6
+        else:
+            assert lrs[0] == 0.01 and all(a > b for a, b in zip(lrs, lrs[1:]))
 
     @pytest.mark.parametrize("batch_size", [0, 4])
     def test_batch_size_outside_image_count_exit_1(self, tmp_path, capsys, batch_size):

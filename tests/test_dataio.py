@@ -8,7 +8,7 @@ from crackdet.dataio import (Annotation, Category, DatasetIndex, ImageInfo, Synt
                              coco_dict, convert_coco_to_voc, convert_voc_to_coco,
                              detections_from_coco, detections_to_coco, gen_synthetic,
                              load_coco, load_voc, read_ppm, save_coco, save_synthetic,
-                             save_voc, stats, write_ppm)
+                             save_voc, stats, write_atomic, write_ppm)
 from crackdet.errors import DataError
 from crackdet.model import Detection
 
@@ -167,6 +167,27 @@ class TestRoundTrips:
         blob = coco_dict(index)
         for ann in blob["annotations"]:
             assert all(isinstance(v, int) for v in ann["bbox"])
+
+    def test_failed_save_coco_keeps_previous_file(self, tmp_path):
+        """save_coco serializes in full before it writes anything: a
+        serialization error leaves the previous file whole and no temp file."""
+        index = fixture_index(num_images=2)
+        path = tmp_path / "annotations.json"
+        save_coco(index, path)
+        before = path.read_bytes()
+        index.categories[1].name = object()  # not JSON-serializable
+        with pytest.raises(TypeError):
+            save_coco(index, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["annotations.json"]
+
+    def test_write_atomic_takes_str_or_bytes(self, tmp_path):
+        """Text or bytes, to a pathlib or str path in a directory it creates."""
+        write_atomic(tmp_path / "new" / "a.txt", "x\n")
+        write_atomic(str(tmp_path / "new" / "b.bin"), b"\x00\xff")
+        assert (tmp_path / "new" / "a.txt").read_text() == "x\n"
+        assert (tmp_path / "new" / "b.bin").read_bytes() == b"\x00\xff"
+        assert sorted(os.listdir(tmp_path / "new")) == ["a.txt", "b.bin"]
 
     def test_center_box_serialization_round_trip(self, tmp_path):
         index = fixture_index(num_images=3)

@@ -370,7 +370,7 @@ class TestDetectorBundle:
         assert len(layers) == len(running_means) > 0
         assert all(bn.eps == 1e-3 and bn.momentum == 0.3 for bn in layers)
         assert all(arr.dtype == np.dtype(dtype) for arr in running_means)
-        assert all(bn.state.mean is arr for bn, arr in zip(layers, running_means))
+        assert all(bn.running_mean is arr for bn, arr in zip(layers, running_means))
 
     @staticmethod
     def _small_detector(rng, dtype=np.float64):
@@ -389,8 +389,8 @@ class TestDetectorBundle:
         if perturb:
             for bn in det.batchnorms():
                 c = len(bn.gamma.data)
-                bn.state.mean[...] = rng.normal(size=c)
-                bn.state.var[...] = rng.uniform(0.5, 2.0, size=c)
+                bn.running_mean[...] = rng.normal(size=c)
+                bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
                 bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=c) * rng.choice([-1, 1], size=c)
                 bn.beta.data[...] = rng.normal(size=c)
         imgs = rng.normal(size=(2, 3, 64, 64))

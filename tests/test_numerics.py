@@ -103,7 +103,7 @@ class TestFloat32:
         with _mode_ctx(training):
             out = nm.conv_bn(x, w, bn, stride2, act=True)
         assert self._dtypes(out, [x, w, bn.gamma, bn.beta]) == [np.float32] * 5
-        assert bn.state.mean.dtype == bn.state.var.dtype == np.float32
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
 
 
 class TestBatchNorm:
@@ -135,18 +135,18 @@ class TestBatchNorm:
         bn = BatchNorm(1)
         bn(Tensor(x))
         m = x.mean()
-        assert abs(bn.state.mean[0] - 0.1 * m) < 1e-12
+        assert abs(bn.running_mean[0] - 0.1 * m) < 1e-12
 
     def test_running_var_moves_toward_unbiased_variance(self, rng):
         x = rng.normal(scale=2.0, size=(4, 1, 2, 2))
         bn = BatchNorm(1)
         bn(Tensor(x))
-        assert abs(bn.state.var[0] - (0.9 + 0.1 * x.var(ddof=1))) < 1e-12
+        assert abs(bn.running_var[0] - (0.9 + 0.1 * x.var(ddof=1))) < 1e-12
 
     def test_eval_mode_uses_running_stats(self, rng):
         bn = BatchNorm(1)
-        bn.state.mean[...] = 2.0
-        bn.state.var[...] = 4.0
+        bn.running_mean[...] = 2.0
+        bn.running_var[...] = 4.0
         x = np.full((1, 1, 2, 2), 4.0)
         with nm.eval_mode():
             out = bn(Tensor(x))
@@ -157,13 +157,13 @@ class TestBatchNorm:
         """A batchnorm forwarded under eval_mode() back-propagates as the
         fixed affine map gamma / sqrt(var + eps), even once the block is left."""
         bn = BatchNorm(2)
-        bn.state.var[...] = [4.0, 0.25]
+        bn.running_var[...] = [4.0, 0.25]
         bn.gamma.data[...] = [3.0, -1.0]
         x = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         with nm.eval_mode():
             out = nm.tsum(bn(x))
         out.backward()
-        scale = bn.gamma.data / np.sqrt(bn.state.var + bn.eps)
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
         assert np.abs(x.grad - scale[None, :, None, None]).max() < 1e-12
 
     def test_empty_slice_rejected(self):
@@ -172,13 +172,41 @@ class TestBatchNorm:
             bn(Tensor(np.zeros((0, 2, 3, 3))))
 
 
+class TestOneBatchnormCore:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_is_conv_bn_with_identity_weight(self, rng, dtype, training):
+        """The standalone op is the fused op's batchnorm: after an identity
+        1x1 conv, outputs, gradients and running statistics agree bit for
+        bit, and batchnorm leaves its input array as it was."""
+        data = rng.normal(loc=1.0, scale=2.0, size=(2, 4, 3, 5)).astype(dtype)
+        readout = nm.as_tensor(rng.normal(size=data.shape).astype(dtype))
+        eye = Tensor(np.eye(4, dtype=dtype))
+        results = []
+        for fused in (False, True):
+            bn = BatchNorm(4, dtype=dtype)
+            bn.gamma.data[...] = [0.5, -1.0, 2.0, 1.5]
+            bn.beta.data[...] = [0.1, 0.2, -0.3, 0.0]
+            bn.running_mean[...] = [0.5, -0.5, 1.0, 0.0]
+            bn.running_var[...] = [2.0, 0.5, 1.0, 3.0]
+            x = Tensor(data.copy(), requires_grad=True)
+            with _mode_ctx(training):
+                out = nm.conv_bn(x, eye, bn) if fused else nm.batchnorm(x, bn)
+            nm.tsum(nm.mul(out, readout)).backward()
+            assert np.array_equal(x.data, data)
+            results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                            bn.running_mean, bn.running_var))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+
 class TestConvBN:
     @staticmethod
     def _layer(rng, stride2):
         w = rng.normal(size=(5, 3, 3, 3) if stride2 else (5, 3))
         bn = BatchNorm(5)
-        bn.state.mean[...] = rng.normal(size=5)
-        bn.state.var[...] = rng.uniform(0.5, 2.0, size=5)
+        bn.running_mean[...] = rng.normal(size=5)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=5)
         bn.gamma.data[...] = rng.normal(size=5)
         bn.beta.data[...] = rng.normal(size=5)
         return w, bn
@@ -193,7 +221,7 @@ class TestConvBN:
         x = rng.normal(size=(2, 3, 4, 4))
         with nm.eval_mode():
             conv = nm.conv3x3s2(Tensor(x), Tensor(w)) if stride2 else nm.conv1x1(Tensor(x), Tensor(w))
-            want = nm.batchnorm(conv, bn.gamma, bn.beta, bn.state, bn.eps, bn.momentum)
+            want = nm.batchnorm(conv, bn)
             want = nm.silu(want) if act else want
             with nm.no_grad():
                 got = nm.conv_bn(Tensor(x), Tensor(w), bn, stride2, act)
@@ -210,22 +238,22 @@ class TestConvBN:
         scalar conv -> batchnorm -> SiLU oracle."""
         w, bn = self._layer(rng, stride2)
         x = rng.normal(size=(2, 3, 4, 4))
-        want, mean, var = conv_bn_loop(x, w, bn.gamma.data, bn.beta.data, bn.state.mean,
-                                       bn.state.var, bn.eps, bn.momentum, stride2, act, training)
+        want, mean, var = conv_bn_loop(x, w, bn.gamma.data, bn.beta.data, bn.running_mean,
+                                       bn.running_var, bn.eps, bn.momentum, stride2, act, training)
         with _mode_ctx(training):
             got = nm.conv_bn(Tensor(x), Tensor(w, requires_grad=True), bn, stride2, act)
         assert got.op == "conv_bn"
         assert got._parents[2] is bn.gamma and got._parents[3] is bn.beta
         assert np.abs(got.data - want).max() < 1e-12
-        assert np.abs(bn.state.mean - mean).max() < 1e-12
-        assert np.abs(bn.state.var - var).max() < 1e-12
+        assert np.abs(bn.running_mean - mean).max() < 1e-12
+        assert np.abs(bn.running_var - var).max() < 1e-12
 
     def test_frozen_bn_stats_keep_running_stats(self, rng):
         w, bn = self._layer(rng, stride2=True)
-        before = (bn.state.mean.copy(), bn.state.var.copy())
+        before = (bn.running_mean.copy(), bn.running_var.copy())
         with nm.frozen_bn_stats():
             nm.conv_bn(Tensor(rng.normal(size=(2, 3, 4, 4))), Tensor(w), bn, stride2=True)
-        assert np.array_equal(bn.state.mean, before[0]) and np.array_equal(bn.state.var, before[1])
+        assert np.array_equal(bn.running_mean, before[0]) and np.array_equal(bn.running_var, before[1])
 
     @pytest.mark.parametrize("stride2", [False, True])
     @pytest.mark.parametrize("act", [False, True])
