@@ -60,9 +60,8 @@ def _load_index(path, center_boxes=False):
 def cmd_stats(args, cfg: RunConfig) -> int:
     index = _load_index(args.dataset, center_boxes=args.center_boxes)
     table = stats(index)
-    names = index.category_names()
     payload = {
-        "histogram": {names[c]: table[c] for c in sorted(table)},
+        "histogram": {c.name: table[c.id] for c in index.categories},
         "totals": {
             "images": len(index.images),
             "annotations": len(index.annotations),

@@ -184,7 +184,8 @@ _BOUNDS = (
     ("training.seed", 0, math.inf, "[)"),
     ("synthetic.seed", 0, math.inf, "[)"),
     ("synthetic.num_images", 1, math.inf, "[)"),
-    ("synthetic.image_size", 2, math.inf, "[)"),
+    # dataio._sample_box places its 14-15 px broad kinds only when size - 2 > 15.
+    ("synthetic.image_size", 18, math.inf, "[)"),
     ("loss.w_cls", 0, math.inf, "[)"),
     ("loss.w_reg", 0, math.inf, "[)"),
     ("model.head_channels", 1, math.inf, "[)"),

@@ -312,14 +312,14 @@ def stats(index: DatasetIndex) -> dict:
 
 
 def stats_table(index: DatasetIndex) -> str:
-    names = index.category_names()
+    """One row per category, in the order ``index.categories`` lists them."""
     histogram = stats(index)
     lines = ["class".ljust(16) + "small".rjust(8) + "medium".rjust(8)
              + "large".rjust(8) + "total".rjust(8)]
-    for cat_id in sorted(histogram):
-        row = histogram[cat_id]
+    for cat in index.categories:
+        row = histogram[cat.id]
         total = sum(row.values())
-        lines.append(names[cat_id].ljust(16) + f"{row['small']:8d}{row['medium']:8d}"
+        lines.append(cat.name.ljust(16) + f"{row['small']:8d}{row['medium']:8d}"
                      f"{row['large']:8d}{total:8d}")
     return "\n".join(lines)
 

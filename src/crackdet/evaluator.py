@@ -5,6 +5,10 @@ AP averages 101-point-interpolated precision over ten IoU thresholds
 with -1.0 marking any (class, bucket) stratum that holds no ground truths.
 The error decomposition produces the seven progressively forgiving PR curves
 (C75, C50, Loc, Sim, Oth, BG, FN) used to apportion detection failures.
+
+Both reports share one grouping by (image, category), with images and
+categories coded by their position in the index, never by comparing ids; each
+image's one IoU matrix serves its groups' matching and the Sim/Oth flags.
 """
 
 from __future__ import annotations
@@ -198,8 +202,8 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
 
 @dataclass
 class _Group:
-    """One (image, category) matching unit; detections in score order, with
-    their IoU against the GTs computed once."""
+    """One (image, category) matching unit: detections in score order and
+    their block of the image's IoU matrix."""
 
     det_scores: np.ndarray
     det_order: np.ndarray
@@ -217,44 +221,58 @@ class _Group:
 
 
 def _collect_groups(index, detections, cfg):
-    """Category ids, and each category's groups in image order.
+    """Each category's groups in image order, keyed by category id in
+    ``index.categories`` order; and, per detection in input order, whether it
+    overlaps a GT of another class at IoU >= 0.1.
 
-    Each group keeps its ``cfg.max_dets`` best detections; ties in score keep
-    input order.
+    One stable lexsort orders the detections by (image, category, descending
+    score), ties in input order, and one the GTs by (image, category); each
+    group keeps its ``cfg.max_dets`` best detections. Each image's IoU matrix
+    gives the groups' ``ious`` (its same-category blocks) and the flags (its
+    other-category entries). GTs of an unlisted category join no group but
+    count as another class; GTs on unlisted images, where no detection can
+    be, share one position after the listed images.
     """
     cat_ids = [c.id for c in index.categories]
-    cat_set = set(cat_ids)
-    image_set = {im.id for im in index.images}
+    cat_pos = {cat: k for k, cat in enumerate(cat_ids)}
+    img_pos = {im.id: k for k, im in enumerate(index.images)}
     for det in detections:
-        if det.category_id not in cat_set:
+        if det.category_id not in cat_pos:
             raise CrackdetError(f"unknown category id {det.category_id} in detections")
-        if det.image_id not in image_set:
+        if det.image_id not in img_pos:
             raise CrackdetError(f"unknown image id {det.image_id} in detections")
 
-    gts = {}
-    for ann in index.annotations:
-        gts.setdefault((ann.image_id, ann.category_id), []).append(ann.box)
-    dets = {}
-    for i, det in enumerate(detections):
-        dets.setdefault((det.image_id, det.category_id), []).append((det.score, i, det.box))
+    # Columns: image, category, score, box (detections); image, category, box (GTs).
+    d = np.array([(img_pos[x.image_id], cat_pos[x.category_id], x.score, *x.box)
+                  for x in detections], dtype=np.float64).reshape(-1, 7)
+    g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
+                   *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
+    d_order = np.lexsort((-d[:, 2], d[:, 1], d[:, 0]))
+    d, g = d[d_order], g[np.lexsort((g[:, 1], g[:, 0]))]
+    areas = (g[:, 4] - g[:, 2]) * (g[:, 5] - g[:, 3])
 
+    spans = [np.searchsorted(side[:, 0], np.arange(len(index.images) + 1), how)
+             for side in (d, g) for how in ("left", "right")]
+    busy = (spans[1] > spans[0]) | (spans[3] > spans[2])  # images with detections or GTs
+    edges = np.arange(len(cat_ids) + 1)
     groups = {cat: [] for cat in cat_ids}
-    for key in sorted(set(gts) | set(dets)):
-        if key[1] not in groups:
-            continue
-        rows = sorted(dets.get(key, ()), key=lambda r: (-r[0], r[1]))[:cfg.max_dets]
-        det_boxes = np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4)
-        gt_boxes = np.array(gts.get(key, ()), dtype=np.float64).reshape(-1, 4)
-        groups[key[1]].append(_Group(
-            det_scores=np.array([r[0] for r in rows], dtype=np.float64),
-            det_order=np.array([r[1] for r in rows], dtype=np.int64),
-            det_boxes=det_boxes,
-            gt_boxes=gt_boxes,
-            gt_areas=(gt_boxes[:, 2] - gt_boxes[:, 0]) * (gt_boxes[:, 3] - gt_boxes[:, 1]),
-            ious=(iou_matrix(det_boxes, gt_boxes) if len(det_boxes) and len(gt_boxes)
-                  else np.zeros((len(det_boxes), len(gt_boxes)))),
-        ))
-    return cat_ids, groups
+    cross = np.zeros(len(d), dtype=bool)
+    for d0, d1, g0, g1 in zip(*(s[busy].tolist() for s in spans)):
+        ious = (iou_matrix(d[d0:d1, 3:], g[g0:g1, 2:]) if d1 > d0 and g1 > g0
+                else np.zeros((d1 - d0, g1 - g0)))
+        other = d[d0:d1, 1, None] != g[None, g0:g1, 1]
+        cross[d_order[d0:d1]] = ((ious >= 0.1) & other).any(axis=1)
+        rows = (d0 + np.searchsorted(d[d0:d1, 1], edges)).tolist()
+        cols = (g0 + np.searchsorted(g[g0:g1, 1], edges)).tolist()
+        for k, cat in enumerate(cat_ids):
+            r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + cfg.max_dets), cols[k], cols[k + 1]
+            if r0 == r1 and c0 == c1:
+                continue
+            groups[cat].append(_Group(det_scores=d[r0:r1, 2], det_order=d_order[r0:r1],
+                                      det_boxes=d[r0:r1, 3:], gt_boxes=g[c0:c1, 2:],
+                                      gt_areas=areas[c0:c1],
+                                      ious=ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0]))
+    return groups, cross
 
 
 def _score_rank(groups):
@@ -284,14 +302,13 @@ def _aggregate(values):
 def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     """Full per-class and aggregate AP/AR report for a dataset's detections."""
     cfg = cfg or EvalConfig()
-    cat_ids, groups = _collect_groups(index, detections, cfg)
+    groups, _ = _collect_groups(index, detections, cfg)
     thresholds = tuple(cfg.iou_thresholds)
     grid = cfg.recall_grid()
 
     names = {c.id: c.name for c in index.categories}
     per_class = {}
-    for cat in cat_ids:
-        cat_groups = groups[cat]
+    for cat, cat_groups in groups.items():
         rank = _score_rank(cat_groups)
         aps = {}
         recalls = {}
@@ -320,33 +337,8 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
             "ar_large": _aggregate(recalls["large"]),
         }
 
-    aggregate = {k: _aggregate([per_class[c][k] for c in cat_ids]) for k in METRIC_KEYS}
+    aggregate = {k: _aggregate([row[k] for row in per_class.values()]) for k in METRIC_KEYS}
     return EvalReport(per_class=per_class, aggregate=aggregate)
-
-
-def _cross_class_overlaps(index, detections, iou_thr=0.1):
-    """Bool per detection: it overlaps a GT of another class with IoU >= iou_thr.
-
-    All damage classes share one supercategory, so the Sim and Oth stages use
-    the same forgiveness set.
-    """
-    gts_by_image = {}
-    for ann in index.annotations:
-        gts_by_image.setdefault(ann.image_id, []).append(ann)
-    dets_by_image = {}
-    for i, det in enumerate(detections):
-        dets_by_image.setdefault(det.image_id, []).append(i)
-    out = np.zeros(len(detections), dtype=bool)
-    for image_id, idx in dets_by_image.items():
-        anns = gts_by_image.get(image_id)
-        if not anns:
-            continue
-        ious = iou_matrix(np.array([detections[i].box for i in idx], dtype=np.float64),
-                          np.array([a.box for a in anns], dtype=np.float64))
-        other = (np.array([detections[i].category_id for i in idx])[:, None]
-                 != np.array([a.category_id for a in anns])[None, :])
-        out[idx] = ((ious >= iou_thr) & other).any(axis=1)
-    return out
 
 
 def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBreakdown:
@@ -362,13 +354,11 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     result. FN scores every category with GTs at 1.0.
     """
     cfg = cfg or EvalConfig()
-    cat_ids, groups = _collect_groups(index, detections, cfg)
-    cross = _cross_class_overlaps(index, detections)
+    groups, cross = _collect_groups(index, detections, cfg)
     grid = cfg.recall_grid()
 
     by_cat = {}
-    for cat in cat_ids:
-        cat_groups = groups[cat]
+    for cat, cat_groups in groups.items():
         rows = []
         for g in cat_groups:
             tp, ign, n = g.match((0.10, 0.50, 0.75), np.zeros(len(g.gt_boxes), dtype=bool))
@@ -387,7 +377,7 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     aps, per_class_aps, curves = {}, {}, {}
     for s, stage in enumerate(ERROR_STAGES):
         per_class_aps[stage] = {c: float(by_cat[c][s].mean()) if c in by_cat else SENTINEL
-                                for c in cat_ids}
+                                for c in groups}
         aps[stage] = _aggregate(per_class_aps[stage].values())
         curves[stage] = mean_curves[s]
     return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves,

@@ -171,11 +171,11 @@ class Tensor:
 
 
 def as_tensor(x, like=None):
-    """Wrap a constant; tensors pass through untouched."""
+    """Wrap a constant in ``like``'s dtype, else keeping a floating array's
+    dtype (anything else becomes float64); tensors pass through untouched."""
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else np.float64
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x, dtype=None if like is None else like.data.dtype))
 
 
 def _make(data, op, parents, backward):

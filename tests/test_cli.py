@@ -261,12 +261,15 @@ class TestConfigRejectedAtLoad:
         ("gen-data", ["--set", "synthetic.image_size=-5"], "synthetic.image_size"),
         ("gen-data", ["--set", "synthetic.num_images=0"], "synthetic.num_images"),
         ("gen-data", ["--set", "synthetic.num_images=-1"], "synthetic.num_images"),
+        ("gen-data", ["--set", "synthetic.image_size=16"], "synthetic.image_size"),
+        ("gen-data", ["--set", "synthetic.image_size=17"], "synthetic.image_size"),
     ])
     def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
                                                      key):
         """A negative seed (which numpy's generator rejects with a raw
         ValueError), a non-finite attention scale, a synthetic image size
-        below 2 or a synthetic set of no images fails at load."""
+        below 18 (too small for some shapes) or a synthetic set of no images
+        fails at load."""
         out_dir = tmp_path / "out"
         rc = main([command, "--out", str(out_dir)] + TINY + extra)
         err = capsys.readouterr().err
@@ -423,6 +426,51 @@ class TestEvalCommand:
                          "--out", str(out_dir)]) == 0
             blobs.append((out_dir / "eval.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestMixedIdTypes:
+    """COCO ids may be numbers or strings, and a file may mix them: every
+    command that reads one runs without comparing an int id with a str id."""
+
+    @staticmethod
+    def _image(image_id):
+        return {"id": image_id, "file_name": f"{image_id}.ppm", "width": 100, "height": 100}
+
+    @pytest.mark.parametrize("command,report,section,key", [
+        ("eval", "eval.json", "aggregate", "ap"),
+        ("analyze", "analyze.json", "aps", "C75"),
+    ])
+    def test_eval_and_analyze_on_mixed_image_ids(self, tmp_path, command, report, section, key):
+        anns = [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 40, 40]},
+                {"id": 2, "image_id": "b", "category_id": 1, "bbox": [10, 10, 30, 30]}]
+        gt = {"images": [self._image(1), self._image("b")], "annotations": anns,
+              "categories": [{"id": 1, "name": "crack"}]}
+        dets = [{"image_id": a["image_id"], "category_id": 1, "bbox": a["bbox"], "score": 0.9}
+                for a in anns]
+        (tmp_path / "gt.json").write_text(json.dumps(gt))
+        (tmp_path / "dets.json").write_text(json.dumps(dets))
+        out_dir = tmp_path / "out"
+        rc = main([command, "--gt", str(tmp_path / "gt.json"),
+                   "--dets", str(tmp_path / "dets.json"), "--out", str(out_dir)])
+        assert rc == 0
+        assert json.loads((out_dir / report).read_text())[section][key] == 1.0
+
+    def test_stats_on_mixed_category_ids(self, tmp_path, capsys):
+        """The printed table lists categories in the file's order; stats.json
+        keys them by name."""
+        cats = [{"id": 2, "name": "pothole"}, {"id": "b", "name": "block"},
+                {"id": 1, "name": "crack"}]
+        anns = [{"id": k, "image_id": 1, "category_id": c["id"], "bbox": [0, 0, 10, 10]}
+                for k, c in enumerate(cats)]
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"images": [self._image(1)], "annotations": anns,
+                                    "categories": cats}))
+        rc = main(["stats", "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["pothole", "block", "crack"]
+        histogram = json.loads((tmp_path / "o" / "stats.json").read_text())["histogram"]
+        assert histogram == {c["name"]: {"small": 1, "medium": 0, "large": 0} for c in cats}
 
 
 class TestResultsRejected:

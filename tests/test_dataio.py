@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from crackdet.dataio import (Annotation, Category, DatasetIndex, ImageInfo, SyntheticConfig,
-                             coco_dict, convert_coco_to_voc, convert_voc_to_coco,
-                             detections_from_coco, detections_to_coco, gen_synthetic,
-                             load_coco, load_voc, read_ppm, save_coco, save_synthetic,
-                             save_voc, stats, write_atomic, write_ppm)
+from crackdet.config import _BOUNDS
+from crackdet.dataio import (SHAPE_KINDS, Annotation, Category, DatasetIndex, ImageInfo,
+                             SyntheticConfig, _sample_box, coco_dict, convert_coco_to_voc,
+                             convert_voc_to_coco, detections_from_coco, detections_to_coco,
+                             gen_synthetic, load_coco, load_voc, read_ppm, save_coco,
+                             save_synthetic, save_voc, stats, write_atomic, write_ppm)
 from crackdet.errors import DataError
 from crackdet.model import Detection
 
@@ -253,6 +254,17 @@ class TestSynthetic:
         _, index = gen_synthetic(SyntheticConfig(num_images=15, num_classes=3, seed=2))
         assert len(index.categories) == 3
         assert {a.category_id for a in index.annotations} <= {1, 2, 3}
+
+    def test_smallest_allowed_canvas_places_every_kind(self):
+        """At the smallest ``synthetic.image_size`` the config accepts,
+        ``_sample_box`` places every kind on every draw; one pixel less and
+        some kind cannot be placed, so the bound is the tight one."""
+        size = next(low for key, low, _, _ in _BOUNDS if key == "synthetic.image_size")
+        rng = np.random.default_rng(0)
+        for kind in SHAPE_KINDS:
+            assert all(_sample_box(kind, rng, size) is not None for _ in range(2000)), kind
+        assert any(_sample_box(kind, rng, size - 1) is None
+                   for kind in SHAPE_KINDS for _ in range(50))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):

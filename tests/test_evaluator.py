@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, SENTINEL, EvalConfig,
-                                _cross_class_overlaps, _pr_curves, compute_ap, error_breakdown,
+                                _collect_groups, _pr_curves, compute_ap, error_breakdown,
                                 evaluate, match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
@@ -256,6 +257,26 @@ class TestEvaluateHandCases:
         assert report.aggregate["ap_small"] == 1.0
         assert report.aggregate["ap_large"] == 1.0
 
+    def test_higher_score_takes_the_shared_gt(self):
+        """Within a group the greedy walk goes by descending score, not input
+        order: the 0.9 detection (IoU 0.6) takes the GT at IoU 0.5, and the
+        0.5 detection (IoU 1.0) matches only at 0.75, where the first misses."""
+        index = make_index([(1, 1, (0.0, 0.0, 10.0, 10.0))], categories=("crack",))
+        dets = [det(1, 1, 0.5, (0.0, 0.0, 10.0, 10.0)), det(1, 1, 0.9, (0.0, 0.0, 10.0, 6.0))]
+        report = evaluate(index, dets)
+        assert report.aggregate["ap50"] == 1.0
+        assert report.aggregate["ap75"] == 0.5
+
+    def test_max_dets_cuts_each_group_to_its_best_scores(self):
+        """max_dets keeps each (image, category) group's best-scored
+        detections; another class's detections on the image use none of it."""
+        box, far = (0.0, 0.0, 50.0, 50.0), (150.0, 150.0, 190.0, 190.0)
+        index = make_index([(1, 1, box), (2, 1, box)])
+        dets = [det(1, 2, 0.99, far), det(1, 2, 0.98, far), det(1, 1, 0.5, box),
+                det(2, 1, 0.5, box), det(2, 1, 0.9, far)]
+        assert evaluate(index, dets, EvalConfig(max_dets=1)).per_class[1]["ar"] == 0.5
+        assert evaluate(index, dets, EvalConfig(max_dets=2)).per_class[1]["ar"] == 1.0
+
 
 class TestEvaluateProperties:
     @pytest.mark.parametrize("seed", range(8))
@@ -384,12 +405,17 @@ class TestErrorBreakdown:
         assert len(lines) == 102
 
 
+def cross_flags(index, dets):
+    """The per-detection cross-class flags ``_collect_groups`` returns."""
+    return _collect_groups(index, dets, EvalConfig())[1]
+
+
 class TestCrossClassOverlaps:
     def test_matches_pairwise_oracle_over_seeds(self):
         hits = misses = 0
         for seed in range(40):
             index, dets = random_scene(seed, num_images=6)
-            got = _cross_class_overlaps(index, dets)
+            got = cross_flags(index, dets)
             assert got.dtype == bool and got.shape == (len(dets),)
             assert got.tolist() == cross_class_overlaps_loop(index, dets)
             hits += int(got.sum())
@@ -402,7 +428,7 @@ class TestCrossClassOverlaps:
                 det(1, 2, 0.8, (0.0, 0.0, 40.0, 38.0)),
                 det(3, 1, 0.7, (0.0, 0.0, 40.0, 40.0)),
                 det(1, 2, 0.6, (100.0, 100.0, 120.0, 120.0))]
-        got = _cross_class_overlaps(index, dets)
+        got = cross_flags(index, dets)
         assert got.tolist() == [False, True, False, False]
         assert got.tolist() == cross_class_overlaps_loop(index, dets)
 
@@ -410,12 +436,12 @@ class TestCrossClassOverlaps:
         gts = [(1, 1, (0.0, 0.0, 40.0, 40.0)), (2, 1, (10.0, 10.0, 60.0, 60.0))]
         index = make_index(gts, num_images=2)
         dets = [det(g[0], 1, 0.9 - 0.1 * k, g[2]) for k, g in enumerate(gts)]
-        assert _cross_class_overlaps(index, dets).tolist() == [False, False]
+        assert cross_flags(index, dets).tolist() == [False, False]
         assert cross_class_overlaps_loop(index, dets) == [False, False]
 
     def test_empty_detection_list(self):
         index, _ = random_scene(3)
-        got = _cross_class_overlaps(index, [])
+        got = cross_flags(index, [])
         assert got.dtype == bool and got.shape == (0,)
         assert cross_class_overlaps_loop(index, []) == []
 
@@ -466,23 +492,23 @@ class TestMatchOracle:
 
 class TestIouOncePerGroup:
     def test_one_iou_matrix_per_group(self, monkeypatch):
-        """evaluate computes each (image, category) group's IoU once, not once
-        per (threshold, bucket); error_breakdown adds one call per image."""
+        """evaluate and error_breakdown each compute one IoU matrix per image
+        that holds detections and GTs: its blocks serve every (image,
+        category) group and the cross-class flags alike."""
         index, dets = random_scene(42, 6)
         gt_keys = {(a.image_id, a.category_id) for a in index.annotations}
         det_keys = {(d.image_id, d.category_id) for d in dets}
-        groups = len(gt_keys & det_keys)
         images = len({k[0] for k in gt_keys} & {k[0] for k in det_keys})
-        assert groups > 0
+        assert images > 1
         calls = []
         real = evaluator_module.iou_matrix
         monkeypatch.setattr(evaluator_module, "iou_matrix",
                             lambda a, b: calls.append(1) or real(a, b))
         evaluate(index, dets)
-        assert 0 < len(calls) <= groups
+        assert len(calls) == images
         calls.clear()
         error_breakdown(index, dets)
-        assert 0 < len(calls) <= groups + images
+        assert len(calls) == images
 
 
 @st.composite
@@ -522,3 +548,31 @@ class TestEvaluatorProperties:
         for row in rows:
             for key in METRIC_KEYS:
                 assert row[key] == SENTINEL or 0.0 <= row[key] <= 1.0, (key, row[key])
+
+    @given(scenes(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_image_order_does_not_change_results(self, scene, random):
+        """Images are coded by their position in ``index.images``; the order
+        they are listed in must not reach the reports."""
+        index, dets = scene
+        images = list(index.images)
+        random.shuffle(images)
+        shuffled = replace(index, images=images)
+        assert evaluate(shuffled, dets).to_dict() == evaluate(index, dets).to_dict()
+        assert error_breakdown(shuffled, dets).to_dict() == error_breakdown(index, dets).to_dict()
+
+    @given(scenes())
+    @settings(max_examples=100, deadline=None)
+    def test_string_image_ids_do_not_change_results(self, scene):
+        """Mapping every image id to a string, in the GTs and the detections
+        alike, leaves both reports equal."""
+        index, dets = scene
+        name = lambda image_id: f"img-{image_id}"
+        renamed = replace(index,
+                          images=[replace(im, id=name(im.id)) for im in index.images],
+                          annotations=[replace(a, image_id=name(a.image_id))
+                                       for a in index.annotations])
+        renamed_dets = [replace(d, image_id=name(d.image_id)) for d in dets]
+        assert evaluate(renamed, renamed_dets).to_dict() == evaluate(index, dets).to_dict()
+        assert (error_breakdown(renamed, renamed_dets).to_dict()
+                == error_breakdown(index, dets).to_dict())

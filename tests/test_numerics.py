@@ -200,6 +200,32 @@ class TestOneBatchnormCore:
             assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
 
+class TestAsTensor:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_raw_float32_weight_keeps_a_float32_graph(self, rng, training):
+        """A raw float32 array handed to an op is wrapped as float32, so the
+        op's output stays float32 instead of turning float64."""
+        x = Tensor(rng.normal(size=(2, 4, 3, 5)).astype(np.float32))
+        with _mode_ctx(training):
+            out = nm.conv_bn(x, np.eye(4, dtype=np.float32), BatchNorm(4, dtype=np.float32))
+        assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("value,dtype", [
+        (np.ones(3, dtype=np.float32), np.float32),
+        (np.ones(3, dtype=np.float64), np.float64),
+        (np.ones(3, dtype=np.int64), np.float64),
+        ([1, 2], np.float64),
+        (0.5, np.float64),
+    ])
+    def test_dtype_without_like(self, value, dtype):
+        assert nm.as_tensor(value).dtype == dtype
+
+    def test_like_sets_the_dtype(self):
+        like = Tensor(np.zeros(2, dtype=np.float32))
+        assert nm.as_tensor(np.ones(2), like=like).dtype == np.float32
+        assert nm.as_tensor(np.ones(2, dtype=np.float32), like=Tensor(np.zeros(2))).dtype == np.float64
+
+
 class TestConvBN:
     @staticmethod
     def _layer(rng, stride2):
