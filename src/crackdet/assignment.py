@@ -17,13 +17,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .geometry import iou_matrix
 
 _FLOOR = 1e-7
 # Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
 # candidates cost this much instead of overflowing to inf.
 _CENTER_COST_CAP = 1e150
+# (field, low, high, ends) as ``check_range`` reads them. No range admits an
+# infinity or a NaN; iou_floor > 0 keeps candidate costs finite and
+# prob_clamp < 0.5 keeps the clip from inverting.
+_RANGES = (
+    ("lambda_cls", 0, math.inf, "()"),
+    ("lambda_loc", 0, math.inf, "()"),
+    ("lambda_center", 0, math.inf, "()"),
+    ("eta", 0, math.inf, "()"),
+    ("epsilon", 0, math.inf, "[)"),
+    ("alpha", 1, math.inf, "()"),
+    ("beta", -math.inf, math.inf, "()"),
+    ("iou_floor", 0, 1, "(]"),
+    ("prob_clamp", 0, 0.5, "()"),
+)
 
 
 @dataclass
@@ -41,12 +55,8 @@ class AssignConfig:
     prob_clamp: float = _FLOOR
 
     def __post_init__(self):
-        if min(self.lambda_cls, self.lambda_loc, self.lambda_center) <= 0:
-            raise ConfigError("cost weights must be positive")
-        if self.alpha <= 1:
-            raise ConfigError("alpha must be > 1")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be >= 0")
+        for name, low, high, ends in _RANGES:
+            check_range(f"assignment.{name}", getattr(self, name), low, high, ends)
         if self.dynamic_k_cap < 1:
             raise ConfigError("dynamic_k_cap must be >= 1")
         if self.center_cost_mode not in ("soft_center_prior", "inverse_distance"):

@@ -30,22 +30,32 @@ from .train import (detector_from_config, image_gts, load_checkpoint, predict_da
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _round_floats(obj, digits=6):
+def _key_order(key):
+    """Numbers in numeric order, then strings in string order: what
+    ``sort_keys`` gives keys of one type, made to hold for category ids that
+    mix the two (1 and "b")."""
+    return isinstance(key, str), key
+
+
+def _json_ready(obj, digits=None):
+    """``obj`` with every dict's keys in ``_key_order`` and, unless ``digits``
+    is None, every float rounded to ``digits`` decimals."""
     if isinstance(obj, float):
-        return round(obj, digits)
+        return obj if digits is None else round(obj, digits)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _json_ready(obj[k], digits) for k in sorted(obj, key=_key_order)}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_json_ready(v, digits) for v in obj]
     return obj
 
 
 def write_json(payload: dict, path, cfg: RunConfig):
-    """Atomic JSON write with config + version provenance embedded."""
-    body = dict(payload)
-    body["config"] = config_dict(cfg)
-    body["version"] = __version__
-    write_atomic(path, json.dumps(_round_floats(body), indent=2, sort_keys=True) + "\n")
+    """Atomic JSON write with config + version provenance embedded. Payload
+    floats are rounded to six decimals; the config echo is written exactly,
+    so ``load_config`` reads it back as the same config."""
+    body = _json_ready(payload, digits=6)
+    body.update(config=_json_ready(config_dict(cfg)), version=__version__)
+    write_atomic(path, json.dumps(dict(sorted(body.items())), indent=2) + "\n")
 
 
 def _load_index(path, center_boxes=False):

@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 
 from .assignment import AssignConfig
 from .dataio import SyntheticConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .evaluator import EvalConfig
 from .model import neck_config
 
@@ -169,10 +169,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
     return cfg
 
 
-# Scalar bounds checked at load: (key, low, high, ends), where ends "[)" reads
-# low <= value < high. A NaN fails every row; an unset (None) optional value
-# is skipped. Under the "swapped" convention the momentum row reads (and names)
-# training.weight_decay and the weight-decay row training.momentum.
+# Scalar bounds checked at load: (key, low, high, ends), as ``check_range``
+# reads them; an unset (None) optional value is skipped. The assignment
+# section checks its own ranges in ``AssignConfig``. Under the "swapped"
+# convention the momentum row reads (and names) training.weight_decay and the
+# weight-decay row training.momentum.
 _BOUNDS = (
     ("numerics.bn_eps", 0, math.inf, "()"),
     ("numerics.bn_momentum", 0, 1, "[]"),
@@ -217,10 +218,7 @@ def validate_config(cfg: RunConfig):
         value = _value(cfg, key)
         if value is None:
             continue
-        above = low < value if ends[0] == "(" else low <= value
-        below = value < high if ends[1] == ")" else value <= high
-        if not (above and below):
-            raise ConfigError(f"{key} must be in {ends[0]}{low}, {high}{ends[1]}, got {value}")
+        check_range(key, value, low, high, ends)
     widths = cfg.model.backbone_widths
     if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
         raise ConfigError(f"model.backbone_widths must list five positive integer stage widths, "

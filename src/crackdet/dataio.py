@@ -12,6 +12,7 @@ writes goes through ``write_atomic``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .geometry import BoxCenter, center_to_corner, size_bucket
+from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
 
@@ -78,10 +79,11 @@ def _require(record, key, path, entry):
 
 
 def _id(record, key, path, entry):
-    """An id field of one COCO entry: ids key dicts and sets, so a list or an
-    object is a DataError naming the file and entry."""
+    """An id field of one COCO entry: ids key dicts and sets and are ordered
+    in reports, so a list, an object or null is a DataError naming the file
+    and entry."""
     value = _require(record, key, path, entry)
-    if isinstance(value, (list, dict)):
+    if value is None or isinstance(value, (list, dict)):
         raise DataError(f"{path}: {entry}.{key} must be a number or string, "
                         f"got {type(value).__name__}")
     return value
@@ -150,11 +152,12 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
             x, y, w, h = (float(v) for v in bbox)
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: annotations[{i}].bbox must be numbers ({exc})") from None
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise DataError(f"{path}: annotations[{i}].bbox must be finite numbers, got {bbox!r}")
         if w < 0 or h < 0:
             raise DataError(f"annotation {ann_id} has negative box size")
         if center_boxes:
-            c = center_to_corner(BoxCenter(x, y, w, h))
-            x1, y1, x2, y2 = c.x1, c.y1, c.x2, c.y2
+            x1, y1, x2, y2 = x - w / 2.0, y - h / 2.0, x + w / 2.0, y + h / 2.0
         else:
             x1, y1, x2, y2 = x, y, x + w, y + h
         im = image_ids[image_id]
@@ -304,10 +307,10 @@ def convert_coco_to_voc(src_json, dst_dir, center_boxes=False):
 
 def stats(index: DatasetIndex) -> dict:
     """Per-category histogram over size buckets; row sums equal class counts."""
-    table = {c.id: {"small": 0, "medium": 0, "large": 0} for c in index.categories}
+    table = {c.id: dict.fromkeys(SIZE_RANGES, 0) for c in index.categories}
     for a in index.annotations:
         x1, y1, x2, y2 = a.box
-        table[a.category_id][size_bucket((x2 - x1) * (y2 - y1)).value] += 1
+        table[a.category_id][size_bucket((x2 - x1) * (y2 - y1))] += 1
     return table
 
 

@@ -18,19 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CrackdetError
-from .geometry import MEDIUM_MAX_AREA, SMALL_MAX_AREA, iou_matrix
+from .geometry import SIZE_RANGES, iou_matrix
 
 SENTINEL = -1.0
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
-AREA_RANGES = {
-    "all": (0.0, np.inf),
-    "small": (0.0, SMALL_MAX_AREA),
-    "medium": (SMALL_MAX_AREA, MEDIUM_MAX_AREA),
-    "large": (MEDIUM_MAX_AREA, np.inf),
-}
+AREA_RANGES = {"all": (0.0, np.inf), **SIZE_RANGES}
 
 ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
 

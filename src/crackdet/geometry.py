@@ -1,9 +1,13 @@
-"""Axis-aligned box algebra: representations, IoU/GIoU, COCO size buckets."""
+"""Axis-aligned corner boxes (x1, y1, x2, y2): IoU and the COCO size buckets.
+
+A box is a 4-sequence, a set of boxes an (N, 4) array. The centre-form
+annotation convention is handled only at the serialization boundary, in
+``dataio``; GIoU lives in ``losses.giou_loss``.
+"""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -12,59 +16,19 @@ from .errors import ShapeError
 SMALL_MAX_AREA = 32.0 * 32.0
 MEDIUM_MAX_AREA = 96.0 * 96.0
 
-
-@dataclass(frozen=True)
-class BoxCorner:
-    """Rectangle as (x1, y1, x2, y2) pixels with x1 <= x2, y1 <= y2."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ShapeError(f"invalid corner box {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_tuple(self):
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True)
-class BoxCenter:
-    """Rectangle as center (x, y) plus width/height, both nonnegative."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w < 0 or self.h < 0:
-            raise ShapeError(f"negative size in center box {self}")
-
-
-class SizeBucket(enum.Enum):
-    SMALL = "small"
-    MEDIUM = "medium"
-    LARGE = "large"
-
-
-def _corners(box):
-    if isinstance(box, BoxCorner):
-        return box.x1, box.y1, box.x2, box.y2
-    x1, y1, x2, y2 = box
-    return x1, y1, x2, y2
+# [low, high) box areas per COCO size bucket (Lin et al. 2014); a boundary
+# area goes to the larger bucket. Read by ``size_bucket`` and the evaluator.
+SIZE_RANGES = {
+    "small": (0.0, SMALL_MAX_AREA),
+    "medium": (SMALL_MAX_AREA, MEDIUM_MAX_AREA),
+    "large": (MEDIUM_MAX_AREA, math.inf),
+}
 
 
 def iou(a, b) -> float:
     """Intersection over union; 0 by convention when the union has no area."""
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     inter = max(0.0, iw) * max(0.0, ih)
@@ -72,23 +36,6 @@ def iou(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
-
-
-def giou(a, b) -> float:
-    """Generalized IoU: IoU minus the empty fraction of the enclosing box."""
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    ex1, ey1 = min(ax1, bx1), min(ay1, by1)
-    ex2, ey2 = max(ax2, bx2), max(ay2, by2)
-    enclosing = (ex2 - ex1) * (ey2 - ey1)
-    base = inter / union if union > 0.0 else 0.0
-    if enclosing <= 0.0:
-        return base
-    return base - (enclosing - union) / enclosing
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,22 +53,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def center_to_corner(box: BoxCenter) -> BoxCorner:
-    return BoxCorner(box.x - box.w / 2.0, box.y - box.h / 2.0,
-                     box.x + box.w / 2.0, box.y + box.h / 2.0)
-
-
-def corner_to_center(box: BoxCorner) -> BoxCenter:
-    return BoxCenter((box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0,
-                     box.x2 - box.x1, box.y2 - box.y1)
-
-
-def size_bucket(area: float) -> SizeBucket:
-    """COCO bucket for a box area; boundaries go to the larger bucket."""
-    if area < 0:
-        raise ShapeError(f"negative area {area}")
-    if area < SMALL_MAX_AREA:
-        return SizeBucket.SMALL
-    if area < MEDIUM_MAX_AREA:
-        return SizeBucket.MEDIUM
-    return SizeBucket.LARGE
+def size_bucket(area: float) -> str:
+    """Name of the ``SIZE_RANGES`` bucket holding a box area (the last for an
+    infinite one)."""
+    if not area >= 0:
+        raise ShapeError(f"box area {area} is negative or NaN")
+    for name, (_, high) in SIZE_RANGES.items():
+        if area < high:
+            break
+    return name

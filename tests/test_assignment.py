@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,24 @@ class TestCostTerms:
             AssignConfig(dynamic_k_cap=0)
         with pytest.raises(ConfigError):
             AssignConfig(center_cost_mode="nope")
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_cls", 0.0), ("lambda_loc", math.inf), ("lambda_center", math.nan),
+        ("alpha", math.nan), ("alpha", math.inf), ("eta", 0.0), ("eta", math.nan),
+        ("epsilon", -1e-9), ("epsilon", math.inf), ("beta", math.nan), ("beta", -math.inf),
+        ("iou_floor", 0.0), ("iou_floor", 1.5), ("iou_floor", math.nan),
+        ("prob_clamp", 0.0), ("prob_clamp", 0.5), ("prob_clamp", 0.7), ("prob_clamp", math.nan),
+    ])
+    def test_out_of_range_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"assignment.{field}"):
+            AssignConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"center_cost_mode": "inverse_distance"},
+        {"iou_floor": 1.0, "epsilon": 0.0, "beta": -3.0, "prob_clamp": 0.49},
+    ])
+    def test_range_edges_still_construct(self, kwargs):
+        AssignConfig(**kwargs)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_alpha_must_exceed_one(self, alpha):

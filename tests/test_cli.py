@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from crackdet.cli import main
+from crackdet.cli import _json_ready, main
 from crackdet.config import __version__, config_dict, load_config
 from crackdet.errors import ConfigError, CrackdetError
 
@@ -120,6 +120,19 @@ class TestConfig:
                          "momentum": 0.9, "weight_decay": 0.0005,
                          "optimizer_convention": "standard", "schedule": "cosine", "seed": 0},
         }
+
+    def test_config_echo_loads_back_exactly(self, tmp_path):
+        """The echo holds the unrounded values (epsilon, iou_floor and
+        prob_clamp default to 1e-7), so reloading it gives the same run."""
+        gt_path, det_path = make_eval_fixture(tmp_path)
+        overrides = ["training.lr=0.00123456789", "assignment.epsilon=3e-9"]
+        assert main(["eval", "--gt", gt_path, "--dets", det_path, "--out", str(tmp_path / "o")]
+                    + [arg for o in overrides for arg in ("--set", o)]) == 0
+        echo = json.loads((tmp_path / "o" / "eval.json").read_text())["config"]
+        assert echo["assignment"]["iou_floor"] == 1e-7
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        assert config_dict(load_config(tmp_path / "echo.json")) == \
+            config_dict(load_config(overrides=overrides))
 
     @pytest.mark.parametrize("overrides, count, digest", [
         ([], 175, "45a556d308afe44a"),
@@ -237,6 +250,21 @@ class TestConfigRejectedAtLoad:
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
         assert message in err
 
+    @pytest.mark.parametrize("override", [
+        "assignment.lambda_cls=0", "assignment.lambda_loc=Infinity",
+        "assignment.lambda_center=NaN", "assignment.lambda_center=-1",
+        "assignment.alpha=NaN", "assignment.alpha=1", "assignment.alpha=Infinity",
+        "assignment.eta=0", "assignment.eta=NaN", "assignment.eta=Infinity",
+        "assignment.epsilon=-1e-9", "assignment.epsilon=NaN", "assignment.epsilon=Infinity",
+        "assignment.beta=NaN", "assignment.beta=-Infinity", "assignment.beta=Infinity",
+        "assignment.iou_floor=0", "assignment.iou_floor=1.5", "assignment.iou_floor=NaN",
+        "assignment.prob_clamp=0", "assignment.prob_clamp=0.5", "assignment.prob_clamp=0.7",
+        "assignment.prob_clamp=NaN",
+    ])
+    def test_bad_assignment_value(self, two_image_set, tmp_path, capsys, override):
+        err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
+        assert override.split("=")[0] in err
+
     @pytest.mark.parametrize("override,message", [
         ("training.weight_decay=5", "training.weight_decay"),
         ("training.momentum=-1", "training.momentum"),
@@ -263,13 +291,15 @@ class TestConfigRejectedAtLoad:
         ("gen-data", ["--set", "synthetic.num_images=-1"], "synthetic.num_images"),
         ("gen-data", ["--set", "synthetic.image_size=16"], "synthetic.image_size"),
         ("gen-data", ["--set", "synthetic.image_size=17"], "synthetic.image_size"),
+        ("train-toy", ["--set", "assignment.alpha=NaN"], "assignment.alpha"),
+        ("train-toy", ["--set", "assignment.lambda_loc=Infinity"], "assignment.lambda_loc"),
     ])
     def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
                                                      key):
         """A negative seed (which numpy's generator rejects with a raw
-        ValueError), a non-finite attention scale, a synthetic image size
-        below 18 (too small for some shapes) or a synthetic set of no images
-        fails at load."""
+        ValueError), a non-finite attention scale or assignment weight, a
+        synthetic image size below 18 (too small for some shapes) or a
+        synthetic set of no images fails at load."""
         out_dir = tmp_path / "out"
         rc = main([command, "--out", str(out_dir)] + TINY + extra)
         err = capsys.readouterr().err
@@ -387,6 +417,11 @@ class TestAnnotationsRejected:
         ("categories", {"id": [1], "name": "crack"}, ("ann.json", "categories[0].id")),
         ("annotations", dict(COCO["annotations"][0], category_id=[1]),
          ("ann.json", "annotations[0].category_id")),
+        ("annotations", dict(COCO["annotations"][0], bbox=[float("nan"), 0, 10, 10]),
+         ("ann.json", "annotations[0].bbox", "finite")),
+        ("annotations", dict(COCO["annotations"][0], bbox=[0, 0, 4, float("inf")]),
+         ("ann.json", "annotations[0].bbox", "finite")),
+        ("categories", {"id": None, "name": "crack"}, ("ann.json", "categories[0].id")),
     ])
     def test_coco(self, tmp_path, capsys, section, entry, messages):
         path = tmp_path / "ann.json"
@@ -441,19 +476,32 @@ class TestMixedIdTypes:
         ("analyze", "analyze.json", "aps", "C75"),
     ])
     def test_eval_and_analyze_on_mixed_image_ids(self, tmp_path, command, report, section, key):
-        anns = [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 40, 40]},
+        """Image ids and category ids both mix 1 and "b"; the id-keyed
+        per-class entries list numbers before strings."""
+        anns = [{"id": 1, "image_id": 1, "category_id": "b", "bbox": [0, 0, 40, 40]},
                 {"id": 2, "image_id": "b", "category_id": 1, "bbox": [10, 10, 30, 30]}]
         gt = {"images": [self._image(1), self._image("b")], "annotations": anns,
-              "categories": [{"id": 1, "name": "crack"}]}
-        dets = [{"image_id": a["image_id"], "category_id": 1, "bbox": a["bbox"], "score": 0.9}
-                for a in anns]
+              "categories": [{"id": "b", "name": "block"}, {"id": 1, "name": "crack"}]}
+        dets = [{"image_id": a["image_id"], "category_id": a["category_id"], "bbox": a["bbox"],
+                 "score": 0.9} for a in anns]
         (tmp_path / "gt.json").write_text(json.dumps(gt))
         (tmp_path / "dets.json").write_text(json.dumps(dets))
         out_dir = tmp_path / "out"
         rc = main([command, "--gt", str(tmp_path / "gt.json"),
                    "--dets", str(tmp_path / "dets.json"), "--out", str(out_dir)])
         assert rc == 0
-        assert json.loads((out_dir / report).read_text())[section][key] == 1.0
+        payload = json.loads((out_dir / report).read_text())
+        assert payload[section][key] == 1.0
+        per_class = payload["per_class"] if command == "eval" else payload["per_class_aps"]["C75"]
+        assert list(per_class) == ["1", "b"]
+
+    @pytest.mark.parametrize("ids", [[10, 2, 1], [2.5, 1, 10], ["b", "a", "10"]])
+    def test_ids_of_one_type_keep_sort_keys_order(self, ids):
+        body = {"per_class": {i: {"name": str(i), "ap": 0.1234567} for i in ids},
+                "aggregate": {"ap": 1 / 3}}
+        assert json.dumps(_json_ready(body, digits=6), indent=2) == \
+            json.dumps(_json_ready(body, digits=6), indent=2, sort_keys=True)
+        assert list(_json_ready(body)["per_class"]) == sorted(ids)
 
     def test_stats_on_mixed_category_ids(self, tmp_path, capsys):
         """The printed table lists categories in the file's order; stats.json

@@ -35,6 +35,19 @@ def fixture_index(num_images=50, seed=7):
     return DatasetIndex(images=images, annotations=anns, categories=categories)
 
 
+def one_image_coco(tmp_path, *bboxes):
+    """A COCO file of one 100-px image and one category, annotation k + 1
+    holding ``bboxes[k]``."""
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({
+        "images": [{"id": 1, "file_name": "a.jpg", "width": 100, "height": 100}],
+        "annotations": [{"id": k + 1, "image_id": 1, "category_id": 1, "bbox": bbox}
+                        for k, bbox in enumerate(bboxes)],
+        "categories": [{"id": 1, "name": "crack"}],
+    }))
+    return path
+
+
 class TestCocoLoad:
     def test_bbox_topleft_convention(self, tmp_path):
         path = tmp_path / "d.json"
@@ -57,6 +70,33 @@ class TestCocoLoad:
         }))
         index = load_coco(path, center_boxes=True)
         assert index.annotations[0].box == (40.0, 45.0, 60.0, 55.0)
+
+    @pytest.mark.parametrize("bbox,box", [
+        ([5, 5, 4, 2], (3.0, 4.0, 7.0, 6.0)),
+        ([4, 4, 0, 0], (4.0, 4.0, 4.0, 4.0)),
+    ], ids=["centre_form", "zero_size_is_its_centre"])
+    def test_center_boxes_convert_inline(self, tmp_path, bbox, box):
+        """Centre (x, y, w, h) to corners; a zero-size box is its centre point."""
+        path = one_image_coco(tmp_path, bbox)
+        assert load_coco(path, center_boxes=True).annotations[0].box == box
+
+    @pytest.mark.parametrize("center_boxes", [False, True], ids=["corner", "centre"])
+    @pytest.mark.parametrize("bbox", [[0, 0, -1, 2], [5, 0, 1, -4]], ids=["width", "height"])
+    def test_negative_size_rejected(self, tmp_path, bbox, center_boxes):
+        path = one_image_coco(tmp_path, [0, 0, 4, 4], bbox)
+        with pytest.raises(DataError, match="annotation 2 has negative box size"):
+            load_coco(path, center_boxes=center_boxes)
+
+    @pytest.mark.parametrize("center_boxes", [False, True])
+    @pytest.mark.parametrize("bbox", [[float("nan"), 0, 10, 10], [0, 0, 10, float("nan")],
+                                      [0, float("-inf"), 10, 10], [0, 0, float("inf"), 10],
+                                      [0, 0, "nan", 10]])
+    def test_non_finite_bbox_rejected(self, tmp_path, bbox, center_boxes):
+        """A NaN would otherwise load as a box (nan, 0, nan, 10) that ``stats``
+        counts as large."""
+        path = one_image_coco(tmp_path, [0, 0, 4, 4], bbox)
+        with pytest.raises(DataError, match=r"d\.json: annotations\[1\]\.bbox must be finite"):
+            load_coco(path, center_boxes=center_boxes)
 
     def test_empty_annotations_valid(self, tmp_path):
         path = tmp_path / "d.json"

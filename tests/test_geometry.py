@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackdet.errors import ShapeError
-from crackdet.geometry import (BoxCenter, BoxCorner, SizeBucket, center_to_corner,
-                               corner_to_center, giou, iou, iou_matrix, size_bucket)
+from crackdet.evaluator import AREA_RANGES
+from crackdet.geometry import SIZE_RANGES, iou, iou_matrix, size_bucket
+from crackdet.losses import giou_loss
+from crackdet.model import decode_boxes
+from crackdet.numerics import Tensor
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False, width=32)
 sizes = st.floats(min_value=0.0, max_value=300, allow_nan=False, width=32)
@@ -14,25 +19,38 @@ solid_sizes = st.floats(min_value=0.0009765625, max_value=300, allow_nan=False, 
 
 
 def boxes(size_strategy=sizes):
-    return st.builds(lambda x, y, w, h: BoxCorner(x, y, x + w, y + h),
+    return st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
                      coords, coords, size_strategy, size_strategy)
+
+
+def giou_by_loss(pred, gt):
+    """(GIoU, the predicted box as decoded) for one box pair through
+    ``giou_loss``: ``pred`` is encoded at its own centre with stride 1, so
+    the loss of the pair is 1 - GIoU."""
+    x1, y1, x2, y2 = pred
+    point = np.array([[(x1 + x2) / 2.0, (y1 + y2) / 2.0]])
+    cx, cy = point[0]
+    distances = np.array([[cx - x1, cy - y1, x2 - cx, y2 - cy]])
+    stride = np.ones(1)
+    loss = giou_loss(Tensor(distances), point, stride, np.array([gt], dtype=np.float64))
+    return 1.0 - float(loss.data), tuple(decode_boxes(distances, point, stride)[0])
 
 
 class TestIoU:
     def test_identical_boxes(self):
-        b = BoxCorner(1, 2, 5, 6)
+        b = (1, 2, 5, 6)
         assert iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoxCorner(0, 0, 1, 1), BoxCorner(5, 5, 6, 6)) == 0.0
+        assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_known_overlap(self):
-        assert abs(iou(BoxCorner(0, 0, 2, 2), BoxCorner(1, 0, 3, 2)) - 2.0 / 6.0) < 1e-12
+        assert abs(iou((0, 0, 2, 2), (1, 0, 3, 2)) - 2.0 / 6.0) < 1e-12
 
     def test_degenerate_box_is_zero(self):
-        z = BoxCorner(1, 1, 1, 1)
+        z = (1, 1, 1, 1)
         assert iou(z, z) == 0.0
-        assert iou(z, BoxCorner(0, 0, 2, 2)) == 0.0
+        assert iou(z, (0, 0, 2, 2)) == 0.0
 
     @given(boxes(), boxes())
     @settings(max_examples=150, deadline=None)
@@ -44,78 +62,70 @@ class TestIoU:
     @given(boxes(), boxes(), st.floats(min_value=0.125, max_value=7, width=32))
     @settings(max_examples=100, deadline=None)
     def test_scale_invariance(self, a, b, s):
-        scaled = lambda bx: BoxCorner(bx.x1 * s, bx.y1 * s, bx.x2 * s, bx.y2 * s)
+        scaled = lambda bx: tuple(v * s for v in bx)
         assert abs(iou(a, b) - iou(scaled(a), scaled(b))) < 1e-6
 
 
 class TestGIoU:
+    """GIoU (Rezatofighi et al. 2019) as ``giou_loss`` computes it."""
+
     def test_identical_boxes(self):
-        b = BoxCorner(0, 0, 3, 3)
-        assert giou(b, b) == 1.0
+        b = (0, 0, 3, 3)
+        assert giou_by_loss(b, b)[0] == 1.0
 
     def test_touching_boxes(self):
         # enclosing box equals the union, so the penalty vanishes
-        assert giou(BoxCorner(0, 0, 1, 1), BoxCorner(0, 1, 1, 2)) == 0.0
+        assert giou_by_loss((0, 0, 1, 1), (0, 1, 1, 2))[0] == 0.0
 
     def test_separated_boxes(self):
-        v = giou(BoxCorner(0, 0, 1, 1), BoxCorner(2, 0, 3, 1))
+        v, _ = giou_by_loss((0, 0, 1, 1), (2, 0, 3, 1))
         assert abs(v - (-1.0 / 3.0)) < 1e-12
 
-    @given(boxes(), boxes())
+    @given(boxes(solid_sizes), boxes(solid_sizes))
     @settings(max_examples=150, deadline=None)
     def test_never_exceeds_iou(self, a, b):
-        assert giou(a, b) <= iou(a, b) + 1e-12
+        v, decoded = giou_by_loss(a, b)
+        assert v <= iou(decoded, b) + 1e-12
 
     @given(boxes(solid_sizes), boxes(solid_sizes), coords, coords)
     @settings(max_examples=100, deadline=None)
     def test_translation_invariance(self, a, b, dx, dy):
-        shift = lambda bx: BoxCorner(bx.x1 + dx, bx.y1 + dy, bx.x2 + dx, bx.y2 + dy)
-        assert abs(giou(a, b) - giou(shift(a), shift(b))) < 1e-6
-
-
-class TestConversions:
-    def test_center_to_corner(self):
-        c = center_to_corner(BoxCenter(5, 5, 4, 2))
-        assert c.as_tuple() == (3.0, 4.0, 7.0, 6.0)
-
-    def test_round_trip(self):
-        b = BoxCorner(1.5, 2.25, 8.0, 11.0)
-        back = center_to_corner(corner_to_center(b))
-        assert np.allclose(back.as_tuple(), b.as_tuple())
-
-    def test_zero_size_fixed_point(self):
-        c = corner_to_center(BoxCorner(4, 4, 4, 4))
-        assert (c.w, c.h) == (0.0, 0.0)
-        assert center_to_corner(c).as_tuple() == (4.0, 4.0, 4.0, 4.0)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ShapeError):
-            BoxCenter(0, 0, -1, 2)
-        with pytest.raises(ShapeError):
-            BoxCorner(5, 0, 4, 1)
+        shift = lambda bx: (bx[0] + dx, bx[1] + dy, bx[2] + dx, bx[3] + dy)
+        assert abs(giou_by_loss(a, b)[0] - giou_by_loss(shift(a), shift(b))[0]) < 1e-6
 
 
 class TestSizeBuckets:
     @pytest.mark.parametrize("area,expected", [
-        (900, SizeBucket.SMALL),
-        (1023.999, SizeBucket.SMALL),
-        (1024, SizeBucket.MEDIUM),
-        (5000, SizeBucket.MEDIUM),
-        (9216, SizeBucket.LARGE),
-        (1e9, SizeBucket.LARGE),
-        (0, SizeBucket.SMALL),
+        (900, "small"),
+        (1023.999, "small"),
+        (1024, "medium"),
+        (5000, "medium"),
+        (9216, "large"),
+        (1e9, "large"),
+        (0, "small"),
     ])
     def test_boundaries(self, area, expected):
-        assert size_bucket(area) is expected
+        assert size_bucket(area) == expected
 
     def test_negative_area_rejected(self):
         with pytest.raises(ShapeError):
             size_bucket(-1.0)
 
+    def test_nan_area_rejected(self):
+        with pytest.raises(ShapeError, match="nan"):
+            size_bucket(math.nan)
+
     @given(st.floats(min_value=0, max_value=1e8, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_buckets_partition(self, area):
-        assert size_bucket(area) in (SizeBucket.SMALL, SizeBucket.MEDIUM, SizeBucket.LARGE)
+        low, high = SIZE_RANGES[size_bucket(area)]
+        assert low <= area < high
+
+    def test_one_table_tiles_the_areas(self):
+        ranges = list(SIZE_RANGES.values())
+        assert ranges[0][0] == 0.0 and ranges[-1][1] == math.inf
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert AREA_RANGES == {"all": (0.0, math.inf), **SIZE_RANGES}
 
 
 def test_iou_matrix_matches_scalar(rng):
