@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crackdet.dataio import (Annotation, Category, DatasetIndex, ImageInfo, load_coco,
+                             save_coco)
 from crackdet.errors import ShapeError
 from crackdet.evaluator import AREA_RANGES
 from crackdet.geometry import SIZE_RANGES, iou, iou_matrix, size_bucket
@@ -92,6 +94,20 @@ class TestGIoU:
     def test_translation_invariance(self, a, b, dx, dy):
         shift = lambda bx: (bx[0] + dx, bx[1] + dy, bx[2] + dx, bx[3] + dy)
         assert abs(giou_by_loss(a, b)[0] - giou_by_loss(shift(a), shift(b))[0]) < 1e-6
+
+
+class TestConversions:
+    def test_round_trip(self, tmp_path):
+        """Corners to the centre form and back, through save_coco and
+        load_coco with ``center_boxes``."""
+        b = (1.5, 2.25, 8.0, 11.0)
+        index = DatasetIndex(
+            images=[ImageInfo(id=1, file_name="a.jpg", width=20, height=20)],
+            annotations=[Annotation(id=1, image_id=1, category_id=1, box=b)],
+            categories=[Category(id=1, name="crack")])
+        path = tmp_path / "center.json"
+        save_coco(index, path, center_boxes=True)
+        assert np.allclose(load_coco(path, center_boxes=True).annotations[0].box, b)
 
 
 class TestSizeBuckets:
