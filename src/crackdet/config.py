@@ -49,7 +49,7 @@ class NeckSection:
     out_channels: int = 96
     csp_depth: int = 1
     placement: str = "top_down_only"
-    num_attention_blocks: int = 2
+    num_attention_blocks: int | None = None  # resolved at load: every slot of the placement
     attn_heads: int = 2
     attn_key_dim: int = 16
     attn_value_dim: int | None = None
@@ -166,6 +166,10 @@ def load_config(path=None, overrides=()) -> RunConfig:
     for name, values in changes.items():
         setattr(cfg, name, dataclasses.replace(getattr(cfg, name), **values))
     validate_config(cfg)
+    # The neck's own rule fills an unset block count, so the echo names the
+    # blocks that are built: 2 for the default top_down_only, 4 for both.
+    cfg.neck.num_attention_blocks = neck_config(
+        cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck)).num_attention_blocks
     return cfg
 
 

@@ -9,6 +9,15 @@ or a python scalar, nothing else broadcasts. All parameterized layers
 out their own backward rules instead; the convs share one raw-array forward
 and backward, and ``batchnorm`` is ``conv_bn``'s batchnorm on its own.
 
+Activations are (B, C, H, W) arrays. The convs' weight gradient is one 2-D
+GEMM against a channel-major input matrix with one column per output pixel
+of the whole batch: for conv3x3s2 the (Ci*9, B*Ho*Wo) im2col patches, which
+also serve its forward (one (Co, Ci*9) block product per image, landing in
+(B, Co, Ho*Wo) order) and its input gradient (one (Ci*9, Co) @ (Co,
+B*Ho*Wo) GEMM and a col2im). Batchnorm's per-channel sums over the batch and
+the pixels are matvecs by a ones vector and row dot products, never
+``sum(axis=(0, 2))`` over an elementwise product.
+
 The default dtype is float64; float32 can be requested per tensor for speed.
 A gradient always takes the dtype of the tensor it flows into, so a float64
 loss term does not turn a float32 network's backward into float64.
@@ -371,25 +380,36 @@ def conv1x1(x, w, b=None):
 
 
 def _im2col3x3s2(x):
-    """(B, Ci*9, Ho*Wo) patches of x zero-padded by one; row i*9 + 3*dy + dx
-    holds xpad[b, i, 2y+dy, 2x+dx] at column y*Wo + x. The padding is never
-    materialised: tap dy reads input row 2y+dy-1, which is off the top edge
-    only for dy = 0, y = 0 (and likewise for dx)."""
+    """The channel-major (Ci*9, B*Ho*Wo) patches of x zero-padded by one:
+    row i*9 + 3*dy + dx is tap (dy, dx) of input channel i, column
+    b*Ho*Wo + y*Wo + x is output pixel (y, x) of image b, and the entry is
+    xpad[b, i, 2y+dy, 2x+dx]. The input is read through its (Ci, B, H, W)
+    transpose, so each GEMM of the backward covers the whole batch in one
+    call. The padding is never materialised: tap dy reads input row
+    2y+dy-1, which is off the top edge only for dy = 0, y = 0 (and likewise
+    for dx)."""
     B, Ci, H, W = x.shape
     Ho, Wo = H // 2, W // 2
-    cols = np.empty((B, Ci, 3, 3, Ho, Wo), dtype=x.dtype)
-    cols[:, :, 0, :, 0, :] = 0.0
-    cols[:, :, :, 0, :, 0] = 0.0
+    xt = x.transpose(1, 0, 2, 3)
+    cols = np.empty((Ci, 3, 3, B, Ho, Wo), dtype=x.dtype)
+    cols[:, 0, :, :, 0, :] = 0.0
+    cols[:, :, 0, :, :, 0] = 0.0
     for dy in range(3):
         for dx in range(3):
-            cols[:, :, dy, dx, dy == 0:, dx == 0:] = \
-                x[:, :, dy != 1:H - (dy == 0):2, dx != 1:W - (dx == 0):2]
-    return cols.reshape(B, Ci * 9, Ho * Wo)
+            cols[:, dy, dx, :, dy == 0:, dx == 0:] = \
+                xt[:, :, dy != 1:H - (dy == 0):2, dx != 1:W - (dx == 0):2]
+    return cols.reshape(Ci * 9, B * Ho * Wo)
 
 
 def _conv_forward(x, w, stride2):
     """Raw-array forward of conv3x3s2 (``stride2``) or conv1x1: x (B,Ci,H,W)
-    by w (Co,Ci,3,3) or (Co,Ci) -> (B,Co,Ho,Wo), one matmul either way."""
+    by w (Co,Ci,3,3) or (Co,Ci) -> (B,Co,Ho,Wo), one matmul either way.
+
+    conv1x1 is (Co, Ci) @ (B, Ci, H*W). conv3x3s2 is the (Co, Ci*9) weight
+    by the channel-major patches seen as (B, Ci*9, Ho*Wo) column blocks, one
+    per image: the product lands in (B, Co, Ho*Wo) order, so no transposed
+    copy of the output is made.
+    """
     op = "conv3x3s2" if stride2 else "conv1x1"
     if x.ndim != 4:
         raise ShapeError(f"{op}: input must be 4-D, got {x.shape}")
@@ -402,12 +422,8 @@ def _conv_forward(x, w, stride2):
     if H % 2 or W % 2:
         raise ShapeError(f"conv3x3s2: spatial size {(H, W)} must be even")
     Ho, Wo = H // 2, W // 2
-    return (w.reshape(Co, Ci * 9) @ _im2col3x3s2(x)).reshape(B, Co, Ho, Wo)
-
-
-# The taps with dy, dx in {1, 2} each read whole even or odd rows and columns,
-# so together they cover every input pixel once: they assign, the others add.
-_COL2IM_TAPS = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
+    cols = _im2col3x3s2(x).reshape(Ci * 9, B, Ho * Wo).transpose(1, 0, 2)
+    return (w.reshape(Co, Ci * 9) @ cols).reshape(B, Co, Ho, Wo)
 
 
 def _conv_backward(g, x, w, need_gx=True):
@@ -415,34 +431,46 @@ def _conv_backward(g, x, w, need_gx=True):
     gradient g (B,Co,Ho,Wo), stride 2 when w is (Co,Ci,3,3); gx is None
     unless ``need_gx``.
 
-    The weight gradient is one batched matmul against the input matrix (the
-    (B, Ci, H*W) view, or the im2col patches rebuilt here: keeping the
-    forward's measured no faster and held ~8 MB more at a train step's peak),
-    summed over the batch. The input gradient is one (Ci*9, Co) @ (Co, Ho*Wo)
-    matmul and a col2im: nine strided writes over the slices ``_im2col3x3s2``
-    reads, into an unpadded, unzeroed buffer.
+    g is copied once to channel-major (Co, B*Ho*Wo) order, to match the
+    input matrix: the channel-major (Ci*9, B*Ho*Wo) patches, rebuilt here
+    (keeping the forward's measured no faster and held ~8 MB more at a train
+    step's peak), or for conv1x1 a (Ci, B*H*W) transposed copy of x. gw is
+    then one (Co, B*Ho*Wo) @ (B*Ho*Wo, Ci*k) GEMM for either conv. conv1x1's
+    gx is the (Ci, Co) @ (B, Co, H*W) matmul. conv3x3s2's patch gradient is
+    one (Ci*9, Co) @ (Co, B*Ho*Wo) GEMM, and a col2im folds it back in place
+    (five shifted adds over contiguous rows) before four strided copies,
+    through gx's (Ci, B, ...) transpose, fill an unpadded, unzeroed buffer.
     """
     B, Ci, H, W = x.shape
     Co = w.shape[0]
     stride2 = w.ndim == 4
-    gf = g.reshape(B, Co, -1)
-    cols = _im2col3x3s2(x) if stride2 else x.reshape(B, Ci, H * W)
-    gw = (gf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    L = g.size // (B * Co)
+    gf = np.ascontiguousarray(g.reshape(B, Co, L).transpose(1, 0, 2)).reshape(Co, B * L)
+    cols = _im2col3x3s2(x) if stride2 else x.reshape(B, Ci, L).transpose(1, 0, 2).reshape(Ci, B * L)
+    gw = (gf @ cols.T).reshape(w.shape)
     if not need_gx:
         return None, gw
-    gcols = w.reshape(Co, -1).T @ gf
+    wmat = w.reshape(Co, -1)
     if not stride2:
-        return gcols.reshape(x.shape), gw
-    gcols = gcols.reshape(B, Ci, 3, 3, H // 2, W // 2)
-    gx = np.empty_like(x)
-    for dy, dx in _COL2IM_TAPS:
-        dst = gx[:, :, dy != 1:H - (dy == 0):2, dx != 1:W - (dx == 0):2]
-        src = gcols[:, :, dy, dx, dy == 0:, dx == 0:]
-        if dy and dx:
-            dst[...] = src
-        else:
-            dst += src
-    return gx, gw
+        return (wmat.T @ g.reshape(B, Co, L)).reshape(x.shape), gw
+    # col2im by parity class: input row 2Y + p is read by tap dy = 1 at
+    # output row Y (p = 0), or by dy = 2 at Y and dy = 0 at Y + 1 (p = 1),
+    # and columns likewise. So the taps with dy, dx >= 1 are gx's four
+    # parity planes once the dy = 0 and dx = 0 taps are added into them,
+    # shifted by one output pixel; four strided copies then interleave them.
+    Ho, Wo = H // 2, W // 2
+    gc = (wmat.T @ gf).reshape(Ci, 3, 3, B, Ho, Wo)
+    gc[:, 1, 2, ..., :-1] += gc[:, 1, 0, ..., 1:]
+    gc[:, 2, 1, ..., :-1, :] += gc[:, 0, 1, ..., 1:, :]
+    gc[:, 2, 2, ..., :-1] += gc[:, 2, 0, ..., 1:]
+    gc[:, 2, 2, ..., :-1, :] += gc[:, 0, 2, ..., 1:, :]
+    gc[:, 2, 2, ..., :-1, :-1] += gc[:, 0, 0, ..., 1:, 1:]
+    gx = np.empty((B, Ci, Ho, 2, Wo, 2), dtype=x.dtype)
+    gxt = gx.transpose(1, 0, 2, 3, 4, 5)
+    for p in range(2):
+        for q in range(2):
+            gxt[:, :, :, p, :, q] = gc[:, 1 + p, 1 + q]
+    return gx.reshape(x.shape), gw
 
 
 def conv3x3s2(x, w):
@@ -515,18 +543,37 @@ def _check_bn(bn, channels):
         raise ShapeError("batchnorm: eps must be > 0")
 
 
+def _channel_sum(a):
+    """Per-channel sum of a (B, C, L) array over its (B, L) slices: one
+    matvec by ones(L) per image, then a sum over the B images."""
+    return (a @ np.ones(a.shape[2], dtype=a.dtype)).sum(axis=0)
+
+
+def _channel_dot(a, b):
+    """Per-channel sum of a * b over the (B, L) slices of two (B, C, L)
+    arrays, without forming a * b: B*C row dot products, each a (1, L) @
+    (L, 1) matmul, then a sum over the B images."""
+    return (a[..., None, :] @ b[..., :, None]).sum(axis=0)[:, 0, 0]
+
+
 def _bn_forward(z, bn, act):
-    """The one batchnorm: normalize the raw (B, C, L) array ``z`` in place
-    over its (B, L) slices, then SiLU when ``act`` is set; returns ``(out,
-    backward)``, where ``backward`` maps the output gradient to ``(gz,
-    ggamma, gbeta)``.
+    """The one batchnorm: normalize the raw (B, C, L) array ``z`` over its
+    (B, L) slices (centring it in place), then SiLU when ``act`` is set;
+    returns ``(out, backward)``, where ``backward`` maps the output gradient
+    to ``(gz, ggamma, gbeta)``.
 
     Train mode uses the batch statistics and moves the running mean and the
     unbiased running variance by ``bn.momentum`` (not under
-    ``frozen_bn_stats()``); eval mode uses the running statistics. The
-    backward takes the SiLU derivative from the saved sigmoid and output,
-    then gbeta, ggamma and gz from the saved ``xhat``, using sum(gxhat) =
-    gamma*gbeta and sum(gxhat*xhat) = gamma*ggamma (Ioffe & Szegedy 2015).
+    ``frozen_bn_stats()``); eval mode uses the running statistics. Every
+    per-channel reduction over the (B, L) slices is a matmul form rather
+    than a ``sum(axis=(0, 2))``: the mean and gbeta are ``_channel_sum``
+    matvecs, and the variance and ggamma are ``_channel_dot`` row dot
+    products, so the backward builds no ``gy * xhat`` array just to sum it.
+    Only the centred ``xc`` is kept; xhat = xc * istd enters every formula
+    through per-channel factors. The backward takes the SiLU derivative
+    from the saved ``1 + tanh`` and output, then gbeta, ggamma and gz, using
+    sum(gxhat) = gamma*gbeta and sum(gxhat*xhat) = gamma*ggamma (Ioffe &
+    Szegedy 2015).
     """
     B, C, L = z.shape
     _check_bn(bn, C)
@@ -534,44 +581,50 @@ def _bn_forward(z, bn, act):
     if n == 0:
         raise ShapeError("batchnorm: channel slices are empty")
     training = _mode.training
-    xhat = z  # normalized in place
+    xc = z  # centred in place; xhat = xc * istd is never stored
     if training:
-        m = xhat.mean(axis=(0, 2))
-        xhat -= m[:, None]
-        v = np.square(xhat).mean(axis=(0, 2))
+        m = _channel_sum(xc) / n
+        xc -= m[:, None]
+        v = _channel_dot(xc, xc) / n
         if _mode.bn_stats_enabled:
             bn.running_mean += bn.momentum * (m - bn.running_mean)
             bn.running_var += bn.momentum * (v * (n / max(1, n - 1)) - bn.running_var)
     else:
         v = bn.running_var
-        xhat -= bn.running_mean[:, None]
+        xc -= bn.running_mean[:, None]
     istd = 1.0 / np.sqrt(v + bn.eps)
-    xhat *= istd[:, None]
-    out = xhat * bn.gamma.data[:, None]
-    out += bn.beta.data[:, None]
+    # With SiLU the affine map runs at half scale, h = y / 2, which is the
+    # sigmoid's own tanh argument: with t = 1 + tanh(h) = 2 * sigmoid(y),
+    # silu(y) = h * t, two passes fewer than y * sigmoid(y).
+    half = 0.5 if act else 1.0
+    k = (bn.gamma.data * istd * half)[:, None]
+    out = xc * k
+    out += (bn.beta.data * half)[:, None]
     if act:
-        s = _sigmoid_np(out)
-        out *= s
+        t = np.tanh(out)
+        t += 1.0
+        out *= t
 
     def backward(g):
+        # With SiLU, gy is twice dL/dy: 2 * silu'(y) = t + silu(y) * (2 - t).
+        # The sums below then carry the factor 2 too, and ``half`` takes it
+        # out of gz, ggamma and gbeta.
         gy = g.reshape(B, C, L)
-        if act:  # silu'(y) = s + silu(y) * (1 - s)
-            gy = np.subtract(1.0, s)
+        if act:
+            gy = np.subtract(2.0, t)
             gy *= out
-            gy += s
+            gy += t
             gy *= g.reshape(B, C, L)
-        gbeta = gy.sum(axis=(0, 2))
-        gz = gy * xhat
-        ggamma = gz.sum(axis=(0, 2))
-        k = (bn.gamma.data * istd)[:, None]
+        gbeta = _channel_sum(gy)
+        ggamma = _channel_dot(gy, xc) * istd
         if training:  # gz = k * (gy - gbeta / n - xhat * ggamma / n)
-            np.multiply(xhat, (-ggamma / n)[:, None], out=gz)
+            gz = np.multiply(xc, (-istd * ggamma / n)[:, None])
             gz += gy
             gz -= (gbeta / n)[:, None]
             gz *= k
         else:
-            np.multiply(gy, k, out=gz)
-        return gz, ggamma, gbeta
+            gz = gy * k
+        return gz, ggamma * half, gbeta * half
 
     return out, backward
 

@@ -100,14 +100,27 @@ class SGD:
 
     def __post_init__(self):
         self.velocity = {name: np.zeros_like(t.data) for name, t in self.params}
+        # One scratch array per dtype, as long as its largest tensor, takes
+        # each update's terms in turn, so a step allocates nothing.
+        sizes = {}
+        for _, t in self.params:
+            sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), t.data.size)
+        self._scratch = {dtype: np.empty(size, dtype=dtype) for dtype, size in sizes.items()}
 
     def step(self, lr):
+        """Per tensor, in place: v = momentum * v + (grad + weight_decay *
+        data), then data -= lr * v. A tensor with no grad still decays, and
+        every grad is left as it was."""
         for name, t in self.params:
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
             v = self.velocity[name]
+            tmp = self._scratch[t.data.dtype][:t.data.size].reshape(t.data.shape)
+            np.multiply(t.data, self.weight_decay, out=tmp)
+            if t.grad is not None:
+                tmp += t.grad
             v *= self.momentum
-            v += g + self.weight_decay * t.data
-            t.data -= lr * v
+            v += tmp
+            np.multiply(v, lr, out=tmp)
+            t.data -= tmp
 
     def zero_grad(self):
         for _, t in self.params:

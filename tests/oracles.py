@@ -52,6 +52,46 @@ def conv3x3s2_loop(x, w):
     return out
 
 
+def conv1x1_backward_loop(x, w, g):
+    """(gx, gw) of ``conv1x1_loop`` for the output gradient g, one product
+    at a time: each output cell sends g * w[o][i] back to the input pixel it
+    read and g * x to the weight it used."""
+    bs, ci, hh, ww = x.shape
+    co = w.shape[0]
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for n in range(bs):
+        for o in range(co):
+            for y in range(hh):
+                for xx in range(ww):
+                    go = g[n][o][y][xx]
+                    for i in range(ci):
+                        gx[n][i][y][xx] += w[o][i] * go
+                        gw[o][i] += x[n][i][y][xx] * go
+    return gx, gw
+
+
+def conv3x3s2_backward_loop(x, w, g):
+    """(gx, gw) of ``conv3x3s2_loop`` for the output gradient g: each output
+    cell sends its gradient back along the nine taps it read, by the same
+    index arithmetic; a tap that fell in the zero padding carries none."""
+    bs, ci, hh, ww = x.shape
+    co = w.shape[0]
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for n in range(bs):
+        for o in range(co):
+            for y in range(hh // 2):
+                for xx in range(ww // 2):
+                    go = g[n][o][y][xx]
+                    for i in range(ci):
+                        for dy in range(3):
+                            for dx in range(3):
+                                row, col = 2 * y + dy - 1, 2 * xx + dx - 1
+                                if 0 <= row < hh and 0 <= col < ww:
+                                    gx[n][i][row][col] += w[o][i][dy][dx] * go
+                                    gw[o][i][dy][dx] += x[n][i][row][col] * go
+    return gx, gw
+
+
 def matmul_loop(a, b):
     """Triple loop over the trailing two axes, outer loop over batch cells."""
     lead = a.shape[:-2]
@@ -135,6 +175,59 @@ def conv_bn_loop(x, w, gamma, beta, mean, var, eps, momentum, stride2, act, trai
                     v = (y[n_][ch][yy][xx] - means[ch]) * scale + beta[ch]
                     out[n_][ch][yy][xx] = v / (1.0 + math.exp(-v)) if act else v
     return out, np.array(new_mean), np.array(new_var)
+
+
+def batchnorm_backward_loop(y, gamma, beta, eps, g, act, running=None):
+    """(gy, ggamma, gbeta) of batchnorm (then SiLU when ``act``) on the conv
+    output y for the output gradient g, by Ioffe & Szegedy's (2015) chain
+    rule written scalar by scalar: dL/dxhat, then dL/dvar and dL/dmean, then
+    dL/dy. ``running`` is None in train mode (batch statistics, which depend
+    on y) or the (mean, var) pair that eval mode normalizes with (constants)."""
+    bs, c, hh, ww = y.shape
+    cells = [(n, yy, xx) for n in range(bs) for yy in range(hh) for xx in range(ww)]
+    m = len(cells)
+    if running is None:
+        means, variances = batchnorm_stats(y)
+    else:
+        means, variances = [float(v) for v in running[0]], [float(v) for v in running[1]]
+    gy, ggamma, gbeta = np.zeros(y.shape), [0.0] * c, [0.0] * c
+    for ch in range(c):
+        mu, inv = means[ch], 1.0 / math.sqrt(variances[ch] + eps)
+        dout, dxhat, xhat = {}, {}, {}
+        for cell in cells:
+            n, yy, xx = cell
+            xhat[cell] = (y[n][ch][yy][xx] - mu) * inv
+            d = g[n][ch][yy][xx]
+            if act:  # silu'(v) = s * (1 + v * (1 - s))
+                v = xhat[cell] * gamma[ch] + beta[ch]
+                s = 1.0 / (1.0 + math.exp(-v))
+                d *= s * (1.0 + v * (1.0 - s))
+            dout[cell] = d
+            dxhat[cell] = d * gamma[ch]
+            ggamma[ch] += d * xhat[cell]
+            gbeta[ch] += d
+        if running is not None:
+            for (n, yy, xx) in cells:
+                gy[n][ch][yy][xx] = dxhat[(n, yy, xx)] * inv
+            continue
+        dvar = sum(dxhat[(n, yy, xx)] * (y[n][ch][yy][xx] - mu) for n, yy, xx in cells) \
+            * -0.5 * inv ** 3
+        dmean = -inv * sum(dxhat.values()) \
+            + dvar * sum(-2.0 * (y[n][ch][yy][xx] - mu) for n, yy, xx in cells) / m
+        for n, yy, xx in cells:
+            gy[n][ch][yy][xx] = (dxhat[(n, yy, xx)] * inv
+                                 + dvar * 2.0 * (y[n][ch][yy][xx] - mu) / m + dmean / m)
+    return gy, np.array(ggamma), np.array(gbeta)
+
+
+def conv_bn_backward_loop(x, w, gamma, beta, eps, g, stride2, act, running=None):
+    """(gx, gw, ggamma, gbeta) of conv -> batchnorm -> SiLU (``act``): the
+    conv loop's forward, ``batchnorm_backward_loop`` on its output, then the
+    conv's backward loop; ``running`` as in ``batchnorm_backward_loop``."""
+    y = conv3x3s2_loop(x, w) if stride2 else conv1x1_loop(x, w)
+    gy, ggamma, gbeta = batchnorm_backward_loop(y, gamma, beta, eps, g, act, running)
+    gx, gw = (conv3x3s2_backward_loop if stride2 else conv1x1_backward_loop)(x, w, gy)
+    return gx, gw, ggamma, gbeta
 
 
 def attention4d_loop(x, p):

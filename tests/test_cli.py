@@ -136,8 +136,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides, count, digest", [
         ([], 175, "45a556d308afe44a"),
-        (["neck.placement=both", "neck.downsample=pool", "neck.csp_depth=2"], 185,
-         "d03bcc9a3806f343"),
+        (["neck.placement=both", "neck.num_attention_blocks=2", "neck.downsample=pool",
+          "neck.csp_depth=2"], 185, "d03bcc9a3806f343"),
         (["neck.placement=single_at_end", "neck.num_attention_blocks=1"], 152,
          "d6dbc69397b07d2b"),
     ])
@@ -149,6 +149,26 @@ class TestConfig:
         keys = list(detector.state_dict())
         assert len(keys) == count
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("placement, slots", [
+        ("top_down_only", ["td_c4", "td_c5"]),
+        ("both", ["bu_c4", "bu_c5", "td_c4", "td_c5"]),
+        ("single_at_end", ["end"]),
+    ])
+    def test_unset_block_count_resolves_to_every_slot(self, placement, slots):
+        """With no neck.num_attention_blocks a placement gets all of its
+        slots; the resolved count is what the echo records and what is built."""
+        from crackdet.train import detector_from_config
+
+        cfg = load_config(overrides=[f"neck.placement={placement}"])
+        assert config_dict(cfg)["neck"]["num_attention_blocks"] == len(slots)
+        assert sorted(detector_from_config(cfg, np.random.default_rng(0)).neck.attn) == slots
+
+    def test_explicit_block_count_kept(self):
+        cfg = load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=2"])
+        assert cfg.neck.num_attention_blocks == 2
+        assert load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=null"]
+                           ).neck.num_attention_blocks == 4
 
 
 @pytest.fixture(scope="module")

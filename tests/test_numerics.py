@@ -8,8 +8,9 @@ from crackdet import numerics as nm
 from crackdet.errors import NumericsError, ShapeError
 from crackdet.numerics import BatchNorm, Tensor, finite_diff_check
 
-from oracles import (batchnorm_stats, conv1x1_loop, conv3x3s2_loop, conv_bn_loop, matmul_loop,
-                     softmax_row)
+from oracles import (batchnorm_stats, conv1x1_backward_loop, conv1x1_loop,
+                     conv3x3s2_backward_loop, conv3x3s2_loop, conv_bn_backward_loop, conv_bn_loop,
+                     matmul_loop, softmax_row)
 
 
 class TestConv1x1:
@@ -294,6 +295,64 @@ class TestConvBN:
                 lambda: nm.tsum(nm.mul(nm.conv_bn(x, w, bn, stride2, act), readout)),
                 [x, w, bn.gamma, bn.beta])
         assert err < 1e-6
+
+    # Output sizes Ho*Wo of 1, 4 and 16, as in the train step's last stages;
+    # the last two are not square.
+    @pytest.mark.parametrize("out_hw", [(1, 1), (1, 4), (2, 8)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_matches_loop_oracle(self, rng, out_hw, batch, stride2, act, training):
+        """(gx, gw, ggamma, gbeta) equal the scalar-loop chain rule to 1e-12
+        (relative to the largest gradient, when that exceeds 1)."""
+        w, bn = self._layer(rng, stride2)
+        in_hw = (2 * out_hw[0], 2 * out_hw[1]) if stride2 else out_hw
+        x = rng.normal(size=(batch, 3) + in_hw)
+        g = rng.normal(size=(batch, 5) + out_hw)
+        running = None if training else (bn.running_mean.copy(), bn.running_var.copy())
+        want = conv_bn_backward_loop(x, w, bn.gamma.data, bn.beta.data, bn.eps, g, stride2, act,
+                                     running)
+        with _mode_ctx(training):
+            out = nm.conv_bn(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), bn,
+                             stride2, act)
+        got = out._backward(g)
+        for name, a, b in zip(("gx", "gw", "ggamma", "gbeta"), got, want):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+    @pytest.mark.parametrize("out_hw", [(1, 1), (2, 8)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("stride2", [False, True])
+    def test_float32_backward_stays_float32(self, rng, out_hw, batch, stride2):
+        """A float32 graph returns float32 gradients, near the float64 oracle."""
+        w, bn64 = self._layer(rng, stride2)
+        bn = BatchNorm(5, dtype=np.float32)
+        bn.gamma.data[...], bn.beta.data[...] = bn64.gamma.data, bn64.beta.data
+        in_hw = (2 * out_hw[0], 2 * out_hw[1]) if stride2 else out_hw
+        x = rng.normal(size=(batch, 3) + in_hw).astype(np.float32)
+        g = rng.normal(size=(batch, 5) + out_hw).astype(np.float32)
+        w = w.astype(np.float32)
+        want = conv_bn_backward_loop(x.astype(np.float64), w.astype(np.float64),
+                                     bn.gamma.data.astype(np.float64),
+                                     bn.beta.data.astype(np.float64), bn.eps,
+                                     g.astype(np.float64), stride2, True)
+        out = nm.conv_bn(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), bn,
+                         stride2, act=True)
+        got = out._backward(g)
+        assert [a.dtype for a in got] == [np.float32] * 4
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-3 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("stride2", [False, True])
+    def test_conv_backward_matches_loop_oracle(self, rng, stride2):
+        """The shared raw conv backward alone, on a non-square batch."""
+        w, _ = self._layer(rng, stride2)
+        x = rng.normal(size=(3, 3, 4, 6))
+        g = rng.normal(size=(3, 5, 2, 3) if stride2 else (3, 5, 4, 6))
+        want = (conv3x3s2_backward_loop if stride2 else conv1x1_backward_loop)(x, w, g)
+        for a, b in zip(nm._conv_backward(g, x, w), want):
+            assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("op", ["conv1x1", "conv3x3s2", "conv_bn"])
     def test_input_gradient_only_where_it_goes(self, rng, op):
