@@ -4,12 +4,16 @@ The backbone is a stack of stride-2 3x3 convs emitting features at strides
 8/16/32. The head is a 1x1 conv tower shared across levels that predicts K
 class logits and four nonnegative edge distances (in stride units, softplus
 activated) per grid cell. Decoding turns distances at a cell center into a
-corner box; class-wise greedy NMS prunes overlaps.
+corner box; class-wise greedy NMS prunes overlaps. Every class scores the
+same anchors, so one image's candidates share one IoU matrix, and one greedy
+walk suppresses within every class at once. A detection is a ``Detection``,
+an immutable tuple that rejects an inverted or non-finite box.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +36,24 @@ class RawPredictions:
     distances: list[Tensor]
 
 
-@dataclass(frozen=True)
-class Detection:
-    image_id: int
-    category_id: int
-    score: float
-    box: tuple[float, float, float, float]
+class Detection(namedtuple("Detection", "image_id category_id score box")):
+    """One detection: image id, category id, score and corner box. Every way
+    of building one (positional, keyword, ``_make``, ``_replace``, unpickling)
+    rejects an inverted box and a non-finite box or score."""
 
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.box
+    __slots__ = ()
+
+    def __new__(cls, image_id, category_id, score, box):
+        x1, y1, x2, y2 = box
         # the sum is finite only when every coordinate and the score are
-        if not (x1 <= x2 and y1 <= y2 and math.isfinite(x2 - x1 + y2 - y1 + self.score)):
-            raise ShapeError(f"invalid detection {self}")
+        if not (x1 <= x2 and y1 <= y2 and math.isfinite(x2 - x1 + y2 - y1 + score)):
+            raise ShapeError("invalid detection "
+                             f"{super().__new__(cls, image_id, category_id, score, box)}")
+        return tuple.__new__(cls, (image_id, category_id, score, box))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def anchor_points(image_size: int, strides=STRIDES) -> tuple[np.ndarray, np.ndarray]:
@@ -142,43 +152,66 @@ def decode_boxes(distances: np.ndarray, points_xy: np.ndarray, strides: np.ndarr
                      points_xy[:, 0] + off[:, 2], points_xy[:, 1] + off[:, 3]], axis=1)
 
 
+def _greedy_keep(over: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Greedy suppression of K ranked lists at once. ``over`` (K,n,n) says
+    which entries of list k overlap, both axes in k's rank order, and
+    ``cand`` (K,n) which of them take part; returns the (K,n) kept mask.
+    The walk visits only the rows that overlap a lower-ranked candidate, in
+    rank order within each list, and drops what each still-kept row
+    overlaps. ``over`` is overwritten."""
+    over &= cand[:, None, :] & ~np.tri(cand.shape[1], dtype=bool)
+    keep = cand.copy()
+    for k, i in zip(*np.nonzero(over.any(axis=2))):
+        if keep[k, i]:
+            keep[k, over[k, i]] = False
+    return keep
+
+
+def _rank_and_suppress(overlaps: np.ndarray, scores: np.ndarray,
+                       cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class-wise greedy NMS over n boxes shared by K classes: ``overlaps``
+    (n,n) says which pairs overlap above the threshold, ``scores`` and
+    ``cand`` (K,n) give each class's scores and candidates. Returns each
+    class's rank order (descending score, ties to the lower index) and the
+    kept mask in that order, both (K,n)."""
+    order = np.lexsort((-scores,), axis=-1)  # stable: ties keep index order
+    over = np.stack([overlaps[o][:, o] for o in order])
+    return order, _greedy_keep(over, np.take_along_axis(cand, order, axis=-1))
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float) -> list[int]:
     """Greedy NMS; returns kept indices in descending score order (ties go to
-    the lower index). One IoU matrix over the score-sorted boxes, keeping
-    only each box's overlaps with lower-ranked ones; the walk visits just the
-    rows with any overlap and ORs each unsuppressed one into the mask."""
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    overlaps = np.triu(iou_matrix(boxes[order], boxes[order]) > iou_thr, k=1)
-    suppressed = np.zeros(len(order), dtype=bool)
-    for pos in np.flatnonzero(overlaps.any(axis=1)):
-        if not suppressed[pos]:
-            suppressed |= overlaps[pos]
-    return order[~suppressed].tolist()
+    the lower index). The same walk as ``decode``'s, for one class."""
+    order, keep = _rank_and_suppress(iou_matrix(boxes, boxes) > iou_thr, scores[None],
+                                     np.ones((1, len(scores)), dtype=bool))
+    return order[keep].tolist()
 
 
 def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
            strides: np.ndarray, score_thr: float, nms_iou: float,
            image_id: int = 0) -> list[Detection]:
     """One image's (N,K) class probabilities + (N,4) distances -> detections
-    by descending score, ties by category, then by class-wise NMS order."""
+    by descending score, ties by category, then by class-wise NMS order.
+
+    Only the anchors over ``score_thr`` in some class are decoded, and one
+    IoU matrix over them serves every class; NMS never suppresses across
+    classes."""
     if cls_probs.shape[0] != len(points_xy) or distances.shape[0] != len(points_xy):
         raise ShapeError("decode: predictions do not match the anchor grid")
-    boxes = decode_boxes(distances, points_xy, strides)
-    anchors, classes = [], []
-    for k in range(cls_probs.shape[1]):
-        scores = cls_probs[:, k]
-        picked = np.flatnonzero(scores > score_thr)
-        if len(picked):
-            anchors.append(picked[nms(boxes[picked], scores[picked], nms_iou)])
-            classes.append(np.full(len(anchors[-1]), k))
-    if not anchors:
+    above = cls_probs > score_thr
+    anchors = np.flatnonzero(above.any(axis=1))
+    if not len(anchors):
         return []
-    anchors, classes = np.concatenate(anchors), np.concatenate(classes)
-    scores = cls_probs[anchors, classes]
-    order = np.lexsort((classes, -scores))
+    boxes = decode_boxes(distances[anchors], points_xy[anchors], strides[anchors])
+    order, keep = _rank_and_suppress(iou_matrix(boxes, boxes) > nms_iou,
+                                     cls_probs[anchors].T, above[anchors].T)
+    classes, rank = np.nonzero(keep)
+    kept = order[classes, rank]
+    scores = cls_probs[anchors[kept], classes]
+    final = np.lexsort((classes, -scores))
     return [Detection(image_id, k + 1, score, tuple(box))
-            for k, score, box in zip(classes[order].tolist(), scores[order].tolist(),
-                                     boxes[anchors[order]].tolist())]
+            for k, score, box in zip(classes[final].tolist(), scores[final].tolist(),
+                                     boxes[kept[final]].tolist())]
 
 
 @dataclass
@@ -239,8 +272,10 @@ class Detector(nm.Module):
         return probs, dists
 
     def predict(self, images: np.ndarray, image_ids=None) -> list[Detection]:
+        image_ids = range(len(images)) if image_ids is None else list(image_ids)
+        if len(image_ids) != len(images):
+            raise ShapeError(f"predict: {len(images)} images but {len(image_ids)} image ids")
         probs, dists = self.predict_arrays(images)
-        image_ids = image_ids if image_ids is not None else range(len(images))
         out = []
         for b, image_id in enumerate(image_ids):
             out.extend(decode(probs[b], dists[b], self.points_xy, self.strides,

@@ -572,7 +572,7 @@ class TestEvaluatorProperties:
                           images=[replace(im, id=name(im.id)) for im in index.images],
                           annotations=[replace(a, image_id=name(a.image_id))
                                        for a in index.annotations])
-        renamed_dets = [replace(d, image_id=name(d.image_id)) for d in dets]
+        renamed_dets = [d._replace(image_id=name(d.image_id)) for d in dets]
         assert evaluate(renamed, renamed_dets).to_dict() == evaluate(index, dets).to_dict()
         assert (error_breakdown(renamed, renamed_dets).to_dict()
                 == error_breakdown(index, dets).to_dict())

@@ -1,3 +1,6 @@
+import math
+import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -193,6 +196,126 @@ class TestDecode:
                                     score_thr, nms_iou, image_id=image_id))
 
 
+class TestSharedIoU:
+    """decode builds one IoU matrix per image over the anchors any class puts
+    over the threshold; suppression still stays within a class."""
+
+    def test_same_anchor_in_two_classes_both_kept(self):
+        xy, strides = anchor_points(64)
+        probs = np.full((len(xy), 2), 0.01)
+        probs[5] = [0.9, 0.8]
+        dets = decode(probs, np.ones((len(xy), 4)), xy, strides, 0.05, 0.65)
+        assert [(d.category_id, d.score) for d in dets] == [(1, 0.9), (2, 0.8)]
+        assert dets[0].box == dets[1].box
+
+    def test_overlapping_anchors_in_two_classes_both_kept(self):
+        xy, strides = anchor_points(64)
+        dists = np.ones((len(xy), 4))
+        for a, box in ((0, (0.0, 0.0, 20.0, 10.0)), (1, (0.0, 0.0, 20.0, 11.0))):
+            dists[a] = encode_box(box, *xy[a], strides[a])
+        probs = np.full((len(xy), 2), 0.01)
+        probs[0, 0], probs[1, 1] = 0.9, 0.8
+        dets = decode(probs, dists, xy, strides, 0.05, 0.65)
+        assert [(d.category_id, d.score) for d in dets] == [(1, 0.9), (2, 0.8)]
+        assert iou(dets[0].box, dets[1].box) > 0.65
+        probs[1] = [0.8, 0.01]  # the same two boxes in one class: the lower one goes
+        assert [d.score for d in decode(probs, dists, xy, strides, 0.05, 0.65)] == [0.9]
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("sets", ["disjoint", "identical"])
+    @pytest.mark.parametrize("nms_iou", [0.3, 0.65])
+    def test_candidate_sets_match_loop_oracle(self, size, sets, nms_iou):
+        """Per-class candidate sets that share no anchor, or all the same
+        anchors with other scores; tied scores lean on every tie-break."""
+        xy, strides = anchor_points(size)
+        n, k = len(xy), 3
+        candidates = suppressed = 0
+        for seed in range(3):
+            r = np.random.default_rng(seed)
+            picked = r.choice(n, size=min(n, 180), replace=False)
+            probs = np.full((n, k), 0.01)
+            levels = [0.3, 0.5, 0.5, 0.9]
+            if sets == "disjoint":
+                for c, part in enumerate(np.array_split(picked, k)):
+                    probs[part, c] = r.choice(levels, len(part))
+            else:
+                probs[picked] = r.choice(levels, (len(picked), k))
+            dists = r.uniform(1.0, 4.0, size=(n, 4))
+            got = decode(probs, dists, xy, strides, 0.05, nms_iou, image_id=seed)
+            TestDecode._assert_same(got, decode_loop(probs, dists, xy, strides, 0.05, nms_iou,
+                                                     image_id=seed))
+            candidates += int((probs > 0.05).sum())
+            suppressed += int((probs > 0.05).sum()) - len(got)
+        assert 0 < suppressed < candidates
+
+    def test_iou_covers_candidate_anchors_only(self):
+        """At 640 px an IoU matrix over all 8,400 anchors would take 564 MB;
+        over 40 candidates decode stays far below 2 MB at its peak."""
+        xy, strides = anchor_points(640)
+        r = np.random.default_rng(0)
+        probs = np.full((len(xy), 3), 0.01)
+        probs[r.choice(len(xy), 40, replace=False), r.integers(0, 3, 40)] = 0.9
+        dists = r.uniform(0.0, 3.0, size=(len(xy), 4))
+        tracemalloc.start()
+        try:
+            dets = decode(probs, dists, xy, strides, 0.05, 0.65)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(dets) <= 40
+        assert peak < 2 * 2**20
+
+
+class TestDetection:
+    FIELDS = (1, 2, 0.5, (1.0, 2.0, 3.0, 4.0))
+
+    @pytest.mark.parametrize("score,box", [
+        (0.5, (10.0, 10.0, 5.0, 20.0)), (0.5, (0.0, 5.0, 1.0, 4.0)),
+        (0.5, (0.0, 0.0, 1.0, math.nan)), (0.5, (-math.inf, 0.0, 1.0, 1.0)),
+        (math.nan, (0.0, 0.0, 1.0, 1.0)), (math.inf, (0.0, 0.0, 1.0, 1.0)),
+    ])
+    def test_every_construction_path_validates(self, score, box):
+        bad = (1, 2, score, box)
+        good = Detection(*self.FIELDS)
+        paths = {
+            "positional": lambda: Detection(*bad),
+            "keyword": lambda: Detection(image_id=1, category_id=2, score=score, box=box),
+            "_make": lambda: Detection._make(bad),
+            "_replace": lambda: good._replace(score=score, box=box),
+            # a record that skipped validation is checked again when unpickled
+            "pickle": lambda: pickle.loads(pickle.dumps(tuple.__new__(Detection, bad))),
+        }
+        for name, build in paths.items():
+            with pytest.raises(ShapeError, match="invalid detection"):
+                build()
+                pytest.fail(f"{name} accepted {bad}")
+
+    def test_valid_record_round_trips(self):
+        d = Detection(*self.FIELDS)
+        for back in (pickle.loads(pickle.dumps(d)), Detection._make(self.FIELDS),
+                     d._replace(), Detection(image_id=1, category_id=2, score=0.5,
+                                             box=(1.0, 2.0, 3.0, 4.0))):
+            assert back == d and type(back) is Detection
+
+    def test_immutable(self):
+        d = Detection(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            d.score = 0.9
+        with pytest.raises(AttributeError):
+            d.note = "no per-instance attributes"
+        assert d == Detection(*self.FIELDS)
+
+    def test_equal_records_hash_equally(self):
+        a, b = Detection(*self.FIELDS), Detection(*self.FIELDS)
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a == self.FIELDS and tuple(a) == self.FIELDS  # a tuple of its fields
+        assert a != b._replace(score=0.25)
+
+    def test_repr_names_the_fields(self):
+        assert repr(Detection(*self.FIELDS)) == \
+            "Detection(image_id=1, category_id=2, score=0.5, box=(1.0, 2.0, 3.0, 4.0))"
+
+
 class TestNMS:
     def test_no_kept_pair_overlaps_above_threshold(self, rng):
         for seed in range(20):
@@ -377,6 +500,15 @@ class TestDetectorBundle:
         return build_detector(2, 64, (2, 3, 4, 5, 6),
                               dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
                               4, rng, dtype=dtype)
+
+    @pytest.mark.parametrize("num_ids", [2, 4])
+    def test_predict_rejects_image_id_count_mismatch(self, rng, num_ids):
+        det = self._small_detector(rng)
+        images = rng.normal(size=(3, 3, 64, 64))
+        with pytest.raises(ShapeError, match=f"3 images but {num_ids} image ids"):
+            det.predict(images, image_ids=list(range(7, 7 + num_ids)))
+        dets = det.predict(images, image_ids=[7, 8, 9])
+        assert {d.image_id for d in dets} == {7, 8, 9}
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("perturb", [False, True])
