@@ -20,13 +20,13 @@ from .errors import ShapeError
 from .numerics import BatchNorm, Tensor
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Attention4DConfig:
     channels: int
-    heads: int = 4
-    key_dim: int = 8
+    heads: int
+    key_dim: int
     value_dim: int | None = None
-    spatial: tuple[int, int] = (8, 8)
+    spatial: tuple[int, int]
     residual: bool = True
     scale: float | None = None
 

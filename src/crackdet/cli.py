@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import numerics as nm
-from .config import RunConfig, __version__, config_dict, eval_config, load_config
+from .config import RunConfig, __version__, config_dict, load_config
 from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
                      load_image_batch, load_voc, normalize_images, save_synthetic, stats,
                      stats_table, write_atomic)
@@ -98,7 +98,7 @@ def _load_detections(path):
 def cmd_eval(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = _load_detections(args.dets)
-    report = evaluate(index, detections, eval_config(cfg))
+    report = evaluate(index, detections, cfg.eval)
     print(report.to_table())
     write_json(report.to_dict(), os.path.join(args.out, "eval.json"), cfg)
     write_atomic(os.path.join(args.out, "eval.txt"), report.to_table() + "\n")
@@ -108,7 +108,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = _load_detections(args.dets)
-    breakdown = error_breakdown(index, detections, eval_config(cfg))
+    breakdown = error_breakdown(index, detections, cfg.eval)
     for stage, ap in breakdown.aps.items():
         print(f"{stage}: {ap:.3f}")
     write_json(breakdown.to_dict(), os.path.join(args.out, "analyze.json"), cfg)
@@ -269,7 +269,7 @@ def cmd_train_toy(args, cfg: RunConfig) -> int:
     images = normalize_images(raw_images)
     image_ids = [im.id for im in index.images]
     detections = predict_dataset(detector, images, image_ids)
-    report = evaluate(index, detections, eval_config(cfg))
+    report = evaluate(index, detections, cfg.eval)
     print(f"trained {len(rows)} steps; final total loss {rows[-1][3]:.6f}")
     print(report.to_table())
     write_json({"report": report.to_dict(),

@@ -2,9 +2,10 @@
 
 A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
-with ``--set section.key=value``. The ``assignment`` and ``synthetic`` sections
-are the library's own ``AssignConfig`` and ``SyntheticConfig``. Every section
-is built once from its final values and validated when the config loads. The
+with ``--set section.key=value``. The ``neck``, ``assignment``, ``eval`` and
+``synthetic`` sections are the library's own ``NeckSettings``,
+``AssignConfig``, ``EvalConfig`` and ``SyntheticConfig``. Every section is
+built once from its final values and validated when the config loads. The
 effective config is echoed into every output artifact for provenance.
 """
 
@@ -23,6 +24,7 @@ from .dataio import SyntheticConfig
 from .errors import ConfigError, check_range
 from .evaluator import EvalConfig
 from .model import neck_config
+from .neck import NeckSettings
 
 __version__ = "0.1.0"
 
@@ -45,28 +47,9 @@ class ModelSection:
 
 
 @dataclass
-class NeckSection:
-    out_channels: int = 96
-    csp_depth: int = 1
-    placement: str = "top_down_only"
-    num_attention_blocks: int | None = None  # resolved at load: every slot of the placement
-    attn_heads: int = 2
-    attn_key_dim: int = 16
-    attn_value_dim: int | None = None
-    attn_scale: float | None = None
-    attn_residual: bool = True
-    downsample: str = "conv"
-
-
-@dataclass
 class LossSection:
     w_cls: float = 1.0
     w_reg: float = 2.0
-
-
-@dataclass
-class EvalSection:
-    max_dets: int = 100
 
 
 @dataclass
@@ -77,7 +60,6 @@ class TrainingSection:
     lr: float = 4e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    optimizer_convention: str = "standard"  # or "swapped"
     schedule: str = "cosine"
     seed: int = 0
 
@@ -86,10 +68,10 @@ class TrainingSection:
 class RunConfig:
     numerics: NumericsSection = field(default_factory=NumericsSection)
     model: ModelSection = field(default_factory=ModelSection)
-    neck: NeckSection = field(default_factory=NeckSection)
+    neck: NeckSettings = field(default_factory=NeckSettings)
     assignment: AssignConfig = field(default_factory=AssignConfig)
     loss: LossSection = field(default_factory=LossSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     synthetic: SyntheticConfig = field(default_factory=partial(
         SyntheticConfig, num_classes=3, min_shapes=2, max_shapes=4))
     training: TrainingSection = field(default_factory=TrainingSection)
@@ -128,8 +110,9 @@ def _apply(section, values: dict, path: str) -> dict:
 def load_config(path=None, overrides=()) -> RunConfig:
     """Defaults, then the JSON file, then --set overrides, strictly validated.
 
-    Each section is built once from its collected values, so its own
-    ``__post_init__`` checks the final combination.
+    Each section is built once from its defaults and collected values, so
+    its own ``__post_init__`` checks the final combination (and the neck's
+    fills an unset block count, so the echo names the blocks that are built).
     """
     cfg = RunConfig()
     changes = {f.name: {} for f in fields(cfg)}
@@ -163,21 +146,14 @@ def load_config(path=None, overrides=()) -> RunConfig:
             value = raw_value
         changes[section_name].update(_apply(getattr(cfg, section_name), {key: value},
                                             section_name))
-    for name, values in changes.items():
-        setattr(cfg, name, dataclasses.replace(getattr(cfg, name), **values))
+    cfg = RunConfig(**{f.name: f.default_factory(**changes[f.name]) for f in fields(cfg)})
     validate_config(cfg)
-    # The neck's own rule fills an unset block count, so the echo names the
-    # blocks that are built: 2 for the default top_down_only, 4 for both.
-    cfg.neck.num_attention_blocks = neck_config(
-        cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck)).num_attention_blocks
     return cfg
 
 
 # Scalar bounds checked at load: (key, low, high, ends), as ``check_range``
-# reads them; an unset (None) optional value is skipped. The assignment
-# section checks its own ranges in ``AssignConfig``. Under the "swapped"
-# convention the momentum row reads (and names) training.weight_decay and the
-# weight-decay row training.momentum.
+# reads them; an unset (None) optional value is skipped. The neck,
+# assignment and synthetic sections check their own ranges.
 _BOUNDS = (
     ("numerics.bn_eps", 0, math.inf, "()"),
     ("numerics.bn_momentum", 0, 1, "[]"),
@@ -189,8 +165,6 @@ _BOUNDS = (
     ("training.seed", 0, math.inf, "[)"),
     ("synthetic.seed", 0, math.inf, "[)"),
     ("synthetic.num_images", 1, math.inf, "[)"),
-    # dataio._sample_box places its 14-15 px broad kinds only when size - 2 > 15.
-    ("synthetic.image_size", 18, math.inf, "[)"),
     ("loss.w_cls", 0, math.inf, "[)"),
     ("loss.w_reg", 0, math.inf, "[)"),
     ("model.head_channels", 1, math.inf, "[)"),
@@ -198,12 +172,8 @@ _BOUNDS = (
     ("model.image_size", 0, math.inf, "()"),
     ("model.score_thr", 0, 1, "[)"),
     ("model.nms_iou", 0, 1, "[]"),
-    ("neck.attn_scale", 0, math.inf, "()"),
 )
-_SWAPPED = {"training.momentum": "training.weight_decay",
-            "training.weight_decay": "training.momentum"}
 _CHOICES = (("numerics.dtype", ("float64", "float32")),
-            ("training.optimizer_convention", ("standard", "swapped")),
             ("training.schedule", ("cosine", "constant")))
 
 
@@ -216,9 +186,7 @@ def validate_config(cfg: RunConfig):
     for key, allowed in _CHOICES:
         if _value(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} '{_value(cfg, key)}'")
-    swapped = cfg.training.optimizer_convention == "swapped"
     for key, low, high, ends in _BOUNDS:
-        key = _SWAPPED.get(key, key) if swapped else key
         value = _value(cfg, key)
         if value is None:
             continue
@@ -230,21 +198,9 @@ def validate_config(cfg: RunConfig):
     if cfg.model.image_size % 32:
         raise ConfigError("model.image_size must be divisible by 32")
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
-    eval_config(cfg)
-
-
-def eval_config(cfg: RunConfig) -> EvalConfig:
-    return EvalConfig(max_dets=cfg.eval.max_dets)
 
 
 def config_dict(cfg: RunConfig) -> dict:
     out = dataclasses.asdict(cfg)
     out["model"]["backbone_widths"] = list(out["model"]["backbone_widths"])
     return out
-
-
-def optimizer_settings(cfg: TrainingSection) -> tuple[float, float]:
-    """(momentum, weight_decay); the "swapped" convention exchanges the two."""
-    if cfg.optimizer_convention == "swapped":
-        return cfg.weight_decay, cfg.momentum
-    return cfg.momentum, cfg.weight_decay

@@ -19,10 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_range
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
+# The smallest synthetic canvas: _sample_box places its 14-15 px broad kinds
+# only when size - 2 > 15.
+MIN_SYNTHETIC_SIZE = 18
 
 
 def write_atomic(path, data):
@@ -118,9 +121,14 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
     for key in ("images", "annotations", "categories"):
         if key not in raw:
             raise DataError(f"{path}: missing top-level key '{key}'")
+        if not isinstance(raw[key], list):
+            raise DataError(f"{path}: top-level '{key}' must be a list, "
+                            f"got {type(raw[key]).__name__}")
 
     images = [ImageInfo(id=_id(r, "id", path, f"images[{i}]"),
                         file_name=_require(r, "file_name", path, f"images[{i}]"),
@@ -351,7 +359,15 @@ def read_ppm(path) -> np.ndarray:
             if line.startswith(b"#"):
                 continue
             fields.extend(line.split())
-        w, h, maxval = (int(v) for v in fields[:3])
+        try:
+            w, h, maxval = (int(v) for v in fields[:3])
+        except ValueError:
+            raise DataError(f"{path}: width, height and maxval must be integers, "
+                            f"got {b' '.join(fields[:3]).decode(errors='replace')!r}") from None
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: width and height must be positive, got {w}x{h}")
+        if maxval != 255:
+            raise DataError(f"{path}: only 8-bit images (maxval 255) are read, got maxval {maxval}")
         channels = 3 if magic == b"P6" else 1
         data = np.frombuffer(fh.read(w * h * channels), dtype=np.uint8)
         if data.size != w * h * channels:
@@ -377,6 +393,7 @@ class SyntheticConfig:
             raise DataError(f"num_classes must be in 1..{len(SHAPE_KINDS)}")
         if self.min_shapes < 0 or self.max_shapes < self.min_shapes:
             raise DataError("invalid shapes_per_image range")
+        check_range("synthetic.image_size", self.image_size, MIN_SYNTHETIC_SIZE, math.inf, "[)")
 
 
 # Per-class paint: distinct hue so the class signal survives desk-scale training.
@@ -484,10 +501,18 @@ def save_synthetic(images, index: DatasetIndex, out_dir):
 
 
 def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
-    """Read PPM images into a normalized (B,3,H,W) float batch."""
+    """Read PPM images into a normalized (B,3,H,W) float batch; every image
+    must have the first one's shape."""
     by_id = {im.id: im for im in index.images}
-    return normalize_images([read_ppm(os.path.join(root, "images", by_id[i].file_name))
-                             for i in image_ids])
+    images = []
+    for i in image_ids:
+        path = os.path.join(root, "images", by_id[i].file_name)
+        image = read_ppm(path)
+        if images and image.shape != images[0].shape:
+            raise DataError(f"{path}: image is {image.shape[1]}x{image.shape[0]} px, but the "
+                            f"batch's first is {images[0].shape[1]}x{images[0].shape[0]}")
+        images.append(image)
+    return normalize_images(images)
 
 
 def normalize_images(images) -> np.ndarray:

@@ -13,7 +13,7 @@ image's one IoU matrix serves its groups' matching and the Sim/Oth flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +32,14 @@ ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
 
 @dataclass
 class EvalConfig:
-    iou_thresholds: tuple = IOU_THRESHOLDS
-    recall_points: int = 101
+    """The evaluator's one setting, the config's ``eval`` section: the best
+    ``max_dets`` detections of each (image, category) count."""
+
     max_dets: int = 100
 
     def __post_init__(self):
-        if len(self.iou_thresholds) == 0:
-            raise ConfigError("iou_thresholds must list at least one threshold")
-        if not all(0.0 < t <= 1.0 for t in self.iou_thresholds):
-            raise ConfigError(f"iou_thresholds must lie in (0, 1], "
-                              f"got {tuple(self.iou_thresholds)}")
-        if list(self.iou_thresholds) != sorted(self.iou_thresholds):
-            raise CrackdetError("iou thresholds must be sorted ascending")
-        if self.recall_points < 2:
-            raise CrackdetError("recall grid needs at least two points")
         if self.max_dets < 1:
             raise ConfigError(f"max_dets must be >= 1, got {self.max_dets}")
-
-    def recall_grid(self):
-        return np.linspace(0.0, 1.0, self.recall_points)
 
 
 METRIC_KEYS = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large",
@@ -85,20 +74,19 @@ class ErrorBreakdown:
     aps: dict
     per_class_aps: dict
     curves: dict
-    recall_grid: np.ndarray = field(default_factory=lambda: RECALL_GRID.copy())
 
     def to_dict(self):
         return {
             "aps": self.aps,
             "per_class_aps": self.per_class_aps,
             "curves": {k: list(v) for k, v in self.curves.items()},
-            "recall_grid": list(self.recall_grid),
+            "recall_grid": list(RECALL_GRID),
         }
 
     def to_csv(self) -> str:
         header = "recall," + ",".join(ERROR_STAGES)
         lines = [header]
-        for i, r in enumerate(self.recall_grid):
+        for i, r in enumerate(RECALL_GRID):
             cells = [f"{r:.2f}"] + [f"{self.curves[s][i]:.6f}" for s in ERROR_STAGES]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
@@ -298,8 +286,6 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     """Full per-class and aggregate AP/AR report for a dataset's detections."""
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
-    thresholds = tuple(cfg.iou_thresholds)
-    grid = cfg.recall_grid()
 
     names = {c.id: c.name for c in index.categories}
     per_class = {}
@@ -309,11 +295,11 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
         recalls = {}
         for bucket, (lo, hi) in AREA_RANGES.items():
             ignores = [(g.gt_areas < lo) | (g.gt_areas >= hi) for g in cat_groups]
-            tp, ign, num_gt = _pool([g.match(thresholds, ignore)
+            tp, ign, num_gt = _pool([g.match(IOU_THRESHOLDS, ignore)
                                      for g, ignore in zip(cat_groups, ignores)], rank)
-            curves = _pr_curves(tp, ign, num_gt, grid)
+            curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
             if curves is None:
-                aps[bucket] = recalls[bucket] = [SENTINEL] * len(thresholds)
+                aps[bucket] = recalls[bucket] = [SENTINEL] * len(IOU_THRESHOLDS)
             else:
                 aps[bucket] = [float(c.mean()) for c in curves]
                 recalls[bucket] = (tp.sum(axis=1) / num_gt).tolist()
@@ -321,8 +307,8 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
         per_class[cat] = {
             "name": names[cat],
             "ap": _aggregate(aps["all"]),
-            "ap50": aps["all"][thresholds.index(0.5)] if 0.5 in thresholds else SENTINEL,
-            "ap75": aps["all"][thresholds.index(0.75)] if 0.75 in thresholds else SENTINEL,
+            "ap50": aps["all"][IOU_THRESHOLDS.index(0.5)],
+            "ap75": aps["all"][IOU_THRESHOLDS.index(0.75)],
             "ap_small": _aggregate(aps["small"]),
             "ap_medium": _aggregate(aps["medium"]),
             "ap_large": _aggregate(aps["large"]),
@@ -350,7 +336,6 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     """
     cfg = cfg or EvalConfig()
     groups, cross = _collect_groups(index, detections, cfg)
-    grid = cfg.recall_grid()
 
     by_cat = {}
     for cat, cat_groups in groups.items():
@@ -362,18 +347,17 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
             # Block rows: C75, C50, Loc, Sim, BG.
             rows.append((np.stack([tp[2], tp[1], loc_tp, loc_tp, loc_tp]),
                          np.stack([ign[2], ign[1], loc_ign, sim_ign, loc_ign | ~loc_tp]), n))
-        block = _pr_curves(*_pool(rows, _score_rank(cat_groups)), grid)
+        block = _pr_curves(*_pool(rows, _score_rank(cat_groups)), RECALL_GRID)
         if block is not None:
             # Oth repeats Sim; FN pins every category with GTs at 1.0.
-            by_cat[cat] = np.vstack([block[[0, 1, 2, 3, 3, 4]], np.ones_like(grid)])
+            by_cat[cat] = np.vstack([block[[0, 1, 2, 3, 3, 4]], np.ones_like(RECALL_GRID)])
 
     mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
-                   else np.zeros((len(ERROR_STAGES), len(grid))))
+                   else np.zeros((len(ERROR_STAGES), len(RECALL_GRID))))
     aps, per_class_aps, curves = {}, {}, {}
     for s, stage in enumerate(ERROR_STAGES):
         per_class_aps[stage] = {c: float(by_cat[c][s].mean()) if c in by_cat else SENTINEL
                                 for c in groups}
         aps[stage] = _aggregate(per_class_aps[stage].values())
         curves[stage] = mean_curves[s]
-    return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves,
-                          recall_grid=grid)
+    return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves)

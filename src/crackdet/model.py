@@ -232,7 +232,14 @@ class Detector(nm.Module):
         self.points_xy, self.strides = anchor_points(self.image_size)
 
     def input_batch(self, images: np.ndarray) -> Tensor:
-        return Tensor(np.asarray(images, dtype=self.dtype))
+        """(B,3,H,W) images as a tensor of the model's dtype; (H, W) must be
+        the ``image_size`` the pyramid and the attention blocks were built for."""
+        arr = np.asarray(images, dtype=self.dtype)
+        if arr.shape[2:] != (self.image_size, self.image_size):
+            raise ShapeError(f"images are {'x'.join(map(str, arr.shape[2:]))} px, but the "
+                             f"model takes {self.image_size}x{self.image_size} "
+                             f"(model.image_size)")
+        return Tensor(arr)
 
     def children(self):
         return [("backbone", self.backbone), ("neck", self.neck), ("head", self.head)]

@@ -10,13 +10,14 @@ parameter layout only, never output shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .attention import Attention4DConfig, Attention4DParams, attention4d_forward, init_attention4d
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_range
 from .numerics import BatchNorm, Tensor
 
 PLACEMENT_SLOTS = {
@@ -40,15 +41,17 @@ class PyramidFeatures:
 
 
 @dataclass
-class NeckConfig:
-    in_channels: tuple[int, int, int]
-    out_channels: int
-    spatial: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+class NeckSettings:
+    """The neck's run settings, the config's ``neck`` section, with the run's
+    defaults; checks every rule that needs no pyramid geometry. An unset
+    ``num_attention_blocks`` becomes the placement's slot count."""
+
+    out_channels: int = 96
+    csp_depth: int = 1
     placement: str = "top_down_only"
     num_attention_blocks: int | None = None
-    csp_depth: int = 1
     attn_heads: int = 2
-    attn_key_dim: int = 8
+    attn_key_dim: int = 16
     attn_value_dim: int | None = None
     attn_scale: float | None = None
     attn_residual: bool = True
@@ -73,18 +76,32 @@ class NeckConfig:
                               f"got {self.attn_heads} and {self.attn_key_dim}")
         if self.attn_value_dim is not None and self.attn_value_dim < 1:
             raise ConfigError(f"attn_value_dim must be >= 1 when set, got {self.attn_value_dim}")
+        if self.attn_scale is not None:
+            check_range("neck.attn_scale", self.attn_scale, 0, math.inf, "()")
         if self.out_channels < 1 or self.out_channels % 2:
             raise ConfigError(f"out_channels must be positive and even (CSP splits channels "
                               f"in half), got {self.out_channels}")
         if self.csp_depth < 0:
             raise ConfigError(f"csp_depth must be >= 0, got {self.csp_depth}")
+
+    def active_slots(self) -> tuple[str, ...]:
+        return PLACEMENT_SLOTS[self.placement][:self.num_attention_blocks]
+
+
+@dataclass(kw_only=True)
+class NeckConfig(NeckSettings):
+    """The settings plus the pyramid they apply to: the input channels and
+    (H, W) of levels p3, p4, p5."""
+
+    in_channels: tuple[int, int, int]
+    spatial: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+    def __post_init__(self):
+        super().__post_init__()
         for (ha, wa), (hb, wb) in zip(self.spatial, self.spatial[1:]):
             if ha != 2 * hb or wa != 2 * wb:
                 raise ConfigError(f"pyramid spatial sizes must halve level to level, got {self.spatial}")
         _slot_configs(self)  # each slot's Attention4DConfig checks heads*key_dim <= 8*channels
-
-    def active_slots(self) -> tuple[str, ...]:
-        return PLACEMENT_SLOTS[self.placement][:self.num_attention_blocks]
 
 
 @dataclass

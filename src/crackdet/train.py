@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .config import RunConfig, optimizer_settings
+from .config import RunConfig
 from .dataio import gen_synthetic, normalize_images, write_atomic
 from .errors import ConfigError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
@@ -145,9 +145,8 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
 
     rng = np.random.default_rng(cfg.training.seed)
     detector = detector_from_config(cfg, rng)
-    momentum, weight_decay = optimizer_settings(cfg.training)
     params = list(detector.params())
-    opt = SGD(params, cfg.training.lr, momentum, weight_decay)
+    opt = SGD(params, cfg.training.lr, cfg.training.momentum, cfg.training.weight_decay)
 
     steps = cfg.training.steps
     if cfg.training.epochs is not None:

@@ -57,14 +57,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(overrides=["training.lr"])
 
-    def test_swapped_optimizer_convention_exchanges_values(self):
-        from crackdet.config import optimizer_settings
-        cfg = load_config()
-        assert optimizer_settings(cfg.training) == (0.9, 5e-4)
-        cfg_alt = load_config(overrides=["training.optimizer_convention=swapped"])
-        assert optimizer_settings(cfg_alt.training) == (5e-4, 0.9)
-
-
     @pytest.mark.parametrize("override", ["training.lr=fast", "assignment.lambda_loc=abc",
                                           "model.num_classes=true"])
     def test_mistyped_value_exit_1(self, tmp_path, capsys, override):
@@ -117,8 +109,8 @@ class TestConfig:
             "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
                           "min_shapes": 2, "max_shapes": 4, "seed": 0},
             "training": {"batch_size": 4, "steps": 300, "epochs": None, "lr": 0.004,
-                         "momentum": 0.9, "weight_decay": 0.0005,
-                         "optimizer_convention": "standard", "schedule": "cosine", "seed": 0},
+                         "momentum": 0.9, "weight_decay": 0.0005, "schedule": "cosine",
+                         "seed": 0},
         }
 
     def test_config_echo_loads_back_exactly(self, tmp_path):
@@ -285,20 +277,6 @@ class TestConfigRejectedAtLoad:
         err = self._stats_fails(two_image_set, tmp_path, capsys, ["--set", override])
         assert override.split("=")[0] in err
 
-    @pytest.mark.parametrize("override,message", [
-        ("training.weight_decay=5", "training.weight_decay"),
-        ("training.momentum=-1", "training.momentum"),
-    ])
-    def test_swapped_convention_bounds_name_the_source_key(self, two_image_set, tmp_path,
-                                                           capsys, override, message):
-        """Under "swapped" weight_decay becomes the momentum (bounded to [0, 1))
-        and momentum the weight decay (bounded below by 0): each bound names
-        the key the value came from."""
-        err = self._stats_fails(two_image_set, tmp_path, capsys,
-                                ["--set", "training.optimizer_convention=swapped",
-                                 "--set", override])
-        assert message in err
-
     @pytest.mark.parametrize("command,extra,key", [
         ("gen-data", ["--seed", "-1"], "training.seed"),
         ("train-toy", ["--set", "training.seed=-1"], "training.seed"),
@@ -328,10 +306,12 @@ class TestConfigRejectedAtLoad:
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("overrides", [
-        ["training.optimizer_convention=swapped"],
+        ["training.momentum=0.999", "training.weight_decay=5"],
         ["training.momentum=0", "training.weight_decay=0", "loss.w_cls=0", "loss.w_reg=0"],
     ])
     def test_training_range_edges_still_load(self, overrides):
+        """Momentum just below 1 with a large weight decay loads, as do the
+        zero edges: each value is bounded under its own key only."""
         load_config(overrides=overrides)
 
     @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
@@ -602,6 +582,15 @@ class TestGradcheckCommand:
         assert rc == 2
 
 
+def fresh_checkpoint(tmp_path):
+    """An untrained checkpoint of the default config."""
+    from crackdet.train import detector_from_config
+
+    path = tmp_path / "ckpt.npz"
+    np.savez(path, **detector_from_config(load_config(), np.random.default_rng(0)).state_dict())
+    return path
+
+
 class TestTrainInferPipeline:
     def test_train_assign_debug_infer(self, tmp_path):
         out_dir = tmp_path / "train"
@@ -652,6 +641,35 @@ class TestTrainInferPipeline:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "unexpected entry 'param:neck.attn.td_c4." in err
         assert not (inf_dir / "detections.json").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "assign-debug"])
+    def test_image_size_mismatch_named(self, tmp_path, capsys, command):
+        """A 128-px set through a 64-px model names both sizes, not the
+        attention block's pyramid size."""
+        ckpt = fresh_checkpoint(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=2",
+                     "--set", "synthetic.image_size=128"]) == 0
+        capsys.readouterr()
+        flag = "--images" if command == "infer" else "--dataset"
+        rc = main([command, "--checkpoint", str(ckpt), flag, str(data_dir),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert "images are 128x128 px, but the model takes 64x64" in err
+
+    def test_mixed_image_sizes_named(self, tmp_path, capsys):
+        from crackdet.dataio import write_ppm
+
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=3"]) == 0
+        write_ppm(data_dir / "images" / "img_00002.ppm", np.zeros((32, 32, 3), dtype=np.uint8))
+        capsys.readouterr()
+        rc = main(["infer", "--checkpoint", str(fresh_checkpoint(tmp_path)), "--images",
+                   str(data_dir), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert "img_00002.ppm: image is 32x32 px, but the batch's first is 64x64" in err
 
     def test_epochs_flag_switches_schedule(self, tmp_path):
         out_dir = tmp_path / "ep"

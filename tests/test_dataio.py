@@ -4,13 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from crackdet.config import _BOUNDS
-from crackdet.dataio import (SHAPE_KINDS, Annotation, Category, DatasetIndex, ImageInfo,
-                             SyntheticConfig, _sample_box, coco_dict, convert_coco_to_voc,
-                             convert_voc_to_coco, detections_from_coco, detections_to_coco,
-                             gen_synthetic, load_coco, load_voc, read_ppm, save_coco,
-                             save_synthetic, save_voc, stats, write_atomic, write_ppm)
-from crackdet.errors import DataError
+from crackdet.dataio import (MIN_SYNTHETIC_SIZE, SHAPE_KINDS, Annotation, Category,
+                             DatasetIndex, ImageInfo, SyntheticConfig, _sample_box, coco_dict,
+                             convert_coco_to_voc, convert_voc_to_coco, detections_from_coco,
+                             detections_to_coco, gen_synthetic, load_coco, load_image_batch,
+                             load_voc, read_ppm, save_coco, save_synthetic, save_voc, stats,
+                             write_atomic, write_ppm)
+from crackdet.errors import ConfigError, DataError
 from crackdet.model import Detection
 
 
@@ -135,6 +135,21 @@ class TestCocoLoad:
         index = load_coco(path)
         assert index.clamp_warnings == 1
         assert index.annotations[0].box == (40.0, 40.0, 50.0, 50.0)
+
+    @pytest.mark.parametrize("key,value", [("images", 5), ("annotations", {"x": 1}),
+                                           ("categories", "crack"), ("images", None)])
+    def test_top_level_table_must_be_a_list(self, tmp_path, key, value):
+        tables = {"images": [], "annotations": [], "categories": []}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**tables, key: value}))
+        with pytest.raises(DataError, match=rf"d\.json: top-level '{key}' must be a list"):
+            load_coco(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match=r"d\.json: top level must be a JSON object"):
+            load_coco(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "d.json"
@@ -299,7 +314,7 @@ class TestSynthetic:
         """At the smallest ``synthetic.image_size`` the config accepts,
         ``_sample_box`` places every kind on every draw; one pixel less and
         some kind cannot be placed, so the bound is the tight one."""
-        size = next(low for key, low, _, _ in _BOUNDS if key == "synthetic.image_size")
+        size = MIN_SYNTHETIC_SIZE
         rng = np.random.default_rng(0)
         for kind in SHAPE_KINDS:
             assert all(_sample_box(kind, rng, size) is not None for _ in range(2000)), kind
@@ -312,12 +327,47 @@ class TestSynthetic:
         with pytest.raises(DataError):
             SyntheticConfig(min_shapes=3, max_shapes=1)
 
+    @pytest.mark.parametrize("size", [MIN_SYNTHETIC_SIZE - 1, 8, 0, -5])
+    def test_canvas_below_the_smallest_rejected(self, size):
+        """Below the bound the generator would place no shape (8 px) or fail
+        in numpy (0 px); the config names the key instead."""
+        with pytest.raises(ConfigError, match="synthetic.image_size"):
+            SyntheticConfig(image_size=size, num_images=5)
+
     def test_ppm_round_trip(self, tmp_path):
         r = np.random.default_rng(0)
         img = r.integers(0, 256, size=(20, 30, 3), dtype=np.uint8)
         path = tmp_path / "x.ppm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path), img)
+
+    @pytest.mark.parametrize("header,message", [
+        (b"P6\nab 64\n255\n", "must be integers"),
+        (b"P6\n4 4.5\n255\n", "must be integers"),
+        (b"P6\n4 4\nmax\n", "must be integers"),
+        (b"P6\n0 4\n255\n", "must be positive"),
+        (b"P6\n4 4\n65535\n", "maxval 65535"),
+        (b"P6\n4 4\n127\n", "maxval 127"),
+    ])
+    def test_bad_ppm_header_named(self, tmp_path, header, message):
+        """A bad header raises DataError naming the file; a 16-bit image is
+        not read as 8-bit bytes."""
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + bytes(4 * 4 * 3 * 2))
+        with pytest.raises(DataError, match=message) as err:
+            read_ppm(path)
+        assert "x.ppm" in str(err.value)
+
+    def test_mixed_image_sizes_named(self, tmp_path):
+        images, index = gen_synthetic(SyntheticConfig(num_images=3, image_size=32, seed=1))
+        save_synthetic(images, index, tmp_path)
+        write_ppm(tmp_path / "images" / index.images[2].file_name,
+                  np.zeros((64, 64, 3), dtype=np.uint8))
+        ids = [im.id for im in index.images]
+        assert load_image_batch(index, tmp_path, ids[:2]).shape == (2, 3, 32, 32)
+        with pytest.raises(DataError, match=r"img_00003\.ppm: image is 64x64 px, but the "
+                                            r"batch's first is 32x32"):
+            load_image_batch(index, tmp_path, ids)
 
 
 class TestDetectionSerialization:

@@ -450,6 +450,15 @@ class TestDecodeProperties:
 
 
 class TestDetectorBundle:
+    @pytest.mark.parametrize("shape", [(1, 3, 128, 128), (2, 3, 64, 32), (3, 64, 64)])
+    def test_input_of_another_size_named(self, rng, shape):
+        det = build_detector(2, 64, (2, 3, 4, 5, 6),
+                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
+                             4, rng)
+        size = "x".join(map(str, shape[2:]))
+        with pytest.raises(ShapeError, match=f"images are {size} px, but the model takes 64x64"):
+            det.predict_arrays(rng.normal(size=shape))
+
     def test_predict_roundtrip_state_dict(self, rng):
         det = build_detector(2, 64, (2, 3, 4, 5, 6),
                              dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),

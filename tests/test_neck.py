@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from crackdet import numerics as nm
+from crackdet.config import load_config
 from crackdet.errors import ConfigError
-from crackdet.neck import (NeckConfig, PyramidFeatures, csp_layer, describe_layout,
-                           init_csp, init_neck, neck_forward, parameter_count)
+from crackdet.model import build_detector
+from crackdet.neck import (NeckConfig, NeckSettings, PyramidFeatures, csp_layer,
+                           describe_layout, init_csp, init_neck, neck_forward, parameter_count)
 from crackdet.numerics import Tensor, finite_diff_check
 
 
@@ -26,6 +30,24 @@ def randomize_attention(params, rng):
     for block in params.attn.values():
         block.bn_out.gamma.data[...] = rng.normal(size=block.bn_out.gamma.data.shape)
         block.pos_bias.data[...] = rng.normal(size=block.pos_bias.data.shape) * 0.1
+
+
+class TestNeckSettings:
+    def test_one_default_per_setting(self):
+        """The config's neck section is the settings class that NeckConfig
+        extends, so a NeckConfig given only its pyramid has the run's settings."""
+        run = load_config().neck
+        assert type(run) is NeckSettings and issubclass(NeckConfig, NeckSettings)
+        cfg = NeckConfig(in_channels=(64, 96, 128), spatial=((8, 8), (4, 4), (2, 2)))
+        assert {f.name: getattr(cfg, f.name) for f in fields(NeckSettings)} == vars(run)
+
+    @pytest.mark.parametrize("scale", [float("nan"), -0.5, 0.0, float("inf")])
+    def test_attn_scale_range_checked_by_the_settings(self, scale):
+        with pytest.raises(ConfigError, match="neck.attn_scale"):
+            tiny_cfg(attn_scale=scale)
+        with pytest.raises(ConfigError, match="neck.attn_scale"):
+            build_detector(2, 64, (2, 3, 4, 5, 6), dict(out_channels=4, attn_scale=scale),
+                           4, np.random.default_rng(0))
 
 
 class TestCSPLayer:
