@@ -39,16 +39,30 @@ def iou(a, b) -> float:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (N,4) vs (M,4) corner boxes -> (N,M)."""
+    """Pairwise IoU of (N,4) vs (M,4) corner boxes -> (N,M).
+
+    Three (N, M) buffers, reused in place: the clipped overlap widths become
+    the intersections, the heights the result, and the other the union.
+    When ``a is b`` (a set against itself) the areas are computed once.
+    """
+    same = a is b
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    b = a if same else np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    inter = np.minimum(a[:, None, 2], b[None, :, 2])
+    tmp = np.maximum(a[:, None, 0], b[None, :, 0])
+    inter -= tmp
+    np.clip(inter, 0.0, None, out=inter)
+    ih = np.minimum(a[:, None, 3], b[None, :, 3])
+    np.maximum(a[:, None, 1], b[None, :, 1], out=tmp)
+    ih -= tmp
+    np.clip(ih, 0.0, None, out=ih)
+    inter *= ih
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
+    area_b = area_a if same else (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = np.add(area_a[:, None], area_b[None, :], out=tmp)
+    union -= inter
+    out = ih
+    out.fill(0.0)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
 

@@ -40,11 +40,17 @@ class PyramidFeatures:
         return (self.p3, self.p4, self.p5)
 
 
+class _SlotCount(int):
+    """A block count filled in from the placement rather than set: it stays
+    unset, so a settings object derived from this one (``dataclasses.replace``
+    with another placement) counts that placement's slots again."""
+
+
 @dataclass
 class NeckSettings:
     """The neck's run settings, the config's ``neck`` section, with the run's
     defaults; checks every rule that needs no pyramid geometry. An unset
-    ``num_attention_blocks`` becomes the placement's slot count."""
+    ``num_attention_blocks`` reads as the placement's slot count."""
 
     out_channels: int = 96
     csp_depth: int = 1
@@ -64,8 +70,8 @@ class NeckSettings:
         if self.downsample not in ("conv", "pool"):
             raise ConfigError(f"unknown downsample '{self.downsample}' (expected conv|pool)")
         slots = PLACEMENT_SLOTS[self.placement]
-        if self.num_attention_blocks is None:
-            self.num_attention_blocks = len(slots)
+        if self.num_attention_blocks is None or isinstance(self.num_attention_blocks, _SlotCount):
+            self.num_attention_blocks = _SlotCount(len(slots))
         if not 1 <= self.num_attention_blocks <= 4:
             raise ConfigError("num_attention_blocks must be in 1..4")
         if self.num_attention_blocks > len(slots):

@@ -11,12 +11,14 @@ and backward, and ``batchnorm`` is ``conv_bn``'s batchnorm on its own.
 
 Activations are (B, C, H, W) arrays. The convs' weight gradient is one 2-D
 GEMM against a channel-major input matrix with one column per output pixel
-of the whole batch: for conv3x3s2 the (Ci*9, B*Ho*Wo) im2col patches, which
-also serve its forward (one (Co, Ci*9) block product per image, landing in
-(B, Co, Ho*Wo) order) and its input gradient (one (Ci*9, Co) @ (Co,
-B*Ho*Wo) GEMM and a col2im). Batchnorm's per-channel sums over the batch and
-the pixels are matvecs by a ones vector and row dot products, never
-``sum(axis=(0, 2))`` over an elementwise product.
+of the whole batch: for conv3x3s2 the (Ci*9, B*Ho*Wo) im2col patches,
+released as soon as the weight gradient is formed. Its forward and its
+input gradient build their patches, or patch gradients, for one group of
+consecutive images at a time (one (Co, Ci*9) block product per image,
+landing in (B, Co, Ho*Wo) order; one (Ci*9, Co) GEMM and a col2im per
+group). Batchnorm's per-channel sums over the batch and the pixels are
+matvecs by a ones vector and row dot products, never ``sum(axis=(0, 2))``
+over an elementwise product.
 
 The default dtype is float64; float32 can be requested per tensor for speed.
 A gradient always takes the dtype of the tensor it flows into, so a float64
@@ -106,7 +108,18 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse pass from a scalar; gradients accumulate into .grad fields."""
+        """Reverse pass from a scalar; gradients accumulate into .grad fields.
+
+        The walk releases the graph as it goes: each node drops its backward
+        closure and parents once it has passed its gradient on, freeing the
+        arrays the closure saved. ``data`` and the leaves' ``grad`` stay; a
+        second backward() through a released node raises NumericsError.
+
+        A closure returns, per parent, g, a view of g, or an array it
+        allocated for that parent alone (sharing no memory with g), which
+        the walk then owns. The walk adds in place, or hands over as a
+        leaf's ``grad``, only arrays it owns; a borrowed one is copied first.
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -119,32 +132,47 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                raise NumericsError(f"backward() through op '{node.op}', whose graph an "
+                                    f"earlier backward() released")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        owned = {id(self)}
+        while topo:
+            node = topo.pop()  # children first; the list drops each node as it goes
             g = grads.pop(id(node), None)
+            mine = id(node) in owned
+            backward, parents = node._backward, node._parents
+            if backward is not None:
+                node._backward, node._parents = _released, ()
             if g is None:
                 continue
             if g.dtype != node.data.dtype:  # a float64 loss term must not upcast a float32 net
-                g = g.astype(node.data.dtype)
+                g, mine = g.astype(node.data.dtype), True
             if node.requires_grad:
                 if node.grad is None:
-                    node.grad = np.array(g)  # a copy: g may be shared with other nodes
+                    node.grad = g if mine else np.array(g)
                 else:
                     node.grad += g
-            if node._backward is None:
+            if backward is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] += pg
+                key = id(parent)
+                if key not in grads:
+                    grads[key] = pg
+                    if not np.may_share_memory(pg, g):
+                        owned.add(key)
+                elif key in owned:
+                    grads[key] += pg
                 else:
-                    grads[id(parent)] = pg
+                    grads[key] = np.add(grads[key], pg, out=np.empty_like(grads[key]))
+                    owned.add(key)
 
     # -- operator sugar -------------------------------------------------
 
@@ -187,18 +215,24 @@ def as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=None if like is None else like.data.dtype))
 
 
+def _released(g):
+    """The backward of a node after a backward() walk released its graph."""
+    raise NumericsError("backward() through a graph an earlier backward() released")
+
+
 def _make(data, op, parents, backward):
     if _mode.check_finite and not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite output in op '{op}'")
-    if _mode.grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if _mode.grad_enabled and any(_needs_grad(p) for p in parents):
         return Tensor(data, op=op, parents=parents, backward=backward)
     return Tensor(data, op=op)
 
 
 def _needs_grad(t):
     """Whether a gradient reaching ``t`` goes anywhere: it is a leaf that
-    requires grad or the output of a recorded op."""
-    return t.requires_grad or bool(t._parents)
+    requires grad or the output of a recorded op (released ones included, so
+    that a backward through them raises rather than passing nothing)."""
+    return t.requires_grad or t._backward is not None
 
 
 def _same_shape(a, b, op):
@@ -401,14 +435,27 @@ def _im2col3x3s2(x):
     return cols.reshape(Ci * 9, B * Ho * Wo)
 
 
+# The stride-2 conv builds its im2col patches for one group of consecutive
+# images at a time, sized so that a group's patches take about one L2 cache:
+# the forward never holds a full-batch patch matrix, and the small late
+# layers, whose patches fit many times over, stay one matmul per call.
+_PATCH_GROUP_BYTES = 1 << 20
+
+
+def _images_per_group(patch_bytes):
+    """Images per group when one image's patches take ``patch_bytes``."""
+    return max(1, _PATCH_GROUP_BYTES // max(1, patch_bytes))
+
+
 def _conv_forward(x, w, stride2):
     """Raw-array forward of conv3x3s2 (``stride2``) or conv1x1: x (B,Ci,H,W)
     by w (Co,Ci,3,3) or (Co,Ci) -> (B,Co,Ho,Wo), one matmul either way.
 
     conv1x1 is (Co, Ci) @ (B, Ci, H*W). conv3x3s2 is the (Co, Ci*9) weight
-    by the channel-major patches seen as (B, Ci*9, Ho*Wo) column blocks, one
-    per image: the product lands in (B, Co, Ho*Wo) order, so no transposed
-    copy of the output is made.
+    by the channel-major patches seen as (G, Ci*9, Ho*Wo) column blocks, one
+    per image, for each group of G images in turn: each product lands in its
+    rows of the (B, Co, Ho*Wo) output, so no transposed copy of the output
+    and no full-batch patch matrix is made.
     """
     op = "conv3x3s2" if stride2 else "conv1x1"
     if x.ndim != 4:
@@ -421,9 +468,15 @@ def _conv_forward(x, w, stride2):
         return (w @ x.reshape(B, Ci, H * W)).reshape(B, Co, H, W)
     if H % 2 or W % 2:
         raise ShapeError(f"conv3x3s2: spatial size {(H, W)} must be even")
-    Ho, Wo = H // 2, W // 2
-    cols = _im2col3x3s2(x).reshape(Ci * 9, B, Ho * Wo).transpose(1, 0, 2)
-    return (w.reshape(Co, Ci * 9) @ cols).reshape(B, Co, Ho, Wo)
+    L = (H // 2) * (W // 2)
+    wmat = w.reshape(Co, Ci * 9)
+    out = np.empty((B, Co, L), dtype=np.result_type(x, w))
+    G = _images_per_group(Ci * 9 * L * x.itemsize)
+    for b in range(0, B, G):
+        xg = x[b:b + G]
+        cols = _im2col3x3s2(xg).reshape(Ci * 9, len(xg), L).transpose(1, 0, 2)
+        np.matmul(wmat, cols, out=out[b:b + G])
+    return out.reshape(B, Co, H // 2, W // 2)
 
 
 def _conv_backward(g, x, w, need_gx=True):
@@ -433,13 +486,15 @@ def _conv_backward(g, x, w, need_gx=True):
 
     g is copied once to channel-major (Co, B*Ho*Wo) order, to match the
     input matrix: the channel-major (Ci*9, B*Ho*Wo) patches, rebuilt here
-    (keeping the forward's measured no faster and held ~8 MB more at a train
-    step's peak), or for conv1x1 a (Ci, B*H*W) transposed copy of x. gw is
-    then one (Co, B*Ho*Wo) @ (B*Ho*Wo, Ci*k) GEMM for either conv. conv1x1's
-    gx is the (Ci, Co) @ (B, Co, H*W) matmul. conv3x3s2's patch gradient is
-    one (Ci*9, Co) @ (Co, B*Ho*Wo) GEMM, and a col2im folds it back in place
-    (five shifted adds over contiguous rows) before four strided copies,
-    through gx's (Ci, B, ...) transpose, fill an unpadded, unzeroed buffer.
+    for the whole batch, or for conv1x1 a (Ci, B*H*W) transposed copy of x.
+    gw is then one (Co, B*Ho*Wo) @ (B*Ho*Wo, Ci*k) GEMM for either conv (a
+    sum over images in any other order would change the training numerics),
+    and the input matrix is released at once. conv1x1's gx is the (Ci, Co)
+    @ (B, Co, H*W) matmul. conv3x3s2's gx is formed per image group, as in
+    the forward: the group's patch gradient is a (Ci*9, Co) @ (Co,
+    G*Ho*Wo) GEMM, and a col2im folds it back in place (five shifted adds
+    over contiguous rows) before four strided copies, through gx's (Ci, B,
+    ...) transpose, fill the group's part of an unpadded, unzeroed buffer.
     """
     B, Ci, H, W = x.shape
     Co = w.shape[0]
@@ -448,6 +503,7 @@ def _conv_backward(g, x, w, need_gx=True):
     gf = np.ascontiguousarray(g.reshape(B, Co, L).transpose(1, 0, 2)).reshape(Co, B * L)
     cols = _im2col3x3s2(x) if stride2 else x.reshape(B, Ci, L).transpose(1, 0, 2).reshape(Ci, B * L)
     gw = (gf @ cols.T).reshape(w.shape)
+    del cols
     if not need_gx:
         return None, gw
     wmat = w.reshape(Co, -1)
@@ -459,17 +515,19 @@ def _conv_backward(g, x, w, need_gx=True):
     # parity planes once the dy = 0 and dx = 0 taps are added into them,
     # shifted by one output pixel; four strided copies then interleave them.
     Ho, Wo = H // 2, W // 2
-    gc = (wmat.T @ gf).reshape(Ci, 3, 3, B, Ho, Wo)
-    gc[:, 1, 2, ..., :-1] += gc[:, 1, 0, ..., 1:]
-    gc[:, 2, 1, ..., :-1, :] += gc[:, 0, 1, ..., 1:, :]
-    gc[:, 2, 2, ..., :-1] += gc[:, 2, 0, ..., 1:]
-    gc[:, 2, 2, ..., :-1, :] += gc[:, 0, 2, ..., 1:, :]
-    gc[:, 2, 2, ..., :-1, :-1] += gc[:, 0, 0, ..., 1:, 1:]
     gx = np.empty((B, Ci, Ho, 2, Wo, 2), dtype=x.dtype)
     gxt = gx.transpose(1, 0, 2, 3, 4, 5)
-    for p in range(2):
-        for q in range(2):
-            gxt[:, :, :, p, :, q] = gc[:, 1 + p, 1 + q]
+    G = _images_per_group(Ci * 9 * L * x.itemsize)
+    for b in range(0, B, G):
+        gc = (wmat.T @ gf[:, b * L:(b + G) * L]).reshape(Ci, 3, 3, -1, Ho, Wo)
+        gc[:, 1, 2, ..., :-1] += gc[:, 1, 0, ..., 1:]
+        gc[:, 2, 1, ..., :-1, :] += gc[:, 0, 1, ..., 1:, :]
+        gc[:, 2, 2, ..., :-1] += gc[:, 2, 0, ..., 1:]
+        gc[:, 2, 2, ..., :-1, :] += gc[:, 0, 2, ..., 1:, :]
+        gc[:, 2, 2, ..., :-1, :-1] += gc[:, 0, 0, ..., 1:, 1:]
+        for p in range(2):
+            for q in range(2):
+                gxt[:, b:b + G, :, p, :, q] = gc[:, 1 + p, 1 + q]
     return gx.reshape(x.shape), gw
 
 
@@ -490,8 +548,19 @@ def upsample2x(x):
     x = as_tensor(x)
 
     def backward(g):
-        B, C, H2, W2 = g.shape
-        return (g.reshape(B, C, H2 // 2, 2, W2 // 2, 2).sum(axis=(3, 5)),)
+        # Each 2x2 window's sum by strided adds, in the order numpy's
+        # reshape(..., 2, W/2, 2).sum(axis=(3, 5)) takes, so the result is
+        # bit for bit the same: the two row pairs, or all four taps in turn
+        # when W/2 is 1, then onto +0 (an all -0 window sums to +0).
+        top, bottom = g[:, :, 0::2], g[:, :, 1::2]
+        out = top[..., 0::2] + top[..., 1::2]
+        if g.shape[3] == 2:
+            out += bottom[..., 0::2]
+            out += bottom[..., 1::2]
+        else:
+            out += bottom[..., 0::2] + bottom[..., 1::2]
+        out += 0.0
+        return (out,)
 
     return _make(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), "upsample2x", (x,), backward)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -161,6 +162,19 @@ class TestConfig:
         assert cfg.neck.num_attention_blocks == 2
         assert load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=null"]
                            ).neck.num_attention_blocks == 4
+
+    def test_unset_block_count_follows_a_replaced_placement(self):
+        """Derived with ``dataclasses.replace`` or loaded with the override,
+        the settings count the new placement's slots; the echo names the
+        count either way, and an explicit count stays as set."""
+        loaded = load_config(overrides=["neck.placement=both"])
+        derived = dataclasses.replace(load_config().neck, placement="both")
+        assert derived.num_attention_blocks == loaded.neck.num_attention_blocks == 4
+        assert dataclasses.asdict(derived) == config_dict(loaded)["neck"]
+        assert json.dumps(config_dict(load_config())["neck"]["num_attention_blocks"]) == "2"
+        explicit = load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=2"])
+        assert dataclasses.replace(explicit.neck, csp_depth=2).num_attention_blocks == 2
+        assert dataclasses.replace(derived, placement="single_at_end").num_attention_blocks == 1
 
 
 @pytest.fixture(scope="module")

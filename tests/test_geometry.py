@@ -155,3 +155,34 @@ def test_iou_matrix_matches_scalar(rng):
     for i in range(6):
         for j in range(4):
             assert abs(mat[i, j] - iou(tuple(boxes_a[i]), tuple(boxes_b[j]))) < 1e-12
+
+
+def _iou_matrix_reference(a, b):
+    """The broadcast formula, one temporary per step."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [84, 252, 600])
+def test_iou_matrix_in_place_is_bit_identical(rng, n):
+    """Same bytes as the broadcast formula, degenerate boxes included
+    (zero-size, inverted, NaN, -0.0), and for a set against itself."""
+    a = rng.uniform(0, 64, size=(n, 4))
+    a[: n // 2, 2:] = a[: n // 2, :2] + rng.uniform(0, 20, size=(n // 2, 2))
+    a[::5, 2] = a[::5, 0]
+    a[1::7, 3] = a[1::7, 1] - 1.0
+    a[2] = -0.0
+    a[3, 1] = np.nan
+    b = a[::-1].copy()
+    b[::3] += rng.uniform(-2, 2, size=b[::3].shape)
+    for x, y in ((a, b), (b, a), (a, a), (a[:5], b)):
+        got = iou_matrix(x, y)
+        assert got.tobytes() == _iou_matrix_reference(x, y).tobytes()
+    assert iou_matrix(a, a).tobytes() == iou_matrix(a, a.copy()).tobytes()

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -585,3 +586,101 @@ def test_strict_shape_errors(rng):
     for op in (nm.add, nm.sub, nm.mul):
         with pytest.raises(ShapeError):
             op(a, b)
+
+
+class TestBackwardWalk:
+    def test_shared_gradient_is_not_added_into(self):
+        """``add`` hands one array to both parents; summing a later
+        contribution into one of them must leave the other's alone."""
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        nm.tsum((a + b) + a).backward()
+        assert a.grad.tolist() == [2.0, 2.0] and b.grad.tolist() == [1.0, 1.0]
+        c = Tensor(np.zeros((2, 3)), requires_grad=True)
+        d = Tensor(np.zeros((2, 3)), requires_grad=True)
+        nm.tsum(nm.sub(c + d, c.reshape(3, 2).reshape(2, 3))).backward()
+        assert c.grad.tolist() == [[0.0] * 3] * 2 and d.grad.tolist() == [[1.0] * 3] * 2
+
+    def test_leaf_gradients_never_alias(self):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        nm.tsum(nm.add(a, b)).backward()
+        a.grad += 1.0
+        assert b.grad.tolist() == [1.0] * 3
+
+    def test_backward_releases_the_graph(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+        y = nm.conv3x3s2(x, w)
+        loss = nm.tsum(nm.mul(y, y))
+        before = y.data.copy()
+        loss.backward()
+        for t in (y, loss):
+            assert t._parents == () and t._backward is nm._released
+        assert np.array_equal(y.data, before) and x.grad.shape == x.data.shape
+        assert w.grad is not None
+
+    def test_second_backward_raises(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        h = nm.sigmoid(x)
+        loss = nm.tsum(nm.mul(h, h))
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(NumericsError, match="released"):
+            loss.backward()
+        with pytest.raises(NumericsError, match="released"):  # a new graph on a released node
+            nm.tsum(nm.mul(h, 2.0)).backward()
+        assert np.array_equal(x.grad, grad)
+
+
+class TestUpsampleBackward:
+    @pytest.mark.parametrize("shape", [(4, 96, 8, 8), (4, 96, 4, 4), (2, 3, 6, 10),
+                                       (3, 5, 4, 2), (1, 2, 2, 2), (2, 2, 2, 6)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_to_window_sum(self, rng, shape, dtype):
+        """The strided adds give numpy's sum over each 2x2 window bit for bit,
+        signed zeros included."""
+        B, C, H2, W2 = shape
+        up = nm.upsample2x(Tensor(np.zeros((B, C, H2 // 2, W2 // 2), dtype=dtype),
+                                  requires_grad=True))
+        for g in (rng.normal(size=shape) * rng.choice([1.0, 1e8, 1e-8, 0.0], size=shape),
+                  rng.choice([0.0, -0.0], size=shape)):
+            g = g.astype(dtype)
+            (got,) = up._backward(g)
+            want = g.reshape(B, C, H2 // 2, 2, W2 // 2, 2).sum(axis=(3, 5))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestStride2Groups:
+    def test_group_size_changes_no_bit(self, rng, monkeypatch):
+        """One image per group, a few, or the whole batch: the forward and
+        both gradients are the same bytes."""
+        x = rng.normal(size=(5, 6, 8, 6))
+        w = rng.normal(size=(7, 6, 3, 3))
+        g = rng.normal(size=(5, 7, 4, 3))
+        results = []
+        for group_bytes in (1, 2 * 6 * 9 * 12 * 8, 1 << 30):
+            monkeypatch.setattr(nm, "_PATCH_GROUP_BYTES", group_bytes)
+            results.append([a.tobytes() for a in
+                            (nm._conv_forward(x, w, True), *nm._conv_backward(g, x, w))])
+        assert results[0] == results[1] == results[2]
+        assert np.abs(nm._conv_forward(x, w, True) - conv3x3s2_loop(x, w)).max() < 1e-12
+
+    def test_peak_memory_below_full_batch_patches(self, rng):
+        """On (8, 32, 32, 32) -> 48 channels the forward holds one group's
+        patches, never the (288, 2048) full-batch matrix (4.7 MB), and the
+        backward that matrix once, for the weight gradient, without a
+        full-batch patch gradient beside it."""
+        x = rng.normal(size=(8, 32, 32, 32))
+        w = rng.normal(size=(48, 32, 3, 3))
+        g = rng.normal(size=(8, 48, 16, 16))
+        patches = 32 * 9 * 8 * 16 * 16 * x.itemsize
+        peaks = []
+        for run in (lambda: nm._conv_forward(x, w, True), lambda: nm._conv_backward(g, x, w)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < patches and peaks[1] < 1.25 * patches
