@@ -98,15 +98,16 @@ def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None, i
     Detections must arrive sorted by descending score. Each detection takes
     the unmatched ground truth of highest IoU >= iou_thr (inclusive),
     preferring non-ignored ground truths; among equal IoUs the ground truth
-    that comes last in that preference order (non-ignored, then ignored, each
-    in input order) wins. A detection whose only match is ignored is itself
-    ignored. ``ious`` is the (n_det, n_gt) IoU matrix, if the caller holds it.
+    that comes last in input order within its preference segment wins. A
+    detection whose only match is ignored is itself ignored. ``ious`` is the
+    (n_det, n_gt) IoU matrix, if the caller holds it.
 
     A scalar ``iou_thr`` returns 1-D (tp flags, det_ignore flags, gt_matched
     flags). A sequence of T thresholds returns (T, n) arrays, one row per
     threshold, from a single walk that keeps a (T, n_gt) matched mask and
     visits only the detections whose best IoU reaches the smallest threshold:
-    no other detection can match at any of them.
+    no other detection can match at any of them. ``gt_ignore`` is (n_gt,),
+    shared by every row, or (T, n_gt), one set of flags per row.
     """
     det_boxes = np.asarray(det_boxes, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
@@ -123,27 +124,27 @@ def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None, i
     if n_det and n_gt and n_thr:
         if ious is None:
             ious = iou_matrix(det_boxes, gt_boxes)
-        # Columns in reversed preference order: ignored GTs, then non-ignored,
-        # each by descending index, so argmax's first hit within a segment is
-        # the last GT of that segment among equal IoUs.
-        cols = np.argsort(gt_ignore, kind="stable")[::-1]
-        n_ign = int(gt_ignore.sum())
-        rev = ious[:, cols]
+        # Columns by descending index, so argmax's first hit among equal IoUs
+        # is the last GT. Each row searches its non-ignored GTs, then its
+        # ignored ones; a segment empty in every row is skipped.
+        ignored = np.broadcast_to(gt_ignore, (n_thr, n_gt))[:, ::-1]
+        segments = [(None if mask.all() else mask, flags)
+                    for mask, flags in ((~ignored, tp), (ignored, det_ignore)) if mask.any()]
+        rev = ious[:, ::-1]
         free = np.ones((n_thr, n_gt), dtype=bool)
         rows = np.arange(n_thr)
         for d in np.flatnonzero(ious.max(axis=1) >= thrs.min()):
-            # -1 marks a GT that is taken or below the threshold; IoUs are >= 0.
-            cand = np.where(free & (rev[d] >= thrs), rev[d], -1.0)
+            open_ = free & (rev[d] >= thrs)
             hit = np.zeros(n_thr, dtype=bool)
-            for lo, hi, flags in ((n_ign, n_gt, tp), (0, n_ign, det_ignore)):
-                if lo == hi:
-                    continue
-                j = lo + cand[:, lo:hi].argmax(axis=1)
+            for mask, flags in segments:
+                # -1 marks a GT taken, below the threshold or outside the segment.
+                cand = np.where(open_ if mask is None else open_ & mask, rev[d], -1.0)
+                j = cand.argmax(axis=1)
                 take = ~hit & (cand[rows, j] >= 0.0)
                 free[rows[take], j[take]] = False
                 flags[take, d] = True
                 hit |= take
-        gt_matched[:, cols] = ~free
+        gt_matched[:, ::-1] = ~free
     if scalar:
         return tp[0], det_ignore[0], gt_matched[0]
     return tp, det_ignore, gt_matched
@@ -159,6 +160,7 @@ def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
 def _pr_curves(tp, det_ignore, num_gt, grid):
     """Interpolated precision at each recall in ``grid`` for every row of an
     (S, n) block of score-ordered flags: (S, len(grid)), or None if no GTs.
+    ``num_gt`` is one GT count or one per row; a row with none is all zeros.
 
     An ignored detection gets precision 0 and repeats the recall of the kept
     detection before it (0 if none), so it never raises the right-to-left
@@ -167,20 +169,21 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     exactly the curve of its kept detections alone. A row with no kept
     detection is all zeros.
     """
-    if num_gt == 0:
+    num_gt = np.broadcast_to(num_gt, len(tp))[:, None]
+    if not num_gt.any():
         return None
     kept = ~det_ignore
     ctp = np.cumsum(tp & kept, axis=1)
     cfp = np.cumsum(~tp & kept, axis=1)
     precision = np.divide(ctp, ctp + cfp, out=np.zeros(ctp.shape), where=kept)
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    recall = ctp / num_gt
-    out = np.zeros((len(tp), len(grid)))
-    for row, (rec, env) in enumerate(zip(recall, envelope)):
-        idx = np.searchsorted(rec, grid, side="left")
-        valid = idx < len(rec)
-        out[row, valid] = env[idx[valid]]
-    return out
+    recall = np.divide(ctp, num_gt, out=np.zeros(ctp.shape), where=num_gt > 0)
+    # A trailing 0 for recalls never reached and for rows with no GTs.
+    envelope = np.zeros((len(tp), ctp.shape[1] + 1))
+    envelope[:, :-1] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    idx = np.full((len(tp), len(grid)), ctp.shape[1])
+    for row in np.flatnonzero(num_gt):
+        idx[row] = np.searchsorted(recall[row], grid, side="left")
+    return np.take_along_axis(envelope, idx, axis=1)
 
 
 @dataclass
@@ -197,10 +200,11 @@ class _Group:
 
     def match(self, thresholds, gt_ignore):
         """(tp, det_ignore, num_gt) of this group: (T, n_det) flags, one row
-        per IoU threshold."""
+        per IoU threshold, and the GTs not ignored, per row if ``gt_ignore``
+        is (T, n_gt)."""
         tp, det_ignore, _ = match_detections(self.det_boxes, self.det_scores, self.gt_boxes,
                                              thresholds, gt_ignore, ious=self.ious)
-        return tp, det_ignore, int((~gt_ignore).sum())
+        return tp, det_ignore, np.count_nonzero(~gt_ignore, axis=-1)
 
 
 def _collect_groups(index, detections, cfg):
@@ -219,15 +223,18 @@ def _collect_groups(index, detections, cfg):
     cat_ids = [c.id for c in index.categories]
     cat_pos = {cat: k for k, cat in enumerate(cat_ids)}
     img_pos = {im.id: k for k, im in enumerate(index.images)}
-    for det in detections:
-        if det.category_id not in cat_pos:
-            raise CrackdetError(f"unknown category id {det.category_id} in detections")
-        if det.image_id not in img_pos:
-            raise CrackdetError(f"unknown image id {det.image_id} in detections")
+    d_imgs, d_cats, d_scores, d_boxes = zip(*detections) if detections else ((),) * 4
+    if not (cat_pos.keys() >= set(d_cats) and img_pos.keys() >= set(d_imgs)):
+        for det in detections:
+            if det.category_id not in cat_pos:
+                raise CrackdetError(f"unknown category id {det.category_id} in detections")
+            if det.image_id not in img_pos:
+                raise CrackdetError(f"unknown image id {det.image_id} in detections")
 
     # Columns: image, category, score, box (detections); image, category, box (GTs).
-    d = np.array([(img_pos[x.image_id], cat_pos[x.category_id], x.score, *x.box)
-                  for x in detections], dtype=np.float64).reshape(-1, 7)
+    d = np.column_stack(([img_pos[i] for i in d_imgs], [cat_pos[c] for c in d_cats],
+                         np.asarray(d_scores, dtype=np.float64),
+                         np.asarray(d_boxes, dtype=np.float64).reshape(-1, 4)))
     g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
                    *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
     d_order = np.lexsort((-d[:, 2], d[:, 1], d[:, 0]))
@@ -269,7 +276,7 @@ def _score_rank(groups):
 
 def _pool(rows, rank):
     """Concatenate per-group (tp, det_ignore, num_gt) rows along the detection
-    axis, in ``rank`` order."""
+    axis, in ``rank`` order, and sum the GT counts (one per row, or one)."""
     if not rows:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), 0
     tps, igns, counts = zip(*rows)
@@ -287,22 +294,24 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
 
+    # One row per (size stratum, IoU threshold), strata in AREA_RANGES order.
+    n_thr = len(IOU_THRESHOLDS)
+    thresholds = np.tile(IOU_THRESHOLDS, len(AREA_RANGES))
+    lo, hi = (np.repeat(bounds, n_thr)[:, None] for bounds in zip(*AREA_RANGES.values()))
     names = {c.id: c.name for c in index.categories}
     per_class = {}
     for cat, cat_groups in groups.items():
-        rank = _score_rank(cat_groups)
-        aps = {}
-        recalls = {}
-        for bucket, (lo, hi) in AREA_RANGES.items():
-            ignores = [(g.gt_areas < lo) | (g.gt_areas >= hi) for g in cat_groups]
-            tp, ign, num_gt = _pool([g.match(IOU_THRESHOLDS, ignore)
-                                     for g, ignore in zip(cat_groups, ignores)], rank)
-            curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
-            if curves is None:
-                aps[bucket] = recalls[bucket] = [SENTINEL] * len(IOU_THRESHOLDS)
+        tp, ign, num_gt = _pool([g.match(thresholds, (g.gt_areas < lo) | (g.gt_areas >= hi))
+                                 for g in cat_groups], _score_rank(cat_groups))
+        curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
+        aps, recalls = {}, {}
+        for b, bucket in enumerate(AREA_RANGES):
+            rows = slice(b * n_thr, (b + 1) * n_thr)
+            if curves is None or not num_gt[rows.start]:
+                aps[bucket] = recalls[bucket] = [SENTINEL] * n_thr
             else:
-                aps[bucket] = [float(c.mean()) for c in curves]
-                recalls[bucket] = (tp.sum(axis=1) / num_gt).tolist()
+                aps[bucket] = curves[rows].mean(axis=1).tolist()
+                recalls[bucket] = (tp[rows].sum(axis=1) / num_gt[rows]).tolist()
 
         per_class[cat] = {
             "name": names[cat],
@@ -354,9 +363,10 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
 
     mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
                    else np.zeros((len(ERROR_STAGES), len(RECALL_GRID))))
+    stage_aps = {c: block.mean(axis=1).tolist() for c, block in by_cat.items()}
     aps, per_class_aps, curves = {}, {}, {}
     for s, stage in enumerate(ERROR_STAGES):
-        per_class_aps[stage] = {c: float(by_cat[c][s].mean()) if c in by_cat else SENTINEL
+        per_class_aps[stage] = {c: stage_aps[c][s] if c in by_cat else SENTINEL
                                 for c in groups}
         aps[stage] = _aggregate(per_class_aps[stage].values())
         curves[stage] = mean_curves[s]

@@ -1,8 +1,14 @@
 import os
 import sys
 
-import numpy as np
-import pytest
+# One BLAS thread, fixed before numpy loads, as CI and the benchmark run:
+# training numerics (and so loss.csv, checkpoints and the acceptance figures)
+# depend on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(__file__))
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
-from crackdet.evaluator import (ERROR_STAGES, METRIC_KEYS, RECALL_GRID, SENTINEL, EvalConfig,
-                                _collect_groups, _pr_curves, compute_ap, error_breakdown,
-                                evaluate, match_detections)
+from crackdet.evaluator import (AREA_RANGES, ERROR_STAGES, IOU_THRESHOLDS, METRIC_KEYS,
+                                RECALL_GRID, SENTINEL, EvalConfig, EvalReport, _aggregate,
+                                _collect_groups, _pool, _pr_curves, _score_rank, compute_ap,
+                                error_breakdown, evaluate, match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
@@ -179,6 +181,40 @@ class TestComputeAP:
         assert not block[2].any()
         assert _pr_curves(tp, ignore, 0, grid) is None
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_gt_count_per_row(self, seed):
+        """A row with no GTs is all zeros and warns nothing; every other row is
+        bitwise the scalar-count curve of that row alone."""
+        r = np.random.default_rng(seed)
+        S, n = 8, int(r.integers(1, 40))
+        tp = r.random((S, n)) < 0.5
+        ignore = r.random((S, n)) < 0.3
+        counts = tp.sum(axis=1) + r.integers(0, 3, S)
+        counts[[0, 5]] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _pr_curves(tp, ignore, counts, RECALL_GRID)
+        for s in range(S):
+            if counts[s] == 0:
+                assert not block[s].any()
+            else:
+                alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], int(counts[s]), RECALL_GRID)
+                assert np.array_equal(block[s], alone[0])
+        assert _pr_curves(tp, ignore, np.zeros(S, dtype=int), RECALL_GRID) is None
+        assert _pr_curves(tp, ignore, 0, RECALL_GRID) is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_means_match_scalar_means(self, seed):
+        """``mean(axis=1)`` over C-contiguous rows of curves is bitwise each
+        row's own ``float(c.mean())``, the form the reports once used."""
+        r = np.random.default_rng(seed)
+        curves = np.maximum.accumulate(r.random((40, len(RECALL_GRID)))[:, ::-1], axis=1)
+        curves = np.ascontiguousarray(curves[:, ::-1])
+        curves[r.random(curves.shape) < 0.2] = 0.0
+        for b in range(4):
+            rows = curves[b * 10:(b + 1) * 10]
+            assert rows.mean(axis=1).tolist() == [float(c.mean()) for c in rows]
+
 
 class TestEvaluateHandCases:
     def test_iou06_case(self):
@@ -224,6 +260,19 @@ class TestEvaluateHandCases:
         index = make_index([(1, 1, (0, 0, 50, 50))])
         with pytest.raises(CrackdetError, match="77"):
             evaluate(index, [det(77, 1, 0.5, (0, 0, 10, 10))])
+
+    @pytest.mark.parametrize("ids, message", [
+        ([(1, 1), (77, 1), (1, 99)], "unknown image id 77 in detections"),
+        ([(1, 1), (1, 99), (77, 1)], "unknown category id 99 in detections"),
+        ([(77, 99), (1, 1)], "unknown category id 99 in detections"),
+    ])
+    def test_first_unknown_id_in_input_order_named(self, ids, message):
+        index = make_index([(1, 1, (0, 0, 50, 50))])
+        dets = [det(image_id, cat, 0.5, (0, 0, 10, 10)) for image_id, cat in ids]
+        for report in (evaluate, error_breakdown):
+            with pytest.raises(CrackdetError) as err:
+                report(index, dets)
+            assert str(err.value) == message
 
     def test_class_without_gts_is_sentinel_even_with_detections(self):
         index = make_index([(1, 1, (0, 0, 50, 50))])
@@ -455,6 +504,16 @@ def match_cases(draw):
     return dets, gts, ignore, thresholds
 
 
+@st.composite
+def match_cases_per_row(draw):
+    """A match case whose ignore flags differ per threshold row: one (T, n_gt)
+    block of flags."""
+    dets, gts, _, thresholds = draw(match_cases())
+    row = st.lists(st.booleans(), min_size=len(gts), max_size=len(gts))
+    block = draw(st.lists(row, min_size=len(thresholds), max_size=len(thresholds)))
+    return dets, gts, block, thresholds
+
+
 class TestMatchOracle:
     @given(match_cases())
     @settings(max_examples=300, deadline=None)
@@ -473,6 +532,30 @@ class TestMatchOracle:
             scalar = match_detections(dets, scores, gts, thr, ignore)
             assert [a.tolist() for a in scalar] == list(want)
             assert [a[t].tolist() for a in given_ious] == list(want)
+
+    @given(match_cases_per_row())
+    @settings(max_examples=300, deadline=None)
+    def test_per_row_ignores_match_greedy_loop(self, case):
+        """Each row of a (T, n_gt) ignore block matches as the loop does with
+        that row's flags."""
+        dets, gts, block, thresholds = case
+        scores = [1.0] * len(dets)
+        flags = np.array(block, dtype=bool).reshape(len(thresholds), len(gts))
+        tp, det_ignore, matched = match_detections(dets, scores, gts, thresholds, flags)
+        for t, thr in enumerate(thresholds):
+            want = greedy_match_loop(dets, gts, thr, block[t])
+            assert (tp[t].tolist(), det_ignore[t].tolist(), matched[t].tolist()) == want
+
+    @given(match_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_flat_ignores_equal_their_broadcast_block(self, case):
+        dets, gts, ignore, thresholds = case
+        scores = [1.0] * len(dets)
+        block = np.broadcast_to(np.array(ignore, dtype=bool), (len(thresholds), len(gts)))
+        flat = match_detections(dets, scores, gts, thresholds, ignore)
+        rows = match_detections(dets, scores, gts, thresholds, block)
+        for a, b in zip(flat, rows):
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestIouOncePerGroup:
@@ -495,6 +578,20 @@ class TestIouOncePerGroup:
         error_breakdown(index, dets)
         assert len(calls) == images
 
+    def test_one_match_walk_per_group(self, monkeypatch):
+        """evaluate matches each (image, category) group once, for every size
+        stratum and IoU threshold together."""
+        index, dets = random_scene(42, 6)
+        groups, _ = _collect_groups(index, dets, EvalConfig())
+        num_groups = sum(len(g) for g in groups.values())
+        assert num_groups > len(index.categories)
+        calls = []
+        real = evaluator_module.match_detections
+        monkeypatch.setattr(evaluator_module, "match_detections",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        evaluate(index, dets)
+        assert len(calls) == num_groups
+
 
 @st.composite
 def scenes(draw):
@@ -505,6 +602,61 @@ def scenes(draw):
     dets = draw(st.lists(st.tuples(item, st.sampled_from((0.25, 0.5, 0.75))), max_size=12))
     return (make_index(gts, num_images=num_images),
             [det(image_id, cat, score, box) for (image_id, cat, box), score in dets])
+
+
+def evaluate_per_bucket(index, detections, cfg=None):
+    """The report built one size stratum at a time: four walks per group,
+    each with the stratum's 1-D ignore flags, and one PR-curve block and one
+    ``float(c.mean())`` per row for every (category, stratum)."""
+    cfg = cfg or EvalConfig()
+    groups, _ = _collect_groups(index, detections, cfg)
+    per_class = {}
+    for cat, cat_groups in groups.items():
+        rank = _score_rank(cat_groups)
+        aps, recalls = {}, {}
+        for bucket, (lo, hi) in AREA_RANGES.items():
+            rows = []
+            for g in cat_groups:
+                ignore = (g.gt_areas < lo) | (g.gt_areas >= hi)
+                tp, ign, _ = match_detections(g.det_boxes, g.det_scores, g.gt_boxes,
+                                              IOU_THRESHOLDS, ignore, ious=g.ious)
+                rows.append((tp, ign, int((~ignore).sum())))
+            tp, ign, num_gt = _pool(rows, rank)
+            curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
+            if curves is None:
+                aps[bucket] = recalls[bucket] = [SENTINEL] * len(IOU_THRESHOLDS)
+            else:
+                aps[bucket] = [float(c.mean()) for c in curves]
+                recalls[bucket] = (tp.sum(axis=1) / num_gt).tolist()
+        row = {"name": next(c.name for c in index.categories if c.id == cat),
+               "ap": _aggregate(aps["all"]),
+               "ap50": aps["all"][IOU_THRESHOLDS.index(0.5)],
+               "ap75": aps["all"][IOU_THRESHOLDS.index(0.75)]}
+        for bucket in ("small", "medium", "large"):
+            row[f"ap_{bucket}"] = _aggregate(aps[bucket])
+        row["ar"] = _aggregate(recalls["all"])
+        for bucket in ("small", "medium", "large"):
+            row[f"ar_{bucket}"] = _aggregate(recalls[bucket])
+        per_class[cat] = row
+    aggregate = {k: _aggregate([row[k] for row in per_class.values()]) for k in METRIC_KEYS}
+    return EvalReport(per_class=per_class, aggregate=aggregate)
+
+
+class TestEvaluateOneWalk:
+    @given(scenes(), st.sampled_from((None, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_report_equals_per_bucket_walks(self, scene, max_dets):
+        index, dets = scene
+        cfg = None if max_dets is None else EvalConfig(max_dets=max_dets)
+        want = evaluate_per_bucket(index, dets, cfg).to_dict()
+        assert evaluate(index, dets, cfg).to_dict() == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_scenes_equal_per_bucket_walks(self, seed):
+        index, dets = random_scene(seed, 6)
+        for cfg in (None, EvalConfig(max_dets=1)):
+            want = evaluate_per_bucket(index, dets, cfg).to_dict()
+            assert evaluate(index, dets, cfg).to_dict() == want
 
 
 class TestEvaluatorProperties:
