@@ -9,11 +9,14 @@ The error decomposition produces the seven progressively forgiving PR curves
 Both reports share one grouping by (image, category), with images and
 categories coded by their position in the index, never by comparing ids; each
 image's one IoU matrix serves its groups' matching and the Sim/Oth flags.
+Each report matches all its groups in one event-driven batch walk and builds
+the PR curves of all its categories in one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -28,6 +31,10 @@ RECALL_GRID = np.linspace(0.0, 1.0, 101)
 AREA_RANGES = {"all": (0.0, np.inf), **SIZE_RANGES}
 
 ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
+
+# Elements of one padded (thresholds, groups, candidates, GTs) block of the
+# matching walk: about 4.5 MB of working arrays.
+_MATCH_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -92,62 +99,91 @@ class ErrorBreakdown:
         return "\n".join(lines) + "\n"
 
 
-def match_detections(det_boxes, det_scores, gt_boxes, iou_thr, gt_ignore=None, ious=None):
-    """Greedy per-image, per-class matching at one IoU threshold or several.
+def match_detections(ious, iou_thr, gt_ignore=None):
+    """Greedy COCO matching of a batch of (image, category) groups at one IoU
+    threshold or several, in one event-driven walk; one group is a batch of one.
 
-    Detections must arrive sorted by descending score. Each detection takes
-    the unmatched ground truth of highest IoU >= iou_thr (inclusive),
-    preferring non-ignored ground truths; among equal IoUs the ground truth
-    that comes last in input order within its preference segment wins. A
-    detection whose only match is ignored is itself ignored. ``ious`` is the
-    (n_det, n_gt) IoU matrix, if the caller holds it.
+    ``ious`` holds one (n_det, n_gt) IoU block per group, detections by
+    descending score. In its group each detection takes the free GT of
+    highest IoU >= iou_thr (inclusive), preferring non-ignored GTs; among
+    equal IoUs the last GT wins. A detection whose only match is ignored is
+    itself ignored. Flags are flat over the batch, groups in batch order: 1-D
+    (tp, det_ignore, gt_matched) for a scalar ``iou_thr``, (T, n) arrays for T
+    thresholds. ``gt_ignore`` is (n_gt,), shared by every row, or (T, n_gt).
 
-    A scalar ``iou_thr`` returns 1-D (tp flags, det_ignore flags, gt_matched
-    flags). A sequence of T thresholds returns (T, n) arrays, one row per
-    threshold, from a single walk that keeps a (T, n_gt) matched mask and
-    visits only the detections whose best IoU reaches the smallest threshold:
-    no other detection can match at any of them. ``gt_ignore`` is (n_gt,),
-    shared by every row, or (T, n_gt), one set of flags per row.
+    A detection changes a (row, group)'s state only when it takes a GT, so
+    each pass finds, for every (row, group) at once, the first later
+    detection that still reaches a free GT, and lets it take one: passes are
+    bounded by GTs per group, not by detections. Only detections whose best
+    IoU reaches the lowest threshold are candidates. Groups are padded into
+    (groups, candidates, GTs) blocks, sorted by size and cut so that a block
+    exceeds ``_MATCH_BLOCK_ELEMENTS`` only if one group alone does.
     """
-    det_boxes = np.asarray(det_boxes, dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    n_det, n_gt = len(det_boxes), len(gt_boxes)
-    gt_ignore = np.zeros(n_gt, dtype=bool) if gt_ignore is None else np.asarray(gt_ignore, dtype=bool)
     thrs = np.asarray(iou_thr, dtype=np.float64)
-    scalar = thrs.ndim == 0
-    thrs = thrs.reshape(-1, 1)
+    scalar, thrs = thrs.ndim == 0, thrs.reshape(-1)
     n_thr = len(thrs)
+    n_dets, n_gts = [b.shape[0] for b in ious], [b.shape[1] for b in ious]
+    d_off, g_off = [0, *accumulate(n_dets)], [0, *accumulate(n_gts)]
+    ignore = np.broadcast_to(np.asarray(False if gt_ignore is None else gt_ignore, dtype=bool),
+                             (n_thr, g_off[-1]))
+    tp, det_ignore = np.zeros((2, n_thr, d_off[-1]), dtype=bool)
+    gt_matched = np.zeros((n_thr, g_off[-1]), dtype=bool)
+    lowest = thrs.min() if n_thr else np.inf
+    cands = [np.flatnonzero(b.max(axis=1) >= lowest) if b.size else () for b in ious]
+    for members in _match_blocks([len(c) for c in cands], n_gts, n_thr):
+        n_grp = len(members)
+        n_cand, n_gt = max(len(cands[k]) for k in members), max(n_gts[k] for k in members)
+        iou = np.full((n_grp, n_cand, n_gt), -np.inf)  # padding reaches no threshold
+        det_idx = np.zeros((n_grp, n_cand), dtype=np.int64)
+        for i, k in enumerate(members):
+            iou[i, :len(cands[k]), :n_gts[k]] = ious[k][cands[k]]
+            det_idx[i, :len(cands[k])] = cands[k] + d_off[k]
+        gt_idx = np.add.outer([g_off[k] for k in members], np.arange(n_gt))
+        # Rows r = t * n_grp + g: one per (threshold, group).
+        keep = ~ignore.take(gt_idx, axis=1, mode="clip").reshape(-1, n_gt)
+        # nxt[r, c, n]: the first candidate at or after c that reaches GT n at
+        # row r's threshold, n_cand if none; a taken GT's column is all n_cand.
+        nxt = np.full((n_thr * n_grp, n_cand + 1, n_gt), n_cand)
+        reach = np.where(iou >= thrs[:, None, None, None], np.arange(n_cand)[:, None], n_cand)
+        np.minimum.accumulate(reach.reshape(nxt.shape[0], n_cand, n_gt)[:, ::-1], axis=1,
+                              out=nxt[:, -2::-1])
+        first, events = nxt[:, 0].copy(), []  # each row's nxt at its next detection
+        while True:
+            event = first.min(axis=1)
+            live = np.flatnonzero(event < n_cand)
+            if not len(live):
+                break
+            e = event[live]
+            open_ = first[live] == e[:, None]
+            pick = open_ & keep[live]
+            pick = np.where(pick.any(axis=1, keepdims=True), pick, open_)
+            # Reversed columns: argmax's first hit among equal IoUs is the last GT.
+            j = n_gt - 1 - np.where(pick, iou[live % n_grp, e], -1.0)[:, ::-1].argmax(axis=1)
+            nxt[live, :, j] = n_cand
+            first[live] = nxt[live, e + 1]
+            events.append((live, e, j))
+        live, e, j = (np.concatenate(x) for x in zip(*events))
+        t, g = np.divmod(live, n_grp)
+        took = keep[live, j]
+        tp[t, det_idx[g, e]] = took
+        det_ignore[t, det_idx[g, e]] = ~took
+        gt_matched[t, gt_idx[g, j]] = True
+    return (tp[0], det_ignore[0], gt_matched[0]) if scalar else (tp, det_ignore, gt_matched)
 
-    tp = np.zeros((n_thr, n_det), dtype=bool)
-    det_ignore = np.zeros((n_thr, n_det), dtype=bool)
-    gt_matched = np.zeros((n_thr, n_gt), dtype=bool)
-    if n_det and n_gt and n_thr:
-        if ious is None:
-            ious = iou_matrix(det_boxes, gt_boxes)
-        # Columns by descending index, so argmax's first hit among equal IoUs
-        # is the last GT. Each row searches its non-ignored GTs, then its
-        # ignored ones; a segment empty in every row is skipped.
-        ignored = np.broadcast_to(gt_ignore, (n_thr, n_gt))[:, ::-1]
-        segments = [(None if mask.all() else mask, flags)
-                    for mask, flags in ((~ignored, tp), (ignored, det_ignore)) if mask.any()]
-        rev = ious[:, ::-1]
-        free = np.ones((n_thr, n_gt), dtype=bool)
-        rows = np.arange(n_thr)
-        for d in np.flatnonzero(ious.max(axis=1) >= thrs.min()):
-            open_ = free & (rev[d] >= thrs)
-            hit = np.zeros(n_thr, dtype=bool)
-            for mask, flags in segments:
-                # -1 marks a GT taken, below the threshold or outside the segment.
-                cand = np.where(open_ if mask is None else open_ & mask, rev[d], -1.0)
-                j = cand.argmax(axis=1)
-                take = ~hit & (cand[rows, j] >= 0.0)
-                free[rows[take], j[take]] = False
-                flags[take, d] = True
-                hit |= take
-        gt_matched[:, ::-1] = ~free
-    if scalar:
-        return tp[0], det_ignore[0], gt_matched[0]
-    return tp, det_ignore, gt_matched
+
+def _match_blocks(n_cands, n_gts, n_thr):
+    """The groups with candidates, smallest first, in lists cut so that each
+    padded block holds at most ``_MATCH_BLOCK_ELEMENTS`` unless one group does."""
+    block, c_max, n_max = [], 0, 0
+    for _, k in sorted((c * n, k) for k, (c, n) in enumerate(zip(n_cands, n_gts)) if c):
+        c, n = max(c_max, n_cands[k]), max(n_max, n_gts[k])
+        if block and n_thr * (len(block) + 1) * c * n > _MATCH_BLOCK_ELEMENTS:
+            yield block
+            block, c, n = [], n_cands[k], n_gts[k]
+        block.append(k)
+        c_max, n_max = c, n
+    if block:
+        yield block
 
 
 def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
@@ -160,7 +196,8 @@ def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
 def _pr_curves(tp, det_ignore, num_gt, grid):
     """Interpolated precision at each recall in ``grid`` for every row of an
     (S, n) block of score-ordered flags: (S, len(grid)), or None if no GTs.
-    ``num_gt`` is one GT count or one per row; a row with none is all zeros.
+    ``num_gt`` is one GT count or one per row; a row with none is all zeros
+    and skips the block work.
 
     An ignored detection gets precision 0 and repeats the recall of the kept
     detection before it (0 if none), so it never raises the right-to-left
@@ -169,53 +206,65 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     exactly the curve of its kept detections alone. A row with no kept
     detection is all zeros.
     """
-    num_gt = np.broadcast_to(num_gt, len(tp))[:, None]
-    if not num_gt.any():
+    num_gt = np.broadcast_to(num_gt, len(tp))
+    rows = np.flatnonzero(num_gt)
+    if not len(rows):
         return None
-    kept = ~det_ignore
-    ctp = np.cumsum(tp & kept, axis=1)
-    cfp = np.cumsum(~tp & kept, axis=1)
-    precision = np.divide(ctp, ctp + cfp, out=np.zeros(ctp.shape), where=kept)
-    recall = np.divide(ctp, num_gt, out=np.zeros(ctp.shape), where=num_gt > 0)
-    # A trailing 0 for recalls never reached and for rows with no GTs.
-    envelope = np.zeros((len(tp), ctp.shape[1] + 1))
-    envelope[:, :-1] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    idx = np.full((len(tp), len(grid)), ctp.shape[1])
-    for row in np.flatnonzero(num_gt):
-        idx[row] = np.searchsorted(recall[row], grid, side="left")
-    return np.take_along_axis(envelope, idx, axis=1)
+    kept, n = ~det_ignore[rows], num_gt[rows, None]
+    hit = tp[rows] & kept
+    ctp = np.cumsum(hit, axis=1, dtype=np.int32)
+    # Precision at each kept detection, 0 at ignored ones, made its own
+    # right-to-left envelope in place; a trailing 0 for recalls never reached.
+    envelope = np.zeros((len(rows), ctp.shape[1] + 1))
+    np.divide(ctp, np.cumsum(kept, axis=1, dtype=np.int32), out=envelope[:, :-1], where=kept)
+    np.maximum.accumulate(envelope[:, -2::-1], axis=1, out=envelope[:, -2::-1])
+    # The first detection whose recall ctp / n reaches each grid point is the
+    # k-th kept TP, k the least count with k / n >= the point (the float
+    # division a recall uses; ceil may be one off either way).
+    k = np.ceil(grid * n).astype(np.int64)
+    k -= (k - 1) / n >= grid
+    k += k / n < grid
+    first = np.full((len(rows), max(k.max(), ctp[:, -1:].max(initial=0)) + 1), ctp.shape[1])
+    first[:, 0] = 0
+    at, col = np.nonzero(hit)
+    first[at, ctp[at, col]] = col
+    at = np.arange(len(rows))[:, None]
+    curves = np.zeros((len(num_gt), len(grid)))
+    curves[rows] = envelope[at, first[at, k]]
+    return curves
 
 
 @dataclass
-class _Group:
-    """One (image, category) matching unit: detections in score order and
-    their block of the image's IoU matrix."""
+class _Groups:
+    """Every (image, category) group of a report, flat: groups by image, then
+    category, each group's detections in score order. ``ious`` holds one
+    block per group. ``slots`` places each detection in a (category, column)
+    slab ``width`` columns wide, columns by descending score, then input
+    order; ``gt_onehot`` is (n_gt, K), each GT's category."""
 
-    det_scores: np.ndarray
+    ious: list
     det_order: np.ndarray
-    det_boxes: np.ndarray
-    gt_boxes: np.ndarray
+    slots: tuple
+    width: int
     gt_areas: np.ndarray
-    ious: np.ndarray
+    gt_onehot: np.ndarray
 
-    def match(self, thresholds, gt_ignore):
-        """(tp, det_ignore, num_gt) of this group: (T, n_det) flags, one row
-        per IoU threshold, and the GTs not ignored, per row if ``gt_ignore``
-        is (T, n_gt)."""
-        tp, det_ignore, _ = match_detections(self.det_boxes, self.det_scores, self.gt_boxes,
-                                             thresholds, gt_ignore, ious=self.ious)
-        return tp, det_ignore, np.count_nonzero(~gt_ignore, axis=-1)
+    def slab(self, flags, pad):
+        """(R, n_det) flags as a (K * R, width) block, category k's rows
+        k * R to (k + 1) * R; ``pad`` fills the columns past its detections."""
+        out = np.full((self.gt_onehot.shape[1], len(flags), self.width), pad)
+        out[self.slots[0], :, self.slots[1]] = flags.T
+        return out.reshape(len(out) * len(flags), self.width)
 
 
 def _collect_groups(index, detections, cfg):
-    """Each category's groups in image order, keyed by category id in
-    ``index.categories`` order; and, per detection in input order, whether it
+    """The report's ``_Groups``; and, per detection in input order, whether it
     overlaps a GT of another class at IoU >= 0.1.
 
     One stable lexsort orders the detections by (image, category, descending
     score), ties in input order, and one the GTs by (image, category); each
     group keeps its ``cfg.max_dets`` best detections. Each image's IoU matrix
-    gives the groups' ``ious`` (its same-category blocks) and the flags (its
+    gives the groups' blocks (its same-category blocks) and the flags (its
     other-category entries). GTs of an unlisted category join no group but
     count as another class; GTs on unlisted images, where no detection can
     be, share one position after the listed images.
@@ -234,7 +283,8 @@ def _collect_groups(index, detections, cfg):
     # Columns: image, category, score, box (detections); image, category, box (GTs).
     d = np.column_stack(([img_pos[i] for i in d_imgs], [cat_pos[c] for c in d_cats],
                          np.asarray(d_scores, dtype=np.float64),
-                         np.asarray(d_boxes, dtype=np.float64).reshape(-1, 4)))
+                         np.fromiter(chain.from_iterable(d_boxes), np.float64,
+                                     4 * len(d_boxes)).reshape(-1, 4)))
     g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
                    *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
     d_order = np.lexsort((-d[:, 2], d[:, 1], d[:, 0]))
@@ -245,8 +295,7 @@ def _collect_groups(index, detections, cfg):
              for side in (d, g) for how in ("left", "right")]
     busy = (spans[1] > spans[0]) | (spans[3] > spans[2])  # images with detections or GTs
     edges = np.arange(len(cat_ids) + 1)
-    groups = {cat: [] for cat in cat_ids}
-    cross = np.zeros(len(d), dtype=bool)
+    blocks, kept, cross = [], np.zeros(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
     for d0, d1, g0, g1 in zip(*(s[busy].tolist() for s in spans)):
         ious = (iou_matrix(d[d0:d1, 3:], g[g0:g1, 2:]) if d1 > d0 and g1 > g0
                 else np.zeros((d1 - d0, g1 - g0)))
@@ -254,39 +303,27 @@ def _collect_groups(index, detections, cfg):
         cross[d_order[d0:d1]] = ((ious >= 0.1) & other).any(axis=1)
         rows = (d0 + np.searchsorted(d[d0:d1, 1], edges)).tolist()
         cols = (g0 + np.searchsorted(g[g0:g1, 1], edges)).tolist()
-        for k, cat in enumerate(cat_ids):
+        for k in range(len(cat_ids)):
             r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + cfg.max_dets), cols[k], cols[k + 1]
-            if r0 == r1 and c0 == c1:
-                continue
-            groups[cat].append(_Group(det_scores=d[r0:r1, 2], det_order=d_order[r0:r1],
-                                      det_boxes=d[r0:r1, 3:], gt_boxes=g[c0:c1, 2:],
-                                      gt_areas=areas[c0:c1],
-                                      ious=ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0]))
+            if r0 < r1 or c0 < c1:
+                blocks.append(ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0])
+                kept[r0:r1] = True
+    d, order, d_cat = d[kept], d_order[kept], d[kept, 1].astype(np.int64)
+    rank = np.lexsort((order, -d[:, 2], d_cat))
+    per_cat = np.bincount(d_cat, minlength=len(cat_ids))
+    col = np.empty_like(order)
+    col[rank] = np.arange(len(rank)) - (np.cumsum(per_cat) - per_cat)[d_cat[rank]]
+    grouped = (g[:, 1] >= 0) & (g[:, 0] < len(index.images))  # every such GT is in a group
+    groups = _Groups(ious=blocks, det_order=order, slots=(d_cat, col),
+                     width=per_cat.max(initial=0), gt_areas=areas[grouped],
+                     gt_onehot=g[grouped, 1, None] == edges[:-1])
     return groups, cross
-
-
-def _score_rank(groups):
-    """Order of one category's pooled detections: score, then input order."""
-    if not groups:
-        return np.zeros(0, dtype=np.int64)
-    scores = np.concatenate([g.det_scores for g in groups])
-    orders = np.concatenate([g.det_order for g in groups])
-    return np.lexsort((orders, -scores))
-
-
-def _pool(rows, rank):
-    """Concatenate per-group (tp, det_ignore, num_gt) rows along the detection
-    axis, in ``rank`` order, and sum the GT counts (one per row, or one)."""
-    if not rows:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), 0
-    tps, igns, counts = zip(*rows)
-    return (np.concatenate(tps, axis=-1)[..., rank], np.concatenate(igns, axis=-1)[..., rank],
-            sum(counts))
 
 
 def _aggregate(values):
     live = [v for v in values if v != SENTINEL]
-    return float(np.mean(live)) if live else SENTINEL
+    # np.mean's own sum and division, without its overhead.
+    return float(np.add.reduce(np.array(live)) / len(live)) if live else SENTINEL
 
 
 def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
@@ -298,23 +335,27 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     n_thr = len(IOU_THRESHOLDS)
     thresholds = np.tile(IOU_THRESHOLDS, len(AREA_RANGES))
     lo, hi = (np.repeat(bounds, n_thr)[:, None] for bounds in zip(*AREA_RANGES.values()))
-    names = {c.id: c.name for c in index.categories}
+    ignore = (groups.gt_areas < lo) | (groups.gt_areas >= hi)
+    tp, ign, _ = match_detections(groups.ious, thresholds, ignore)
+    tp, ign = groups.slab(tp, False), groups.slab(ign, True)
+    num_gt = groups.gt_onehot.T.astype(np.int64) @ ~ignore.T  # (category, row)
+    curves = _pr_curves(tp, ign, num_gt.reshape(-1), RECALL_GRID)
+    row_aps = None if curves is None else curves.mean(axis=1).reshape(num_gt.shape)
+    row_ars = np.divide(tp.sum(axis=1).reshape(num_gt.shape), num_gt, out=np.zeros(num_gt.shape),
+                        where=num_gt > 0)
     per_class = {}
-    for cat, cat_groups in groups.items():
-        tp, ign, num_gt = _pool([g.match(thresholds, (g.gt_areas < lo) | (g.gt_areas >= hi))
-                                 for g in cat_groups], _score_rank(cat_groups))
-        curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
+    for k, cat in enumerate(index.categories):
         aps, recalls = {}, {}
         for b, bucket in enumerate(AREA_RANGES):
             rows = slice(b * n_thr, (b + 1) * n_thr)
-            if curves is None or not num_gt[rows.start]:
+            if not num_gt[k, rows.start]:
                 aps[bucket] = recalls[bucket] = [SENTINEL] * n_thr
             else:
-                aps[bucket] = curves[rows].mean(axis=1).tolist()
-                recalls[bucket] = (tp[rows].sum(axis=1) / num_gt[rows]).tolist()
+                aps[bucket] = row_aps[k, rows].tolist()
+                recalls[bucket] = row_ars[k, rows].tolist()
 
-        per_class[cat] = {
-            "name": names[cat],
+        per_class[cat.id] = {
+            "name": cat.name,
             "ap": _aggregate(aps["all"]),
             "ap50": aps["all"][IOU_THRESHOLDS.index(0.5)],
             "ap75": aps["all"][IOU_THRESHOLDS.index(0.75)],
@@ -335,39 +376,36 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     """Seven progressive PR stages; APs are monotone and FN pins at 1.0.
 
     Every stage matches all GTs of a category with none ignored, in one walk
-    per group at IoU 0.1, 0.5 and 0.75. C75 and C50 take the matches at 0.75
-    and 0.5. Loc, Sim, Oth and BG share the match at IoU 0.1 and differ only
-    in which unmatched detections they ignore: none (Loc), those overlapping
-    another class's GT at IoU >= 0.1 (Sim), all of them (BG). Oth forgives
+    at IoU 0.1, 0.5 and 0.75. C75 and C50 take the matches at 0.75 and 0.5.
+    Loc, Sim, Oth and BG share the match at IoU 0.1 and differ only in which
+    unmatched detections they ignore: none (Loc), those overlapping another
+    class's GT at IoU >= 0.1 (Sim), all of them (BG). Oth forgives
     cross-class confusions outside the supercategory; all damage classes
     share one supercategory, so Oth's set is Sim's and the two stages are one
     result. FN scores every category with GTs at 1.0.
     """
     cfg = cfg or EvalConfig()
     groups, cross = _collect_groups(index, detections, cfg)
-
-    by_cat = {}
-    for cat, cat_groups in groups.items():
-        rows = []
-        for g in cat_groups:
-            tp, ign, n = g.match((0.10, 0.50, 0.75), np.zeros(len(g.gt_boxes), dtype=bool))
-            loc_tp, loc_ign = tp[0], ign[0]
-            sim_ign = loc_ign | (~loc_tp & ~loc_ign & cross[g.det_order])
-            # Block rows: C75, C50, Loc, Sim, BG.
-            rows.append((np.stack([tp[2], tp[1], loc_tp, loc_tp, loc_tp]),
-                         np.stack([ign[2], ign[1], loc_ign, sim_ign, loc_ign | ~loc_tp]), n))
-        block = _pr_curves(*_pool(rows, _score_rank(cat_groups)), RECALL_GRID)
-        if block is not None:
-            # Oth repeats Sim; FN pins every category with GTs at 1.0.
-            by_cat[cat] = np.vstack([block[[0, 1, 2, 3, 3, 4]], np.ones_like(RECALL_GRID)])
+    tp, _, _ = match_detections(groups.ious, (0.10, 0.50, 0.75))
+    loc, none = tp[0], np.zeros_like(tp[0])
+    # Rows C75, C50, Loc, Sim, BG; no GT is ignored, so only Sim and BG ignore.
+    tps = groups.slab(np.stack([tp[2], tp[1], loc, loc, loc]), False)
+    igns = groups.slab(np.stack([none, none, none, ~loc & cross[groups.det_order], ~loc]), True)
+    num_gt = groups.gt_onehot.sum(axis=0)
+    stages = _pr_curves(tps, igns, np.repeat(num_gt, 5), RECALL_GRID)
+    if stages is not None:
+        # Oth repeats Sim; FN pins every category with GTs at 1.0.
+        stages = stages.reshape(len(num_gt), 5, -1)[:, [0, 1, 2, 3, 3, 4]]
+        stages = np.concatenate([stages, np.ones((len(num_gt), 1, len(RECALL_GRID)))], axis=1)
+    by_cat = {cat.id: stages[k] for k, cat in enumerate(index.categories) if num_gt[k]}
 
     mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
                    else np.zeros((len(ERROR_STAGES), len(RECALL_GRID))))
     stage_aps = {c: block.mean(axis=1).tolist() for c, block in by_cat.items()}
     aps, per_class_aps, curves = {}, {}, {}
     for s, stage in enumerate(ERROR_STAGES):
-        per_class_aps[stage] = {c: stage_aps[c][s] if c in by_cat else SENTINEL
-                                for c in groups}
+        per_class_aps[stage] = {c.id: stage_aps[c.id][s] if c.id in by_cat else SENTINEL
+                                for c in index.categories}
         aps[stage] = _aggregate(per_class_aps[stage].values())
         curves[stage] = mean_curves[s]
     return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves)

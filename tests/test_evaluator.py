@@ -1,6 +1,8 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (AREA_RANGES, ERROR_STAGES, IOU_THRESHOLDS, METRIC_KEYS,
                                 RECALL_GRID, SENTINEL, EvalConfig, EvalReport, _aggregate,
-                                _collect_groups, _pool, _pr_curves, _score_rank, compute_ap,
-                                error_breakdown, evaluate, match_detections)
+                                _collect_groups, _pr_curves, compute_ap, error_breakdown, evaluate,
+                                match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
@@ -60,69 +62,69 @@ def random_scene(seed, num_images=4, num_classes=2):
     return make_index(gts, num_images=num_images), dets
 
 
+def match_one(dets, gts, iou_thr, gt_ignore=None):
+    """``match_detections`` on one group, a batch of one, from its boxes."""
+    return match_detections([iou_matrix(dets, gts)], iou_thr, gt_ignore)
+
+
 class TestMatchDetections:
     def test_single_tp(self):
-        tp, ignore, matched = match_detections([(0, 0, 10, 6)], [0.9], [(0, 0, 10, 10)], 0.5)
+        tp, ignore, matched = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.5)
         assert tp.tolist() == [True] and matched.tolist() == [True]
 
     def test_threshold_boundary_is_inclusive(self):
-        tp, _, _ = match_detections([(0, 0, 10, 6)], [0.9], [(0, 0, 10, 10)], 0.6)
+        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.6)
         assert tp.tolist() == [True]
-        tp, _, _ = match_detections([(0, 0, 10, 6)], [0.9], [(0, 0, 10, 10)], 0.75)
+        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.75)
         assert tp.tolist() == [False]
 
     def test_duplicate_detection_is_fp(self):
-        tp, _, matched = match_detections([(0, 0, 10, 9), (0, 0, 10, 9)], [0.9, 0.8],
-                                          [(0, 0, 10, 10)], 0.5)
+        tp, _, matched = match_one([(0, 0, 10, 9), (0, 0, 10, 9)], [(0, 0, 10, 10)], 0.5)
         assert tp.tolist() == [True, False]
         assert matched.tolist() == [True]
 
     def test_prefers_unignored_gt(self):
         gt = [(0, 0, 10, 10), (1, 0, 11, 10)]
-        tp, ignore, _ = match_detections([(0, 0, 10, 10)], [0.9], gt, 0.5,
-                                         gt_ignore=[True, False])
+        tp, ignore, _ = match_one([(0, 0, 10, 10)], gt, 0.5, gt_ignore=[True, False])
         assert tp.tolist() == [True] and ignore.tolist() == [False]
 
     def test_match_only_ignored_gt_ignores_detection(self):
-        tp, ignore, _ = match_detections([(0, 0, 10, 10)], [0.9], [(0, 0, 10, 10)], 0.5,
-                                         gt_ignore=[True])
+        tp, ignore, _ = match_one([(0, 0, 10, 10)], [(0, 0, 10, 10)], 0.5, gt_ignore=[True])
         assert tp.tolist() == [False] and ignore.tolist() == [True]
 
     def test_threshold_sequence_gives_one_row_per_threshold(self):
         # IoU exactly 0.6: inclusive at 0.6, a miss at 0.65.
-        tp, ignore, matched = match_detections([(0, 0, 10, 6)], [0.9], [(0, 0, 10, 10)],
-                                               (0.5, 0.6, 0.65))
+        tp, ignore, matched = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], (0.5, 0.6, 0.65))
         assert tp.tolist() == [[True], [True], [False]]
         assert ignore.tolist() == [[False]] * 3
         assert matched.tolist() == [[True], [True], [False]]
 
     def test_equal_iou_goes_to_last_gt(self):
         gt = [(0, 0, 10, 10), (0, 0, 10, 10), (20, 20, 30, 30)]
-        _, _, matched = match_detections([(0, 0, 10, 10)], [0.9], gt, (0.5, 1.0))
+        _, _, matched = match_one([(0, 0, 10, 10)], gt, (0.5, 1.0))
         assert matched.tolist() == [[False, True, False]] * 2
 
     def test_unignored_gt_wins_over_higher_iou_ignored_ones(self):
         # GT 1 (IoU 0.6) is the only non-ignored one; GTs 0 and 2 (IoU 1) tie.
         gt = [(0, 0, 10, 10), (0, 0, 10, 6), (0, 0, 10, 10)]
-        tp, ignore, matched = match_detections([(0, 0, 10, 10)], [0.9], gt, (0.5, 0.7),
-                                               gt_ignore=[True, False, True])
+        tp, ignore, matched = match_one([(0, 0, 10, 10)], gt, (0.5, 0.7),
+                                        gt_ignore=[True, False, True])
         assert tp.tolist() == [[True], [False]]
         assert ignore.tolist() == [[False], [True]]
         assert matched.tolist() == [[False, True, False], [False, False, True]]
 
     def test_zero_area_boxes_match_nothing(self):
-        tp, ignore, matched = match_detections([(5, 5, 5, 9)], [0.9], [(5, 5, 5, 9)],
-                                               (0.1, 0.5))
+        tp, ignore, matched = match_one([(5, 5, 5, 9)], [(5, 5, 5, 9)], (0.1, 0.5))
         assert not tp.any() and not ignore.any() and not matched.any()
 
     @pytest.mark.parametrize("n_det,n_gt", [(0, 2), (3, 0), (0, 0)])
     def test_empty_sides_give_empty_flags(self, n_det, n_gt):
         dets = [(0, 0, 10, 10)] * n_det
         gts = [(0, 0, 10, 10)] * n_gt
-        tp, ignore, matched = match_detections(dets, [0.5] * n_det, gts, (0.5, 0.75))
+        tp, ignore, matched = match_one(dets, gts, (0.5, 0.75))
         assert tp.shape == ignore.shape == (2, n_det) and matched.shape == (2, n_gt)
         assert not tp.any() and not ignore.any() and not matched.any()
-        tp, _, matched = match_detections(dets, [0.5] * n_det, gts, 0.5)
+        tp, _, matched = match_one(dets, gts, 0.5)
         assert tp.shape == (n_det,) and matched.shape == (n_gt,)
 
 
@@ -519,19 +521,14 @@ class TestMatchOracle:
     @settings(max_examples=300, deadline=None)
     def test_every_threshold_matches_greedy_loop(self, case):
         dets, gts, ignore, thresholds = case
-        scores = [1.0] * len(dets)
-        rows = match_detections(dets, scores, gts, thresholds, ignore)
-        tp, det_ignore, matched = rows
+        tp, det_ignore, matched = match_one(dets, gts, thresholds, ignore)
         assert tp.shape == det_ignore.shape == (len(thresholds), len(dets))
         assert matched.shape == (len(thresholds), len(gts))
-        ious = iou_matrix(dets, gts) if dets and gts else None
-        given_ious = match_detections(dets, scores, gts, thresholds, ignore, ious=ious)
         for t, thr in enumerate(thresholds):
             want = greedy_match_loop(dets, gts, thr, ignore)
             assert (tp[t].tolist(), det_ignore[t].tolist(), matched[t].tolist()) == want
-            scalar = match_detections(dets, scores, gts, thr, ignore)
+            scalar = match_one(dets, gts, thr, ignore)
             assert [a.tolist() for a in scalar] == list(want)
-            assert [a[t].tolist() for a in given_ious] == list(want)
 
     @given(match_cases_per_row())
     @settings(max_examples=300, deadline=None)
@@ -539,9 +536,8 @@ class TestMatchOracle:
         """Each row of a (T, n_gt) ignore block matches as the loop does with
         that row's flags."""
         dets, gts, block, thresholds = case
-        scores = [1.0] * len(dets)
         flags = np.array(block, dtype=bool).reshape(len(thresholds), len(gts))
-        tp, det_ignore, matched = match_detections(dets, scores, gts, thresholds, flags)
+        tp, det_ignore, matched = match_one(dets, gts, thresholds, flags)
         for t, thr in enumerate(thresholds):
             want = greedy_match_loop(dets, gts, thr, block[t])
             assert (tp[t].tolist(), det_ignore[t].tolist(), matched[t].tolist()) == want
@@ -550,12 +546,107 @@ class TestMatchOracle:
     @settings(max_examples=200, deadline=None)
     def test_flat_ignores_equal_their_broadcast_block(self, case):
         dets, gts, ignore, thresholds = case
-        scores = [1.0] * len(dets)
         block = np.broadcast_to(np.array(ignore, dtype=bool), (len(thresholds), len(gts)))
-        flat = match_detections(dets, scores, gts, thresholds, ignore)
-        rows = match_detections(dets, scores, gts, thresholds, block)
+        flat = match_one(dets, gts, thresholds, ignore)
+        rows = match_one(dets, gts, thresholds, block)
         for a, b in zip(flat, rows):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@st.composite
+def match_batches(draw):
+    """A batch of 1-5 groups, each up to 10 detections (cut to ``max_dets``, 1
+    or the default) and 8 GTs drawn partly from one shared pool of boxes;
+    ascending thresholds, often equal to one of the batch's own IoUs; one
+    (T, n_gt) block of ignore flags per group."""
+    max_dets = draw(st.sampled_from((1, EvalConfig().max_dets)))
+    pool = draw(st.lists(_box, min_size=1, max_size=4))
+    pick = st.one_of(st.sampled_from(pool), _box)
+    sides = [(draw(st.lists(pick, max_size=10))[:max_dets], draw(st.lists(pick, max_size=8)))
+             for _ in range(draw(st.integers(1, 5)))]
+    exact = sorted({iou(d, g) for dets, gts in sides for d in dets for g in gts} - {0.0})
+    level = st.sampled_from((0.1, 0.3, 0.5, 0.75, 0.95, 1.0))
+    if exact:
+        level = st.one_of(level, st.sampled_from(exact))
+    thresholds = sorted(draw(st.lists(level, min_size=1, max_size=5)))
+    flags = [draw(st.lists(st.lists(st.booleans(), min_size=len(gts), max_size=len(gts)),
+                           min_size=len(thresholds), max_size=len(thresholds)))
+             for _, gts in sides]
+    return [(dets, gts, block) for (dets, gts), block in zip(sides, flags)], thresholds
+
+
+class TestMatchBatchOracle:
+    @given(match_batches(), st.sampled_from((1, None)))
+    @settings(max_examples=300, deadline=None)
+    def test_every_group_and_row_matches_greedy_loop(self, case, budget):
+        """Each row of each group of one batch matches as the loop does on that
+        group alone, with that row's ignore flags; a budget of 1 puts every
+        group in a block of its own."""
+        groups, thresholds = case
+        ignore = np.concatenate([np.zeros((len(thresholds), 0), dtype=bool)]
+                                + [np.array(block, dtype=bool).reshape(len(thresholds), len(gts))
+                                   for _, gts, block in groups], axis=1)
+        budget = budget or evaluator_module._MATCH_BLOCK_ELEMENTS
+        with mock.patch.object(evaluator_module, "_MATCH_BLOCK_ELEMENTS", budget):
+            tp, det_ignore, matched = match_detections(
+                [iou_matrix(dets, gts) for dets, gts, _ in groups], thresholds, ignore)
+        d0 = g0 = 0
+        for dets, gts, block in groups:
+            d1, g1 = d0 + len(dets), g0 + len(gts)
+            for t, thr in enumerate(thresholds):
+                want = greedy_match_loop(dets, gts, thr, block[t])
+                assert (tp[t, d0:d1].tolist(), det_ignore[t, d0:d1].tolist(),
+                        matched[t, g0:g1].tolist()) == want
+            d0, g0 = d1, g1
+        assert (d0, g0) == (tp.shape[1], matched.shape[1])
+
+
+def match_one_group_at_a_time(ious, iou_thr, gt_ignore=None):
+    """``match_detections`` called once per group, each a batch of one, and
+    its flags concatenated: the per-group oracle of a batch."""
+    thrs = np.reshape(iou_thr, -1)
+    ignore = np.broadcast_to(False if gt_ignore is None else gt_ignore,
+                             (len(thrs), sum(b.shape[1] for b in ious)))
+    cuts = np.cumsum([0] + [b.shape[1] for b in ious])
+    rows = [match_detections([b], thrs, ignore[:, c0:c1])
+            for b, c0, c1 in zip(ious, cuts, cuts[1:])]
+    return tuple(np.concatenate([np.zeros((len(thrs), 0), dtype=bool)] + [r[i] for r in rows],
+                                axis=1) for i in range(3))
+
+
+class TestMatchMemoryBound:
+    def test_one_large_group_beside_many_small_ones(self):
+        """One group of 100 overlapping detections x 50 GTs beside 500 one-GT
+        groups: both reports equal the per-group oracle's, and the traced peak
+        stays under 32 MB. Padding every group to the large one would take
+        about 501 x 40 x 100 x 50 elements of 17 bytes, 1.7 GB."""
+        r = np.random.default_rng(7)
+        gts, dets = [], []
+        for i in range(50):  # a 10 x 5 grid of 40-px boxes, 20 px apart
+            x, y = 20.0 * (i % 10), 20.0 * (i // 10)
+            gts.append((1, 1, (x, y, x + 40.0, y + 40.0)))
+            for copy in range(2):
+                jx, jy = r.normal(0.0, 4.0, 2)
+                dets.append(det(1, 1, float(r.uniform(0.1, 1.0)), (x + jx, y + jy, x + jx + 40.0,
+                                                                   y + jy + 40.0)))
+        for image_id in range(2, 502):
+            cat = 1 + image_id % 2
+            gts.append((image_id, cat, (10.0, 10.0, 50.0, 60.0)))
+            for _ in range(int(r.integers(1, 4))):
+                x, y = r.uniform(0.0, 20.0, 2)
+                dets.append(det(image_id, cat, float(r.uniform(0.1, 1.0)),
+                                (x, y, x + 40.0, y + 50.0)))
+        index = make_index(gts, num_images=501)
+        with mock.patch.object(evaluator_module, "match_detections", match_one_group_at_a_time):
+            want = evaluate(index, dets).to_dict(), error_breakdown(index, dets).to_dict()
+        tracemalloc.start()
+        try:
+            got = evaluate(index, dets).to_dict(), error_breakdown(index, dets).to_dict()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 32 * 2**20, peak
 
 
 class TestIouOncePerGroup:
@@ -579,18 +670,21 @@ class TestIouOncePerGroup:
         assert len(calls) == images
 
     def test_one_match_walk_per_group(self, monkeypatch):
-        """evaluate matches each (image, category) group once, for every size
-        stratum and IoU threshold together."""
+        """evaluate and error_breakdown each make one ``match_detections`` call,
+        one batch holding every (image, category) group of the report, for
+        every size stratum and IoU threshold together."""
         index, dets = random_scene(42, 6)
         groups, _ = _collect_groups(index, dets, EvalConfig())
-        num_groups = sum(len(g) for g in groups.values())
-        assert num_groups > len(index.categories)
-        calls = []
+        assert len(groups.ious) > len(index.categories)
+        batches = []
         real = evaluator_module.match_detections
         monkeypatch.setattr(evaluator_module, "match_detections",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda ious, *a, **k: batches.append(len(ious)) or real(ious, *a, **k))
         evaluate(index, dets)
-        assert len(calls) == num_groups
+        assert batches == [len(groups.ious)]
+        batches.clear()
+        error_breakdown(index, dets)
+        assert batches == [len(groups.ious)]
 
 
 @st.composite
@@ -605,30 +699,32 @@ def scenes(draw):
 
 
 def evaluate_per_bucket(index, detections, cfg=None):
-    """The report built one size stratum at a time: four walks per group,
-    each with the stratum's 1-D ignore flags, and one PR-curve block and one
-    ``float(c.mean())`` per row for every (category, stratum)."""
+    """The report built one size stratum and one group at a time: four walks
+    per group, each a batch of one with the stratum's 1-D ignore flags, and
+    one PR-curve block and one ``float(c.mean())`` per row for every
+    (category, stratum)."""
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
+    n_thr = len(IOU_THRESHOLDS)
+    flags = {}
+    for bucket, (lo, hi) in AREA_RANGES.items():
+        ignore = (groups.gt_areas < lo) | (groups.gt_areas >= hi)
+        tp, ign, _ = match_one_group_at_a_time(groups.ious, IOU_THRESHOLDS, ignore)
+        flags[bucket] = groups.slab(tp, False), groups.slab(ign, True), ignore
     per_class = {}
-    for cat, cat_groups in groups.items():
-        rank = _score_rank(cat_groups)
+    for k, cat in enumerate(index.categories):
+        rows = slice(k * n_thr, (k + 1) * n_thr)
+        gts = groups.gt_onehot[:, k]
         aps, recalls = {}, {}
-        for bucket, (lo, hi) in AREA_RANGES.items():
-            rows = []
-            for g in cat_groups:
-                ignore = (g.gt_areas < lo) | (g.gt_areas >= hi)
-                tp, ign, _ = match_detections(g.det_boxes, g.det_scores, g.gt_boxes,
-                                              IOU_THRESHOLDS, ignore, ious=g.ious)
-                rows.append((tp, ign, int((~ignore).sum())))
-            tp, ign, num_gt = _pool(rows, rank)
-            curves = _pr_curves(tp, ign, num_gt, RECALL_GRID)
+        for bucket, (tp, ign, ignore) in flags.items():
+            num_gt = int((~ignore[gts]).sum())
+            curves = _pr_curves(tp[rows], ign[rows], num_gt, RECALL_GRID)
             if curves is None:
-                aps[bucket] = recalls[bucket] = [SENTINEL] * len(IOU_THRESHOLDS)
+                aps[bucket] = recalls[bucket] = [SENTINEL] * n_thr
             else:
                 aps[bucket] = [float(c.mean()) for c in curves]
-                recalls[bucket] = (tp.sum(axis=1) / num_gt).tolist()
-        row = {"name": next(c.name for c in index.categories if c.id == cat),
+                recalls[bucket] = (tp[rows].sum(axis=1) / num_gt).tolist()
+        row = {"name": cat.name,
                "ap": _aggregate(aps["all"]),
                "ap50": aps["all"][IOU_THRESHOLDS.index(0.5)],
                "ap75": aps["all"][IOU_THRESHOLDS.index(0.75)]}
@@ -637,7 +733,7 @@ def evaluate_per_bucket(index, detections, cfg=None):
         row["ar"] = _aggregate(recalls["all"])
         for bucket in ("small", "medium", "large"):
             row[f"ar_{bucket}"] = _aggregate(recalls[bucket])
-        per_class[cat] = row
+        per_class[cat.id] = row
     aggregate = {k: _aggregate([row[k] for row in per_class.values()]) for k in METRIC_KEYS}
     return EvalReport(per_class=per_class, aggregate=aggregate)
 
