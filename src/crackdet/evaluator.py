@@ -32,8 +32,8 @@ AREA_RANGES = {"all": (0.0, np.inf), **SIZE_RANGES}
 
 ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
 
-# Elements of one padded (thresholds, groups, candidates, GTs) block of the
-# matching walk: about 4.5 MB of working arrays.
+# Elements (thresholds x groups x candidates x GTs) of one padded block of the
+# matching walk, 5 bytes each in its tables: about 1.3 MB.
 _MATCH_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -111,13 +111,13 @@ def match_detections(ious, iou_thr, gt_ignore=None):
     (tp, det_ignore, gt_matched) for a scalar ``iou_thr``, (T, n) arrays for T
     thresholds. ``gt_ignore`` is (n_gt,), shared by every row, or (T, n_gt).
 
-    A detection changes a (row, group)'s state only when it takes a GT, so
-    each pass finds, for every (row, group) at once, the first later
-    detection that still reaches a free GT, and lets it take one: passes are
-    bounded by GTs per group, not by detections. Only detections whose best
-    IoU reaches the lowest threshold are candidates. Groups are padded into
-    (groups, candidates, GTs) blocks, sorted by size and cut so that a block
-    exceeds ``_MATCH_BLOCK_ELEMENTS`` only if one group alone does.
+    A detection changes a (threshold, group) row only when it takes a GT, so
+    each pass moves every row to its next detection that still reaches a free
+    GT: passes are bounded by GTs per group, not by detections. Only
+    detections whose best IoU reaches the lowest threshold are candidates.
+    Groups are padded into size-sorted blocks of at most
+    ``_MATCH_BLOCK_ELEMENTS``; a group too large for that walks a few
+    thresholds at a time.
     """
     thrs = np.asarray(iou_thr, dtype=np.float64)
     scalar, thrs = thrs.ndim == 0, thrs.reshape(-1)
@@ -139,41 +139,42 @@ def match_detections(ious, iou_thr, gt_ignore=None):
             iou[i, :len(cands[k]), :n_gts[k]] = ious[k][cands[k]]
             det_idx[i, :len(cands[k])] = cands[k] + d_off[k]
         gt_idx = np.add.outer([g_off[k] for k in members], np.arange(n_gt))
-        # Rows r = t * n_grp + g: one per (threshold, group).
-        keep = ~ignore.take(gt_idx, axis=1, mode="clip").reshape(-1, n_gt)
-        # nxt[r, c, n]: the first candidate at or after c that reaches GT n at
-        # row r's threshold, n_cand if none; a taken GT's column is all n_cand.
-        nxt = np.full((n_thr * n_grp, n_cand + 1, n_gt), n_cand)
-        reach = np.where(iou >= thrs[:, None, None, None], np.arange(n_cand)[:, None], n_cand)
-        np.minimum.accumulate(reach.reshape(nxt.shape[0], n_cand, n_gt)[:, ::-1], axis=1,
-                              out=nxt[:, -2::-1])
-        first, events = nxt[:, 0].copy(), []  # each row's nxt at its next detection
-        while True:
+        step = max(1, _MATCH_BLOCK_ELEMENTS // iou.size)  # thresholds per walk
+        for t0 in range(0, n_thr, step):
+            thr = thrs[t0:t0 + step]
+            keep = ~ignore[t0:t0 + step].take(gt_idx, axis=1, mode="clip").reshape(-1, n_gt)
+            # nxt[r, c, n], rows r = t * n_grp + g: the first candidate at or after
+            # c reaching GT n at threshold t0 + t, n_cand if none or n is taken.
+            nxt = np.full((len(thr), n_grp, n_cand + 1, n_gt), n_cand, dtype=np.int32)
+            np.copyto(nxt[:, :, :-1], np.arange(n_cand, dtype=np.int32)[:, None],
+                      where=iou >= thr[:, None, None, None])
+            np.minimum.accumulate(nxt[:, :, -2::-1], axis=2, out=nxt[:, :, -2::-1])
+            nxt = nxt.reshape(-1, n_cand + 1, n_gt)
+            first, events = nxt[:, 0].copy(), [(np.zeros(0, dtype=np.int64),) * 3]
             event = first.min(axis=1)
-            live = np.flatnonzero(event < n_cand)
-            if not len(live):
-                break
-            e = event[live]
-            open_ = first[live] == e[:, None]
-            pick = open_ & keep[live]
-            pick = np.where(pick.any(axis=1, keepdims=True), pick, open_)
-            # Reversed columns: argmax's first hit among equal IoUs is the last GT.
-            j = n_gt - 1 - np.where(pick, iou[live % n_grp, e], -1.0)[:, ::-1].argmax(axis=1)
-            nxt[live, :, j] = n_cand
-            first[live] = nxt[live, e + 1]
-            events.append((live, e, j))
-        live, e, j = (np.concatenate(x) for x in zip(*events))
-        t, g = np.divmod(live, n_grp)
-        took = keep[live, j]
-        tp[t, det_idx[g, e]] = took
-        det_ignore[t, det_idx[g, e]] = ~took
-        gt_matched[t, gt_idx[g, j]] = True
+            while (live := np.flatnonzero(event < n_cand)).size:
+                e = event[live]
+                open_ = first[live] == e[:, None]
+                pick = open_ & keep[live]
+                pick = np.where(pick.any(axis=1, keepdims=True), pick, open_)
+                # Reversed columns: argmax's first hit among equal IoUs is the last GT.
+                j = n_gt - 1 - np.where(pick, iou[live % n_grp, e], -1.0)[:, ::-1].argmax(axis=1)
+                nxt[live, :, j] = n_cand
+                first[live] = nxt[live, e + 1]
+                events.append((live, e, j))
+                event = first.min(axis=1)
+            live, e, j = (np.concatenate(x) for x in zip(*events))
+            t, g = np.divmod(live, n_grp)
+            took = keep[live, j]
+            tp[t0 + t, det_idx[g, e]] = took
+            det_ignore[t0 + t, det_idx[g, e]] = ~took
+            gt_matched[t0 + t, gt_idx[g, j]] = True
     return (tp[0], det_ignore[0], gt_matched[0]) if scalar else (tp, det_ignore, gt_matched)
 
 
 def _match_blocks(n_cands, n_gts, n_thr):
     """The groups with candidates, smallest first, in lists cut so that each
-    padded block holds at most ``_MATCH_BLOCK_ELEMENTS`` unless one group does."""
+    padded block holds at most ``_MATCH_BLOCK_ELEMENTS`` or only one group."""
     block, c_max, n_max = [], 0, 0
     for _, k in sorted((c * n, k) for k, (c, n) in enumerate(zip(n_cands, n_gts)) if c):
         c, n = max(c_max, n_cands[k]), max(n_max, n_gts[k])
@@ -218,12 +219,7 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     envelope = np.zeros((len(rows), ctp.shape[1] + 1))
     np.divide(ctp, np.cumsum(kept, axis=1, dtype=np.int32), out=envelope[:, :-1], where=kept)
     np.maximum.accumulate(envelope[:, -2::-1], axis=1, out=envelope[:, -2::-1])
-    # The first detection whose recall ctp / n reaches each grid point is the
-    # k-th kept TP, k the least count with k / n >= the point (the float
-    # division a recall uses; ceil may be one off either way).
-    k = np.ceil(grid * n).astype(np.int64)
-    k -= (k - 1) / n >= grid
-    k += k / n < grid
+    k = _recall_counts(grid, n)  # each grid point's first detection: the k-th kept TP
     first = np.full((len(rows), max(k.max(), ctp[:, -1:].max(initial=0)) + 1), ctp.shape[1])
     first[:, 0] = 0
     at, col = np.nonzero(hit)
@@ -234,13 +230,19 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     return curves
 
 
+def _recall_counts(grid, n):
+    """Least TP counts k with k / n >= each grid point, as a recall divides."""
+    k = np.ceil(grid * n).astype(np.int64)  # at most one off either way
+    k -= (k - 1) / n >= grid
+    return k + (k / n < grid)
+
+
 @dataclass
 class _Groups:
-    """Every (image, category) group of a report, flat: groups by image, then
-    category, each group's detections in score order. ``ious`` holds one
-    block per group. ``slots`` places each detection in a (category, column)
-    slab ``width`` columns wide, columns by descending score, then input
-    order; ``gt_onehot`` is (n_gt, K), each GT's category."""
+    """A report's (image, category) groups, by image, then category: one IoU
+    block each, detections in score order. ``slots`` places each detection in
+    a (category, column) slab ``width`` columns wide, columns by descending
+    score, then input order; ``gt_onehot`` is (n_gt, K), each GT's category."""
 
     ious: list
     det_order: np.ndarray
@@ -313,7 +315,7 @@ def _collect_groups(index, detections, cfg):
     per_cat = np.bincount(d_cat, minlength=len(cat_ids))
     col = np.empty_like(order)
     col[rank] = np.arange(len(rank)) - (np.cumsum(per_cat) - per_cat)[d_cat[rank]]
-    grouped = (g[:, 1] >= 0) & (g[:, 0] < len(index.images))  # every such GT is in a group
+    grouped = g[:, 1] >= 0  # in a block, shared unlisted-image position included
     groups = _Groups(ious=blocks, det_order=order, slots=(d_cat, col),
                      width=per_cat.max(initial=0), gt_areas=areas[grouped],
                      gt_onehot=g[grouped, 1, None] == edges[:-1])

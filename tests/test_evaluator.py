@@ -14,8 +14,8 @@ from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (AREA_RANGES, ERROR_STAGES, IOU_THRESHOLDS, METRIC_KEYS,
                                 RECALL_GRID, SENTINEL, EvalConfig, EvalReport, _aggregate,
-                                _collect_groups, _pr_curves, compute_ap, error_breakdown, evaluate,
-                                match_detections)
+                                _collect_groups, _pr_curves, _recall_counts, compute_ap,
+                                error_breakdown, evaluate, match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
@@ -205,6 +205,15 @@ class TestComputeAP:
         assert _pr_curves(tp, ignore, np.zeros(S, dtype=int), RECALL_GRID) is None
         assert _pr_curves(tp, ignore, 0, RECALL_GRID) is None
 
+    def test_recall_counts_equal_searchsorted(self):
+        """For every GT count up to 2,000, each grid point's TP count is the
+        first recall k / n at or above it, exactly as a recall search finds it."""
+        n = np.arange(1, 2001)
+        got = _recall_counts(RECALL_GRID, n[:, None])
+        for count, row in zip(n, got):
+            want = np.searchsorted(np.arange(count + 1) / count, RECALL_GRID, "left")
+            assert np.array_equal(row, want), count
+
     @pytest.mark.parametrize("seed", range(5))
     def test_row_means_match_scalar_means(self, seed):
         """``mean(axis=1)`` over C-contiguous rows of curves is bitwise each
@@ -252,6 +261,28 @@ class TestEvaluateHandCases:
         assert report.aggregate["ap_small"] == SENTINEL
         assert report.aggregate["ar_small"] == SENTINEL
         assert report.aggregate["ap_large"] == 1.0
+
+    @pytest.mark.parametrize("extra", [
+        [(99, 1, (0.0, 0.0, 30.0, 30.0))],
+        [(99, 1, (0.0, 0.0, 30.0, 30.0)), (98, 2, (0.0, 0.0, 30.0, 30.0)),
+         (99, 1, (5.0, 5.0, 30.0, 30.0))],
+    ])
+    def test_gts_on_unlisted_images_are_misses(self, extra):
+        """A listed category's GT on an image the index does not list counts as
+        a miss of its category, as on a listed image without detections."""
+        gts = [(1, 1, (10.0, 10.0, 50.0, 50.0))] + extra
+        dets = [det(1, 1, 0.9, (10.0, 10.0, 50.0, 50.0)), det(2, 1, 0.5, (0.0, 0.0, 20.0, 20.0))]
+        index = make_index(gts, num_images=2)
+        listed = replace(index, images=index.images + [
+            ImageInfo(id=i, file_name=f"im{i}.ppm", width=200, height=200) for i in (98, 99)])
+        report, breakdown = evaluate(index, dets), error_breakdown(index, dets)
+        assert report.to_dict() == evaluate(listed, dets).to_dict()
+        assert breakdown.to_dict() == error_breakdown(listed, dets).to_dict()
+        crack = sum(1 for g in gts if g[1] == 1)
+        assert report.per_class[1]["ar"] == pytest.approx(1 / crack, abs=1e-12)
+        assert report.per_class[1]["ap"] == pytest.approx(
+            ap_101_reference([True, False], crack), abs=1e-12)
+        assert breakdown.per_class_aps["Loc"][1] == report.per_class[1]["ap50"]
 
     def test_unknown_category_named(self):
         index = make_index([(1, 1, (0, 0, 50, 50))])
@@ -615,20 +646,26 @@ def match_one_group_at_a_time(ious, iou_thr, gt_ignore=None):
 
 
 class TestMatchMemoryBound:
-    def test_one_large_group_beside_many_small_ones(self):
-        """One group of 100 overlapping detections x 50 GTs beside 500 one-GT
-        groups: both reports equal the per-group oracle's, and the traced peak
-        stays under 32 MB. Padding every group to the large one would take
-        about 501 x 40 x 100 x 50 elements of 17 bytes, 1.7 GB."""
+    def test_large_groups_beside_many_small_ones(self):
+        """Two large groups, 100 overlapping detections x 50 GTs and 100 x 500
+        GTs, beside 500 one-GT groups: both reports equal the per-group
+        oracle's, and the traced peak stays under 8 MB (about 4 MB measured).
+        Neither padding every group to the largest (502 x 40 x 100 x 500
+        elements) nor one (threshold, candidate, GT) table over all 40
+        thresholds of the 500-GT group alone (2 million entries) fits."""
         r = np.random.default_rng(7)
         gts, dets = [], []
-        for i in range(50):  # a 10 x 5 grid of 40-px boxes, 20 px apart
-            x, y = 20.0 * (i % 10), 20.0 * (i // 10)
-            gts.append((1, 1, (x, y, x + 40.0, y + 40.0)))
-            for copy in range(2):
-                jx, jy = r.normal(0.0, 4.0, 2)
-                dets.append(det(1, 1, float(r.uniform(0.1, 1.0)), (x + jx, y + jy, x + jx + 40.0,
-                                                                   y + jy + 40.0)))
+        # A 10 x 5 grid of 40-px boxes 20 px apart, and a 25 x 20 grid 8 px
+        # apart; two jittered detections for each box of the first, one for
+        # each of the first 100 boxes of the second.
+        for cat, cols, rows, step, copies in ((1, 10, 5, 20.0, 2), (2, 25, 20, 8.0, 0)):
+            for i in range(cols * rows):
+                x, y = step * (i % cols), step * (i // cols)
+                gts.append((1, cat, (x, y, x + 40.0, y + 40.0)))
+                for copy in range(copies or int(i < 100)):
+                    jx, jy = r.normal(0.0, 4.0, 2)
+                    dets.append(det(1, cat, float(r.uniform(0.1, 1.0)),
+                                    (x + jx, y + jy, x + jx + 40.0, y + jy + 40.0)))
         for image_id in range(2, 502):
             cat = 1 + image_id % 2
             gts.append((image_id, cat, (10.0, 10.0, 50.0, 60.0)))
@@ -646,7 +683,7 @@ class TestMatchMemoryBound:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < 32 * 2**20, peak
+        assert peak < 8 * 2**20, peak
 
 
 class TestIouOncePerGroup:
