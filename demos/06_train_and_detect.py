@@ -6,7 +6,6 @@ well under a minute; the full default schedule lives behind
 """
 
 from crackdet.config import load_config
-from crackdet.dataio import normalize_images
 from crackdet.evaluator import EvalConfig, evaluate
 from crackdet.train import predict_dataset, train_toy
 
@@ -24,9 +23,8 @@ for step in (0, 39, 79, 119):
           f"total {br.total:.4f}  positives {br.num_pos}")
 
 print("\nself-evaluation on the training split:")
-images = normalize_images(raw_images)
 ids = [im.id for im in index.images]
-detections = predict_dataset(detector, images, ids)
+detections = predict_dataset(detector, raw_images, ids)
 report = evaluate(index, detections, EvalConfig())
 print(report.to_table())
 

@@ -126,7 +126,7 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
         detector = load_checkpoint(cfg, args.checkpoint)
     else:
         detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
-    images = load_image_batch(index, args.dataset, [image_id])
+    images = normalize_images(load_image_batch(index, args.dataset, [image_id]))
     probs, dists = detector.predict_arrays(images)
     boxes, labels = image_gts(index, image_id)
     cm, asg = detector.assign(probs[0], dists[0], boxes, labels, cfg.assignment)
@@ -266,9 +266,8 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 def cmd_train_toy(args, cfg: RunConfig) -> int:
     detector, index, raw_images, rows = train_toy(cfg, out_dir=args.out)
-    images = normalize_images(raw_images)
     image_ids = [im.id for im in index.images]
-    detections = predict_dataset(detector, images, image_ids)
+    detections = predict_dataset(detector, raw_images, image_ids)
     report = evaluate(index, detections, cfg.eval)
     print(f"trained {len(rows)} steps; final total loss {rows[-1][3]:.6f}")
     print(report.to_table())

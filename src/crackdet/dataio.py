@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check_range
+from .errors import DataError, ShapeError, check_range
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -501,8 +501,8 @@ def save_synthetic(images, index: DatasetIndex, out_dir):
 
 
 def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
-    """Read PPM images into a normalized (B,3,H,W) float batch; every image
-    must have the first one's shape."""
+    """Read PPM images into a uint8 (B,H,W,3) stack, not normalized; every
+    image must have the first one's shape."""
     by_id = {im.id: im for im in index.images}
     images = []
     for i in image_ids:
@@ -512,12 +512,18 @@ def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
             raise DataError(f"{path}: image is {image.shape[1]}x{image.shape[0]} px, but the "
                             f"batch's first is {images[0].shape[1]}x{images[0].shape[0]}")
         images.append(image)
-    return normalize_images(images)
+    return np.stack(images)
 
 
 def normalize_images(images) -> np.ndarray:
-    """uint8 (B?,H,W,3) arrays -> normalized (B,3,H,W) float batch."""
-    arr = np.stack([im for im in images]).astype(np.float64) / 255.0 - 0.5
+    """uint8 (H,W,3) images, as a sequence or a (B,H,W,3) stack -> normalized
+    (B,3,H,W) float64 batch. Anything else, an already-normalized float batch
+    included, is a ShapeError."""
+    arr = np.stack(images)
+    if arr.dtype != np.uint8 or arr.ndim != 4 or arr.shape[-1] != 3:
+        raise ShapeError(f"normalize_images takes uint8 (H,W,3) images, got a {arr.dtype} "
+                         f"stack of shape {arr.shape}")
+    arr = arr.astype(np.float64) / 255.0 - 0.5
     return arr.transpose(0, 3, 1, 2)
 
 

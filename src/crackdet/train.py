@@ -132,7 +132,11 @@ def cosine_lr(base_lr, step, total_steps):
 
 
 def train_toy(cfg: RunConfig, out_dir=None, progress=None):
-    """Run the toy schedule; returns (detector, index, images, loss rows)."""
+    """Run the toy schedule; returns (detector, index, raw images, loss rows).
+
+    The raw images are the synthetic set's uint8 (H,W,3) arrays. Only each
+    step's batch is normalized, so the run never holds a float copy of the
+    whole set."""
     if cfg.model.num_classes != cfg.synthetic.num_classes:
         raise ConfigError("model.num_classes must equal synthetic.num_classes for train-toy")
     if cfg.model.image_size != cfg.synthetic.image_size:
@@ -141,7 +145,6 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         raise ConfigError(f"training.batch_size must be in 1..synthetic.num_images "
                           f"({cfg.synthetic.num_images}), got {cfg.training.batch_size}")
     raw_images, index = gen_synthetic(cfg.synthetic)
-    images = normalize_images(raw_images)
 
     rng = np.random.default_rng(cfg.training.seed)
     detector = detector_from_config(cfg, rng)
@@ -158,7 +161,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     rows = []
     for step in range(steps):
         batch_ids = rng.choice(len(image_ids), size=cfg.training.batch_size, replace=False)
-        batch_imgs = images[batch_ids]
+        batch_imgs = normalize_images([raw_images[i] for i in batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
         total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg)
@@ -203,11 +206,12 @@ def load_checkpoint(cfg: RunConfig, path) -> Detector:
     return detector
 
 
-def predict_dataset(detector: Detector, images: np.ndarray, image_ids, batch_size=8):
-    """Run eval-mode inference over a whole image stack."""
+def predict_dataset(detector: Detector, images, image_ids, batch_size=8):
+    """Run eval-mode inference over uint8 (H,W,3) images, a sequence or a
+    (N,H,W,3) stack, normalizing ``batch_size`` of them at a time."""
     detections = []
     for start in range(0, len(images), batch_size):
-        chunk = images[start:start + batch_size]
+        chunk = normalize_images(images[start:start + batch_size])
         ids = image_ids[start:start + batch_size]
         detections.extend(detector.predict(chunk, image_ids=ids))
     return detections

@@ -16,8 +16,8 @@ from crackdet.assignment import AssignConfig, classification_cost, dynamic_assig
 from crackdet.attention import Attention4DConfig, attention4d_forward, init_attention4d
 from crackdet.cli import _gradcheck_suite, main
 from crackdet.config import load_config
-from crackdet.dataio import (SyntheticConfig, gen_synthetic, load_coco, load_voc,
-                             normalize_images, save_coco, save_voc, stats)
+from crackdet.dataio import (SyntheticConfig, gen_synthetic, load_coco, load_voc, save_coco,
+                             save_voc, stats)
 from crackdet.evaluator import ERROR_STAGES, EvalConfig, error_breakdown, evaluate
 from crackdet.model import Detection
 from crackdet.neck import NeckConfig, parameter_count
@@ -171,9 +171,8 @@ def test_criterion_7_toy_training():
     tail = float(np.mean([r[3] for r in rows[-10:]]))
     assert tail <= 0.5 * head, f"loss ratio {tail / head:.3f} > 0.5"
 
-    images = normalize_images(raw_images)
     image_ids = [im.id for im in index.images]
-    detections = predict_dataset(detector, images, image_ids)
+    detections = predict_dataset(detector, raw_images, image_ids)
     report = evaluate(index, detections, EvalConfig())
     ap50 = report.aggregate["ap50"]
     elapsed = time.time() - start

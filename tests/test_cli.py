@@ -685,6 +685,36 @@ class TestTrainInferPipeline:
         assert rc == 1 and "Traceback" not in err
         assert "img_00002.ppm: image is 32x32 px, but the batch's first is 64x64" in err
 
+    def test_odd_image_in_a_later_chunk_named(self, tmp_path, capsys):
+        """infer normalizes 8 images at a time, but image 9 of 10 with another
+        size still fails before any detection is written."""
+        from crackdet.dataio import write_ppm
+
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=10"]) == 0
+        write_ppm(data_dir / "images" / "img_00009.ppm", np.zeros((48, 64, 3), dtype=np.uint8))
+        capsys.readouterr()
+        rc = main(["infer", "--checkpoint", str(fresh_checkpoint(tmp_path)), "--images",
+                   str(data_dir), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert "img_00009.ppm: image is 64x48 px, but the batch's first is 64x64" in err
+        assert not (tmp_path / "o" / "detections.json").exists()
+
+    def test_train_and_infer_normalize_one_batch_at_a_time(self, tmp_path, monkeypatch):
+        """No call normalizes more than max(batch_size, 8) images: train-toy's
+        steps and self-evaluation and infer's chunks alike."""
+        from test_train import watch_normalize
+
+        sizes = watch_normalize(monkeypatch)
+        out_dir, data_dir = tmp_path / "train", tmp_path / "data"
+        assert main(["train-toy", "--out", str(out_dir)] + TINY) == 0
+        assert sizes == [4] * 6 + [8, 2]
+        assert main(["gen-data", "--out", str(data_dir)] + TINY) == 0
+        assert main(["infer", "--checkpoint", str(out_dir / "checkpoint.npz"), "--images",
+                     str(data_dir), "--out", str(tmp_path / "inf")] + TINY) == 0
+        assert sizes == [4] * 6 + [8, 2] * 2
+
     def test_epochs_flag_switches_schedule(self, tmp_path):
         out_dir = tmp_path / "ep"
         rc = main(["train-toy", "--epochs", "2", "--out", str(out_dir)] + TINY)

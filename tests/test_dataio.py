@@ -8,9 +8,9 @@ from crackdet.dataio import (MIN_SYNTHETIC_SIZE, SHAPE_KINDS, Annotation, Catego
                              DatasetIndex, ImageInfo, SyntheticConfig, _sample_box, coco_dict,
                              convert_coco_to_voc, convert_voc_to_coco, detections_from_coco,
                              detections_to_coco, gen_synthetic, load_coco, load_image_batch,
-                             load_voc, read_ppm, save_coco, save_synthetic, save_voc, stats,
-                             write_atomic, write_ppm)
-from crackdet.errors import ConfigError, DataError
+                             load_voc, normalize_images, read_ppm, save_coco, save_synthetic,
+                             save_voc, stats, write_atomic, write_ppm)
+from crackdet.errors import ConfigError, DataError, ShapeError
 from crackdet.model import Detection
 
 
@@ -364,10 +364,33 @@ class TestSynthetic:
         write_ppm(tmp_path / "images" / index.images[2].file_name,
                   np.zeros((64, 64, 3), dtype=np.uint8))
         ids = [im.id for im in index.images]
-        assert load_image_batch(index, tmp_path, ids[:2]).shape == (2, 3, 32, 32)
+        batch = load_image_batch(index, tmp_path, ids[:2])
+        assert batch.dtype == np.uint8 and batch.shape == (2, 32, 32, 3)
+        assert np.array_equal(batch, np.stack(images[:2]))
         with pytest.raises(DataError, match=r"img_00003\.ppm: image is 64x64 px, but the "
                                             r"batch's first is 32x32"):
             load_image_batch(index, tmp_path, ids)
+
+
+class TestNormalizeImages:
+    def test_uint8_images_to_channels_first(self):
+        images = np.random.default_rng(0).integers(0, 256, size=(2, 5, 6, 3), dtype=np.uint8)
+        batch = normalize_images(images)
+        assert batch.dtype == np.float64 and batch.shape == (2, 3, 5, 6)
+        assert np.array_equal(batch, images.transpose(0, 3, 1, 2) / 255.0 - 0.5)
+        assert np.array_equal(normalize_images(list(images)), batch)
+
+    @pytest.mark.parametrize("images,shape", [
+        (np.zeros((2, 3, 5, 6)), r"float64 stack of shape \(2, 3, 5, 6\)"),  # already normalized
+        (np.zeros((2, 5, 6, 3)), r"float64 stack of shape \(2, 5, 6, 3\)"),
+        (np.zeros((2, 3, 5, 6), dtype=np.uint8), r"uint8 stack of shape \(2, 3, 5, 6\)"),
+        (np.zeros((5, 6, 3), dtype=np.uint8), r"uint8 stack of shape \(5, 6, 3\)"),
+    ])
+    def test_anything_but_uint8_hw3_images_rejected(self, images, shape):
+        """Float input, a normalized batch included, is not normalized again;
+        a channels-first stack or one bare image is not read as a batch."""
+        with pytest.raises(ShapeError, match=shape):
+            normalize_images(images)
 
 
 class TestDetectionSerialization:

@@ -1,8 +1,14 @@
-"""The momentum SGD of train.py against its closed form."""
+"""The momentum SGD of train.py against its closed form, and the uint8 images
+that training and inference normalize one batch at a time."""
+
+import sys
 
 import numpy as np
 import pytest
 
+from crackdet import cli, dataio, train
+from crackdet.config import load_config
+from crackdet.errors import ShapeError
 from crackdet.numerics import Tensor
 from crackdet.train import SGD
 
@@ -36,3 +42,76 @@ def test_sgd_three_steps_match_closed_form(rng, dtype):
         assert np.array_equal(a.grad, grads["a"]) and np.array_equal(b.grad, grads["b"])
         assert c.grad is None
     assert np.all(np.abs(c.data) < np.abs(c0))  # weight decay alone shrinks it
+
+
+SMALL = ["model.backbone_widths=[2,3,4,6,8]", "model.head_channels=4", "neck.out_channels=4",
+         "neck.attn_key_dim=4", "synthetic.num_images=10", "synthetic.num_classes=2",
+         "model.num_classes=2", "training.steps=5"]
+
+
+def watch_normalize(monkeypatch):
+    """Wrap ``normalize_images`` at every crackdet module that binds it; the
+    returned list gets the number of images of each call."""
+    original = dataio.normalize_images
+    sizes = []
+
+    def counted(images):
+        sizes.append(len(images))
+        return original(images)
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.split(".")[0] == "crackdet" and vars(m).get("normalize_images") is original]
+    assert {dataio, train, cli} <= set(modules)
+    for module in modules:
+        monkeypatch.setattr(module, "normalize_images", counted)
+    return sizes
+
+
+class TestBatchNormalization:
+    """train_toy keeps the set uint8 and normalizes one batch per step."""
+
+    def test_each_batch_image_is_one_row_of_the_normalized_set(self, monkeypatch):
+        cfg = load_config(overrides=SMALL)
+        batches = []
+        original = train.batch_losses
+
+        def capture(detector, images, gt_per_image, cfg):
+            batches.append(images)
+            return original(detector, images, gt_per_image, cfg)
+
+        monkeypatch.setattr(train, "batch_losses", capture)
+        sizes = watch_normalize(monkeypatch)
+        _, _, raw_images, rows = train.train_toy(cfg)
+        assert len(rows) == 5 and len(batches) == 5
+        assert all(im.dtype == np.uint8 and im.shape == (64, 64, 3) for im in raw_images)
+        assert max(sizes) <= max(cfg.training.batch_size, 8)
+        full = dataio.normalize_images(raw_images)
+        for batch in batches:
+            assert batch.shape == (cfg.training.batch_size,) + full.shape[1:]
+            assert batch.dtype == full.dtype and batch.strides[1:] == full.strides[1:]
+            for image in batch:
+                hits = [i for i in range(len(full)) if full[i].tobytes() == image.tobytes()]
+                assert len(hits) == 1
+
+    def test_predict_dataset_normalizes_chunks(self, monkeypatch):
+        """uint8 in, one normalized chunk at a time out: the detections of
+        slicing the full normalized stack, in order."""
+        cfg = load_config(overrides=SMALL)
+        detector = train.detector_from_config(cfg, np.random.default_rng(0))
+        raw, index = dataio.gen_synthetic(cfg.synthetic)
+        ids = [im.id for im in index.images]
+        full = dataio.normalize_images(raw)
+        want = [d for s in range(0, 10, 3)
+                for d in detector.predict(full[s:s + 3], image_ids=ids[s:s + 3])]
+        sizes = watch_normalize(monkeypatch)
+        assert train.predict_dataset(detector, raw, ids, batch_size=3) == want
+        assert sizes == [3, 3, 3, 1]
+        assert train.predict_dataset(detector, np.stack(raw), ids, batch_size=3) == want
+
+    def test_predict_dataset_rejects_normalized_images(self):
+        cfg = load_config(overrides=SMALL)
+        detector = train.detector_from_config(cfg, np.random.default_rng(0))
+        raw, index = dataio.gen_synthetic(cfg.synthetic)
+        with pytest.raises(ShapeError, match="uint8"):
+            train.predict_dataset(detector, dataio.normalize_images(raw),
+                                  [im.id for im in index.images])
