@@ -36,6 +36,12 @@ ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
 # matching walk, 5 bytes each in its tables: about 1.3 MB.
 _MATCH_BLOCK_ELEMENTS = 1 << 18
 
+# evaluate's rows, one per (size stratum, IoU threshold), strata in AREA_RANGES
+# order: each row's threshold and its stratum's area bounds.
+_ROW_THRESHOLDS = np.tile(IOU_THRESHOLDS, len(AREA_RANGES))
+_AREA_LO, _AREA_HI = (np.repeat(bounds, len(IOU_THRESHOLDS))[:, None]
+                      for bounds in zip(*AREA_RANGES.values()))
+
 
 @dataclass
 class EvalConfig:
@@ -45,6 +51,8 @@ class EvalConfig:
     max_dets: int = 100
 
     def __post_init__(self):
+        if isinstance(self.max_dets, bool) or not isinstance(self.max_dets, (int, np.integer)):
+            raise ConfigError(f"max_dets must be an integer, got {self.max_dets!r}")
         if self.max_dets < 1:
             raise ConfigError(f"max_dets must be >= 1, got {self.max_dets}")
 
@@ -198,35 +206,29 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     """Interpolated precision at each recall in ``grid`` for every row of an
     (S, n) block of score-ordered flags: (S, len(grid)), or None if no GTs.
     ``num_gt`` is one GT count or one per row; a row with none is all zeros
-    and skips the block work.
+    and skips the work.
 
-    An ignored detection gets precision 0 and repeats the recall of the kept
-    detection before it (0 if none), so it never raises the right-to-left
-    envelope and a recall search lands on it only at recall 0, where the
-    envelope already equals that of the first kept detection: each row is
-    exactly the curve of its kept detections alone. A row with no kept
-    detection is all zeros.
+    Each row is the curve of its kept detections alone: an ignored one counts
+    neither as a TP nor in the precision's denominator. The precision falls
+    from a kept TP to each kept FP after it, so the right-to-left envelope at
+    a TP is the greatest precision among that TP and the ones after it, and
+    only the TPs are visited. A grid recall needing k TPs reads the envelope
+    at the k-th (the first at recall 0); one needing more TPs than the row
+    has reads 0.
     """
     num_gt = np.broadcast_to(num_gt, len(tp))
     rows = np.flatnonzero(num_gt)
     if not len(rows):
         return None
     kept, n = ~det_ignore[rows], num_gt[rows, None]
-    hit = tp[rows] & kept
-    ctp = np.cumsum(hit, axis=1, dtype=np.int32)
-    # Precision at each kept detection, 0 at ignored ones, made its own
-    # right-to-left envelope in place; a trailing 0 for recalls never reached.
-    envelope = np.zeros((len(rows), ctp.shape[1] + 1))
-    np.divide(ctp, np.cumsum(kept, axis=1, dtype=np.int32), out=envelope[:, :-1], where=kept)
-    np.maximum.accumulate(envelope[:, -2::-1], axis=1, out=envelope[:, -2::-1])
-    k = _recall_counts(grid, n)  # each grid point's first detection: the k-th kept TP
-    first = np.full((len(rows), max(k.max(), ctp[:, -1:].max(initial=0)) + 1), ctp.shape[1])
-    first[:, 0] = 0
-    at, col = np.nonzero(hit)
-    first[at, ctp[at, col]] = col
-    at = np.arange(len(rows))[:, None]
+    at, col = np.nonzero(tp[rows] & kept)  # the kept TPs, row by row in score order
+    rank = np.arange(len(at)) - np.searchsorted(at, at)  # TPs before each in its row
+    k = _recall_counts(grid, n)
+    envelope = np.zeros((len(rows), max(k.max(), rank.max(initial=0) + 1) + 1))
+    envelope[at, rank] = (rank + 1) / np.cumsum(kept, axis=1, dtype=np.int32)[at, col]
+    np.maximum.accumulate(envelope[:, ::-1], axis=1, out=envelope[:, ::-1])
     curves = np.zeros((len(num_gt), len(grid)))
-    curves[rows] = envelope[at, first[at, k]]
+    curves[rows] = envelope[np.arange(len(rows))[:, None], np.maximum(k - 1, 0)]
     return curves
 
 
@@ -263,13 +265,17 @@ def _collect_groups(index, detections, cfg):
     """The report's ``_Groups``; and, per detection in input order, whether it
     overlaps a GT of another class at IoU >= 0.1.
 
-    One stable lexsort orders the detections by (image, category, descending
-    score), ties in input order, and one the GTs by (image, category); each
-    group keeps its ``cfg.max_dets`` best detections. Each image's IoU matrix
-    gives the groups' blocks (its same-category blocks) and the flags (its
-    other-category entries). GTs of an unlisted category join no group but
-    count as another class; GTs on unlisted images, where no detection can
-    be, share one position after the listed images.
+    One stable lexsort orders the detections by (category, descending score),
+    ties in input order: the slab order. A stable argsort of their image codes
+    in that order gives the group order (image, category, descending score,
+    input order). Each group keeps the detections ranked below ``cfg.max_dets``
+    in its run; a kept detection's slab column is its count of kept ones
+    before it in its category's slab order. The GTs are sorted by (image,
+    category). Each image's IoU matrix gives the groups' blocks (its
+    same-category blocks) and the flags (its other-category entries). GTs of
+    an unlisted category join no group but count as another class; GTs on
+    unlisted images, where no detection can be, share one position after the
+    listed images.
     """
     cat_ids = [c.id for c in index.categories]
     cat_pos = {cat: k for k, cat in enumerate(cat_ids)}
@@ -278,45 +284,48 @@ def _collect_groups(index, detections, cfg):
     if not (cat_pos.keys() >= set(d_cats) and img_pos.keys() >= set(d_imgs)):
         for det in detections:
             if det.category_id not in cat_pos:
-                raise CrackdetError(f"unknown category id {det.category_id} in detections")
+                raise CrackdetError(f"unknown category id {det.category_id!r} in detections")
             if det.image_id not in img_pos:
-                raise CrackdetError(f"unknown image id {det.image_id} in detections")
+                raise CrackdetError(f"unknown image id {det.image_id!r} in detections")
 
-    # Columns: image, category, score, box (detections); image, category, box (GTs).
-    d = np.column_stack(([img_pos[i] for i in d_imgs], [cat_pos[c] for c in d_cats],
-                         np.asarray(d_scores, dtype=np.float64),
-                         np.fromiter(chain.from_iterable(d_boxes), np.float64,
-                                     4 * len(d_boxes)).reshape(-1, 4)))
+    d_cat = np.array([cat_pos[c] for c in d_cats], dtype=np.int64)
+    d_img = np.array([img_pos[i] for i in d_imgs], dtype=np.int64)
+    slab_order = np.lexsort((-np.asarray(d_scores, dtype=np.float64), d_cat))
+    by_image = np.argsort(d_img[slab_order], kind="stable")
+    d_order = slab_order[by_image]
+    d_img, d_cat = d_img[d_order], d_cat[d_order]
+    d_box = np.fromiter(chain.from_iterable(d_boxes), np.float64,
+                        4 * len(d_boxes)).reshape(-1, 4)[d_order]
+    key = d_img * len(cat_ids) + d_cat  # rank in its (image, category) run decides the cut
+    kept = np.arange(len(key)) - np.searchsorted(key, key) < cfg.max_dets
+    # GT columns: image, category, box.
     g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
                    *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
-    d_order = np.lexsort((-d[:, 2], d[:, 1], d[:, 0]))
-    d, g = d[d_order], g[np.lexsort((g[:, 1], g[:, 0]))]
+    g = g[np.lexsort((g[:, 1], g[:, 0]))]
     areas = (g[:, 4] - g[:, 2]) * (g[:, 5] - g[:, 3])
 
-    spans = [np.searchsorted(side[:, 0], np.arange(len(index.images) + 1), how)
-             for side in (d, g) for how in ("left", "right")]
+    spans = [np.searchsorted(side, np.arange(len(index.images) + 1), how)
+             for side in (d_img, g[:, 0]) for how in ("left", "right")]
     busy = (spans[1] > spans[0]) | (spans[3] > spans[2])  # images with detections or GTs
     edges = np.arange(len(cat_ids) + 1)
-    blocks, kept, cross = [], np.zeros(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
+    blocks, cross = [], np.zeros(len(d_cat), dtype=bool)
     for d0, d1, g0, g1 in zip(*(s[busy].tolist() for s in spans)):
-        ious = (iou_matrix(d[d0:d1, 3:], g[g0:g1, 2:]) if d1 > d0 and g1 > g0
+        ious = (iou_matrix(d_box[d0:d1], g[g0:g1, 2:]) if d1 > d0 and g1 > g0
                 else np.zeros((d1 - d0, g1 - g0)))
-        other = d[d0:d1, 1, None] != g[None, g0:g1, 1]
+        other = d_cat[d0:d1, None] != g[None, g0:g1, 1]
         cross[d_order[d0:d1]] = ((ious >= 0.1) & other).any(axis=1)
-        rows = (d0 + np.searchsorted(d[d0:d1, 1], edges)).tolist()
+        rows = (d0 + np.searchsorted(d_cat[d0:d1], edges)).tolist()
         cols = (g0 + np.searchsorted(g[g0:g1, 1], edges)).tolist()
         for k in range(len(cat_ids)):
             r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + cfg.max_dets), cols[k], cols[k + 1]
             if r0 < r1 or c0 < c1:
                 blocks.append(ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0])
-                kept[r0:r1] = True
-    d, order, d_cat = d[kept], d_order[kept], d[kept, 1].astype(np.int64)
-    rank = np.lexsort((order, -d[:, 2], d_cat))
-    per_cat = np.bincount(d_cat, minlength=len(cat_ids))
-    col = np.empty_like(order)
-    col[rank] = np.arange(len(rank)) - (np.cumsum(per_cat) - per_cat)[d_cat[rank]]
+    per_cat = np.bincount(d_cat[kept], minlength=len(cat_ids))
+    slab_kept = np.empty_like(kept)
+    slab_kept[by_image] = kept  # in the slab order, whose running count gives the columns
+    col = np.cumsum(slab_kept)[by_image] - 1 - (np.cumsum(per_cat) - per_cat)[d_cat]
     grouped = g[:, 1] >= 0  # in a block, shared unlisted-image position included
-    groups = _Groups(ious=blocks, det_order=order, slots=(d_cat, col),
+    groups = _Groups(ious=blocks, det_order=d_order[kept], slots=(d_cat[kept], col[kept]),
                      width=per_cat.max(initial=0), gt_areas=areas[grouped],
                      gt_onehot=g[grouped, 1, None] == edges[:-1])
     return groups, cross
@@ -333,43 +342,26 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
 
-    # One row per (size stratum, IoU threshold), strata in AREA_RANGES order.
-    n_thr = len(IOU_THRESHOLDS)
-    thresholds = np.tile(IOU_THRESHOLDS, len(AREA_RANGES))
-    lo, hi = (np.repeat(bounds, n_thr)[:, None] for bounds in zip(*AREA_RANGES.values()))
-    ignore = (groups.gt_areas < lo) | (groups.gt_areas >= hi)
-    tp, ign, _ = match_detections(groups.ious, thresholds, ignore)
+    ignore = (groups.gt_areas < _AREA_LO) | (groups.gt_areas >= _AREA_HI)
+    tp, ign, _ = match_detections(groups.ious, _ROW_THRESHOLDS, ignore)
     tp, ign = groups.slab(tp, False), groups.slab(ign, True)
     num_gt = groups.gt_onehot.T.astype(np.int64) @ ~ignore.T  # (category, row)
     curves = _pr_curves(tp, ign, num_gt.reshape(-1), RECALL_GRID)
-    row_aps = None if curves is None else curves.mean(axis=1).reshape(num_gt.shape)
-    row_ars = np.divide(tp.sum(axis=1).reshape(num_gt.shape), num_gt, out=np.zeros(num_gt.shape),
+    shape = (len(num_gt), len(AREA_RANGES), len(IOU_THRESHOLDS))
+    num_gt = num_gt.reshape(shape)
+    row_aps = np.zeros(shape) if curves is None else curves.mean(axis=1).reshape(shape)
+    row_ars = np.divide(tp.sum(axis=1).reshape(shape), num_gt, out=np.zeros(shape),
                         where=num_gt > 0)
-    per_class = {}
-    for k, cat in enumerate(index.categories):
-        aps, recalls = {}, {}
-        for b, bucket in enumerate(AREA_RANGES):
-            rows = slice(b * n_thr, (b + 1) * n_thr)
-            if not num_gt[k, rows.start]:
-                aps[bucket] = recalls[bucket] = [SENTINEL] * n_thr
-            else:
-                aps[bucket] = row_aps[k, rows].tolist()
-                recalls[bucket] = row_ars[k, rows].tolist()
-
-        per_class[cat.id] = {
-            "name": cat.name,
-            "ap": _aggregate(aps["all"]),
-            "ap50": aps["all"][IOU_THRESHOLDS.index(0.5)],
-            "ap75": aps["all"][IOU_THRESHOLDS.index(0.75)],
-            "ap_small": _aggregate(aps["small"]),
-            "ap_medium": _aggregate(aps["medium"]),
-            "ap_large": _aggregate(aps["large"]),
-            "ar": _aggregate(recalls["all"]),
-            "ar_small": _aggregate(recalls["small"]),
-            "ar_medium": _aggregate(recalls["medium"]),
-            "ar_large": _aggregate(recalls["large"]),
-        }
-
+    # Per (category, stratum): the mean of its ten rows, by the same pairwise
+    # sum as ``_aggregate`` on ten values; SENTINEL where the stratum is empty.
+    empty = num_gt[:, :, 0] == 0
+    aps, ars = (np.where(empty, SENTINEL, np.add.reduce(r, axis=2) / len(IOU_THRESHOLDS))
+                for r in (row_aps, row_ars))
+    ap50_75 = np.where(empty[:, :1], SENTINEL, row_aps[:, 0, [IOU_THRESHOLDS.index(0.5),
+                                                           IOU_THRESHOLDS.index(0.75)]])
+    table = np.concatenate([aps[:, :1], ap50_75, aps[:, 1:], ars], axis=1).tolist()
+    per_class = {cat.id: {"name": cat.name, **dict(zip(METRIC_KEYS, row))}
+                 for cat, row in zip(index.categories, table)}
     aggregate = {k: _aggregate([row[k] for row in per_class.values()]) for k in METRIC_KEYS}
     return EvalReport(per_class=per_class, aggregate=aggregate)
 
@@ -395,19 +387,17 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     igns = groups.slab(np.stack([none, none, none, ~loc & cross[groups.det_order], ~loc]), True)
     num_gt = groups.gt_onehot.sum(axis=0)
     stages = _pr_curves(tps, igns, np.repeat(num_gt, 5), RECALL_GRID)
-    if stages is not None:
-        # Oth repeats Sim; FN pins every category with GTs at 1.0.
-        stages = stages.reshape(len(num_gt), 5, -1)[:, [0, 1, 2, 3, 3, 4]]
-        stages = np.concatenate([stages, np.ones((len(num_gt), 1, len(RECALL_GRID)))], axis=1)
-    by_cat = {cat.id: stages[k] for k, cat in enumerate(index.categories) if num_gt[k]}
-
-    mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
-                   else np.zeros((len(ERROR_STAGES), len(RECALL_GRID))))
-    stage_aps = {c: block.mean(axis=1).tolist() for c, block in by_cat.items()}
+    if stages is None:
+        stages = np.zeros((len(num_gt) * 5, len(RECALL_GRID)))
+    # Oth repeats Sim; FN pins every category with GTs at 1.0.
+    stages = stages.reshape(len(num_gt), 5, len(RECALL_GRID))[:, [0, 1, 2, 3, 3, 4]]
+    stages = np.concatenate([stages, np.ones((len(num_gt), 1, len(RECALL_GRID)))], axis=1)
+    has_gt = num_gt > 0
+    mean_curves = stages[has_gt].mean(axis=0) if has_gt.any() else np.zeros(stages.shape[1:])
+    stage_aps = np.where(has_gt, stages.mean(axis=2).T, SENTINEL).tolist()
     aps, per_class_aps, curves = {}, {}, {}
     for s, stage in enumerate(ERROR_STAGES):
-        per_class_aps[stage] = {c.id: stage_aps[c.id][s] if c.id in by_cat else SENTINEL
-                                for c in index.categories}
+        per_class_aps[stage] = {c.id: ap for c, ap in zip(index.categories, stage_aps[s])}
         aps[stage] = _aggregate(per_class_aps[stage].values())
         curves[stage] = mean_curves[s]
     return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves)

@@ -6,10 +6,12 @@ library code is a meaningful check rather than a tautology.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
 from crackdet.geometry import iou as scalar_iou
+from crackdet.geometry import iou_matrix
 from crackdet.model import Detection, decode_boxes
 
 
@@ -379,6 +381,32 @@ def ap_101_reference(tp_flags, num_gt, ignore=None):
     return total / 101.0
 
 
+def pr_curves_every_detection(tp, det_ignore, num_gt, grid):
+    """Interpolated precision at each recall in ``grid`` for every row of an
+    (S, n) flag block, from the right-to-left envelope over every detection
+    (ignored ones at precision 0), each grid point reading it at the first
+    detection whose recall reaches the point: ``np.searchsorted`` over the
+    row's possible recalls k / n. (S, len(grid)), or None if no row has GTs."""
+    num_gt = np.broadcast_to(num_gt, len(tp))
+    if not num_gt.any():
+        return None
+    curves = np.zeros((len(tp), len(grid)))
+    for s in np.flatnonzero(num_gt):
+        kept = ~det_ignore[s]
+        hit = tp[s] & kept
+        ctp = np.cumsum(hit)
+        envelope = np.zeros(len(hit) + 1)  # a trailing 0 for recalls never reached
+        np.divide(ctp, np.cumsum(kept), out=envelope[:-1], where=kept)
+        envelope = np.maximum.accumulate(envelope[::-1])[::-1]
+        n = int(num_gt[s])
+        k = np.searchsorted(np.arange(n + 1) / n, grid, "left")  # TPs each point needs
+        first = np.full(max(n, int(hit.sum())) + 1, len(hit))
+        first[0] = 0
+        first[ctp[hit]] = np.flatnonzero(hit)
+        curves[s] = envelope[first[k]]
+    return curves
+
+
 def cross_class_overlaps_loop(index, detections, iou_thr=0.1):
     """Per detection: does it overlap a GT of another class, same image,
     at IoU >= iou_thr? One scalar IoU per (detection, GT) pair."""
@@ -392,6 +420,58 @@ def cross_class_overlaps_loop(index, detections, iou_thr=0.1):
                 hit = True
         out.append(hit)
     return out
+
+
+def collect_groups_two_sorts(index, detections, max_dets):
+    """The evaluator's (image, category) grouping derived with two sorts: a
+    three-key lexsort of a (detection, column) table for the group order and a
+    second lexsort of the kept detections for their slab columns.
+
+    Returns a dict with the fields of ``evaluator._Groups`` (``ious``,
+    ``det_order``, ``slots``, ``width``, ``gt_areas``, ``gt_onehot``) and
+    ``cross``, each detection's cross-class flag in input order.
+    """
+    cat_ids = [c.id for c in index.categories]
+    cat_pos = {cat: k for k, cat in enumerate(cat_ids)}
+    img_pos = {im.id: k for k, im in enumerate(index.images)}
+    d_imgs, d_cats, d_scores, d_boxes = zip(*detections) if detections else ((),) * 4
+    # Columns: image, category, score, box (detections); image, category, box (GTs).
+    d = np.column_stack(([img_pos[i] for i in d_imgs], [cat_pos[c] for c in d_cats],
+                         np.asarray(d_scores, dtype=np.float64),
+                         np.fromiter(chain.from_iterable(d_boxes), np.float64,
+                                     4 * len(d_boxes)).reshape(-1, 4)))
+    g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
+                   *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
+    d_order = np.lexsort((-d[:, 2], d[:, 1], d[:, 0]))
+    d, g = d[d_order], g[np.lexsort((g[:, 1], g[:, 0]))]
+    areas = (g[:, 4] - g[:, 2]) * (g[:, 5] - g[:, 3])
+
+    spans = [np.searchsorted(side[:, 0], np.arange(len(index.images) + 1), how)
+             for side in (d, g) for how in ("left", "right")]
+    busy = (spans[1] > spans[0]) | (spans[3] > spans[2])
+    edges = np.arange(len(cat_ids) + 1)
+    blocks, kept, cross = [], np.zeros(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
+    for d0, d1, g0, g1 in zip(*(s[busy].tolist() for s in spans)):
+        ious = (iou_matrix(d[d0:d1, 3:], g[g0:g1, 2:]) if d1 > d0 and g1 > g0
+                else np.zeros((d1 - d0, g1 - g0)))
+        other = d[d0:d1, 1, None] != g[None, g0:g1, 1]
+        cross[d_order[d0:d1]] = ((ious >= 0.1) & other).any(axis=1)
+        rows = (d0 + np.searchsorted(d[d0:d1, 1], edges)).tolist()
+        cols = (g0 + np.searchsorted(g[g0:g1, 1], edges)).tolist()
+        for k in range(len(cat_ids)):
+            r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + max_dets), cols[k], cols[k + 1]
+            if r0 < r1 or c0 < c1:
+                blocks.append(ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0])
+                kept[r0:r1] = True
+    d, order, d_cat = d[kept], d_order[kept], d[kept, 1].astype(np.int64)
+    rank = np.lexsort((order, -d[:, 2], d_cat))
+    per_cat = np.bincount(d_cat, minlength=len(cat_ids))
+    col = np.empty_like(order)
+    col[rank] = np.arange(len(rank)) - (np.cumsum(per_cat) - per_cat)[d_cat[rank]]
+    grouped = g[:, 1] >= 0
+    return {"ious": blocks, "det_order": order, "slots": (d_cat, col),
+            "width": per_cat.max(initial=0), "gt_areas": areas[grouped],
+            "gt_onehot": g[grouped, 1, None] == edges[:-1], "cross": cross}
 
 
 def nms_loop(boxes, scores, iou_thr):

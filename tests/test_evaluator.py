@@ -13,13 +13,15 @@ from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
 from crackdet.errors import ConfigError, CrackdetError
 from crackdet.evaluator import (AREA_RANGES, ERROR_STAGES, IOU_THRESHOLDS, METRIC_KEYS,
-                                RECALL_GRID, SENTINEL, EvalConfig, EvalReport, _aggregate,
+                                RECALL_GRID, SENTINEL, ErrorBreakdown, EvalConfig, EvalReport,
+                                _aggregate,
                                 _collect_groups, _pr_curves, _recall_counts, compute_ap,
                                 error_breakdown, evaluate, match_detections)
 from crackdet.geometry import iou, iou_matrix
 from crackdet.model import Detection
 
-from oracles import ap_101_reference, cross_class_overlaps_loop, greedy_match_loop
+from oracles import (ap_101_reference, collect_groups_two_sorts, cross_class_overlaps_loop,
+                     greedy_match_loop, pr_curves_every_detection)
 
 
 def make_index(gts, num_images=4, categories=("crack", "pothole")):
@@ -134,6 +136,19 @@ class TestEvalConfig:
         with pytest.raises(ConfigError, match="max_dets"):
             EvalConfig(max_dets=max_dets)
 
+    @pytest.mark.parametrize("max_dets", [2.5, 3.0, True, "3", None])
+    def test_non_integer_max_dets_rejected(self, max_dets):
+        """A float would cut each group at its ceiling and a bool reads as 0
+        or 1; neither reaches the grouping."""
+        with pytest.raises(ConfigError, match="max_dets must be an integer"):
+            EvalConfig(max_dets=max_dets)
+
+    def test_numpy_integer_max_dets_accepted(self):
+        index, dets = random_scene(1)
+        cfg = EvalConfig(max_dets=np.int64(1))
+        assert evaluate(index, dets, cfg).to_dict() == evaluate(
+            index, dets, EvalConfig(max_dets=1)).to_dict()
+
 
 class TestComputeAP:
     def test_all_tp_is_one(self):
@@ -204,6 +219,22 @@ class TestComputeAP:
                 assert np.array_equal(block[s], alone[0])
         assert _pr_curves(tp, ignore, np.zeros(S, dtype=int), RECALL_GRID) is None
         assert _pr_curves(tp, ignore, 0, RECALL_GRID) is None
+
+    @given(st.tuples(st.integers(1, 6), st.integers(0, 30)).flatmap(lambda shape: st.tuples(
+        st.lists(st.lists(st.sampled_from("TFIX"), min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.integers(0, 8), min_size=shape[0], max_size=shape[0]))))
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_every_detection_envelope(self, case):
+        """Each row, read off its kept TPs alone, is bitwise the curve from the
+        envelope over every detection. Flags: T a TP, F a FP, I ignored, X a
+        TP flagged ignored; rows may hold fewer GTs than TPs."""
+        block, counts = case
+        flags = np.array(block, dtype="<U1").reshape(len(counts), -1)
+        tp, ignore = np.isin(flags, ("T", "X")), np.isin(flags, ("I", "X"))
+        got = _pr_curves(tp, ignore, np.array(counts), RECALL_GRID)
+        want = pr_curves_every_detection(tp, ignore, np.array(counts), RECALL_GRID)
+        assert (got is None and want is None) or np.array_equal(got, want)
 
     def test_recall_counts_equal_searchsorted(self):
         """For every GT count up to 2,000, each grid point's TP count is the
@@ -293,6 +324,19 @@ class TestEvaluateHandCases:
         index = make_index([(1, 1, (0, 0, 50, 50))])
         with pytest.raises(CrackdetError, match="77"):
             evaluate(index, [det(77, 1, 0.5, (0, 0, 10, 10))])
+
+    @pytest.mark.parametrize("image_id, cat, message", [
+        ("1", 1, "unknown image id '1' in detections"),
+        (1, "1", "unknown category id '1' in detections"),
+    ])
+    def test_unknown_string_id_named_by_repr(self, image_id, cat, message):
+        """A string id against int ids is named with its quotes: '1', not 1,
+        which the index does list."""
+        index = make_index([(1, 1, (0, 0, 50, 50))])
+        for report in (evaluate, error_breakdown):
+            with pytest.raises(CrackdetError) as err:
+                report(index, [det(image_id, cat, 0.5, (0, 0, 10, 10))])
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("ids, message", [
         ([(1, 1), (77, 1), (1, 99)], "unknown image id 77 in detections"),
@@ -846,3 +890,115 @@ class TestEvaluatorProperties:
         assert evaluate(renamed, renamed_dets).to_dict() == evaluate(index, dets).to_dict()
         assert (error_breakdown(renamed, renamed_dets).to_dict()
                 == error_breakdown(index, dets).to_dict())
+
+
+@st.composite
+def grouping_scenes(draw):
+    """Up to 40 detections on 1-3 listed images and 3 listed categories, with
+    scores from two levels, so that ties within and across images and
+    categories are the rule; GTs also on the unlisted image 9 and the
+    unlisted category 7."""
+    num_images = draw(st.integers(1, 3))
+    listed = st.tuples(st.integers(1, num_images), st.integers(1, 3), _box)
+    unlisted = st.tuples(st.sampled_from((1, 9)), st.sampled_from((1, 7)), _box)
+    gts = draw(st.lists(st.one_of(listed, unlisted), max_size=10))
+    dets = draw(st.lists(st.tuples(listed, st.sampled_from((0.25, 0.5))), max_size=40))
+    return (make_index(gts, num_images=num_images, categories=("crack", "pothole", "patch")),
+            [det(image_id, cat, score, box) for (image_id, cat, box), score in dets])
+
+
+class TestGroupingOracle:
+    @given(grouping_scenes(), st.sampled_from((1, 2, 100)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_sort_grouping_equals_two_sorts(self, scene, max_dets):
+        """The one-sort grouping gives the two-sort oracle's order, slab slots,
+        width, IoU blocks, GT arrays and cross-class flags."""
+        index, dets = scene
+        groups, cross = _collect_groups(index, dets, EvalConfig(max_dets=max_dets))
+        want = collect_groups_two_sorts(index, dets, max_dets)
+        assert groups.det_order.tolist() == want["det_order"].tolist()
+        assert [s.tolist() for s in groups.slots] == [s.tolist() for s in want["slots"]]
+        assert groups.width == want["width"]
+        assert [b.shape for b in groups.ious] == [b.shape for b in want["ious"]]
+        assert all(np.array_equal(a, b) for a, b in zip(groups.ious, want["ious"]))
+        assert groups.gt_areas.tolist() == want["gt_areas"].tolist()
+        assert groups.gt_onehot.tolist() == want["gt_onehot"].tolist()
+        assert cross.tolist() == want["cross"].tolist()
+
+
+def nine_class_scene(seed=23):
+    """Four 256-px images, nine categories: 1-6 with GTs of every size, 7 only
+    large, 8 only small, 9 none (detections only), so several (category,
+    stratum) cells are empty. Each GT has a jittered detection and a
+    lower-scored duplicate; each image has background detections of every
+    category."""
+    r = np.random.default_rng(seed)
+    sides = {"small": (8.0, 30.0), "medium": (34.0, 90.0), "large": (100.0, 160.0)}
+    allowed = {7: ("large",), 8: ("small",), 9: ()}
+    gts, dets = [], []
+    for image_id in range(1, 5):
+        for cat in range(1, 10):
+            for size in allowed.get(cat, tuple(sides)):
+                w, h = r.uniform(*sides[size], 2)
+                x, y = r.uniform(0.0, 256.0 - max(w, h), 2)
+                box = (x, y, x + w, y + h)
+                gts.append((image_id, cat, box))
+                for score in r.uniform(0.2, 1.0, 2):
+                    j = r.normal(0.0, 0.08, 4) * (w, h, w, h)
+                    dbox = (box[0] + j[0], box[1] + j[1], box[2] + max(j[2], 1.0 - w),
+                            box[3] + max(j[3], 1.0 - h))
+                    dets.append(det(image_id, cat, float(score), dbox))
+            for _ in range(3):
+                x, y = r.uniform(0.0, 200.0, 2)
+                w, h = r.uniform(5.0, 56.0, 2)
+                dets.append(det(image_id, cat, float(r.uniform(0.05, 0.7)), (x, y, x + w, y + h)))
+    categories = tuple(f"class{k}" for k in range(1, 10))
+    return make_index(gts, num_images=4, categories=categories), dets
+
+
+def error_breakdown_per_category(index, detections):
+    """``error_breakdown`` with its per-class tail as a loop: one PR-curve
+    block per category with GTs, each stage AP a 1-D ``mean`` of its curve,
+    and the mean curves ``np.mean`` over a list of those blocks."""
+    groups, cross = _collect_groups(index, detections, EvalConfig())
+    tp, _, _ = match_detections(groups.ious, (0.10, 0.50, 0.75))
+    loc, none = tp[0], np.zeros_like(tp[0])
+    tps = groups.slab(np.stack([tp[2], tp[1], loc, loc, loc]), False)
+    igns = groups.slab(np.stack([none, none, none, ~loc & cross[groups.det_order], ~loc]), True)
+    num_gt = groups.gt_onehot.sum(axis=0)
+    by_cat = {}
+    for k, cat in enumerate(index.categories):
+        if num_gt[k]:
+            rows = slice(5 * k, 5 * k + 5)
+            stages = _pr_curves(tps[rows], igns[rows], int(num_gt[k]), RECALL_GRID)
+            by_cat[cat.id] = np.concatenate([stages[[0, 1, 2, 3, 3, 4]],
+                                             np.ones((1, len(RECALL_GRID)))])
+    mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat
+                   else np.zeros((len(ERROR_STAGES), len(RECALL_GRID))))
+    aps, per_class_aps, curves = {}, {}, {}
+    for s, stage in enumerate(ERROR_STAGES):
+        per_class_aps[stage] = {c.id: float(by_cat[c.id][s].mean()) if c.id in by_cat
+                                else SENTINEL for c in index.categories}
+        aps[stage] = _aggregate(per_class_aps[stage].values())
+        curves[stage] = mean_curves[s]
+    return ErrorBreakdown(aps=aps, per_class_aps=per_class_aps, curves=curves)
+
+
+class TestNineCategories:
+    """Nine categories, past the eight at which numpy's pairwise sum changes
+    its grouping, with empty strata: the per-class tables taken as arrays
+    equal the ones built a row and a category at a time, to the byte."""
+
+    def test_scene_has_empty_strata(self):
+        report = evaluate(*nine_class_scene())
+        assert report.per_class[7]["ap_small"] == report.per_class[8]["ap_large"] == SENTINEL
+        assert all(v == SENTINEL for k, v in report.per_class[9].items() if k != "name")
+        assert all(report.per_class[k]["ap_medium"] > 0.0 for k in range(1, 7))
+
+    @pytest.mark.parametrize("seed", (23, 24))
+    def test_reports_equal_row_by_row_builds(self, seed):
+        index, dets = nine_class_scene(seed)
+        assert (json.dumps(evaluate(index, dets).to_dict())
+                == json.dumps(evaluate_per_bucket(index, dets).to_dict()))
+        assert (json.dumps(error_breakdown(index, dets).to_dict())
+                == json.dumps(error_breakdown_per_category(index, dets).to_dict()))
