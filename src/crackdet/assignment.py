@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_choice, check_ranges
 from .geometry import iou_matrix
 
 _FLOOR = 1e-7
 # Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
 # candidates cost this much instead of overflowing to inf.
 _CENTER_COST_CAP = 1e150
-# (field, low, high, ends) as ``check_range`` reads them. No range admits an
+# (field, low, high, ends) as ``check_ranges`` reads them. No range admits an
 # infinity or a NaN; iou_floor > 0 keeps candidate costs finite and
 # prob_clamp < 0.5 keeps the clip from inverting.
 _RANGES = (
@@ -35,6 +35,7 @@ _RANGES = (
     ("epsilon", 0, math.inf, "[)"),
     ("alpha", 1, math.inf, "()"),
     ("beta", -math.inf, math.inf, "()"),
+    ("dynamic_k_cap", 1, math.inf, "[)"),
     ("iou_floor", 0, 1, "(]"),
     ("prob_clamp", 0, 0.5, "()"),
 )
@@ -55,12 +56,9 @@ class AssignConfig:
     prob_clamp: float = _FLOOR
 
     def __post_init__(self):
-        for name, low, high, ends in _RANGES:
-            check_range(f"assignment.{name}", getattr(self, name), low, high, ends)
-        if self.dynamic_k_cap < 1:
-            raise ConfigError("dynamic_k_cap must be >= 1")
-        if self.center_cost_mode not in ("soft_center_prior", "inverse_distance"):
-            raise ConfigError(f"unknown center_cost_mode '{self.center_cost_mode}'")
+        check_ranges("assignment", self, _RANGES)
+        check_choice("assignment.center_cost_mode", self.center_cost_mode,
+                     ("soft_center_prior", "inverse_distance"))
 
 
 def classification_cost(y_hat, y, prob_clamp=_FLOOR):

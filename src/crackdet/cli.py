@@ -128,7 +128,7 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
         detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
     images = normalize_images(load_image_batch(index, args.dataset, [image_id]))
     probs, dists = detector.predict_arrays(images)
-    boxes, labels = image_gts(index, image_id)
+    boxes, labels = image_gts(index, image_id, cfg.model.num_classes)
     cm, asg = detector.assign(probs[0], dists[0], boxes, labels, cfg.assignment)
     cost_rows = [[float(v) if np.isfinite(v) else None for v in row] for row in cm.cost]
     payload = {

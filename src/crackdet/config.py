@@ -4,9 +4,9 @@ A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
 with ``--set section.key=value``. The ``neck``, ``assignment``, ``eval`` and
 ``synthetic`` sections are the library's own ``NeckSettings``,
-``AssignConfig``, ``EvalConfig`` and ``SyntheticConfig``. Every section is
-built once from its final values and validated when the config loads. The
-effective config is echoed into every output artifact for provenance.
+``AssignConfig``, ``EvalConfig`` and ``SyntheticConfig``. Each section checks
+its own values when it is built, in code or at load; loading adds the neck's
+geometry check. The effective config is echoed into every output artifact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 from .assignment import AssignConfig
 from .dataio import SyntheticConfig
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_choice, check_ranges
 from .evaluator import EvalConfig
 from .model import neck_config
 from .neck import NeckSettings
@@ -35,6 +35,11 @@ class NumericsSection:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
+    def __post_init__(self):
+        check_choice("numerics.dtype", self.dtype, ("float64", "float32"))
+        check_ranges("numerics", self, (("bn_eps", 0, math.inf, "()"),
+                                        ("bn_momentum", 0, 1, "[]")))
+
 
 @dataclass
 class ModelSection:
@@ -45,11 +50,27 @@ class ModelSection:
     score_thr: float = 0.05
     nms_iou: float = 0.65
 
+    def __post_init__(self):
+        check_ranges("model", self, (("num_classes", 1, math.inf, "[)"),
+                                     ("image_size", 0, math.inf, "()"),
+                                     ("head_channels", 1, math.inf, "[)"),
+                                     ("score_thr", 0, 1, "[)"),
+                                     ("nms_iou", 0, 1, "[]")))
+        widths = self.backbone_widths
+        if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
+            raise ConfigError(f"model.backbone_widths must list five positive integer stage "
+                              f"widths, got {list(widths)}")
+        if self.image_size % 32:
+            raise ConfigError("model.image_size must be divisible by 32")
+
 
 @dataclass
 class LossSection:
     w_cls: float = 1.0
     w_reg: float = 2.0
+
+    def __post_init__(self):
+        check_ranges("loss", self, (("w_cls", 0, math.inf, "[)"), ("w_reg", 0, math.inf, "[)")))
 
 
 @dataclass
@@ -63,6 +84,15 @@ class TrainingSection:
     schedule: str = "cosine"
     seed: int = 0
 
+    def __post_init__(self):
+        check_choice("training.schedule", self.schedule, ("cosine", "constant"))
+        check_ranges("training", self, (("steps", 1, math.inf, "[)"),
+                                        ("epochs", 1, math.inf, "[)"),
+                                        ("lr", 0, math.inf, "()"),
+                                        ("momentum", 0, 1, "[)"),
+                                        ("weight_decay", 0, math.inf, "[)"),
+                                        ("seed", 0, math.inf, "[)")))
+
 
 @dataclass
 class RunConfig:
@@ -72,9 +102,10 @@ class RunConfig:
     assignment: AssignConfig = field(default_factory=AssignConfig)
     loss: LossSection = field(default_factory=LossSection)
     eval: EvalConfig = field(default_factory=EvalConfig)
+    # built before ``synthetic``, so ``--seed -1`` names training.seed first
+    training: TrainingSection = field(default_factory=TrainingSection)
     synthetic: SyntheticConfig = field(default_factory=partial(
         SyntheticConfig, num_classes=3, min_shapes=2, max_shapes=4))
-    training: TrainingSection = field(default_factory=TrainingSection)
 
 
 def _fits(value, hint) -> bool:
@@ -147,57 +178,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
         changes[section_name].update(_apply(getattr(cfg, section_name), {key: value},
                                             section_name))
     cfg = RunConfig(**{f.name: f.default_factory(**changes[f.name]) for f in fields(cfg)})
-    validate_config(cfg)
-    return cfg
-
-
-# Scalar bounds checked at load: (key, low, high, ends), as ``check_range``
-# reads them; an unset (None) optional value is skipped. The neck,
-# assignment and synthetic sections check their own ranges.
-_BOUNDS = (
-    ("numerics.bn_eps", 0, math.inf, "()"),
-    ("numerics.bn_momentum", 0, 1, "[]"),
-    ("training.steps", 1, math.inf, "[)"),
-    ("training.epochs", 1, math.inf, "[)"),
-    ("training.lr", 0, math.inf, "()"),
-    ("training.momentum", 0, 1, "[)"),
-    ("training.weight_decay", 0, math.inf, "[)"),
-    ("training.seed", 0, math.inf, "[)"),
-    ("synthetic.seed", 0, math.inf, "[)"),
-    ("synthetic.num_images", 1, math.inf, "[)"),
-    ("loss.w_cls", 0, math.inf, "[)"),
-    ("loss.w_reg", 0, math.inf, "[)"),
-    ("model.head_channels", 1, math.inf, "[)"),
-    ("model.num_classes", 1, math.inf, "[)"),
-    ("model.image_size", 0, math.inf, "()"),
-    ("model.score_thr", 0, 1, "[)"),
-    ("model.nms_iou", 0, 1, "[]"),
-)
-_CHOICES = (("numerics.dtype", ("float64", "float32")),
-            ("training.schedule", ("cosine", "constant")))
-
-
-def _value(cfg: RunConfig, key: str):
-    section, name = key.split(".")
-    return getattr(getattr(cfg, section), name)
-
-
-def validate_config(cfg: RunConfig):
-    for key, allowed in _CHOICES:
-        if _value(cfg, key) not in allowed:
-            raise ConfigError(f"unknown {key} '{_value(cfg, key)}'")
-    for key, low, high, ends in _BOUNDS:
-        value = _value(cfg, key)
-        if value is None:
-            continue
-        check_range(key, value, low, high, ends)
-    widths = cfg.model.backbone_widths
-    if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
-        raise ConfigError(f"model.backbone_widths must list five positive integer stage widths, "
-                          f"got {list(widths)}")
-    if cfg.model.image_size % 32:
-        raise ConfigError("model.image_size must be divisible by 32")
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
+    return cfg
 
 
 def config_dict(cfg: RunConfig) -> dict:

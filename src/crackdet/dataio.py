@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_range
+from .errors import DataError, ShapeError, check_ranges
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -393,7 +393,9 @@ class SyntheticConfig:
             raise DataError(f"num_classes must be in 1..{len(SHAPE_KINDS)}")
         if self.min_shapes < 0 or self.max_shapes < self.min_shapes:
             raise DataError("invalid shapes_per_image range")
-        check_range("synthetic.image_size", self.image_size, MIN_SYNTHETIC_SIZE, math.inf, "[)")
+        check_ranges("synthetic", self, (("seed", 0, math.inf, "[)"),
+                                         ("num_images", 1, math.inf, "[)"),
+                                         ("image_size", MIN_SYNTHETIC_SIZE, math.inf, "[)")))
 
 
 # Per-class paint: distinct hue so the class signal survives desk-scale training.
@@ -456,7 +458,6 @@ def gen_synthetic(cfg: SyntheticConfig):
     categories = [Category(id=i + 1, name=k) for i, k in enumerate(kinds)]
     images, infos, annotations = [], [], []
     ann_id = 1
-    skipped = 0
     for image_id in range(1, cfg.num_images + 1):
         base = rng.uniform(110.0, 145.0)
         canvas = np.clip(base + rng.normal(0.0, 7.0, size=(size, size, 3)), 0, 255)
@@ -465,19 +466,12 @@ def gen_synthetic(cfg: SyntheticConfig):
         for _ in range(n_shapes):
             kind_idx = int(rng.integers(0, len(kinds)))
             kind = kinds[kind_idx]
-            placed = None
             for _attempt in range(20):
                 box = _sample_box(kind, rng, size)
-                if box is None:
-                    continue
-                if all(iou(box, b) <= 0.25 for _, b in boxes):
-                    placed = box
+                if box is not None and all(iou(box, b) <= 0.25 for _, b in boxes):
+                    _paint(canvas, kind, box)
+                    boxes.append((kind_idx + 1, box))
                     break
-            if placed is None:
-                skipped += 1
-                continue
-            _paint(canvas, kind, placed)
-            boxes.append((kind_idx + 1, placed))
         canvas = np.clip(canvas + rng.normal(0.0, 3.0, size=canvas.shape), 0, 255)
         images.append(canvas.astype(np.uint8))
         infos.append(ImageInfo(id=image_id, file_name=f"img_{image_id:05d}.ppm",
@@ -487,9 +481,7 @@ def gen_synthetic(cfg: SyntheticConfig):
                                           category_id=category_id,
                                           box=tuple(float(v) for v in box)))
             ann_id += 1
-    index = DatasetIndex(images=infos, annotations=annotations, categories=categories,
-                         clamp_warnings=skipped)
-    return images, index
+    return images, DatasetIndex(images=infos, annotations=annotations, categories=categories)
 
 
 def save_synthetic(images, index: DatasetIndex, out_dir):
@@ -559,6 +551,9 @@ def detections_from_coco(rows) -> list:
             score = float(r["score"])
         except (TypeError, ValueError) as exc:
             raise DataError(f"results[{i}]: bbox and score must be numbers ({exc})") from None
-        out.append(Detection(image_id=r["image_id"], category_id=r["category_id"],
-                             score=score, box=(x, y, x + w, y + h)))
+        try:
+            out.append(Detection(image_id=r["image_id"], category_id=r["category_id"],
+                                 score=score, box=(x, y, x + w, y + h)))
+        except ShapeError as exc:
+            raise DataError(f"results[{i}]: {exc}") from None
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import Attention4DConfig, Attention4DParams, attention4d_forward, init_attention4d
-from .errors import ConfigError, ShapeError, check_range
+from .errors import ConfigError, ShapeError, check_choice, check_ranges
 from .numerics import BatchNorm, Tensor
 
 PLACEMENT_SLOTS = {
@@ -64,31 +64,24 @@ class NeckSettings:
     downsample: str = "conv"
 
     def __post_init__(self):
-        if self.placement not in PLACEMENT_SLOTS:
-            raise ConfigError(f"unknown placement '{self.placement}' "
-                              f"(expected one of {sorted(PLACEMENT_SLOTS)})")
-        if self.downsample not in ("conv", "pool"):
-            raise ConfigError(f"unknown downsample '{self.downsample}' (expected conv|pool)")
+        check_choice("neck.placement", self.placement, PLACEMENT_SLOTS)
+        check_choice("neck.downsample", self.downsample, ("conv", "pool"))
         slots = PLACEMENT_SLOTS[self.placement]
         if self.num_attention_blocks is None or isinstance(self.num_attention_blocks, _SlotCount):
             self.num_attention_blocks = _SlotCount(len(slots))
-        if not 1 <= self.num_attention_blocks <= 4:
-            raise ConfigError("num_attention_blocks must be in 1..4")
+        check_ranges("neck", self, (("num_attention_blocks", 1, 4, "[]"),
+                                    ("attn_heads", 1, math.inf, "[)"),
+                                    ("attn_key_dim", 1, math.inf, "[)"),
+                                    ("attn_value_dim", 1, math.inf, "[)"),
+                                    ("attn_scale", 0, math.inf, "()"),
+                                    ("out_channels", 1, math.inf, "[)"),
+                                    ("csp_depth", 0, math.inf, "[)")))
         if self.num_attention_blocks > len(slots):
             raise ConfigError(f"placement '{self.placement}' offers {len(slots)} slots, "
                               f"got num_attention_blocks={self.num_attention_blocks}")
-        if self.attn_heads < 1 or self.attn_key_dim < 1:
-            raise ConfigError(f"attn_heads and attn_key_dim must be >= 1, "
-                              f"got {self.attn_heads} and {self.attn_key_dim}")
-        if self.attn_value_dim is not None and self.attn_value_dim < 1:
-            raise ConfigError(f"attn_value_dim must be >= 1 when set, got {self.attn_value_dim}")
-        if self.attn_scale is not None:
-            check_range("neck.attn_scale", self.attn_scale, 0, math.inf, "()")
-        if self.out_channels < 1 or self.out_channels % 2:
-            raise ConfigError(f"out_channels must be positive and even (CSP splits channels "
-                              f"in half), got {self.out_channels}")
-        if self.csp_depth < 0:
-            raise ConfigError(f"csp_depth must be >= 0, got {self.csp_depth}")
+        if self.out_channels % 2:
+            raise ConfigError(f"neck.out_channels must be even (CSP splits channels in half), "
+                              f"got {self.out_channels}")
 
     def active_slots(self) -> tuple[str, ...]:
         return PLACEMENT_SLOTS[self.placement][:self.num_attention_blocks]

@@ -19,7 +19,7 @@ import numpy as np
 from . import numerics as nm
 from .config import RunConfig
 from .dataio import gen_synthetic, normalize_images, write_atomic
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
 from .model import Detector, build_detector, flatten_levels
 
@@ -39,9 +39,14 @@ def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     return detector
 
 
-def image_gts(index, image_id):
-    """(boxes (G,4), zero-based labels (G,)) for one image."""
+def image_gts(index, image_id, num_classes):
+    """(boxes (G,4), zero-based labels (G,)) for one image; a category id
+    that is not one of 1..num_classes is a DataError."""
     anns = [a for a in index.annotations if a.image_id == image_id]
+    for a in anns:
+        if a.category_id not in range(1, num_classes + 1):
+            raise DataError(f"annotation {a.id} has category id {a.category_id!r}, not in "
+                            f"1..model.num_classes ({num_classes})")
     boxes = np.array([a.box for a in anns], dtype=np.float64).reshape(-1, 4)
     labels = np.array([a.category_id - 1 for a in anns], dtype=np.intp)
     return boxes, labels
@@ -156,7 +161,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         per_epoch = max(1, cfg.synthetic.num_images // cfg.training.batch_size)
         steps = cfg.training.epochs * per_epoch
 
-    gts = {im.id: image_gts(index, im.id) for im in index.images}
+    gts = {im.id: image_gts(index, im.id, cfg.model.num_classes) for im in index.images}
     image_ids = [im.id for im in index.images]
     rows = []
     for step in range(steps):

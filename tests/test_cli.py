@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from crackdet.cli import _json_ready, main
-from crackdet.config import __version__, config_dict, load_config
+from crackdet.config import (ModelSection, NumericsSection, RunConfig, TrainingSection,
+                             __version__, config_dict, load_config)
 from crackdet.errors import ConfigError, CrackdetError
 
 TINY = [
@@ -364,6 +366,37 @@ class TestConfigRejectedAtLoad:
         assert rc == 0
 
 
+class TestSectionsCheckThemselves:
+    """A section built in code checks its own values when it is built, as
+    ``load_config`` would: a library caller gets the CLI's ConfigError
+    naming the key, not a raw numpy error or a silently different run."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: NumericsSection(dtype="float16"),
+         "unknown numerics.dtype 'float16' (expected one of float64|float32)"),
+        (lambda: TrainingSection(schedule="cosinus"),
+         "unknown training.schedule 'cosinus' (expected one of cosine|constant)"),
+        (lambda: ModelSection(image_size=48), "model.image_size must be divisible by 32"),
+        (lambda: dataclasses.replace(load_config().training, lr=-1),
+         "training.lr must be in (0, inf), got -1"),
+    ], ids=["dtype", "schedule", "image_size", "replace"])
+    def test_rejected_at_construction(self, build, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build()
+
+    # one out-of-range value per RunConfig section
+    BAD = {"numerics": ("bn_momentum", 2.0), "model": ("nms_iou", 1.5),
+           "neck": ("csp_depth", -1), "assignment": ("eta", 0.0), "loss": ("w_reg", -1.0),
+           "eval": ("max_dets", 0), "training": ("steps", 0), "synthetic": ("num_images", 0)}
+
+    @pytest.mark.parametrize("section", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_every_section_checks_itself(self, section):
+        key, value = self.BAD[section.name]
+        section.default_factory()
+        with pytest.raises(ConfigError, match=re.escape(f"{section.name}.{key}")):
+            section.default_factory(**{key: value})
+
+
 class TestStats:
     def test_stats_on_generated_dataset(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -555,6 +588,10 @@ class TestResultsRejected:
         ([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "invalid detection"),
         ([dict(GOOD, bbox=[0, 0, float("inf"), 1])], "invalid detection"),
         ([dict(GOOD, score=float("nan"))], "invalid detection"),
+        ([dict(GOOD, bbox=[0, 0, -3, 1])], "results[0]: invalid detection"),
+        ([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "results[0]: invalid detection"),
+        ([dict(GOOD, score=float("inf"))], "results[0]: invalid detection"),
+        ([GOOD, dict(GOOD, bbox=[0, 0, 1, -0.5])], "results[1]: invalid detection"),
     ])
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_exit_1_with_error_line(self, tmp_path, capsys, command, results, message):
@@ -655,6 +692,32 @@ class TestTrainInferPipeline:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "unexpected entry 'param:neck.attn.td_c4." in err
         assert not (inf_dir / "detections.json").exists()
+
+    @pytest.mark.parametrize("category_id", [7, 0, "b"])
+    def test_assign_debug_rejects_category_outside_num_classes(self, tmp_path, capsys,
+                                                               category_id):
+        """A GT category id that is not one of 1..model.num_classes (an id
+        past the last class, 0, or a string) names the annotation instead of
+        an IndexError in the cost matrix or reading the last class's score."""
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=2"]) == 0
+        path = data_dir / "annotations.json"
+        coco = json.loads(path.read_text())
+        ann = coco["annotations"][0]
+        assert ann["image_id"] == coco["images"][0]["id"]
+        ann["category_id"] = category_id
+        coco["categories"].append({"id": category_id, "name": "extra"})
+        path.write_text(json.dumps(coco))
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        rc = main(["assign-debug", "--dataset", str(data_dir), "--image-index", "0",
+                   "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert (f"annotation {ann['id']} has category id {category_id!r}, "
+                "not in 1..model.num_classes (3)") in err
+        assert not (out_dir / "assign_debug.json").exists()
 
     @pytest.mark.parametrize("command", ["infer", "assign-debug"])
     def test_image_size_mismatch_named(self, tmp_path, capsys, command):

@@ -295,9 +295,24 @@ class TestSynthetic:
             pb = (tmp_path / "b" / "images" / name).read_bytes()
             assert pa == pb
 
-    def test_zero_images_empty_dataset(self):
-        images, index = gen_synthetic(SyntheticConfig(num_images=0))
-        assert images == [] and index.annotations == []
+    def test_zero_images_rejected(self):
+        """The library takes the CLI's bound: no set of zero images."""
+        with pytest.raises(ConfigError, match=r"synthetic\.num_images must be in \[1, inf\)"):
+            SyntheticConfig(num_images=0)
+
+    def test_negative_seed_rejected(self):
+        """numpy's generator would reject the seed with a raw ValueError."""
+        with pytest.raises(ConfigError, match=r"synthetic\.seed must be in \[0, inf\), got -1"):
+            SyntheticConfig(seed=-1)
+
+    def test_skipped_shapes_are_not_clamp_warnings(self):
+        """Shapes the generator cannot place are dropped; ``clamp_warnings``
+        counts boxes clamped at load, so a generated set reports none."""
+        cfg = SyntheticConfig(num_images=5, image_size=MIN_SYNTHETIC_SIZE, num_classes=5,
+                              min_shapes=6, max_shapes=6, seed=3)
+        _, index = gen_synthetic(cfg)
+        assert len(index.annotations) < cfg.num_images * cfg.max_shapes
+        assert index.clamp_warnings == 0
 
     def test_every_box_within_bounds(self):
         images, index = gen_synthetic(SyntheticConfig(num_images=30, seed=1))
