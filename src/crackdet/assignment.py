@@ -17,22 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_choice, check_ranges
+from .errors import ConfigError, check_fields
 from .geometry import iou_matrix
 
 _FLOOR = 1e-7
 # Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
 # candidates cost this much instead of overflowing to inf.
 _CENTER_COST_CAP = 1e150
-# (field, low, high, ends) as ``check_ranges`` reads them. No range admits an
+# (field, low, high, ends) as ``check_fields`` reads them. No range admits an
 # infinity or a NaN; iou_floor > 0 keeps candidate costs finite and
 # prob_clamp < 0.5 keeps the clip from inverting.
 _RANGES = (
     ("lambda_cls", 0, math.inf, "()"),
     ("lambda_loc", 0, math.inf, "()"),
     ("lambda_center", 0, math.inf, "()"),
-    ("eta", 0, math.inf, "()"),
-    ("epsilon", 0, math.inf, "[)"),
     ("alpha", 1, math.inf, "()"),
     ("beta", -math.inf, math.inf, "()"),
     ("dynamic_k_cap", 1, math.inf, "[)"),
@@ -46,9 +44,6 @@ class AssignConfig:
     lambda_cls: float = 1.0
     lambda_loc: float = 3.0
     lambda_center: float = 1.0
-    center_cost_mode: str = "soft_center_prior"
-    eta: float = 1.0
-    epsilon: float = 1e-7
     alpha: float = 10.0
     beta: float = 3.0
     dynamic_k_cap: int = 10
@@ -56,9 +51,7 @@ class AssignConfig:
     prob_clamp: float = _FLOOR
 
     def __post_init__(self):
-        check_ranges("assignment", self, _RANGES)
-        check_choice("assignment.center_cost_mode", self.center_cost_mode,
-                     ("soft_center_prior", "inverse_distance"))
+        check_fields("assignment", self, _RANGES)
 
 
 def classification_cost(y_hat, y, prob_clamp=_FLOOR):
@@ -75,12 +68,10 @@ def location_cost(iou, iou_floor=_FLOOR):
 
 
 def center_cost_from_distance(d, cfg: AssignConfig):
-    """Cost of a stride-normalized center distance d under the configured mode."""
+    """Soft center prior ``alpha ** (d - beta)`` of a stride-normalized center distance d."""
     d = np.asarray(d, dtype=np.float64)
-    if cfg.center_cost_mode == "soft_center_prior":
-        cap = math.log(_CENTER_COST_CAP) / math.log(cfg.alpha)
-        return cfg.alpha ** np.minimum(d - cfg.beta, cap)
-    return cfg.eta / np.maximum(d - cfg.epsilon, _FLOOR)
+    cap = math.log(_CENTER_COST_CAP) / math.log(cfg.alpha)
+    return cfg.alpha ** np.minimum(d - cfg.beta, cap)
 
 
 def center_cost(pred_center, gt_center, stride, cfg: AssignConfig):

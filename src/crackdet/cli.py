@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="train on the synthetic set and self-evaluate")
     common(p)
     p.add_argument("--epochs", type=int, default=None,
-                   help="epoch-based schedule over the synthetic set instead of fixed steps")
+                   help="set training.steps to N passes over the synthetic set")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("infer", help="run a checkpoint over a dataset directory")
@@ -369,12 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epochs", None) is not None:  # train-toy's --epochs is one more override
-        args.overrides.append(f"training.epochs={args.epochs}")
     if args.seed is not None:  # --seed is two more, so load_config checks its value
         args.overrides += [f"training.seed={args.seed}", f"synthetic.seed={args.seed}"]
     try:
         cfg = load_config(args.config, args.overrides)
+        if getattr(args, "epochs", None) is not None:  # train_toy rejects a batch size < 1
+            per_epoch = max(1, cfg.synthetic.num_images // max(1, cfg.training.batch_size))
+            cfg.training = dataclasses.replace(cfg.training, steps=args.epochs * per_epoch)
         if args.dump_arch:
             detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
             write_json({"arch": describe_layout(detector.neck.cfg)},

@@ -5,8 +5,8 @@ full path named, and individual values can be overridden from the command line
 with ``--set section.key=value``. The ``neck``, ``assignment``, ``eval`` and
 ``synthetic`` sections are the library's own ``NeckSettings``,
 ``AssignConfig``, ``EvalConfig`` and ``SyntheticConfig``. Each section checks
-its own values when it is built, in code or at load; loading adds the neck's
-geometry check. The effective config is echoed into every output artifact.
+its fields' types and values when built, in code or at load; loading adds
+the neck's geometry check. The effective config is echoed into every artifact.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import partial
-from types import UnionType
-from typing import get_args, get_type_hints
 
 from .assignment import AssignConfig
 from .dataio import SyntheticConfig
-from .errors import ConfigError, check_choice, check_ranges
+from .errors import ConfigError, check_choice, check_fields
 from .evaluator import EvalConfig
 from .model import neck_config
 from .neck import NeckSettings
@@ -36,9 +34,9 @@ class NumericsSection:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
-        check_choice("numerics.dtype", self.dtype, ("float64", "float32"))
-        check_ranges("numerics", self, (("bn_eps", 0, math.inf, "()"),
+        check_fields("numerics", self, (("bn_eps", 0, math.inf, "()"),
                                         ("bn_momentum", 0, 1, "[]")))
+        check_choice("numerics.dtype", self.dtype, ("float64", "float32"))
 
 
 @dataclass
@@ -51,13 +49,13 @@ class ModelSection:
     nms_iou: float = 0.65
 
     def __post_init__(self):
-        check_ranges("model", self, (("num_classes", 1, math.inf, "[)"),
+        check_fields("model", self, (("num_classes", 1, math.inf, "[)"),
                                      ("image_size", 0, math.inf, "()"),
                                      ("head_channels", 1, math.inf, "[)"),
                                      ("score_thr", 0, 1, "[)"),
                                      ("nms_iou", 0, 1, "[]")))
         widths = self.backbone_widths
-        if len(widths) != 5 or not all(_fits(w, int) and w >= 1 for w in widths):
+        if len(widths) != 5 or not all(type(w) is int and w >= 1 for w in widths):
             raise ConfigError(f"model.backbone_widths must list five positive integer stage "
                               f"widths, got {list(widths)}")
         if self.image_size % 32:
@@ -70,24 +68,20 @@ class LossSection:
     w_reg: float = 2.0
 
     def __post_init__(self):
-        check_ranges("loss", self, (("w_cls", 0, math.inf, "[)"), ("w_reg", 0, math.inf, "[)")))
+        check_fields("loss", self, (("w_cls", 0, math.inf, "[)"), ("w_reg", 0, math.inf, "[)")))
 
 
 @dataclass
 class TrainingSection:
     batch_size: int = 4
     steps: int = 300
-    epochs: int | None = None
     lr: float = 4e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    schedule: str = "cosine"
     seed: int = 0
 
     def __post_init__(self):
-        check_choice("training.schedule", self.schedule, ("cosine", "constant"))
-        check_ranges("training", self, (("steps", 1, math.inf, "[)"),
-                                        ("epochs", 1, math.inf, "[)"),
+        check_fields("training", self, (("steps", 1, math.inf, "[)"),
                                         ("lr", 0, math.inf, "()"),
                                         ("momentum", 0, 1, "[)"),
                                         ("weight_decay", 0, math.inf, "[)"),
@@ -108,34 +102,17 @@ class RunConfig:
         SyntheticConfig, num_classes=3, min_shapes=2, max_shapes=4))
 
 
-def _fits(value, hint) -> bool:
-    """Whether ``value`` fits a field annotation: an int fits a float, a bool
-    fits only a bool, and None fits only an ``X | None`` field."""
-    if isinstance(hint, UnionType):
-        return any(_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _apply(section, values: dict, path: str) -> dict:
-    """``values`` checked against the section's fields (a JSON list becomes a
-    tuple); unknown keys and mistyped values raise ConfigError."""
-    hints = get_type_hints(type(section))
-    out = {}
+def _apply(section, values: dict, path: str, into: dict):
+    """Write ``values`` into ``into``, each key checked against the section's
+    fields (a JSON list given for a tuple field becomes a tuple); an unknown
+    key raises ConfigError. The section checks each value when it is built."""
+    names = {f.name for f in fields(section)}
     for key, value in values.items():
-        if key not in hints:
+        if key not in names:
             raise ConfigError(f"unknown config key '{path}.{key}'")
-        hint = hints[key]
-        if hint is tuple and isinstance(value, list):
+        if isinstance(value, list) and isinstance(getattr(section, key), tuple):
             value = tuple(value)
-        if not _fits(value, hint):
-            raise ConfigError(f"config key '{path}.{key}' expects "
-                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
-        out[key] = value
-    return out
+        into[key] = value
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -160,7 +137,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
                 raise ConfigError(f"unknown config section '{name}'")
             if not isinstance(values, dict):
                 raise ConfigError(f"config section '{name}' must be an object")
-            changes[name].update(_apply(getattr(cfg, name), values, name))
+            _apply(getattr(cfg, name), values, name, changes[name])
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form section.key=value")
@@ -175,8 +152,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             value = json.loads(raw_value)
         except json.JSONDecodeError:
             value = raw_value
-        changes[section_name].update(_apply(getattr(cfg, section_name), {key: value},
-                                            section_name))
+        _apply(getattr(cfg, section_name), {key: value}, section_name, changes[section_name])
     cfg = RunConfig(**{f.name: f.default_factory(**changes[f.name]) for f in fields(cfg)})
     neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
     return cfg

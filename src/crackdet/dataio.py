@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_ranges
+from .errors import DataError, ShapeError, check_fields
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -389,13 +389,13 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields("synthetic", self, (("seed", 0, math.inf, "[)"),
+                                         ("num_images", 1, math.inf, "[)"),
+                                         ("image_size", MIN_SYNTHETIC_SIZE, math.inf, "[)")))
         if not 1 <= self.num_classes <= len(SHAPE_KINDS):
             raise DataError(f"num_classes must be in 1..{len(SHAPE_KINDS)}")
         if self.min_shapes < 0 or self.max_shapes < self.min_shapes:
             raise DataError("invalid shapes_per_image range")
-        check_ranges("synthetic", self, (("seed", 0, math.inf, "[)"),
-                                         ("num_images", 1, math.inf, "[)"),
-                                         ("image_size", MIN_SYNTHETIC_SIZE, math.inf, "[)")))
 
 
 # Per-class paint: distinct hue so the class signal survives desk-scale training.

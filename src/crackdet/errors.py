@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config checks that raise them."""
+
+import numbers
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 
 class CrackdetError(Exception):
@@ -21,13 +26,34 @@ class NumericsError(CrackdetError):
     """A numerical check failed or an op produced a non-finite value."""
 
 
-def check_ranges(section, obj, rows):
-    """ConfigError naming ``section.field`` unless, for each ``(field, low,
-    high, ends)`` row, the field of ``obj`` lies between ``low`` and ``high``,
-    where ``ends`` "[)" reads low <= value < high. An unset (None) field
-    passes; a NaN fails every range; an open end at infinity rejects that
-    infinity."""
-    for name, low, high, ends in rows:
+# A float field also takes an int, and both take numpy's scalars.
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
+@cache
+def _field_types(cls):
+    """(field, annotation, accepted types) of each field of ``cls``, None only
+    in an ``X | None`` field; cached, as each ``evaluate`` builds an ``EvalConfig``."""
+    rows = []
+    for key, hint in get_type_hints(cls).items():
+        options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        rows.append((key, hint, tuple(_NUMBERS.get(h, get_origin(h) or h) for h in options)))
+    return tuple(rows)
+
+
+def check_fields(section, obj, ranges):
+    """ConfigError naming ``section.field`` unless every field of the
+    dataclass ``obj`` has a type its annotation accepts (a bool only a bool
+    field) and, for each ``(field, low, high, ends)`` row of ``ranges``, lies
+    between ``low`` and ``high``, where ``ends`` "[)" reads low <= value <
+    high. An unset (None) field passes its range; a NaN fails every range;
+    an open end at infinity rejects that infinity."""
+    for key, hint, types in _field_types(type(obj)):
+        value = getattr(obj, key)
+        if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+            raise ConfigError(f"config key '{section}.{key}' expects "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+    for name, low, high, ends in ranges:
         value = getattr(obj, name)
         if value is None:
             continue

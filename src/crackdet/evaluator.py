@@ -20,7 +20,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import ConfigError, CrackdetError, check_ranges
+from .errors import CrackdetError, check_fields
 from .geometry import SIZE_RANGES, iou_matrix
 
 SENTINEL = -1.0
@@ -51,9 +51,7 @@ class EvalConfig:
     max_dets: int = 100
 
     def __post_init__(self):
-        if isinstance(self.max_dets, bool) or not isinstance(self.max_dets, (int, np.integer)):
-            raise ConfigError(f"max_dets must be an integer, got {self.max_dets!r}")
-        check_ranges("eval", self, (("max_dets", 1, np.inf, "[)"),))
+        check_fields("eval", self, (("max_dets", 1, np.inf, "[)"),))
 
 
 METRIC_KEYS = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large",

@@ -26,6 +26,7 @@ from .neck import ConvBNLayer, NeckConfig, NeckParams, PyramidFeatures, _conv_bn
 from .numerics import Tensor
 
 STRIDES = (8, 16, 32)
+CLS_BIAS_PRIOR = -2.0  # every class logit starts at sigmoid(-2) = 0.12
 
 
 @dataclass
@@ -112,15 +113,14 @@ class HeadParams(nm.Module):
                 ("b_cls", self.b_cls), ("w_reg", self.w_reg), ("b_reg", self.b_reg)]
 
 
-def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64,
-              cls_bias_prior=-2.0) -> HeadParams:
+def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64) -> HeadParams:
     bound = 1.0 / np.sqrt(hidden)
     return HeadParams(
         stem_cls=_conv_bn(rng, in_channels, hidden, dtype),
         stem_reg=_conv_bn(rng, in_channels, hidden, dtype),
         w_cls=Tensor(rng.uniform(-bound, bound, size=(num_classes, hidden)).astype(dtype),
                      requires_grad=True),
-        b_cls=Tensor(np.full(num_classes, cls_bias_prior, dtype=dtype), requires_grad=True),
+        b_cls=Tensor(np.full(num_classes, CLS_BIAS_PRIOR, dtype=dtype), requires_grad=True),
         w_reg=Tensor(rng.uniform(-bound, bound, size=(4, hidden)).astype(dtype),
                      requires_grad=True),
         b_reg=Tensor(np.zeros(4, dtype=dtype), requires_grad=True),

@@ -2,10 +2,10 @@
 
 The neck runs a top-down pass (coarse levels upsampled and merged into finer
 ones through CSP layers) followed by a bottom-up pass (fine levels downsampled
-and merged back). Attention blocks can be installed at four slots — on the
-coarsest input, after the first top-down CSP layer, and after each bottom-up
-CSP layer — or as a single block on the final coarse output. Placement changes
-parameter layout only, never output shapes.
+by stride-2 convs and merged back). Attention blocks can be installed at four
+slots — on the coarsest input, after the first top-down CSP layer, and after
+each bottom-up CSP layer — or as a single block on the final coarse output.
+Placement changes parameter layout only, never output shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import Attention4DConfig, Attention4DParams, attention4d_forward, init_attention4d
-from .errors import ConfigError, ShapeError, check_choice, check_ranges
+from .errors import ConfigError, ShapeError, check_choice, check_fields
 from .numerics import BatchNorm, Tensor
 
 PLACEMENT_SLOTS = {
@@ -61,21 +61,19 @@ class NeckSettings:
     attn_value_dim: int | None = None
     attn_scale: float | None = None
     attn_residual: bool = True
-    downsample: str = "conv"
 
     def __post_init__(self):
-        check_choice("neck.placement", self.placement, PLACEMENT_SLOTS)
-        check_choice("neck.downsample", self.downsample, ("conv", "pool"))
-        slots = PLACEMENT_SLOTS[self.placement]
-        if self.num_attention_blocks is None or isinstance(self.num_attention_blocks, _SlotCount):
-            self.num_attention_blocks = _SlotCount(len(slots))
-        check_ranges("neck", self, (("num_attention_blocks", 1, 4, "[]"),
+        check_fields("neck", self, (("num_attention_blocks", 1, 4, "[]"),
                                     ("attn_heads", 1, math.inf, "[)"),
                                     ("attn_key_dim", 1, math.inf, "[)"),
                                     ("attn_value_dim", 1, math.inf, "[)"),
                                     ("attn_scale", 0, math.inf, "()"),
                                     ("out_channels", 1, math.inf, "[)"),
                                     ("csp_depth", 0, math.inf, "[)")))
+        check_choice("neck.placement", self.placement, PLACEMENT_SLOTS)
+        slots = PLACEMENT_SLOTS[self.placement]
+        if self.num_attention_blocks is None or isinstance(self.num_attention_blocks, _SlotCount):
+            self.num_attention_blocks = _SlotCount(len(slots))
         if self.num_attention_blocks > len(slots):
             raise ConfigError(f"placement '{self.placement}' offers {len(slots)} slots, "
                               f"got num_attention_blocks={self.num_attention_blocks}")
@@ -100,7 +98,7 @@ class NeckConfig(NeckSettings):
         for (ha, wa), (hb, wb) in zip(self.spatial, self.spatial[1:]):
             if ha != 2 * hb or wa != 2 * wb:
                 raise ConfigError(f"pyramid spatial sizes must halve level to level, got {self.spatial}")
-        _slot_configs(self)  # each slot's Attention4DConfig checks heads*key_dim <= 8*channels
+        _slot_configs(self)  # ConfigError unless heads*key_dim <= 8*channels at every slot
 
 
 @dataclass
@@ -170,8 +168,8 @@ class NeckParams(nm.Module):
     csp_td3: CSPParams
     csp_bu4: CSPParams
     csp_bu5: CSPParams
-    down3: ConvBNLayer | None
-    down4: ConvBNLayer | None
+    down3: ConvBNLayer
+    down4: ConvBNLayer
 
     prefix = "neck"
 
@@ -189,11 +187,17 @@ def _slot_configs(cfg: NeckConfig) -> dict[str, Attention4DConfig]:
     oc = cfg.out_channels
     geometry = {"td_c5": (c5, s5), "td_c4": (c4, s4), "bu_c4": (oc, s4), "bu_c5": (oc, s5),
                 "end": (oc, s5)}
-    return {slot: Attention4DConfig(channels=geometry[slot][0], heads=cfg.attn_heads,
-                                    key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
-                                    spatial=geometry[slot][1], residual=cfg.attn_residual,
-                                    scale=cfg.attn_scale)
-            for slot in cfg.active_slots()}
+    out = {}
+    for slot in cfg.active_slots():
+        try:
+            out[slot] = Attention4DConfig(channels=geometry[slot][0], heads=cfg.attn_heads,
+                                          key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
+                                          spatial=geometry[slot][1], residual=cfg.attn_residual,
+                                          scale=cfg.attn_scale)
+        except ShapeError as exc:
+            raise ConfigError(f"neck.attn_heads * neck.attn_key_dim too large for attention "
+                              f"slot '{slot}': {exc}") from exc
+    return out
 
 
 def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> NeckParams:
@@ -201,7 +205,6 @@ def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> Ne
     oc = cfg.out_channels
     attn = {slot: init_attention4d(acfg, rng, dtype=dtype)
             for slot, acfg in _slot_configs(cfg).items()}
-    use_conv_down = cfg.downsample == "conv"
     return NeckParams(
         cfg=cfg,
         attn=attn,
@@ -209,13 +212,9 @@ def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> Ne
         csp_td3=init_csp(rng, c4 + c3, oc, cfg.csp_depth, dtype),
         csp_bu4=init_csp(rng, oc + c4, oc, cfg.csp_depth, dtype),
         csp_bu5=init_csp(rng, oc + c5, oc, cfg.csp_depth, dtype),
-        down3=_conv_bn(rng, oc, oc, dtype, stride2=True) if use_conv_down else None,
-        down4=_conv_bn(rng, oc, oc, dtype, stride2=True) if use_conv_down else None,
+        down3=_conv_bn(rng, oc, oc, dtype, stride2=True),
+        down4=_conv_bn(rng, oc, oc, dtype, stride2=True),
     )
-
-
-def _downsample(x, layer):
-    return layer(x) if layer is not None else nm.avgpool2x2(x)
 
 
 def neck_forward(c: PyramidFeatures, p: NeckParams) -> PyramidFeatures:
@@ -234,9 +233,9 @@ def neck_forward(c: PyramidFeatures, p: NeckParams) -> PyramidFeatures:
     u3 = nm.concat([nm.upsample2x(a4), c.p3], axis=1)
     q3 = csp_layer(u3, p.csp_td3)
 
-    d4 = nm.concat([_downsample(q3, p.down3), a4], axis=1)
+    d4 = nm.concat([p.down3(q3), a4], axis=1)
     q4 = refine("bu_c4", csp_layer(d4, p.csp_bu4))
-    d5 = nm.concat([_downsample(q4, p.down4), a5], axis=1)
+    d5 = nm.concat([p.down4(q4), a5], axis=1)
     q5 = refine("bu_c5", csp_layer(d5, p.csp_bu5))
     q5 = refine("end", q5)
     return PyramidFeatures(q3, q4, q5)

@@ -565,20 +565,6 @@ def upsample2x(x):
     return _make(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), "upsample2x", (x,), backward)
 
 
-def avgpool2x2(x):
-    """2x2 stride-2 average pooling; requires even spatial size."""
-    x = as_tensor(x)
-    B, C, H, W = x.data.shape
-    if H % 2 or W % 2:
-        raise ShapeError(f"avgpool2x2: spatial size {(H, W)} must be even")
-    out = x.data.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
-
-    def backward(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25,)
-
-    return _make(out, "avgpool2x2", (x,), backward)
-
-
 def softmax_lastdim(x):
     """Row softmax along the last axis, stabilized by max subtraction."""
     x = as_tensor(x)
@@ -782,9 +768,8 @@ class BatchNorm:
 
 class Module:
     """A parameter tree: each subclass lists its ``children()`` once, as
-    ``(suffix, Tensor | BatchNorm | Module | None)`` pairs, and every walk
-    derives from that list, skipping absent (None) children. ``prefix`` names
-    the root when no prefix is passed."""
+    ``(suffix, Tensor | BatchNorm | Module)`` pairs, and every walk derives
+    from that list. ``prefix`` names the root when no prefix is passed."""
 
     prefix = ""
 
@@ -794,8 +779,7 @@ class Module:
     def _named(self, prefix):
         prefix = self.prefix if prefix is None else prefix
         for suffix, child in self.children():
-            if child is not None:
-                yield (f"{prefix}.{suffix}" if prefix else suffix), child
+            yield (f"{prefix}.{suffix}" if prefix else suffix), child
 
     def params(self, prefix=None):
         """(name, Tensor) for every trainable tensor, in children order."""

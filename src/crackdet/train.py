@@ -156,24 +156,17 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     params = list(detector.params())
     opt = SGD(params, cfg.training.lr, cfg.training.momentum, cfg.training.weight_decay)
 
-    steps = cfg.training.steps
-    if cfg.training.epochs is not None:
-        per_epoch = max(1, cfg.synthetic.num_images // cfg.training.batch_size)
-        steps = cfg.training.epochs * per_epoch
-
     gts = {im.id: image_gts(index, im.id, cfg.model.num_classes) for im in index.images}
     image_ids = [im.id for im in index.images]
     rows = []
-    for step in range(steps):
+    for step in range(cfg.training.steps):
         batch_ids = rng.choice(len(image_ids), size=cfg.training.batch_size, replace=False)
         batch_imgs = normalize_images([raw_images[i] for i in batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
         total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg)
         total.backward()
-        lr = cosine_lr(cfg.training.lr, step, steps) if cfg.training.schedule == "cosine" \
-            else cfg.training.lr
-        opt.step(lr)
+        opt.step(cosine_lr(cfg.training.lr, step, cfg.training.steps))
         rows.append((step, breakdown.cls_loss, breakdown.reg_loss,
                      breakdown.total, breakdown.num_pos))
         if not math.isfinite(breakdown.total) or breakdown.total > DIVERGENCE_FACTOR * rows[0][3]:
@@ -188,7 +181,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
                 if not np.isfinite(arr).all()), None)
     if bad is not None:
         raise NumericsError(f"training left a non-finite value in '{bad}' after step "
-                            f"{steps - 1}; no checkpoint written")
+                            f"{cfg.training.steps - 1}; no checkpoint written")
     if out_dir is not None:
         write_loss_csv(os.path.join(out_dir, "loss.csv"), rows)
         ckpt = io.BytesIO()

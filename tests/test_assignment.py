@@ -65,12 +65,6 @@ class TestCostTerms:
         d = np.linspace(0, 8, 30)
         assert np.all(np.diff(center_cost_from_distance(d, cfg)) > 0)
 
-    def test_center_cost_inverse_distance_mode(self):
-        cfg = AssignConfig(center_cost_mode="inverse_distance", eta=1.0, epsilon=1e-7)
-        assert abs(center_cost_from_distance(0.5, cfg) - 2.0) < 1e-5
-        # inside epsilon the cost saturates at the eta/floor ceiling
-        assert center_cost_from_distance(0.0, cfg) == pytest.approx(1e7)
-
     def test_center_cost_normalizes_by_stride(self):
         cfg = AssignConfig()
         near = center_cost((0.0, 0.0), (8.0, 6.0), 10.0, cfg)
@@ -88,13 +82,10 @@ class TestCostTerms:
             AssignConfig(lambda_loc=0.0)
         with pytest.raises(ConfigError):
             AssignConfig(dynamic_k_cap=0)
-        with pytest.raises(ConfigError):
-            AssignConfig(center_cost_mode="nope")
 
     @pytest.mark.parametrize("field,value", [
         ("lambda_cls", 0.0), ("lambda_loc", math.inf), ("lambda_center", math.nan),
-        ("alpha", math.nan), ("alpha", math.inf), ("eta", 0.0), ("eta", math.nan),
-        ("epsilon", -1e-9), ("epsilon", math.inf), ("beta", math.nan), ("beta", -math.inf),
+        ("alpha", math.nan), ("alpha", math.inf), ("beta", math.nan), ("beta", -math.inf),
         ("iou_floor", 0.0), ("iou_floor", 1.5), ("iou_floor", math.nan),
         ("prob_clamp", 0.0), ("prob_clamp", 0.5), ("prob_clamp", 0.7), ("prob_clamp", math.nan),
     ])
@@ -103,8 +94,8 @@ class TestCostTerms:
             AssignConfig(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"center_cost_mode": "inverse_distance"},
-        {"iou_floor": 1.0, "epsilon": 0.0, "beta": -3.0, "prob_clamp": 0.49},
+        {}, {"dynamic_k_cap": 1, "lambda_center": 1e-300},
+        {"iou_floor": 1.0, "beta": -3.0, "prob_clamp": 0.49},
     ])
     def test_range_edges_still_construct(self, kwargs):
         AssignConfig(**kwargs)

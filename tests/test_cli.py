@@ -11,6 +11,9 @@ from crackdet.cli import _json_ready, main
 from crackdet.config import (ModelSection, NumericsSection, RunConfig, TrainingSection,
                              __version__, config_dict, load_config)
 from crackdet.errors import ConfigError, CrackdetError
+from crackdet.assignment import AssignConfig
+from crackdet.dataio import SyntheticConfig
+from crackdet.neck import NeckSettings
 
 TINY = [
     "--set", "model.backbone_widths=[2,3,4,6,8]",
@@ -68,7 +71,7 @@ class TestConfig:
         assert rc == 1
         assert override.split("=")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["training.epochs=null", "neck.attn_scale=0.5"])
+    @pytest.mark.parametrize("override", ["neck.attn_value_dim=null", "neck.attn_scale=0.5"])
     def test_typed_values_still_load(self, override):
         key, value = override.split("=")
         cfg = load_config(overrides=[override])
@@ -101,38 +104,36 @@ class TestConfig:
                       "score_thr": 0.05, "nms_iou": 0.65},
             "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
                      "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16,
-                     "attn_value_dim": None, "attn_scale": None, "attn_residual": True,
-                     "downsample": "conv"},
+                     "attn_value_dim": None, "attn_scale": None, "attn_residual": True},
             "assignment": {"lambda_cls": 1.0, "lambda_loc": 3.0, "lambda_center": 1.0,
-                           "center_cost_mode": "soft_center_prior", "eta": 1.0,
-                           "epsilon": 1e-07, "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10,
+                           "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10,
                            "iou_floor": 1e-07, "prob_clamp": 1e-07},
             "loss": {"w_cls": 1.0, "w_reg": 2.0},
             "eval": {"max_dets": 100},
             "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
                           "min_shapes": 2, "max_shapes": 4, "seed": 0},
-            "training": {"batch_size": 4, "steps": 300, "epochs": None, "lr": 0.004,
-                         "momentum": 0.9, "weight_decay": 0.0005, "schedule": "cosine",
-                         "seed": 0},
+            "training": {"batch_size": 4, "steps": 300, "lr": 0.004, "momentum": 0.9,
+                         "weight_decay": 0.0005, "seed": 0},
         }
 
     def test_config_echo_loads_back_exactly(self, tmp_path):
-        """The echo holds the unrounded values (epsilon, iou_floor and
-        prob_clamp default to 1e-7), so reloading it gives the same run."""
+        """The echo holds the unrounded values (iou_floor and prob_clamp
+        default to 1e-7), so reloading it gives the same run."""
         gt_path, det_path = make_eval_fixture(tmp_path)
-        overrides = ["training.lr=0.00123456789", "assignment.epsilon=3e-9"]
+        overrides = ["training.lr=0.00123456789", "assignment.iou_floor=3e-9"]
         assert main(["eval", "--gt", gt_path, "--dets", det_path, "--out", str(tmp_path / "o")]
                     + [arg for o in overrides for arg in ("--set", o)]) == 0
         echo = json.loads((tmp_path / "o" / "eval.json").read_text())["config"]
-        assert echo["assignment"]["iou_floor"] == 1e-7
+        assert echo["assignment"]["iou_floor"] == 3e-9
+        assert echo["assignment"]["prob_clamp"] == 1e-7
         (tmp_path / "echo.json").write_text(json.dumps(echo))
         assert config_dict(load_config(tmp_path / "echo.json")) == \
             config_dict(load_config(overrides=overrides))
 
     @pytest.mark.parametrize("overrides, count, digest", [
         ([], 175, "45a556d308afe44a"),
-        (["neck.placement=both", "neck.num_attention_blocks=2", "neck.downsample=pool",
-          "neck.csp_depth=2"], 185, "d03bcc9a3806f343"),
+        (["neck.placement=both", "neck.num_attention_blocks=2", "neck.csp_depth=2"], 195,
+         "420178bd101e2c83"),
         (["neck.placement=single_at_end", "neck.num_attention_blocks=1"], 152,
          "d6dbc69397b07d2b"),
     ])
@@ -374,19 +375,37 @@ class TestSectionsCheckThemselves:
     @pytest.mark.parametrize("build,message", [
         (lambda: NumericsSection(dtype="float16"),
          "unknown numerics.dtype 'float16' (expected one of float64|float32)"),
-        (lambda: TrainingSection(schedule="cosinus"),
-         "unknown training.schedule 'cosinus' (expected one of cosine|constant)"),
+        (lambda: NeckSettings(placement="sideways"),
+         "unknown neck.placement 'sideways' (expected one of "
+         "top_down_only|bottom_up_only|single_at_end|both)"),
         (lambda: ModelSection(image_size=48), "model.image_size must be divisible by 32"),
         (lambda: dataclasses.replace(load_config().training, lr=-1),
          "training.lr must be in (0, inf), got -1"),
-    ], ids=["dtype", "schedule", "image_size", "replace"])
+        # a mistyped value fails with the message load_config gives it
+        (lambda: NumericsSection(bn_eps="x"),
+         "config key 'numerics.bn_eps' expects float, got 'x'"),
+        (lambda: TrainingSection(lr="fast"), "config key 'training.lr' expects float, got 'fast'"),
+        (lambda: TrainingSection(steps=2.5), "config key 'training.steps' expects int, got 2.5"),
+        (lambda: ModelSection(backbone_widths=5),
+         "config key 'model.backbone_widths' expects tuple, got 5"),
+        (lambda: ModelSection(num_classes=True),
+         "config key 'model.num_classes' expects int, got True"),
+        (lambda: AssignConfig(alpha=None),
+         "config key 'assignment.alpha' expects float, got None"),
+        (lambda: NeckSettings(attn_scale="big"),
+         "config key 'neck.attn_scale' expects float | None, got 'big'"),
+        (lambda: SyntheticConfig(num_classes="3"),
+         "config key 'synthetic.num_classes' expects int, got '3'"),
+    ], ids=["dtype", "placement", "image_size", "replace", "bn_eps_type", "lr_type", "steps_type",
+            "backbone_widths_type", "num_classes_type", "alpha_type", "attn_scale_type",
+            "synthetic_type"])
     def test_rejected_at_construction(self, build, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build()
 
     # one out-of-range value per RunConfig section
     BAD = {"numerics": ("bn_momentum", 2.0), "model": ("nms_iou", 1.5),
-           "neck": ("csp_depth", -1), "assignment": ("eta", 0.0), "loss": ("w_reg", -1.0),
+           "neck": ("csp_depth", -1), "assignment": ("alpha", 1.0), "loss": ("w_reg", -1.0),
            "eval": ("max_dets", 0), "training": ("steps", 0), "synthetic": ("num_images", 0)}
 
     @pytest.mark.parametrize("section", dataclasses.fields(RunConfig), ids=lambda f: f.name)
@@ -395,6 +414,97 @@ class TestSectionsCheckThemselves:
         section.default_factory()
         with pytest.raises(ConfigError, match=re.escape(f"{section.name}.{key}")):
             section.default_factory(**{key: value})
+
+    def test_numpy_scalars_fit(self):
+        section = TrainingSection(steps=np.int64(3), lr=np.float32(0.5), momentum=np.int64(0))
+        assert section.steps == 3 and section.lr == 0.5
+
+    def test_field_types_resolved_once_per_class(self, monkeypatch):
+        import crackdet.errors as errors
+
+        calls, real = [], errors.get_type_hints
+        monkeypatch.setattr(errors, "get_type_hints", lambda cls: calls.append(cls) or real(cls))
+
+        @dataclasses.dataclass
+        class Probe:
+            size: int = 1
+
+            def __post_init__(self):
+                errors.check_fields("probe", self, ())
+
+        for size in (1, 2, 3):
+            Probe(size)
+        assert calls == [Probe]
+
+
+# The keys of the option-selected forks no run took: an epoch count beside
+# training.steps, a constant learning rate, average-pool downsampling and a
+# reciprocal centre cost. Each value is the one the old echo held by default.
+REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
+                "neck.downsample": "conv", "assignment.center_cost_mode": "soft_center_prior",
+                "assignment.eta": 1.0, "assignment.epsilon": 1e-7}
+
+
+class TestRemovedKeys:
+    """A removed key is an unknown key: given by --set or in a --config file
+    (an echo written before its removal), it fails at load naming the key."""
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_cli_exit_1_naming_the_key(self, tmp_path, capsys, key, source):
+        if source == "set":
+            extra = ["--set", f"{key}={json.dumps(REMOVED_KEYS[key])}"]
+        else:
+            section, name = key.split(".")
+            (tmp_path / "old.json").write_text(json.dumps({section: {name: REMOVED_KEYS[key]}}))
+            extra = ["--config", str(tmp_path / "old.json")]
+        out_dir = tmp_path / "out"
+        rc = main(["train-toy", "--out", str(out_dir)] + TINY + extra)
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"error: unknown config key '{key}'\n"
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_load_config_raises_naming_the_key(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
+            load_config(overrides=[f"{key}={json.dumps(REMOVED_KEYS[key])}"])
+
+    def test_config_has_41_settable_values(self):
+        cfg = config_dict(load_config())
+        assert sum(len(section) for section in cfg.values()) == 41
+        assert not {f"{s}.{k}" for s in cfg for k in cfg[s]} & set(REMOVED_KEYS)
+
+
+class TestNeckGeometryRejected:
+    """heads*key_dim must not exceed 8 * the channels of any active slot: the
+    one check that spans sections (the slots' channels come from the model's
+    backbone widths), made when load_config builds the neck's config."""
+
+    def test_cli_exit_1_with_one_line_naming_keys_and_slot(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["train-toy", "--out", str(out_dir), "--set", "neck.attn_key_dim=1000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == ("error: neck.attn_heads * neck.attn_key_dim too large for attention "
+                       "slot 'td_c5': heads*key_dim = 2000 exceeds 8*channels = 1024\n")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("overrides,slot", [
+        (["neck.attn_key_dim=1000"], "td_c5"),
+        (["neck.placement=bottom_up_only", "neck.out_channels=4", "neck.attn_key_dim=20"],
+         "bu_c4"),
+        (["neck.placement=single_at_end", "neck.out_channels=2", "neck.attn_heads=3",
+          "neck.attn_key_dim=6"], "end"),
+    ])
+    def test_load_config_names_the_slot(self, overrides, slot):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"neck.attn_heads * neck.attn_key_dim too large for attention slot '{slot}'")):
+            load_config(overrides=overrides)
+
+    def test_largest_product_still_loads(self):
+        """At heads*key_dim == 8*channels of the narrowest slot it loads."""
+        load_config(overrides=["neck.placement=bottom_up_only", "neck.out_channels=4",
+                               "neck.attn_key_dim=16"])
 
 
 class TestStats:
@@ -779,29 +889,44 @@ class TestTrainInferPipeline:
         assert sizes == [4] * 6 + [8, 2] * 2
 
     def test_epochs_flag_switches_schedule(self, tmp_path):
-        out_dir = tmp_path / "ep"
-        rc = main(["train-toy", "--epochs", "2", "--out", str(out_dir)] + TINY)
-        assert rc == 0
-        lines = (out_dir / "loss.csv").read_text().strip().splitlines()
-        # 10 images / batch 4 -> 2 steps per epoch -> 4 steps total
-        assert len(lines) == 1 + 2 * (10 // 4)
+        """--epochs N sets training.steps to N passes over the set: 8 images
+        at batch 4 give 2 steps a pass. The echo records the steps run and no
+        epoch count, and run again through --config it gives the same bytes."""
+        out_dir, again = tmp_path / "ep", tmp_path / "again"
+        assert main(["train-toy", "--epochs", "2", "--out", str(out_dir)] + TINY
+                    + ["--set", "synthetic.num_images=8"]) == 0
+        loss = (out_dir / "loss.csv").read_bytes()
+        assert len(loss.decode().strip().splitlines()) == 1 + 4
+        echo = json.loads((out_dir / "train_report.json").read_text())["config"]
+        assert echo["training"]["steps"] == 4 and "epochs" not in echo["training"]
+        (tmp_path / "echo.json").write_text(json.dumps(echo))
+        assert main(["train-toy", "--config", str(tmp_path / "echo.json"),
+                     "--out", str(again)]) == 0
+        assert (again / "loss.csv").read_bytes() == loss
 
-    @pytest.mark.parametrize("schedule", ["constant", "cosine"])
-    def test_schedule_sets_the_step_lr(self, tmp_path, monkeypatch, schedule):
-        """Under training.schedule=constant every SGD step gets training.lr;
-        under cosine the first step gets it and each later step less."""
+    def test_step_lr_follows_the_cosine_schedule(self, tmp_path, monkeypatch):
+        """The first SGD step gets training.lr and each later step less, as
+        ``cosine_lr`` gives over training.steps."""
         import crackdet.train as train
 
         real_step, lrs = train.SGD.step, []
         monkeypatch.setattr(train.SGD, "step",
                             lambda opt, lr: lrs.append(lr) or real_step(opt, lr))
         rc = main(["train-toy", "--out", str(tmp_path / "lr")] + TINY
-                  + ["--set", f"training.schedule={schedule}", "--set", "training.lr=0.01"])
-        assert rc == 0 and len(lrs) == 6
-        if schedule == "constant":
-            assert lrs == [0.01] * 6
-        else:
-            assert lrs[0] == 0.01 and all(a > b for a, b in zip(lrs, lrs[1:]))
+                  + ["--set", "training.lr=0.01"])
+        assert rc == 0 and lrs == [train.cosine_lr(0.01, step, 6) for step in range(6)]
+        assert lrs[0] == 0.01 and all(a > b for a, b in zip(lrs, lrs[1:]))
+
+    def test_epochs_flag_with_zero_batch_size_exit_1(self, tmp_path, capsys):
+        """--epochs divides by the batch size only once it is at least 1, so a
+        zero batch size still fails with train-toy's own error."""
+        out_dir = tmp_path / "bs"
+        rc = main(["train-toy", "--epochs", "2", "--out", str(out_dir)] + TINY
+                  + ["--set", "training.batch_size=0"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert "training.batch_size must be in 1..synthetic.num_images (10), got 0" in err
+        assert not (out_dir / "checkpoint.npz").exists()
 
     @pytest.mark.parametrize("batch_size", [0, 4])
     def test_batch_size_outside_image_count_exit_1(self, tmp_path, capsys, batch_size):
@@ -818,7 +943,7 @@ class TestTrainInferPipeline:
         (["--set", "training.steps=0"], "training.steps"),
         (["--set", "training.steps=-2"], "training.steps"),
         (["--set", "training.epochs=0"], "training.epochs"),
-        (["--epochs", "0"], "training.epochs"),
+        (["--epochs", "0"], "training.steps"),
     ])
     def test_no_steps_exit_1_without_artifacts(self, tmp_path, capsys, extra, key):
         out_dir = tmp_path / "zero"

@@ -140,7 +140,7 @@ class TestEvalConfig:
     def test_non_integer_max_dets_rejected(self, max_dets):
         """A float would cut each group at its ceiling and a bool reads as 0
         or 1; neither reaches the grouping."""
-        with pytest.raises(ConfigError, match="max_dets must be an integer"):
+        with pytest.raises(ConfigError, match="config key 'eval.max_dets' expects int"):
             EvalConfig(max_dets=max_dets)
 
     def test_numpy_integer_max_dets_accepted(self):

@@ -107,12 +107,6 @@ class TestNeckForward:
         for level, (h, w) in zip(out.levels(), cfg.spatial):
             assert level.shape == (2, cfg.out_channels, h, w)
 
-    def test_pool_downsample_variant_runs(self, rng):
-        cfg = tiny_cfg(downsample="pool")
-        p = init_neck(cfg, rng)
-        out = neck_forward(tiny_pyramid(rng, cfg), p)
-        assert out.p5.shape == (1, 4, 2, 2)
-
     def test_unknown_placement_rejected(self):
         with pytest.raises(ConfigError, match="placement"):
             tiny_cfg(placement="sideways")

