@@ -149,9 +149,6 @@ class Assignment:
     def num_pos(self) -> int:
         return int((self.gt_index >= 0).sum())
 
-    def anchors_of(self, g: int) -> np.ndarray:
-        return np.where(self.gt_index == g)[0]
-
     def targets(self, gt_labels: np.ndarray, num_classes: int) -> np.ndarray:
         """Soft (N, K) classification targets: matched class gets y = IoU."""
         n = len(self.gt_index)

@@ -116,7 +116,7 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, return_attn=False):
     k = nm.reshape(nm.conv_bn(x, p.w_k, p.bn_k), (b, h, d, hw))
     v = nm.reshape(nm.conv_bn(x, p.w_v, p.bn_v), (b, h, dv, hw))
 
-    logits = nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k) * cfg.scale
+    logits = nm.mul(nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k), cfg.scale)
     logits = nm.add_posbias(logits, p.pos_bias)
     # talking heads: a 1x1 conv with the heads as the channel axis
     attn = nm.softmax_lastdim(nm.conv1x1(logits, p.t_pre))

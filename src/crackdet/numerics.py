@@ -3,8 +3,11 @@
 Tensors wrap numpy arrays and record the ops applied to them; calling
 ``backward()`` on a scalar result replays the recorded graph in reverse and
 accumulates gradients additively into every tensor created with
-``requires_grad=True``. Shapes are strict: elementwise ops accept equal shapes
-or a python scalar, nothing else broadcasts. All parameterized layers
+``requires_grad=True``. Every op is a function of this module (``add``,
+``mul``, ``reshape``, ``conv_bn``, ``batchnorm(x, bn)``, ...); ``Tensor``
+has no arithmetic operators or shape methods. Shapes are strict: elementwise
+ops take equal shapes, ``mul`` also a python scalar as its second operand,
+and nothing broadcasts. All parameterized layers
 (conv1x1, conv3x3s2, batchnorm, the fused conv_bn, positional bias) spell
 out their own backward rules instead; the convs share one raw-array forward
 and backward, and ``batchnorm`` is ``conv_bn``'s batchnorm on its own.
@@ -174,38 +177,6 @@ class Tensor:
                     grads[key] = np.add(grads[key], pg, out=np.empty_like(grads[key]))
                     owned.add(key)
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def as_tensor(x, like=None):
     """Wrap a constant in ``like``'s dtype, else keeping a floating array's
@@ -240,45 +211,26 @@ def _same_shape(a, b, op):
         raise ShapeError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
-def _is_scalar(x):
-    return not isinstance(x, Tensor) and np.ndim(x) == 0
-
-
 # -- elementwise ---------------------------------------------------------
 
 
 def add(a, b):
-    if _is_scalar(b):
-        a = as_tensor(a)
-        return _make(a.data + b, "add_const", (a,), lambda g: (g,))
-    if _is_scalar(a):
-        return add(b, a)
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "add")
     return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
-    if _is_scalar(b):
-        return add(a, -b)
-    if _is_scalar(a):
-        return add(neg(b), a)
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "sub")
     return _make(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
-def neg(a):
-    a = as_tensor(a)
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
-
-
 def mul(a, b):
-    if _is_scalar(b):
+    """a * b for a tensor of a's shape, or for a python scalar b."""
+    if not isinstance(b, Tensor) and np.ndim(b) == 0:
         a = as_tensor(a)
         return _make(a.data * b, "mul_const", (a,), lambda g: (g * b,))
-    if _is_scalar(a):
-        return mul(b, a)
     a, b = as_tensor(a), as_tensor(b)
     _same_shape(a, b, "mul")
     return _make(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
@@ -317,16 +269,10 @@ def silu(a):
 # -- reductions and reshaping --------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a):
+    """The sum of every entry, as a 0-d tensor."""
     a = as_tensor(a)
-
-    def backward(g):
-        if axis is None:
-            return (np.full_like(a.data, 1.0) * g,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward)
+    return _make(a.data.sum(), "sum", (a,), lambda g: (np.full_like(a.data, 1.0) * g,))
 
 
 def reshape(a, shape):
@@ -354,17 +300,17 @@ def concat(parts, axis):
                  tuple(parts), backward)
 
 
-def take(a, indices, axis=0):
-    """Gather slices along an axis; backward scatter-adds (indices may repeat)."""
+def take(a, indices):
+    """Gather rows (slices along axis 0); backward scatter-adds (indices may repeat)."""
     a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.intp)
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (slice(None),) * axis + (indices,), g)
+        np.add.at(ga, indices, g)
         return (ga,)
 
-    return _make(np.take(a.data, indices, axis=axis), "take", (a,), backward)
+    return _make(a.data[indices], "take", (a,), backward)
 
 
 # -- contractions ---------------------------------------------------------
@@ -753,9 +699,6 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def __call__(self, x):
-        return batchnorm(x, self)
 
     def params(self, prefix):
         yield f"{prefix}.gamma", self.gamma

@@ -87,7 +87,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     cls_loss = soft_cls_loss_pooled(cls_flat, targets, num_pos)
     rows = np.array(pos_rows, dtype=np.intp)
     anchors = rows % n_anchors
-    sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows, axis=0)
+    sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows)
     reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors], pos_boxes)
     total, breakdown = total_loss(cls_loss, reg_loss, num_pos,
                                   w_cls=cfg.loss.w_cls, w_reg=cfg.loss.w_reg)

@@ -184,7 +184,7 @@ class TestDynamicAssign:
         out = dynamic_assign(cm, cfg)
         matched = out.gt_index[out.gt_index >= 0]
         for g in range(cm.cost.shape[0]):
-            anchors = out.anchors_of(g)
+            anchors = np.flatnonzero(out.gt_index == g)
             assert len(set(anchors.tolist())) == len(anchors)
             if cm.candidates[g].any():
                 assert len(anchors) >= 1 or g in out.unassigned_gts
