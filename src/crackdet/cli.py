@@ -177,8 +177,9 @@ def _gradcheck_suite(cfg: RunConfig, seeds: int):
         x = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         bn.gamma.data[...] = rng.normal(size=3)
         bn.beta.data[...] = rng.normal(size=3)
-        return finite_diff_check(lambda: nm.tsum(nm.mul(nm.batchnorm(x, bn), nm.batchnorm(x, bn))),
-                                 [x, bn.gamma, bn.beta])
+        return finite_diff_check(
+            lambda: nm.tsum(nm.mul(nm.batchnorm(x, bn), nm.batchnorm(x, bn))),
+            [x, bn.gamma, bn.beta])
 
     def softmax_case(rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -374,8 +375,8 @@ def main(argv=None) -> int:
         args.overrides += [f"training.seed={args.seed}", f"synthetic.seed={args.seed}"]
     try:
         cfg = load_config(args.config, args.overrides)
-        if getattr(args, "epochs", None) is not None:  # train_toy rejects a batch size < 1
-            per_epoch = max(1, cfg.synthetic.num_images // max(1, cfg.training.batch_size))
+        if getattr(args, "epochs", None) is not None:
+            per_epoch = max(1, cfg.synthetic.num_images // cfg.training.batch_size)
             cfg.training = dataclasses.replace(cfg.training, steps=args.epochs * per_epoch)
         if args.dump_arch:
             detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))

@@ -81,7 +81,8 @@ class TrainingSection:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields("training", self, (("steps", 1, math.inf, "[)"),
+        check_fields("training", self, (("batch_size", 1, math.inf, "[)"),
+                                        ("steps", 1, math.inf, "[)"),
                                         ("lr", 0, math.inf, "()"),
                                         ("momentum", 0, 1, "[)"),
                                         ("weight_decay", 0, math.inf, "[)"),

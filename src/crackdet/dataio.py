@@ -369,9 +369,11 @@ def read_ppm(path) -> np.ndarray:
         if maxval != 255:
             raise DataError(f"{path}: only 8-bit images (maxval 255) are read, got maxval {maxval}")
         channels = 3 if magic == b"P6" else 1
-        data = np.frombuffer(fh.read(w * h * channels), dtype=np.uint8)
-        if data.size != w * h * channels:
-            raise DataError(f"{path}: truncated pixel data")
+        size, left = w * h * channels, os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:  # checked before the read, so a huge header allocates nothing
+            raise DataError(f"{path}: truncated pixel data ({w}x{h}x{channels} = {size} bytes "
+                            f"declared, {left} in the file)")
+        data = np.frombuffer(fh.read(size), dtype=np.uint8)
     image = data.reshape(h, w, channels)
     return image if channels == 3 else np.repeat(image, 3, axis=2)
 

@@ -227,7 +227,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    """a * b for a tensor of a's shape, or for a python scalar b."""
+    """a * b, where b is a tensor of a's shape or a python scalar."""
     if not isinstance(b, Tensor) and np.ndim(b) == 0:
         a = as_tensor(a)
         return _make(a.data * b, "mul_const", (a,), lambda g: (g * b,))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         raise ConfigError("model.num_classes must equal synthetic.num_classes for train-toy")
     if cfg.model.image_size != cfg.synthetic.image_size:
         raise ConfigError("model.image_size must equal synthetic.image_size for train-toy")
-    if not 1 <= cfg.training.batch_size <= cfg.synthetic.num_images:
+    if cfg.training.batch_size > cfg.synthetic.num_images:
         raise ConfigError(f"training.batch_size must be in 1..synthetic.num_images "
                           f"({cfg.synthetic.num_images}), got {cfg.training.batch_size}")
     raw_images, index = gen_synthetic(cfg.synthetic)
@@ -199,8 +200,12 @@ def write_loss_csv(path, rows):
 
 def load_checkpoint(cfg: RunConfig, path) -> Detector:
     detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
-    with np.load(path) as arrays:
-        detector.load_state_dict({k: arrays[k] for k in arrays.files})
+    try:
+        with np.load(path, allow_pickle=False) as arrays:
+            state = {k: arrays[k] for k in arrays.files}
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise DataError(f"{path}: not a readable checkpoint .npz ({exc})") from None
+    detector.load_state_dict(state)
     return detector
 
 

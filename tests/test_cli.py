@@ -213,7 +213,6 @@ class TestConfigRejectedAtLoad:
         ("neck.attn_heads=0", "attn_heads"),
         ("neck.attn_key_dim=0", "attn_key_dim"),
         ("neck.attn_value_dim=0", "attn_value_dim"),
-        ("neck.downsample=stride", "downsample"),
         ("neck.out_channels=0", "out_channels"),
         ("neck.out_channels=-2", "out_channels"),
         ("neck.csp_depth=-1", "csp_depth"),
@@ -250,8 +249,8 @@ class TestConfigRejectedAtLoad:
     @pytest.mark.parametrize("override,message", [
         ("training.steps=0", "training.steps"),
         ("training.steps=-1", "training.steps"),
-        ("training.epochs=0", "training.epochs"),
-        ("training.epochs=-3", "training.epochs"),
+        ("training.batch_size=0", "training.batch_size"),
+        ("training.batch_size=-4", "training.batch_size"),
         ("numerics.bn_eps=0", "numerics.bn_eps"),
         ("numerics.bn_eps=-1e-5", "numerics.bn_eps"),
         ("numerics.bn_eps=Infinity", "numerics.bn_eps"),
@@ -283,8 +282,6 @@ class TestConfigRejectedAtLoad:
         "assignment.lambda_cls=0", "assignment.lambda_loc=Infinity",
         "assignment.lambda_center=NaN", "assignment.lambda_center=-1",
         "assignment.alpha=NaN", "assignment.alpha=1", "assignment.alpha=Infinity",
-        "assignment.eta=0", "assignment.eta=NaN", "assignment.eta=Infinity",
-        "assignment.epsilon=-1e-9", "assignment.epsilon=NaN", "assignment.epsilon=Infinity",
         "assignment.beta=NaN", "assignment.beta=-Infinity", "assignment.beta=Infinity",
         "assignment.iou_floor=0", "assignment.iou_floor=1.5", "assignment.iou_floor=NaN",
         "assignment.prob_clamp=0", "assignment.prob_clamp=0.5", "assignment.prob_clamp=0.7",
@@ -845,6 +842,24 @@ class TestTrainInferPipeline:
         assert rc == 1 and "Traceback" not in err
         assert "images are 128x128 px, but the model takes 64x64" in err
 
+    @pytest.mark.parametrize("command", ["infer", "assign-debug"])
+    @pytest.mark.parametrize("damage", ["truncated", "text", "empty"])
+    def test_unreadable_checkpoint_named(self, tmp_path, capsys, command, damage):
+        """A cut-off zip, a text file and an empty file each fail with exit 1
+        and an error naming the checkpoint, not a zipfile or numpy traceback."""
+        ckpt = fresh_checkpoint(tmp_path)
+        ckpt.write_bytes({"truncated": ckpt.read_bytes()[:1000], "text": b"not a checkpoint\n",
+                          "empty": b""}[damage])
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=2"]) == 0
+        capsys.readouterr()
+        flag = "--images" if command == "infer" else "--dataset"
+        rc = main([command, "--checkpoint", str(ckpt), flag, str(data_dir),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert f"error: {ckpt}: not a readable checkpoint .npz" in err
+
     def test_mixed_image_sizes_named(self, tmp_path, capsys):
         from crackdet.dataio import write_ppm
 
@@ -918,14 +933,14 @@ class TestTrainInferPipeline:
         assert lrs[0] == 0.01 and all(a > b for a, b in zip(lrs, lrs[1:]))
 
     def test_epochs_flag_with_zero_batch_size_exit_1(self, tmp_path, capsys):
-        """--epochs divides by the batch size only once it is at least 1, so a
-        zero batch size still fails with train-toy's own error."""
+        """A zero batch size fails when the config loads, before --epochs
+        divides by it."""
         out_dir = tmp_path / "bs"
         rc = main(["train-toy", "--epochs", "2", "--out", str(out_dir)] + TINY
                   + ["--set", "training.batch_size=0"])
         err = capsys.readouterr().err
         assert rc == 1 and "Traceback" not in err
-        assert "training.batch_size must be in 1..synthetic.num_images (10), got 0" in err
+        assert "training.batch_size must be in [1, inf), got 0" in err
         assert not (out_dir / "checkpoint.npz").exists()
 
     @pytest.mark.parametrize("batch_size", [0, 4])
@@ -936,13 +951,14 @@ class TestTrainInferPipeline:
                      "--set", f"training.batch_size={batch_size}"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "training.batch_size must be in 1..synthetic.num_images (2)" in err
+        # a batch size below 1 fails at load; one above the image count in train-toy
+        assert (f"training.batch_size must be in [1, inf), got {batch_size}" if batch_size < 1
+                else "training.batch_size must be in 1..synthetic.num_images (2), got 4") in err
         assert not (out_dir / "checkpoint.npz").exists()
 
     @pytest.mark.parametrize("extra,key", [
         (["--set", "training.steps=0"], "training.steps"),
         (["--set", "training.steps=-2"], "training.steps"),
-        (["--set", "training.epochs=0"], "training.epochs"),
         (["--epochs", "0"], "training.steps"),
     ])
     def test_no_steps_exit_1_without_artifacts(self, tmp_path, capsys, extra, key):

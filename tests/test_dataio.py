@@ -363,10 +363,13 @@ class TestSynthetic:
         (b"P6\n0 4\n255\n", "must be positive"),
         (b"P6\n4 4\n65535\n", "maxval 65535"),
         (b"P6\n4 4\n127\n", "maxval 127"),
+        (b"P6\n8 8\n255\n", r"truncated pixel data \(8x8x3 = 192 bytes declared, 96 in"),
+        (b"P6\n99999999 99999999\n255\n", "truncated pixel data"),
     ])
     def test_bad_ppm_header_named(self, tmp_path, header, message):
         """A bad header raises DataError naming the file; a 16-bit image is
-        not read as 8-bit bytes."""
+        not read as 8-bit bytes, and a size beyond the file's bytes fails
+        before the read, so a huge one allocates nothing."""
         path = tmp_path / "x.ppm"
         path.write_bytes(header + bytes(4 * 4 * 3 * 2))
         with pytest.raises(DataError, match=message) as err:
