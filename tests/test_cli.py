@@ -843,13 +843,17 @@ class TestTrainInferPipeline:
         assert "images are 128x128 px, but the model takes 64x64" in err
 
     @pytest.mark.parametrize("command", ["infer", "assign-debug"])
-    @pytest.mark.parametrize("damage", ["truncated", "text", "empty"])
+    @pytest.mark.parametrize("damage", ["truncated", "text", "empty", "object"])
     def test_unreadable_checkpoint_named(self, tmp_path, capsys, command, damage):
-        """A cut-off zip, a text file and an empty file each fail with exit 1
-        and an error naming the checkpoint, not a zipfile or numpy traceback."""
+        """A cut-off zip, a text file, an empty file and a member that only
+        unpickling could read each fail with exit 1 and an error naming the
+        checkpoint, not a zipfile or numpy traceback."""
         ckpt = fresh_checkpoint(tmp_path)
-        ckpt.write_bytes({"truncated": ckpt.read_bytes()[:1000], "text": b"not a checkpoint\n",
-                          "empty": b""}[damage])
+        if damage == "object":
+            np.savez(ckpt, weights=np.array([None], dtype=object))
+        else:
+            ckpt.write_bytes({"truncated": ckpt.read_bytes()[:1000], "text": b"not a checkpoint\n",
+                              "empty": b""}[damage])
         data_dir = tmp_path / "data"
         assert main(["gen-data", "--out", str(data_dir), "--set", "synthetic.num_images=2"]) == 0
         capsys.readouterr()
