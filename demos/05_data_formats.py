@@ -12,7 +12,8 @@ from crackdet.dataio import (SyntheticConfig, convert_coco_to_voc, convert_voc_t
                              gen_synthetic, load_coco, load_voc, save_synthetic,
                              save_voc, stats_table)
 
-cfg = SyntheticConfig(num_images=12, image_size=128, num_classes=5, seed=4)
+cfg = SyntheticConfig(num_images=12, image_size=128, num_classes=5, min_shapes=1, max_shapes=3,
+                      seed=4)
 images, index = gen_synthetic(cfg)
 print(f"generated {len(images)} images, {len(index.annotations)} boxes, "
       f"{len(index.categories)} classes")

@@ -3,9 +3,10 @@
 The block projects the map to query/key/value with 1x1 conv + batchnorm,
 scores every (query token, key token) pair per head, adds a learned positional
 bias, mixes the head axis before and after the softmax ("talking heads"),
-re-projects with a second 1x1 conv + batchnorm, and (by default) adds the
-input back. The output projection starts at zero, so a fresh block with the
-residual on is exactly the identity map.
+re-projects with a second 1x1 conv + batchnorm, and adds the input back.
+Values are as wide as keys, and logits are scaled by key_dim^-1/2. The
+output projection starts at zero, so a fresh block is exactly the identity
+map.
 """
 
 from __future__ import annotations
@@ -25,16 +26,9 @@ class Attention4DConfig:
     channels: int
     heads: int
     key_dim: int
-    value_dim: int | None = None
     spatial: tuple[int, int]
-    residual: bool = True
-    scale: float | None = None
 
     def __post_init__(self):
-        if self.value_dim is None:
-            self.value_dim = self.key_dim
-        if self.scale is None:
-            self.scale = 1.0 / math.sqrt(self.key_dim)
         if self.heads * self.key_dim > 8 * self.channels:
             raise ShapeError(
                 f"heads*key_dim = {self.heads * self.key_dim} exceeds 8*channels = {8 * self.channels}")
@@ -67,11 +61,11 @@ class Attention4DParams(nm.Module):
 def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
                      dtype=np.float64) -> Attention4DParams:
     """Fresh parameters: fan-in uniform projections, zero positional bias,
-    identity head mixing. The output batchnorm scale starts at zero, so with
-    the residual on the block is exactly the identity map at initialization
+    identity head mixing. The output batchnorm scale starts at zero, so the
+    block is exactly the identity map at initialization
     (and, unlike a zero weight matrix, the zero scale keeps the output
     batchnorm away from its degenerate zero-variance point)."""
-    c, h, d, dv = cfg.channels, cfg.heads, cfg.key_dim, cfg.value_dim
+    c, h, d = cfg.channels, cfg.heads, cfg.key_dim
     bound = 1.0 / math.sqrt(c)
 
     def uniform(rows, cols):
@@ -87,12 +81,12 @@ def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
         bn_q=BatchNorm(h * d, dtype=dtype),
         w_k=uniform(h * d, c),
         bn_k=BatchNorm(h * d, dtype=dtype),
-        w_v=uniform(h * dv, c),
-        bn_v=BatchNorm(h * dv, dtype=dtype),
+        w_v=uniform(h * d, c),
+        bn_v=BatchNorm(h * d, dtype=dtype),
         pos_bias=Tensor(np.zeros((h, hw, hw), dtype=dtype), requires_grad=True),
         t_pre=Tensor(np.eye(h, dtype=dtype), requires_grad=True),
         t_post=Tensor(np.eye(h, dtype=dtype), requires_grad=True),
-        w_out=uniform(c, h * dv),
+        w_out=uniform(c, h * d),
         bn_out=bn_out,
     )
 
@@ -109,32 +103,31 @@ def attention4d_forward(x: Tensor, p: Attention4DParams, return_attn=False):
         raise ShapeError(f"attention4d: expected spatial size {tuple(cfg.spatial)}, got {(hh, ww)}")
     if c != cfg.channels:
         raise ShapeError(f"attention4d: expected {cfg.channels} channels, got {c}")
-    h, d, dv = cfg.heads, cfg.key_dim, cfg.value_dim
+    h, d = cfg.heads, cfg.key_dim
     hw = hh * ww
 
     q = nm.reshape(nm.conv_bn(x, p.w_q, p.bn_q), (b, h, d, hw))
     k = nm.reshape(nm.conv_bn(x, p.w_k, p.bn_k), (b, h, d, hw))
-    v = nm.reshape(nm.conv_bn(x, p.w_v, p.bn_v), (b, h, dv, hw))
+    v = nm.reshape(nm.conv_bn(x, p.w_v, p.bn_v), (b, h, d, hw))
 
-    logits = nm.mul(nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k), cfg.scale)
+    logits = nm.mul(nm.matmul_tokens(nm.transpose(q, (0, 1, 3, 2)), k), 1.0 / math.sqrt(d))
     logits = nm.add_posbias(logits, p.pos_bias)
     # talking heads: a 1x1 conv with the heads as the channel axis
     attn = nm.softmax_lastdim(nm.conv1x1(logits, p.t_pre))
     attn = nm.conv1x1(attn, p.t_post)
 
     tokens = nm.matmul_tokens(v, nm.transpose(attn, (0, 1, 3, 2)))
-    y = nm.reshape(tokens, (b, h * dv, hh, ww))
-    y = nm.conv_bn(y, p.w_out, p.bn_out)
-    out = nm.add(x, y) if cfg.residual else y
+    y = nm.reshape(tokens, (b, h * d, hh, ww))
+    out = nm.add(x, nm.conv_bn(y, p.w_out, p.bn_out))
     if return_attn:
         return out, attn
     return out
 
 
 def attention4d_param_count(cfg: Attention4DConfig) -> int:
-    """Trainable scalar count as a closed form of (C, h, d, d_v, H, W)."""
-    c, h, d, dv = cfg.channels, cfg.heads, cfg.key_dim, cfg.value_dim
+    """Trainable scalar count as a closed form of (C, h, d, H, W)."""
+    c, h, d = cfg.channels, cfg.heads, cfg.key_dim
     hw = cfg.spatial[0] * cfg.spatial[1]
-    projections = h * d * c + h * d * c + h * dv * c + c * h * dv
-    bn = 2 * (h * d) * 2 + 2 * (h * dv) + 2 * c
+    projections = 4 * h * d * c  # q, k and v in, the output back
+    bn = 2 * (3 * h * d + c)
     return projections + bn + h * hw * hw + 2 * h * h

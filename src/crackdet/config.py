@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 from .assignment import AssignConfig
 from .dataio import SyntheticConfig
@@ -30,12 +29,8 @@ __version__ = "0.1.0"
 @dataclass
 class NumericsSection:
     dtype: str = "float64"
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
-        check_fields("numerics", self, (("bn_eps", 0, math.inf, "()"),
-                                        ("bn_momentum", 0, 1, "[]")))
         check_choice("numerics.dtype", self.dtype, ("float64", "float32"))
 
 
@@ -99,8 +94,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     # built before ``synthetic``, so ``--seed -1`` names training.seed first
     training: TrainingSection = field(default_factory=TrainingSection)
-    synthetic: SyntheticConfig = field(default_factory=partial(
-        SyntheticConfig, num_classes=3, min_shapes=2, max_shapes=4))
+    synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
 
 def _apply(section, values: dict, path: str, into: dict):

@@ -92,6 +92,15 @@ def _id(record, key, path, entry):
     return value
 
 
+def _text(record, key, path, entry):
+    """A name field of one COCO entry (a category's ``name``, an image's
+    ``file_name``): a string, or a DataError naming the file and entry."""
+    value = _require(record, key, path, entry)
+    if not isinstance(value, str):
+        raise DataError(f"{path}: {entry}.{key} must be a string, got {type(value).__name__}")
+    return value
+
+
 def _size(record, key, path, entry):
     """An image's ``width``/``height``: a finite number, or a DataError naming
     the file and entry."""
@@ -131,12 +140,12 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
                             f"got {type(raw[key]).__name__}")
 
     images = [ImageInfo(id=_id(r, "id", path, f"images[{i}]"),
-                        file_name=_require(r, "file_name", path, f"images[{i}]"),
+                        file_name=_text(r, "file_name", path, f"images[{i}]"),
                         width=_size(r, "width", path, f"images[{i}]"),
                         height=_size(r, "height", path, f"images[{i}]"))
               for i, r in enumerate(raw["images"])]
     categories = [Category(id=_id(r, "id", path, f"categories[{i}]"),
-                           name=_require(r, "name", path, f"categories[{i}]"))
+                           name=_text(r, "name", path, f"categories[{i}]"))
                   for i, r in enumerate(raw["categories"])]
     _check_unique([im.id for im in images], "images")
     _check_unique([c.id for c in categories], "categories")
@@ -385,9 +394,9 @@ def read_ppm(path) -> np.ndarray:
 class SyntheticConfig:
     num_images: int = 200
     image_size: int = 64
-    num_classes: int = 5
-    min_shapes: int = 1
-    max_shapes: int = 3
+    num_classes: int = 3
+    min_shapes: int = 2
+    max_shapes: int = 4
     seed: int = 0
 
     def __post_init__(self):

@@ -58,16 +58,11 @@ class NeckSettings:
     num_attention_blocks: int | None = None
     attn_heads: int = 2
     attn_key_dim: int = 16
-    attn_value_dim: int | None = None
-    attn_scale: float | None = None
-    attn_residual: bool = True
 
     def __post_init__(self):
         check_fields("neck", self, (("num_attention_blocks", 1, 4, "[]"),
                                     ("attn_heads", 1, math.inf, "[)"),
                                     ("attn_key_dim", 1, math.inf, "[)"),
-                                    ("attn_value_dim", 1, math.inf, "[)"),
-                                    ("attn_scale", 0, math.inf, "()"),
                                     ("out_channels", 1, math.inf, "[)"),
                                     ("csp_depth", 0, math.inf, "[)")))
         check_choice("neck.placement", self.placement, PLACEMENT_SLOTS)
@@ -191,9 +186,7 @@ def _slot_configs(cfg: NeckConfig) -> dict[str, Attention4DConfig]:
     for slot in cfg.active_slots():
         try:
             out[slot] = Attention4DConfig(channels=geometry[slot][0], heads=cfg.attn_heads,
-                                          key_dim=cfg.attn_key_dim, value_dim=cfg.attn_value_dim,
-                                          spatial=geometry[slot][1], residual=cfg.attn_residual,
-                                          scale=cfg.attn_scale)
+                                          key_dim=cfg.attn_key_dim, spatial=geometry[slot][1])
         except ShapeError as exc:
             raise ConfigError(f"neck.attn_heads * neck.attn_key_dim too large for attention "
                               f"slot '{slot}': {exc}") from exc

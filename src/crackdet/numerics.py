@@ -692,7 +692,7 @@ class BatchNorm:
     and variance (not trainable) that train mode updates and eval mode
     normalizes with. ``batchnorm`` and ``conv_bn`` take the bundle whole."""
 
-    eps, momentum = 1e-5, 0.1  # library defaults; detector_from_config sets the run's
+    eps, momentum = 1e-5, 0.1  # the run's values: no setting overrides them
 
     def __init__(self, channels, dtype=np.float64):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)

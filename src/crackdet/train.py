@@ -31,13 +31,10 @@ DIVERGENCE_FACTOR = 1e3
 
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     dtype = np.float64 if cfg.numerics.dtype == "float64" else np.float32
-    detector = build_detector(cfg.model.num_classes, cfg.model.image_size,
-                              cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
-                              rng, dtype=dtype, score_thr=cfg.model.score_thr,
-                              nms_iou=cfg.model.nms_iou)
-    for bn in detector.batchnorms():
-        bn.eps, bn.momentum = cfg.numerics.bn_eps, cfg.numerics.bn_momentum
-    return detector
+    return build_detector(cfg.model.num_classes, cfg.model.image_size,
+                          cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
+                          rng, dtype=dtype, score_thr=cfg.model.score_thr,
+                          nms_iou=cfg.model.nms_iou)
 
 
 def image_gts(index, image_id, num_classes):
@@ -201,7 +198,10 @@ def write_loss_csv(path, rows):
 def load_checkpoint(cfg: RunConfig, path) -> Detector:
     detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
     try:
-        with np.load(path, allow_pickle=False) as arrays:
+        arrays = np.load(path, allow_pickle=False)
+        if not isinstance(arrays, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array, not an archive of named arrays")
+        with arrays:
             state = {k: arrays[k] for k in arrays.files}
     except (zipfile.BadZipFile, ValueError, EOFError) as exc:
         raise DataError(f"{path}: not a readable checkpoint .npz ({exc})") from None

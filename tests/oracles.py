@@ -237,11 +237,12 @@ def attention4d_loop(x, p):
 
     Mirrors the documented dataflow: conv+BN projections, per-head token
     dot products scaled and biased, pre/post head mixing, scalar softmax,
-    weighted value sums, output conv+BN, optional residual.
+    weighted value sums, output conv+BN, residual.
     """
     cfg = p.cfg
     bs, c, hh, ww = x.shape
-    heads, d, dv = cfg.heads, cfg.key_dim, cfg.value_dim
+    heads, d = cfg.heads, cfg.key_dim
+    scale = 1.0 / math.sqrt(d)
     hw = hh * ww
 
     def project(w, bn):
@@ -250,7 +251,7 @@ def attention4d_loop(x, p):
 
     q = project(p.w_q, p.bn_q).reshape(bs, heads, d, hw)
     k = project(p.w_k, p.bn_k).reshape(bs, heads, d, hw)
-    v = project(p.w_v, p.bn_v).reshape(bs, heads, dv, hw)
+    v = project(p.w_v, p.bn_v).reshape(bs, heads, d, hw)
 
     logits = np.zeros((bs, heads, hw, hw))
     for n in range(bs):
@@ -260,7 +261,7 @@ def attention4d_loop(x, p):
                     acc = 0.0
                     for ch in range(d):
                         acc += q[n][h][ch][i] * k[n][h][ch][j]
-                    logits[n][h][i][j] = cfg.scale * acc + p.pos_bias.data[h][i][j]
+                    logits[n][h][i][j] = scale * acc + p.pos_bias.data[h][i][j]
 
     mixed = np.zeros_like(logits)
     for n in range(bs):
@@ -288,20 +289,20 @@ def attention4d_loop(x, p):
                         acc += p.t_post.data[g][h] * attn[n][h][i][j]
                     attn2[n][g][i][j] = acc
 
-    tokens = np.zeros((bs, heads, dv, hw))
+    tokens = np.zeros((bs, heads, d, hw))
     for n in range(bs):
         for h in range(heads):
-            for ch in range(dv):
+            for ch in range(d):
                 for i in range(hw):
                     acc = 0.0
                     for j in range(hw):
                         acc += attn2[n][h][i][j] * v[n][h][ch][j]
                     tokens[n][h][ch][i] = acc
 
-    y = tokens.reshape(bs, heads * dv, hh, ww)
+    y = tokens.reshape(bs, heads * d, hh, ww)
     y = conv1x1_loop(y, p.w_out.data)
     y = _bn_loop(y, p.bn_out.gamma.data, p.bn_out.beta.data, p.bn_out.eps)
-    return x + y if cfg.residual else y
+    return x + y
 
 
 def assign_oracle(cost, iou, candidates, cap):

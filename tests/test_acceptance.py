@@ -78,7 +78,7 @@ def test_criterion_2_attention_oracle():
     identity_worst = 0.0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = Attention4DConfig(channels=8, heads=4, key_dim=4, spatial=(4, 4), residual=True)
+        cfg = Attention4DConfig(channels=8, heads=4, key_dim=4, spatial=(4, 4))
         p = init_attention4d(cfg, rng)
         x = rng.normal(size=(2, 8, 4, 4))
         out = attention4d_forward(Tensor(x), p).data
@@ -202,7 +202,8 @@ def test_criterion_8_data_round_trips(tmp_path):
     assert [ann.box for ann in a.annotations] == [ann.box for ann in b.annotations]
 
     for seed in range(5):
-        _, generated = gen_synthetic(SyntheticConfig(num_images=15, seed=seed))
+        _, generated = gen_synthetic(SyntheticConfig(num_images=15, num_classes=5, min_shapes=1,
+                                                     max_shapes=3, seed=seed))
         table = stats(generated)
         assert sum(sum(row.values()) for row in table.values()) == len(generated.annotations)
     return "50-image COCO/VOC round trips exact; stats conserve counts"

@@ -10,10 +10,9 @@ from crackdet.numerics import Tensor, finite_diff_check
 from oracles import attention4d_loop
 
 
-def randomized_block(rng, channels=8, heads=2, key_dim=4, spatial=(4, 4), residual=True):
+def randomized_block(rng, channels=8, heads=2, key_dim=4, spatial=(4, 4)):
     """Fresh block pushed off its identity-init point."""
-    cfg = Attention4DConfig(channels=channels, heads=heads, key_dim=key_dim,
-                            spatial=spatial, residual=residual)
+    cfg = Attention4DConfig(channels=channels, heads=heads, key_dim=key_dim, spatial=spatial)
     p = init_attention4d(cfg, rng)
     p.bn_out.gamma.data[...] = rng.normal(size=channels)
     p.pos_bias.data[...] = rng.normal(size=p.pos_bias.data.shape) * 0.3
@@ -62,11 +61,11 @@ class TestForward:
 
     def test_uniform_attention_limit(self, rng):
         # zero query projection + zero bias -> every output token is the
-        # spatial mean of the value tokens; with identity-like v/out paths the
-        # value tokens are the input tokens themselves.
+        # input token plus the spatial mean of the value tokens; with
+        # identity-like v/out paths (values are key_dim = c wide) the value
+        # tokens are the input tokens themselves.
         c, h = 4, 1
-        cfg = Attention4DConfig(channels=c, heads=h, key_dim=4, value_dim=c,
-                                spatial=(3, 3), residual=False)
+        cfg = Attention4DConfig(channels=c, heads=h, key_dim=c, spatial=(3, 3))
         p = init_attention4d(cfg, np.random.default_rng(0))
         p.w_q.data[...] = 0.0
         p.w_v.data[...] = np.eye(c)
@@ -80,7 +79,7 @@ class TestForward:
         with nm.eval_mode():
             out = attention4d_forward(Tensor(x), p)
         expected = np.broadcast_to(x.mean(axis=(2, 3))[:, :, None, None], x.shape)
-        assert np.abs(out.data - expected).max() < 1e-10
+        assert np.abs(out.data - x - expected).max() < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_loop_oracle_single_head(self, seed):

@@ -71,13 +71,6 @@ class TestConfig:
         assert rc == 1
         assert override.split("=")[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["neck.attn_value_dim=null", "neck.attn_scale=0.5"])
-    def test_typed_values_still_load(self, override):
-        key, value = override.split("=")
-        cfg = load_config(overrides=[override])
-        section, name = key.split(".")
-        assert getattr(getattr(cfg, section), name) == json.loads(value)
-
     def test_int_fits_float_and_list_becomes_tuple(self):
         cfg = load_config(overrides=["training.lr=1", "model.backbone_widths=[1,2,3,4,5]"])
         assert cfg.training.lr == 1
@@ -98,13 +91,12 @@ class TestConfig:
 
     def test_default_config_echo(self):
         assert config_dict(load_config()) == {
-            "numerics": {"dtype": "float64", "bn_eps": 1e-05, "bn_momentum": 0.1},
+            "numerics": {"dtype": "float64"},
             "model": {"num_classes": 3, "image_size": 64,
                       "backbone_widths": [32, 48, 64, 96, 128], "head_channels": 96,
                       "score_thr": 0.05, "nms_iou": 0.65},
             "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
-                     "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16,
-                     "attn_value_dim": None, "attn_scale": None, "attn_residual": True},
+                     "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16},
             "assignment": {"lambda_cls": 1.0, "lambda_loc": 3.0, "lambda_center": 1.0,
                            "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10,
                            "iou_floor": 1e-07, "prob_clamp": 1e-07},
@@ -115,6 +107,10 @@ class TestConfig:
             "training": {"batch_size": 4, "steps": 300, "lr": 0.004, "momentum": 0.9,
                          "weight_decay": 0.0005, "seed": 0},
         }
+
+    def test_one_synthetic_default(self):
+        """The run's synthetic set is the library's default set."""
+        assert RunConfig().synthetic == SyntheticConfig()
 
     def test_config_echo_loads_back_exactly(self, tmp_path):
         """The echo holds the unrounded values (iou_floor and prob_clamp
@@ -212,11 +208,12 @@ class TestConfigRejectedAtLoad:
         ("neck.num_attention_blocks=7", "num_attention_blocks"),
         ("neck.attn_heads=0", "attn_heads"),
         ("neck.attn_key_dim=0", "attn_key_dim"),
-        ("neck.attn_value_dim=0", "attn_value_dim"),
         ("neck.out_channels=0", "out_channels"),
         ("neck.out_channels=-2", "out_channels"),
         ("neck.csp_depth=-1", "csp_depth"),
         ("neck.attn_heads=100", "heads*key_dim"),
+        # removed keys: stopped at load as unknown keys
+        ("neck.attn_value_dim=0", "attn_value_dim"),
         ("neck.attn_scale=NaN", "neck.attn_scale"),
         ("neck.attn_scale=Infinity", "neck.attn_scale"),
         ("neck.attn_scale=0", "neck.attn_scale"),
@@ -251,6 +248,7 @@ class TestConfigRejectedAtLoad:
         ("training.steps=-1", "training.steps"),
         ("training.batch_size=0", "training.batch_size"),
         ("training.batch_size=-4", "training.batch_size"),
+        # removed keys: stopped at load as unknown keys
         ("numerics.bn_eps=0", "numerics.bn_eps"),
         ("numerics.bn_eps=-1e-5", "numerics.bn_eps"),
         ("numerics.bn_eps=Infinity", "numerics.bn_eps"),
@@ -295,7 +293,7 @@ class TestConfigRejectedAtLoad:
         ("gen-data", ["--seed", "-1"], "training.seed"),
         ("train-toy", ["--set", "training.seed=-1"], "training.seed"),
         ("train-toy", ["--set", "synthetic.seed=-1"], "synthetic.seed"),
-        ("train-toy", ["--set", "neck.attn_scale=NaN"], "neck.attn_scale"),
+        ("train-toy", ["--set", "neck.attn_heads=0"], "neck.attn_heads"),
         ("gen-data", ["--set", "synthetic.image_size=0"], "synthetic.image_size"),
         ("gen-data", ["--set", "synthetic.image_size=1"], "synthetic.image_size"),
         ("gen-data", ["--set", "synthetic.image_size=-5"], "synthetic.image_size"),
@@ -309,7 +307,7 @@ class TestConfigRejectedAtLoad:
     def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
                                                      key):
         """A negative seed (which numpy's generator rejects with a raw
-        ValueError), a non-finite attention scale or assignment weight, a
+        ValueError), a zero head count, a non-finite assignment weight, a
         synthetic image size below 18 (too small for some shapes) or a
         synthetic set of no images fails at load."""
         out_dir = tmp_path / "out"
@@ -354,8 +352,7 @@ class TestConfigRejectedAtLoad:
 
     def test_valid_neck_values_still_run(self, two_image_set, tmp_path):
         rc = main(["stats", "--dataset", two_image_set, "--out", str(tmp_path / "out"),
-                   "--set", "neck.attn_value_dim=1", "--set", "neck.placement=both",
-                   "--set", "neck.num_attention_blocks=4"])
+                   "--set", "neck.placement=both", "--set", "neck.num_attention_blocks=4"])
         assert rc == 0
 
     def test_zero_csp_depth_still_runs(self, two_image_set, tmp_path):
@@ -379,8 +376,6 @@ class TestSectionsCheckThemselves:
         (lambda: dataclasses.replace(load_config().training, lr=-1),
          "training.lr must be in (0, inf), got -1"),
         # a mistyped value fails with the message load_config gives it
-        (lambda: NumericsSection(bn_eps="x"),
-         "config key 'numerics.bn_eps' expects float, got 'x'"),
         (lambda: TrainingSection(lr="fast"), "config key 'training.lr' expects float, got 'fast'"),
         (lambda: TrainingSection(steps=2.5), "config key 'training.steps' expects int, got 2.5"),
         (lambda: ModelSection(backbone_widths=5),
@@ -389,19 +384,19 @@ class TestSectionsCheckThemselves:
          "config key 'model.num_classes' expects int, got True"),
         (lambda: AssignConfig(alpha=None),
          "config key 'assignment.alpha' expects float, got None"),
-        (lambda: NeckSettings(attn_scale="big"),
-         "config key 'neck.attn_scale' expects float | None, got 'big'"),
+        (lambda: NeckSettings(num_attention_blocks="big"),
+         "config key 'neck.num_attention_blocks' expects int | None, got 'big'"),
         (lambda: SyntheticConfig(num_classes="3"),
          "config key 'synthetic.num_classes' expects int, got '3'"),
-    ], ids=["dtype", "placement", "image_size", "replace", "bn_eps_type", "lr_type", "steps_type",
-            "backbone_widths_type", "num_classes_type", "alpha_type", "attn_scale_type",
-            "synthetic_type"])
+    ], ids=["dtype", "placement", "image_size", "replace", "lr_type", "steps_type",
+            "backbone_widths_type", "num_classes_type", "alpha_type",
+            "num_attention_blocks_type", "synthetic_type"])
     def test_rejected_at_construction(self, build, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             build()
 
     # one out-of-range value per RunConfig section
-    BAD = {"numerics": ("bn_momentum", 2.0), "model": ("nms_iou", 1.5),
+    BAD = {"numerics": ("dtype", "float16"), "model": ("nms_iou", 1.5),
            "neck": ("csp_depth", -1), "assignment": ("alpha", 1.0), "loss": ("w_reg", -1.0),
            "eval": ("max_dets", 0), "training": ("steps", 0), "synthetic": ("num_images", 0)}
 
@@ -436,10 +431,14 @@ class TestSectionsCheckThemselves:
 
 # The keys of the option-selected forks no run took: an epoch count beside
 # training.steps, a constant learning rate, average-pool downsampling and a
-# reciprocal centre cost. Each value is the one the old echo held by default.
+# reciprocal centre cost; then the values that only repeated a constant:
+# batchnorm's eps and momentum and the attention block's value width, scale
+# and residual switch. Each value is the one the old echo held by default.
 REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
                 "neck.downsample": "conv", "assignment.center_cost_mode": "soft_center_prior",
-                "assignment.eta": 1.0, "assignment.epsilon": 1e-7}
+                "assignment.eta": 1.0, "assignment.epsilon": 1e-7,
+                "numerics.bn_eps": 1e-5, "numerics.bn_momentum": 0.1,
+                "neck.attn_value_dim": None, "neck.attn_scale": None, "neck.attn_residual": True}
 
 
 class TestRemovedKeys:
@@ -453,7 +452,9 @@ class TestRemovedKeys:
             extra = ["--set", f"{key}={json.dumps(REMOVED_KEYS[key])}"]
         else:
             section, name = key.split(".")
-            (tmp_path / "old.json").write_text(json.dumps({section: {name: REMOVED_KEYS[key]}}))
+            echo = config_dict(load_config())
+            echo[section][name] = REMOVED_KEYS[key]
+            (tmp_path / "old.json").write_text(json.dumps(echo))
             extra = ["--config", str(tmp_path / "old.json")]
         out_dir = tmp_path / "out"
         rc = main(["train-toy", "--out", str(out_dir)] + TINY + extra)
@@ -466,9 +467,9 @@ class TestRemovedKeys:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
             load_config(overrides=[f"{key}={json.dumps(REMOVED_KEYS[key])}"])
 
-    def test_config_has_41_settable_values(self):
+    def test_config_has_36_settable_values(self):
         cfg = config_dict(load_config())
-        assert sum(len(section) for section in cfg.values()) == 41
+        assert sum(len(section) for section in cfg.values()) == 36
         assert not {f"{s}.{k}" for s in cfg for k in cfg[s]} & set(REMOVED_KEYS)
 
 
@@ -581,6 +582,29 @@ class TestAnnotationsRejected:
         path = tmp_path / "ann.json"
         path.write_text(json.dumps(dict(self.COCO, **{section: [entry]})))
         self._stats_fails(path, tmp_path, capsys, *messages)
+
+    @pytest.mark.parametrize("command,section,entry,key,got", [
+        ("stats", "categories", {"id": 1, "name": ["crack"]}, "categories[0].name", "list"),
+        ("eval", "categories", {"id": 1, "name": ["crack"]}, "categories[0].name", "list"),
+        ("assign-debug", "images", dict(COCO["images"][0], file_name=5), "images[0].file_name",
+         "int"),
+    ])
+    def test_name_that_is_not_a_string(self, tmp_path, capsys, command, section, entry, key,
+                                       got):
+        """A category name or file name is a string: anything else stops
+        the command at load, naming the file and the entry."""
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(dict(self.COCO, **{section: [entry]})))
+        dets = tmp_path / "dets.json"
+        dets.write_text("[]")
+        args = {"stats": ["--dataset", str(path)],
+                "eval": ["--gt", str(path), "--dets", str(dets)],
+                "assign-debug": ["--dataset", str(path)]}[command]
+        rc = main([command, *args, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {path}: {key} must be a string, got {got}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCommand:
@@ -843,14 +867,17 @@ class TestTrainInferPipeline:
         assert "images are 128x128 px, but the model takes 64x64" in err
 
     @pytest.mark.parametrize("command", ["infer", "assign-debug"])
-    @pytest.mark.parametrize("damage", ["truncated", "text", "empty", "object"])
+    @pytest.mark.parametrize("damage", ["truncated", "text", "empty", "object", "npy"])
     def test_unreadable_checkpoint_named(self, tmp_path, capsys, command, damage):
-        """A cut-off zip, a text file, an empty file and a member that only
-        unpickling could read each fail with exit 1 and an error naming the
-        checkpoint, not a zipfile or numpy traceback."""
+        """A cut-off zip, a text file, an empty file, a member that only
+        unpickling could read and a plain .npy array each fail with exit 1
+        and an error naming the checkpoint, not a zipfile or numpy traceback."""
         ckpt = fresh_checkpoint(tmp_path)
         if damage == "object":
             np.savez(ckpt, weights=np.array([None], dtype=object))
+        elif damage == "npy":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, np.zeros(3))
         else:
             ckpt.write_bytes({"truncated": ckpt.read_bytes()[:1000], "text": b"not a checkpoint\n",
                               "empty": b""}[damage])

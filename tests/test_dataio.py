@@ -13,6 +13,9 @@ from crackdet.dataio import (MIN_SYNTHETIC_SIZE, SHAPE_KINDS, Annotation, Catego
 from crackdet.errors import ConfigError, DataError, ShapeError
 from crackdet.model import Detection
 
+# a synthetic set that draws every damage kind, one to three per image
+EVERY_KIND = dict(num_classes=len(SHAPE_KINDS), min_shapes=1, max_shapes=3)
+
 
 def fixture_index(num_images=50, seed=7):
     """Integer-box dataset used by the round-trip criterion."""
@@ -265,7 +268,7 @@ class TestStats:
         assert stats(index)[1] == {"small": 1, "medium": 0, "large": 0}
 
     def test_conservation(self):
-        _, index = gen_synthetic(SyntheticConfig(num_images=20, seed=3))
+        _, index = gen_synthetic(SyntheticConfig(num_images=20, seed=3, **EVERY_KIND))
         table = stats(index)
         per_class = {c.id: 0 for c in index.categories}
         for ann in index.annotations:
@@ -283,7 +286,7 @@ def make_single_box_index(w, h):
 
 class TestSynthetic:
     def test_same_seed_identical_bytes(self, tmp_path):
-        cfg = SyntheticConfig(num_images=6, seed=7)
+        cfg = SyntheticConfig(num_images=6, seed=7, **EVERY_KIND)
         for run in ("a", "b"):
             images, index = gen_synthetic(cfg)
             save_synthetic(images, index, tmp_path / run)
@@ -315,7 +318,7 @@ class TestSynthetic:
         assert index.clamp_warnings == 0
 
     def test_every_box_within_bounds(self):
-        images, index = gen_synthetic(SyntheticConfig(num_images=30, seed=1))
+        images, index = gen_synthetic(SyntheticConfig(num_images=30, seed=1, **EVERY_KIND))
         for ann in index.annotations:
             x1, y1, x2, y2 = ann.box
             assert 0 <= x1 < x2 <= 64 and 0 <= y1 < y2 <= 64

@@ -41,14 +41,6 @@ class TestNeckSettings:
         cfg = NeckConfig(in_channels=(64, 96, 128), spatial=((8, 8), (4, 4), (2, 2)))
         assert {f.name: getattr(cfg, f.name) for f in fields(NeckSettings)} == vars(run)
 
-    @pytest.mark.parametrize("scale", [float("nan"), -0.5, 0.0, float("inf")])
-    def test_attn_scale_range_checked_by_the_settings(self, scale):
-        with pytest.raises(ConfigError, match="neck.attn_scale"):
-            tiny_cfg(attn_scale=scale)
-        with pytest.raises(ConfigError, match="neck.attn_scale"):
-            build_detector(2, 64, (2, 3, 4, 5, 6), dict(out_channels=4, attn_scale=scale),
-                           4, np.random.default_rng(0))
-
 
 class TestCSPLayer:
     def test_zero_final_conv_gives_zeros(self, rng):
