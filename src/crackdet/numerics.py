@@ -738,14 +738,6 @@ class Module:
             if not isinstance(child, Tensor):
                 yield from child.states(name)
 
-    def batchnorms(self):
-        """Every BatchNorm layer, in children order."""
-        for _, child in self.children():
-            if isinstance(child, BatchNorm):
-                yield child
-            elif isinstance(child, Module):
-                yield from child.batchnorms()
-
 
 # -- gradient checking ------------------------------------------------------
 

@@ -137,7 +137,7 @@ def cosine_lr(base_lr, step, total_steps):
 def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     """Run the toy schedule; returns (detector, index, raw images, loss rows).
 
-    The raw images are the synthetic set's uint8 (H,W,3) arrays. Only each
+    The raw images are the synthetic set's uint8 (N,H,W,3) stack. Only each
     step's batch is normalized, so the run never holds a float copy of the
     whole set."""
     if cfg.model.num_classes != cfg.synthetic.num_classes:
@@ -159,7 +159,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     rows = []
     for step in range(cfg.training.steps):
         batch_ids = rng.choice(len(image_ids), size=cfg.training.batch_size, replace=False)
-        batch_imgs = normalize_images([raw_images[i] for i in batch_ids])
+        batch_imgs = normalize_images(raw_images[batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
         total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -284,7 +285,43 @@ def make_single_box_index(w, h):
         categories=[Category(id=1, name="crack")])
 
 
+def synthetic_digest(images, index):
+    """sha256 over every image's bytes in order, then every annotation's
+    (id, image_id, category_id, box): a list and a stack of the same images
+    give the same digest."""
+    h = hashlib.sha256()
+    for image in images:
+        h.update(image.tobytes())
+    for a in index.annotations:
+        h.update(repr((a.id, a.image_id, a.category_id, a.box)).encode())
+    return h.hexdigest()
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("cfg,digest", [
+        (SyntheticConfig(),
+         "d20608b600f618d48ebd8c47610dbf57afff77ec0661de3cfd2fd13b3d1b356d"),
+        # 3 GTs per 256-px image, as the evaluate benchmark generates them
+        (SyntheticConfig(num_images=20, image_size=256, min_shapes=3, max_shapes=3, seed=5),
+         "e01db17c0e45f311e34df02bc3ae079a5d06b60c34907b0e0c40322cf3a80e7e"),
+        (SyntheticConfig(num_images=20, seed=11, **EVERY_KIND),
+         "b94eb8bfa22b2f4509eb98a8a60d9615a79546a9221976b6d8f911fba921c54f"),
+    ], ids=["default", "256px-3-shapes", "every-kind"])
+    def test_generated_bytes_pinned(self, cfg, digest):
+        """The generator's images and annotations are pinned to a fixed
+        digest, so a faster generator must draw and paint the same bytes."""
+        images, index = gen_synthetic(cfg)
+        if cfg.num_classes == len(SHAPE_KINDS):
+            assert {a.category_id for a in index.annotations} == set(range(1, cfg.num_classes + 1))
+        assert synthetic_digest(images, index) == digest
+
+    def test_images_are_one_uint8_stack(self):
+        cfg = SyntheticConfig(num_images=7, image_size=40, seed=2)
+        images, index = gen_synthetic(cfg)
+        assert type(images) is np.ndarray and images.dtype == np.uint8
+        assert images.shape == (7, 40, 40, 3) and images.flags.c_contiguous
+        assert len(index.images) == 7
+
     def test_same_seed_identical_bytes(self, tmp_path):
         cfg = SyntheticConfig(num_images=6, seed=7, **EVERY_KIND)
         for run in ("a", "b"):

@@ -20,6 +20,15 @@ from crackdet.numerics import Tensor, finite_diff_check
 from oracles import anchor_points_loop, decode_loop, encode_box, nms_loop
 
 
+def batchnorms(module):
+    """Every BatchNorm layer under ``module``, in children order."""
+    for _, child in module.children():
+        if isinstance(child, nm.BatchNorm):
+            yield child
+        elif isinstance(child, nm.Module):
+            yield from batchnorms(child)
+
+
 class TestBackbone:
     def test_stride_arithmetic_64(self, rng):
         p = init_backbone((4, 5, 6, 7, 8), rng)
@@ -489,14 +498,16 @@ class TestDetectorBundle:
         assert any(not np.array_equal(arr, before[name]) for name, arr in det.states())
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_detector_from_config_sets_bn_settings_on_every_layer(self, dtype):
+    def test_detector_from_config_running_stats_dtype_and_identity(self, dtype):
+        """Every batchnorm's running statistics have the run's dtype, and
+        ``states()`` yields the layers' own arrays, not copies."""
         from crackdet.config import load_config
         from crackdet.train import detector_from_config
 
         cfg = load_config(overrides=[f"numerics.dtype={dtype}", "neck.placement=both",
                                      "neck.num_attention_blocks=4"])
         det = detector_from_config(cfg, np.random.default_rng(0))
-        layers = list(det.batchnorms())
+        layers = list(batchnorms(det))
         running_means = [arr for name, arr in det.states() if name.endswith(".running_mean")]
         assert len(layers) == len(running_means) > 0
         assert all(arr.dtype == np.dtype(dtype) for arr in running_means)
@@ -526,7 +537,7 @@ class TestDetectorBundle:
         to max(1, |value|)), not bit for bit."""
         det = self._small_detector(rng, dtype)
         if perturb:
-            for bn in det.batchnorms():
+            for bn in batchnorms(det):
                 c = len(bn.gamma.data)
                 bn.running_mean[...] = rng.normal(size=c)
                 bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
@@ -577,9 +588,9 @@ class TestDetectorBundle:
         assert not {"batchnorm", "silu", "conv3x3s2"} & set(ops)
         units = [t for t in nodes.values() if t.op == "conv_bn"]
         stems = (det.head.stem_cls.bn, det.head.stem_reg.bn)
-        want = Counter({id(bn.gamma): 3 if bn in stems else 1 for bn in det.batchnorms()})
+        want = Counter({id(bn.gamma): 3 if bn in stems else 1 for bn in batchnorms(det)})
         assert Counter(id(t._parents[2]) for t in units) == want
-        betas = {id(bn.gamma): bn.beta for bn in det.batchnorms()}
+        betas = {id(bn.gamma): bn.beta for bn in batchnorms(det)}
         assert all(t._parents[3] is betas[id(t._parents[2])] for t in units)
         unit_weights = {id(t._parents[1]) for t in units}
         mixes = [t for t in nodes.values() if t.op == "conv1x1"]

@@ -81,9 +81,17 @@ class TestBatchNormalization:
 
         monkeypatch.setattr(train, "batch_losses", capture)
         sizes = watch_normalize(monkeypatch)
+        generated = []
+
+        def generate(synthetic_cfg):
+            generated.append(dataio.gen_synthetic(synthetic_cfg))
+            return generated[-1]
+
+        monkeypatch.setattr(train, "gen_synthetic", generate)
         _, _, raw_images, rows = train.train_toy(cfg)
         assert len(rows) == 5 and len(batches) == 5
-        assert all(im.dtype == np.uint8 and im.shape == (64, 64, 3) for im in raw_images)
+        assert raw_images is generated[0][0]
+        assert raw_images.dtype == np.uint8 and raw_images.shape == (10, 64, 64, 3)
         assert max(sizes) <= max(cfg.training.batch_size, 8)
         full = dataio.normalize_images(raw_images)
         for batch in batches:
