@@ -529,8 +529,12 @@ def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
 def normalize_images(images) -> np.ndarray:
     """uint8 (H,W,3) images, as a sequence or a (B,H,W,3) stack -> normalized
     (B,3,H,W) float64 batch. Anything else, an already-normalized float batch
-    included, is a ShapeError."""
-    arr = np.asarray(images)
+    included, is a ShapeError, as are images of unequal sizes."""
+    try:
+        arr = np.asarray(images)
+    except ValueError:  # a list of images of unequal sizes
+        raise ShapeError(f"normalize_images: images of unequal shapes "
+                         f"{sorted(set(map(np.shape, images)))}") from None
     if arr.dtype != np.uint8 or arr.ndim != 4 or arr.shape[-1] != 3:
         raise ShapeError(f"normalize_images takes uint8 (H,W,3) images, got a {arr.dtype} "
                          f"stack of shape {arr.shape}")

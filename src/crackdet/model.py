@@ -86,15 +86,20 @@ def init_backbone(widths, rng, dtype=np.float64) -> BackboneParams:
     return BackboneParams(stages)
 
 
+def _pyramid_levels(x: Tensor, p: BackboneParams) -> list[Tensor]:
+    return [x := stage(x) for stage in p.stages][2:]
+
+
 def backbone_forward(image: Tensor, p: BackboneParams) -> PyramidFeatures:
+    """Where ``nm.folds_bn()`` each image passes on its own, so a batch of two
+    or more runs its second half on a second thread and stacks the levels back."""
     if image.shape[2] % 32 or image.shape[3] % 32:
         raise ShapeError(f"backbone: spatial size {image.shape[2:]} must be divisible by 32")
-    feats = []
-    x = image
-    for stage in p.stages:
-        x = stage(x)
-        feats.append(x)
-    return PyramidFeatures(feats[2], feats[3], feats[4])
+    if image.shape[0] < 2 or not nm.folds_bn():
+        return PyramidFeatures(*_pyramid_levels(image, p))
+    halves = nm.in_two_threads(lambda x: _pyramid_levels(Tensor(x), p),
+                               *np.array_split(image.data, 2))
+    return PyramidFeatures(*(nm.concat(pair, axis=0) for pair in zip(*halves)))
 
 
 @dataclass

@@ -23,6 +23,9 @@ group). Batchnorm's per-channel sums over the batch and the pixels are
 matvecs by a ones vector and row dot products, never ``sum(axis=(0, 2))``
 over an elementwise product.
 
+Engine flags are per thread: ``in_two_threads`` hands a copy of the caller's
+to the new thread of its second call, and ``folds_bn`` is conv_bn's fold test.
+
 The default dtype is float64; float32 can be requested per tensor for speed.
 A gradient always takes the dtype of the tensor it flows into, so a float64
 loss term does not turn a float32 network's backward into float64.
@@ -80,6 +83,34 @@ def frozen_bn_stats():
 def finite_checks():
     """Validate every op output for NaN/inf, raising NumericsError naming the op."""
     return _set_mode("check_finite", True)
+
+
+def folds_bn():
+    """Whether ``conv_bn`` folds its batchnorm: eval mode under ``no_grad()``."""
+    return not (_mode.training or _mode.grad_enabled)
+
+
+def in_two_threads(fn, first, second):
+    """``(fn(first), fn(second))``, the second call on a new thread with a copy
+    of this thread's engine flags; either error is raised once both are done."""
+    flags, out = dict(vars(_mode)), {}
+
+    def run():
+        vars(_mode).update(flags)
+        try:
+            out["result"] = fn(second)
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        here = fn(first)
+    finally:
+        thread.join()
+    if "error" in out:
+        raise out["error"]
+    return here, out["result"]
 
 
 class Tensor:
@@ -675,7 +706,7 @@ def conv_bn(x, w, bn, stride2=False, act=False):
     (training, or grad on) it is one 'conv_bn' node with a hand-written
     backward, ``_conv_bn_train``.
     """
-    if _mode.training or _mode.grad_enabled:
+    if not folds_bn():
         return _conv_bn_train(as_tensor(x), as_tensor(w), bn, stride2, act)
     w = as_tensor(w).data
     _check_bn(bn, w.shape[0])

@@ -451,6 +451,12 @@ class TestNormalizeImages:
             normalize_images(images)
 
 
+    def test_images_of_unequal_sizes_named(self):
+        images = [np.zeros((4, 4, 3), dtype=np.uint8), np.zeros((5, 5, 3), dtype=np.uint8)]
+        with pytest.raises(ShapeError, match=r"unequal shapes \[\(4, 4, 3\), \(5, 5, 3\)\]"):
+            normalize_images(images)
+
+
 class TestDetectionSerialization:
     def test_round_trip(self):
         dets = [Detection(image_id=1, category_id=2, score=0.75, box=(1.0, 2.0, 11.0, 22.0))]

@@ -1,5 +1,7 @@
 import math
 import pickle
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crackdet import numerics as nm
-from crackdet.errors import ShapeError
+from crackdet.errors import NumericsError, ShapeError
 from crackdet.geometry import iou
 from crackdet.model import (Detection, anchor_points, backbone_forward, build_detector, decode,
                             decode_boxes, flatten_levels, head_forward, init_backbone, init_head,
@@ -59,6 +61,123 @@ class TestBackbone:
             lambda: nm.tsum(nm.mul(backbone_forward(x, p).p3, nm.as_tensor(readout))),
             params, max_coords=40, rng=rng)
         assert err < 1e-4
+
+
+def perturbed_backbone(rng, dtype):
+    """A backbone whose batchnorms fold to a non-trivial affine map."""
+    p = init_backbone((4, 5, 6, 7, 8), rng, dtype)
+    for bn in batchnorms(p):
+        c = len(bn.gamma.data)
+        bn.running_mean[...] = rng.normal(size=c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=c)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=c)
+        bn.beta.data[...] = rng.normal(size=c)
+    return p
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Records every ``threading.Thread`` started while the test runs."""
+    started, real = [], threading.Thread
+
+    class Spy(real):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+class TestBackboneSplit:
+    """Eval mode under no_grad() runs the second half of a batch on a second
+    thread; the levels must be the bytes of one image at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [2, 3, 8])
+    def test_split_matches_single_images_bit_for_bit(self, rng, thread_starts, dtype, batch):
+        p = perturbed_backbone(rng, dtype)
+        images = rng.normal(size=(batch, 3, 64, 64)).astype(dtype)
+        with nm.no_grad(), nm.eval_mode():
+            whole = backbone_forward(Tensor(images), p)
+            assert len(thread_starts) == 1
+            ones = [backbone_forward(Tensor(images[i:i + 1]), p) for i in range(batch)]
+        assert len(thread_starts) == 1  # a one-image batch is not split
+        for got, parts in zip(whole.levels(), zip(*(one.levels() for one in ones))):
+            want = np.concatenate([part.data for part in parts])
+            assert got.data.dtype == want.dtype == dtype
+            assert got.data.shape == want.shape and got.data.tobytes() == want.tobytes()
+
+    def test_split_is_stable_under_fast_thread_switching(self, rng):
+        """The two halves share only read-only parameters: with the
+        interpreter switching threads every 10 µs, every repeat gives the
+        same bytes."""
+        p = perturbed_backbone(rng, np.float64)
+        images = Tensor(rng.normal(size=(8, 3, 64, 64)))
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with nm.no_grad(), nm.eval_mode():
+                runs = [[lvl.data.tobytes() for lvl in backbone_forward(images, p).levels()]
+                        for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs)
+
+    def test_predict_matches_per_image_predict(self, rng, thread_starts):
+        det = TestDetectorBundle._small_detector(rng)
+        images = rng.normal(size=(8, 3, 64, 64))
+        dets = det.predict(images, image_ids=range(10, 18))
+        assert len(thread_starts) == 1 and dets
+        assert dets == [d for i in range(8)
+                        for d in det.predict(images[i:i + 1], image_ids=[10 + i])]
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_non_finite_pixel_in_either_half_names_conv_bn(self, rng, bad):
+        """Images 0 and 2 run on the calling thread, image 4 on the worker,
+        which must take the caller's finite_checks flag."""
+        p = perturbed_backbone(rng, np.float64)
+        images = rng.normal(size=(5, 3, 64, 64))
+        images[bad, 1, 5, 7] = np.nan
+        with nm.no_grad(), nm.eval_mode(), nm.finite_checks():
+            with pytest.raises(NumericsError, match="conv_bn"):
+                backbone_forward(Tensor(images), p)
+        assert not nm._mode.check_finite and nm._mode.training
+
+    def test_worker_error_reaches_caller_after_join(self, rng):
+        p = perturbed_backbone(rng, np.float64)
+        stage, seen = p.stages[3], {}
+
+        class Boom(Exception):
+            pass
+
+        def failing(x):
+            if x.shape[0] == 1:  # the worker's half of a 3-image batch
+                seen["worker"] = threading.current_thread()
+                raise Boom
+            return stage(x)
+
+        p.stages[3] = failing
+        with nm.no_grad(), nm.eval_mode(), pytest.raises(Boom):
+            backbone_forward(Tensor(rng.normal(size=(3, 3, 64, 64))), p)
+        assert seen["worker"] is not threading.current_thread()
+        assert not seen["worker"].is_alive()
+
+    def test_train_and_grad_forwards_start_no_thread(self, rng, monkeypatch):
+        """Batch statistics couple the images in train mode, and a recorded
+        graph needs one batch-wide node per op, so neither forward splits."""
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a forward with batch coupling started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        det = TestDetectorBundle._small_detector(rng)
+        images = det.input_batch(rng.normal(size=(4, 3, 64, 64)))
+        det.forward(images)  # train mode, grad on
+        with nm.no_grad():
+            det.forward(images)  # train mode: batch statistics
+        with nm.eval_mode():
+            preds = det.forward(images)  # test_folded_predict_matches_op_chain's path
+        assert preds.cls_logits[0]._parents
 
 
 class TestHead:

@@ -1,4 +1,5 @@
 import contextlib
+import threading
 import tracemalloc
 import warnings
 
@@ -551,6 +552,48 @@ def test_grad_mode_is_thread_local(rng):
     release.set()
     t1.join()
     assert results == {"tracked": True, "untracked": True}
+
+
+class TestInTwoThreads:
+    def test_second_call_runs_on_a_new_thread_with_the_callers_flags(self):
+        def flags(tag):
+            return tag, threading.current_thread(), dict(vars(nm._mode))
+
+        with nm.no_grad(), nm.eval_mode(), nm.frozen_bn_stats(), nm.finite_checks():
+            want = dict(vars(nm._mode))
+            here, there = nm.in_two_threads(flags, "a", "b")
+        assert here == ("a", threading.current_thread(), want)
+        assert there[0] == "b" and there[1] is not threading.current_thread()
+        assert there[2] == want
+        assert vars(nm._mode) == {"grad_enabled": True, "training": True,
+                                  "bn_stats_enabled": True, "check_finite": False}
+
+    def test_worker_error_is_raised_once_the_worker_ended(self):
+        worker = []
+
+        def fn(which):
+            if which == "second":
+                worker.append(threading.current_thread())
+                raise KeyError(which)
+            return which
+
+        with pytest.raises(KeyError, match="second"):
+            nm.in_two_threads(fn, "first", "second")
+        assert not worker[0].is_alive()
+
+    def test_caller_error_waits_for_the_worker(self):
+        release, finished = threading.Event(), []
+
+        def fn(which):
+            if which == "first":
+                release.set()
+                raise ValueError("first")
+            release.wait(timeout=5)
+            finished.append(which)
+
+        with pytest.raises(ValueError, match="first"):
+            nm.in_two_threads(fn, "first", "second")
+        assert finished == ["second"]
 
 
 @pytest.mark.parametrize("helper,flag,inside", [
