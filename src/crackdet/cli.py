@@ -24,6 +24,7 @@ from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, lo
                      stats_table, write_atomic)
 from .errors import CrackdetError, DataError, NumericsError
 from .evaluator import error_breakdown, evaluate
+from .model import neck_config
 from .neck import describe_layout
 from .train import (detector_from_config, image_gts, load_checkpoint, predict_dataset,
                     train_toy)
@@ -379,8 +380,7 @@ def main(argv=None) -> int:
             per_epoch = max(1, cfg.synthetic.num_images // cfg.training.batch_size)
             cfg.training = dataclasses.replace(cfg.training, steps=args.epochs * per_epoch)
         if args.dump_arch:
-            detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
-            write_json({"arch": describe_layout(detector.neck.cfg)},
+            write_json({"arch": describe_layout(neck_config(cfg.model, cfg.neck))},
                        os.path.join(args.out, "arch.json"), cfg)
         return args.func(args, cfg)
     except NumericsError as exc:

@@ -2,11 +2,12 @@
 
 A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
-with ``--set section.key=value``. The ``neck``, ``assignment``, ``eval`` and
-``synthetic`` sections are the library's own ``NeckSettings``,
-``AssignConfig``, ``EvalConfig`` and ``SyntheticConfig``. Each section checks
-its fields' types and values when built, in code or at load; loading adds
-the neck's geometry check. The effective config is echoed into every artifact.
+with ``--set section.key=value``. The ``model``, ``neck``, ``assignment``,
+``loss``, ``eval`` and ``synthetic`` sections are the library's own
+``ModelSection``, ``NeckSettings``, ``AssignConfig``, ``LossSection``,
+``EvalConfig`` and ``SyntheticConfig``. Each section checks its fields'
+types and values when built, in code or at load; loading adds the neck's
+geometry check. The effective config is echoed into every artifact.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .assignment import AssignConfig
 from .dataio import SyntheticConfig
 from .errors import ConfigError, check_choice, check_fields
 from .evaluator import EvalConfig
-from .model import neck_config
+from .losses import LossSection
+from .model import ModelSection, neck_config
 from .neck import NeckSettings
 
 __version__ = "0.1.0"
@@ -32,38 +34,6 @@ class NumericsSection:
 
     def __post_init__(self):
         check_choice("numerics.dtype", self.dtype, ("float64", "float32"))
-
-
-@dataclass
-class ModelSection:
-    num_classes: int = 3
-    image_size: int = 64
-    backbone_widths: tuple = (32, 48, 64, 96, 128)
-    head_channels: int = 96
-    score_thr: float = 0.05
-    nms_iou: float = 0.65
-
-    def __post_init__(self):
-        check_fields("model", self, (("num_classes", 1, math.inf, "[)"),
-                                     ("image_size", 0, math.inf, "()"),
-                                     ("head_channels", 1, math.inf, "[)"),
-                                     ("score_thr", 0, 1, "[)"),
-                                     ("nms_iou", 0, 1, "[]")))
-        widths = self.backbone_widths
-        if len(widths) != 5 or not all(type(w) is int and w >= 1 for w in widths):
-            raise ConfigError(f"model.backbone_widths must list five positive integer stage "
-                              f"widths, got {list(widths)}")
-        if self.image_size % 32:
-            raise ConfigError("model.image_size must be divisible by 32")
-
-
-@dataclass
-class LossSection:
-    w_cls: float = 1.0
-    w_reg: float = 2.0
-
-    def __post_init__(self):
-        check_fields("loss", self, (("w_cls", 0, math.inf, "[)"), ("w_reg", 0, math.inf, "[)")))
 
 
 @dataclass
@@ -149,7 +119,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             value = raw_value
         _apply(getattr(cfg, section_name), {key: value}, section_name, changes[section_name])
     cfg = RunConfig(**{f.name: f.default_factory(**changes[f.name]) for f in fields(cfg)})
-    neck_config(cfg.model.image_size, cfg.model.backbone_widths, vars(cfg.neck))
+    neck_config(cfg.model, cfg.neck)
     return cfg
 
 

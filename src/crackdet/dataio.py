@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_fields
+from .errors import ConfigError, DataError, ShapeError, check_fields
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -402,11 +402,12 @@ class SyntheticConfig:
     def __post_init__(self):
         check_fields("synthetic", self, (("seed", 0, math.inf, "[)"),
                                          ("num_images", 1, math.inf, "[)"),
-                                         ("image_size", MIN_SYNTHETIC_SIZE, math.inf, "[)")))
-        if not 1 <= self.num_classes <= len(SHAPE_KINDS):
-            raise DataError(f"num_classes must be in 1..{len(SHAPE_KINDS)}")
-        if self.min_shapes < 0 or self.max_shapes < self.min_shapes:
-            raise DataError("invalid shapes_per_image range")
+                                         ("image_size", MIN_SYNTHETIC_SIZE, math.inf, "[)"),
+                                         ("num_classes", 1, len(SHAPE_KINDS), "[]"),
+                                         ("min_shapes", 0, math.inf, "[)")))
+        if self.max_shapes < self.min_shapes:
+            raise ConfigError(f"synthetic.max_shapes must be at least synthetic.min_shapes "
+                              f"({self.min_shapes}), got {self.max_shapes}")
 
 
 # Per-class paint, 0.85 x a distinct hue so the class signal survives desk-scale training.

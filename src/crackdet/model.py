@@ -20,13 +20,37 @@ import numpy as np
 
 from . import numerics as nm
 from .assignment import AssignConfig, Assignment, CostMatrix, build_cost_matrix, dynamic_assign
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_fields
 from .geometry import iou_matrix
-from .neck import ConvBNLayer, NeckConfig, NeckParams, PyramidFeatures, _conv_bn, init_neck, neck_forward
+from .neck import (ConvBNLayer, NeckConfig, NeckParams, NeckSettings, PyramidFeatures, _conv_bn,
+                   init_neck, neck_forward)
 from .numerics import Tensor
 
 STRIDES = (8, 16, 32)
 CLS_BIAS_PRIOR = -2.0  # every class logit starts at sigmoid(-2) = 0.12
+
+
+@dataclass
+class ModelSection:
+    num_classes: int = 3
+    image_size: int = 64
+    backbone_widths: tuple = (32, 48, 64, 96, 128)
+    head_channels: int = 96
+    score_thr: float = 0.05
+    nms_iou: float = 0.65
+
+    def __post_init__(self):
+        check_fields("model", self, (("num_classes", 1, math.inf, "[)"),
+                                     ("image_size", 0, math.inf, "()"),
+                                     ("head_channels", 1, math.inf, "[)"),
+                                     ("score_thr", 0, 1, "[)"),
+                                     ("nms_iou", 0, 1, "[]")))
+        widths = self.backbone_widths
+        if len(widths) != 5 or not all(type(w) is int and w >= 1 for w in widths):
+            raise ConfigError(f"model.backbone_widths must list five positive integer stage "
+                              f"widths, got {list(widths)}")
+        if self.image_size % 32:
+            raise ConfigError("model.image_size must be divisible by 32")
 
 
 @dataclass
@@ -57,11 +81,11 @@ class Detection(namedtuple("Detection", "image_id category_id score box")):
         return cls(*iterable)
 
 
-def anchor_points(image_size: int, strides=STRIDES) -> tuple[np.ndarray, np.ndarray]:
+def anchor_points(image_size: int) -> tuple[np.ndarray, np.ndarray]:
     """(N,2) cell centres in pixels and (N,) strides: every cell of every
     level exactly once, stride 8 first, row-major (x fastest) within a level."""
     xy, per_cell = [], []
-    for stride in strides:
+    for stride in STRIDES:
         centres = (np.arange(image_size // stride) + 0.5) * stride
         cx, cy = np.meshgrid(centres, centres)
         xy.append(np.stack([cx.ravel(), cy.ravel()], axis=1))
@@ -221,17 +245,15 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
 
 @dataclass
 class Detector(nm.Module):
-    """Backbone + neck + head bundle with its anchor grid: ``points_xy`` (N,2)
-    cell centres and ``strides`` (N,), in ``flatten_levels`` order."""
+    """Backbone + neck + head bundle, of its parameters' dtype, with its anchor
+    grid: ``points_xy`` (N,2) cell centres and ``strides`` (N,), in ``flatten_levels`` order."""
 
     backbone: BackboneParams
     neck: NeckParams
     head: HeadParams
-    num_classes: int
     image_size: int
-    score_thr: float = 0.05
-    nms_iou: float = 0.65
-    dtype: type = np.float64
+    score_thr: float
+    nms_iou: float
 
     def __post_init__(self):
         self.points_xy, self.strides = anchor_points(self.image_size)
@@ -239,7 +261,7 @@ class Detector(nm.Module):
     def input_batch(self, images: np.ndarray) -> Tensor:
         """(B,3,H,W) images as a tensor of the model's dtype; (H, W) must be
         the ``image_size`` the pyramid and the attention blocks were built for."""
-        arr = np.asarray(images, dtype=self.dtype)
+        arr = np.asarray(images, dtype=self.head.w_cls.dtype)
         if arr.shape[2:] != (self.image_size, self.image_size):
             raise ShapeError(f"images are {'x'.join(map(str, arr.shape[2:]))} px, but the "
                              f"model takes {self.image_size}x{self.image_size} "
@@ -269,6 +291,8 @@ class Detector(nm.Module):
             if arrays[key].dtype != target.dtype:
                 raise DataError(f"checkpoint entry '{key}' has dtype {arrays[key].dtype}, "
                                 f"model expects {target.dtype} (numerics.dtype mismatch?)")
+            if not np.isfinite(arrays[key]).all():
+                raise DataError(f"checkpoint entry '{key}' holds a non-finite value")
             target[...] = arrays[key]
 
     def forward(self, images: Tensor) -> RawPredictions:
@@ -304,23 +328,16 @@ class Detector(nm.Module):
         return cm, dynamic_assign(cm, acfg)
 
 
-def neck_config(image_size: int, backbone_widths, neck_cfg_kwargs: dict) -> NeckConfig:
+def neck_config(model: ModelSection, neck: NeckSettings) -> NeckConfig:
     """The neck's config, with its input channels and pyramid sizes derived
     from the backbone's last three stages."""
-    if image_size % 32:
-        raise ShapeError(f"image_size {image_size} must be divisible by 32")
-    spatial = tuple((image_size // s, image_size // s) for s in STRIDES)
-    return NeckConfig(in_channels=tuple(backbone_widths)[2:], spatial=spatial, **neck_cfg_kwargs)
+    spatial = tuple((model.image_size // s, model.image_size // s) for s in STRIDES)
+    return NeckConfig(in_channels=model.backbone_widths[2:], spatial=spatial, **vars(neck))
 
 
-def build_detector(num_classes: int, image_size: int, backbone_widths,
-                   neck_cfg_kwargs: dict, head_channels: int,
-                   rng: np.random.Generator, dtype=np.float64,
-                   score_thr=0.05, nms_iou=0.65) -> Detector:
-    neck_cfg = neck_config(image_size, backbone_widths, neck_cfg_kwargs)
-    backbone = init_backbone(backbone_widths, rng, dtype)
-    neck = init_neck(neck_cfg, rng, dtype)
-    head = init_head(neck_cfg.out_channels, head_channels, num_classes, rng, dtype)
-    return Detector(backbone=backbone, neck=neck, head=head, num_classes=num_classes,
-                    image_size=image_size, score_thr=score_thr, nms_iou=nms_iou,
-                    dtype=dtype)
+def build_detector(model: ModelSection, neck: NeckSettings, rng, dtype) -> Detector:
+    neck_cfg = neck_config(model, neck)
+    backbone = init_backbone(model.backbone_widths, rng, dtype)
+    neck_params = init_neck(neck_cfg, rng, dtype)
+    head = init_head(neck_cfg.out_channels, model.head_channels, model.num_classes, rng, dtype)
+    return Detector(backbone, neck_params, head, model.image_size, model.score_thr, model.nms_iou)

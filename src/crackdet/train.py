@@ -30,11 +30,7 @@ DIVERGENCE_FACTOR = 1e3
 
 
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
-    dtype = np.float64 if cfg.numerics.dtype == "float64" else np.float32
-    return build_detector(cfg.model.num_classes, cfg.model.image_size,
-                          cfg.model.backbone_widths, vars(cfg.neck), cfg.model.head_channels,
-                          rng, dtype=dtype, score_thr=cfg.model.score_thr,
-                          nms_iou=cfg.model.nms_iou)
+    return build_detector(cfg.model, cfg.neck, rng, np.dtype(cfg.numerics.dtype))
 
 
 def image_gts(index, image_id, num_classes):
@@ -57,14 +53,12 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     Returns (total Tensor, LossBreakdown, assignments).
     """
     batch = len(images)
-    num_classes = detector.num_classes
     preds = detector.forward(detector.input_batch(images))
     cls_flat = flatten_levels(preds.cls_logits)
     dist_flat = flatten_levels(preds.distances)
-    n_anchors = cls_flat.shape[1]
+    _, n_anchors, num_classes = cls_flat.shape
 
     probs = nm._sigmoid_np(cls_flat.data)
-    dists_np = dist_flat.data
 
     targets = np.zeros((batch, n_anchors, num_classes), dtype=np.float64)
     pos_rows, pos_boxes = [], []
@@ -74,7 +68,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
         if len(boxes) == 0:
             assignments.append(None)
             continue
-        _, asg = detector.assign(probs[b], dists_np[b], boxes, labels, cfg.assignment)
+        _, asg = detector.assign(probs[b], dist_flat.data[b], boxes, labels, cfg.assignment)
         assignments.append(asg)
         targets[b] = asg.targets(labels, num_classes)
         for a in np.where(asg.gt_index >= 0)[0]:
@@ -87,8 +81,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     anchors = rows % n_anchors
     sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows)
     reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors], pos_boxes)
-    total, breakdown = total_loss(cls_loss, reg_loss, num_pos,
-                                  w_cls=cfg.loss.w_cls, w_reg=cfg.loss.w_reg)
+    total, breakdown = total_loss(cls_loss, reg_loss, num_pos, cfg.loss)
     return total, breakdown, assignments
 
 
@@ -97,7 +90,6 @@ class SGD:
     """Momentum SGD with decoupled-from-nothing classic weight decay."""
 
     params: list
-    lr: float
     momentum: float
     weight_decay: float
 
@@ -152,7 +144,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     rng = np.random.default_rng(cfg.training.seed)
     detector = detector_from_config(cfg, rng)
     params = list(detector.params())
-    opt = SGD(params, cfg.training.lr, cfg.training.momentum, cfg.training.weight_decay)
+    opt = SGD(params, cfg.training.momentum, cfg.training.weight_decay)
 
     gts = {im.id: image_gts(index, im.id, cfg.model.num_classes) for im in index.images}
     image_ids = [im.id for im in index.images]
@@ -202,10 +194,11 @@ def load_checkpoint(cfg: RunConfig, path) -> Detector:
         if not isinstance(arrays, np.lib.npyio.NpzFile):
             raise ValueError("a single .npy array, not an archive of named arrays")
         with arrays:
-            state = {k: arrays[k] for k in arrays.files}
+            detector.load_state_dict({k: arrays[k] for k in arrays.files})
     except (zipfile.BadZipFile, ValueError, EOFError) as exc:
         raise DataError(f"{path}: not a readable checkpoint .npz ({exc})") from None
-    detector.load_state_dict(state)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return detector
 
 

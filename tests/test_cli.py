@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
+import crackdet
 from crackdet.cli import _json_ready, main
 from crackdet.config import (ModelSection, NumericsSection, RunConfig, TrainingSection,
                              __version__, config_dict, load_config)
-from crackdet.errors import ConfigError, CrackdetError
+from crackdet.errors import ConfigError
 from crackdet.assignment import AssignConfig
 from crackdet.dataio import SyntheticConfig
 from crackdet.neck import NeckSettings
@@ -86,7 +87,8 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"synthetic": {"min_shapes": 5}}))
         assert load_config(path, ["synthetic.max_shapes=5"]).synthetic.max_shapes == 5
-        with pytest.raises(CrackdetError, match="shapes_per_image"):
+        with pytest.raises(ConfigError, match="synthetic.max_shapes must be at least "
+                                              r"synthetic.min_shapes \(5\), got 4"):
             load_config(path)
 
     def test_default_config_echo(self):
@@ -289,13 +291,19 @@ class TestConfigRejectedAtLoad:
         ("gen-data", ["--set", "synthetic.image_size=17"], "synthetic.image_size"),
         ("train-toy", ["--set", "assignment.alpha=NaN"], "assignment.alpha"),
         ("train-toy", ["--set", "assignment.lambda_loc=Infinity"], "assignment.lambda_loc"),
+        ("gen-data", ["--set", "synthetic.num_classes=9"], "synthetic.num_classes"),
+        ("gen-data", ["--set", "synthetic.num_classes=0"], "synthetic.num_classes"),
+        ("gen-data", ["--set", "synthetic.min_shapes=-1"], "synthetic.min_shapes"),
+        ("gen-data", ["--set", "synthetic.max_shapes=1"], "synthetic.max_shapes"),
+        ("train-toy", ["--set", "synthetic.min_shapes=5"], "synthetic.max_shapes"),
     ])
     def test_bad_value_stops_gen_data_and_train_toy(self, tmp_path, capsys, command, extra,
                                                      key):
         """A negative seed (which numpy's generator rejects with a raw
         ValueError), a zero head count, a non-finite assignment weight, a
-        synthetic image size below 18 (too small for some shapes) or a
-        synthetic set of no images fails at load."""
+        synthetic image size below 18 (too small for some shapes), a
+        synthetic set of no images, a class count outside 1..5 or a shape
+        count range that runs backwards fails at load, naming its key."""
         out_dir = tmp_path / "out"
         rc = main([command, "--out", str(out_dir)] + TINY + extra)
         err = capsys.readouterr().err
@@ -489,6 +497,15 @@ class TestNeckGeometryRejected:
         """At heads*key_dim == 8*channels of the narrowest slot it loads."""
         load_config(overrides=["neck.placement=bottom_up_only", "neck.out_channels=4",
                                "neck.attn_key_dim=16"])
+
+
+def test_version_matches_pyproject():
+    """``crackdet --version`` and every artifact's ``version`` give the
+    package's version, which must be the one ``pyproject.toml`` installs."""
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        assert crackdet.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 class TestStats:

@@ -6,8 +6,8 @@ from crackdet.assignment import AssignConfig, CostMatrix, dynamic_assign
 from crackdet.config import load_config
 from crackdet.dataio import gen_synthetic, normalize_images
 from crackdet.errors import ShapeError
-from crackdet.losses import (LossBreakdown, giou_loss, quality_focal_terms, soft_cls_loss_pooled,
-                             total_loss)
+from crackdet.losses import (LossBreakdown, LossSection, giou_loss, quality_focal_terms,
+                             soft_cls_loss_pooled, total_loss)
 from crackdet.numerics import Tensor, finite_diff_check
 from crackdet.train import batch_losses, detector_from_config, image_gts
 from oracles import encode_box, giou_loss_loop
@@ -205,20 +205,20 @@ class TestBatchLosses:
 
 class TestTotalLoss:
     def test_zero_components(self):
-        total, br = total_loss(Tensor(np.float64(0.0)), Tensor(np.float64(0.0)), 0)
+        total, br = total_loss(Tensor(np.float64(0.0)), Tensor(np.float64(0.0)), 0, LossSection())
         assert float(total.data) == 0.0 and br.total == 0.0
 
     def test_weighted_sum(self):
-        total, br = total_loss(Tensor(np.float64(1.0)), Tensor(np.float64(0.5)), 3)
+        total, br = total_loss(Tensor(np.float64(1.0)), Tensor(np.float64(0.5)), 3, LossSection())
         assert br == LossBreakdown(cls_loss=1.0, reg_loss=0.5, total=2.0, num_pos=3)
 
     def test_linearity(self):
-        _, a = total_loss(Tensor(np.float64(0.2)), Tensor(np.float64(0.4)), 1)
-        _, b = total_loss(Tensor(np.float64(0.4)), Tensor(np.float64(0.8)), 1)
+        _, a = total_loss(Tensor(np.float64(0.2)), Tensor(np.float64(0.4)), 1, LossSection())
+        _, b = total_loss(Tensor(np.float64(0.4)), Tensor(np.float64(0.8)), 1, LossSection())
         assert b.total == pytest.approx(2 * a.total)
 
     def test_total_zero_iff_both_zero(self):
-        _, br = total_loss(Tensor(np.float64(0.1)), Tensor(np.float64(0.0)), 1)
+        _, br = total_loss(Tensor(np.float64(0.1)), Tensor(np.float64(0.0)), 1, LossSection())
         assert br.total > 0.0
 
 

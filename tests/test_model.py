@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from hypothesis.extra import numpy as hnp
 from crackdet import numerics as nm
 from crackdet.errors import NumericsError, ShapeError
 from crackdet.geometry import iou
-from crackdet.model import (Detection, anchor_points, backbone_forward, build_detector, decode,
-                            decode_boxes, flatten_levels, head_forward, init_backbone, init_head,
-                            nms)
-from crackdet.neck import PyramidFeatures
+from crackdet.model import (Detection, ModelSection, anchor_points, backbone_forward,
+                            build_detector, decode, decode_boxes, flatten_levels, head_forward,
+                            init_backbone, init_head, nms)
+from crackdet.neck import NeckSettings, PyramidFeatures
 from crackdet.numerics import Tensor, finite_diff_check
 from oracles import anchor_points_loop, decode_loop, encode_box, nms_loop
+
+# A two-class 64-px detector with narrow stages, neck and head.
+TINY_MODEL = ModelSection(num_classes=2, backbone_widths=(2, 3, 4, 5, 6), head_channels=4)
+TINY_NECK = NeckSettings(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4)
 
 
 def batchnorms(module):
@@ -311,9 +316,7 @@ class TestDecode:
     def test_fresh_detector_matches_loop_oracle(self, dtype):
         for seed in range(3):
             r = np.random.default_rng(seed)
-            det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                                 dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                                 4, r, dtype=dtype)
+            det = build_detector(TINY_MODEL, TINY_NECK, r, dtype)
             probs, dists = det.predict_arrays(r.normal(size=(2, 3, 64, 64)))
             for b, image_id in enumerate((5, np.int64(6))):
                 for score_thr, nms_iou in [(0.05, 0.65), (0.1, 0.2)]:
@@ -580,31 +583,23 @@ class TestDecodeProperties:
 class TestDetectorBundle:
     @pytest.mark.parametrize("shape", [(1, 3, 128, 128), (2, 3, 64, 32), (3, 64, 64)])
     def test_input_of_another_size_named(self, rng, shape):
-        det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                             4, rng)
+        det = build_detector(TINY_MODEL, TINY_NECK, rng, np.float64)
         size = "x".join(map(str, shape[2:]))
         with pytest.raises(ShapeError, match=f"images are {size} px, but the model takes 64x64"):
             det.predict_arrays(rng.normal(size=shape))
 
     def test_predict_roundtrip_state_dict(self, rng):
-        det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                             4, rng)
+        det = build_detector(TINY_MODEL, TINY_NECK, rng, np.float64)
         imgs = rng.normal(size=(1, 3, 64, 64))
         before, _ = det.predict_arrays(imgs)
         blob = det.state_dict()
-        det2 = build_detector(2, 64, (2, 3, 4, 5, 6),
-                              dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                              4, np.random.default_rng(999))
+        det2 = build_detector(TINY_MODEL, TINY_NECK, np.random.default_rng(999), np.float64)
         det2.load_state_dict(blob)
         after, _ = det2.predict_arrays(imgs)
         assert np.array_equal(before, after)
 
     def test_predict_arrays_leaves_train_mode_and_running_stats(self, rng):
-        det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                             4, rng)
+        det = build_detector(TINY_MODEL, TINY_NECK, rng, np.float64)
         imgs = rng.normal(size=(2, 3, 64, 64))
         with nm.no_grad():
             det.forward(det.input_batch(imgs))  # train mode: moves the running stats
@@ -634,9 +629,7 @@ class TestDetectorBundle:
 
     @staticmethod
     def _small_detector(rng, dtype=np.float64):
-        return build_detector(2, 64, (2, 3, 4, 5, 6),
-                              dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                              4, rng, dtype=dtype)
+        return build_detector(TINY_MODEL, TINY_NECK, rng, dtype)
 
     @pytest.mark.parametrize("num_ids", [2, 4])
     def test_predict_rejects_image_id_count_mismatch(self, rng, num_ids):
@@ -692,10 +685,8 @@ class TestDetectorBundle:
         (x, w, gamma, beta): one per unit, three for the head stems shared by
         the levels. No batchnorm, silu or conv3x3s2 node remains, and conv1x1
         nodes are only the head's biased convs and the talking-heads mix."""
-        det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4,
-                                  placement="both", num_attention_blocks=4),
-                             4, rng)
+        neck = replace(TINY_NECK, placement="both", num_attention_blocks=4)
+        det = build_detector(TINY_MODEL, neck, rng, np.float64)
         preds = det.forward(det.input_batch(rng.normal(size=(2, 3, 64, 64))))
         nodes, stack = {}, list(preds.cls_logits) + list(preds.distances)
         while stack:
@@ -733,9 +724,7 @@ class TestDetectorBundle:
     def test_detector_assign_matches_the_spelled_out_steps(self, rng):
         from crackdet.assignment import AssignConfig, build_cost_matrix, dynamic_assign
 
-        det = build_detector(2, 64, (2, 3, 4, 5, 6),
-                             dict(out_channels=4, csp_depth=1, attn_heads=1, attn_key_dim=4),
-                             4, rng)
+        det = build_detector(TINY_MODEL, TINY_NECK, rng, np.float64)
         probs, dists = det.predict_arrays(rng.normal(size=(1, 3, 64, 64)))
         gt, labels = np.array([[4.0, 6.0, 40.0, 30.0], [20.0, 20.0, 60.0, 60.0]]), np.array([0, 1])
         cm, asg = det.assign(probs[0], dists[0], gt, labels, AssignConfig())

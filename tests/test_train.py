@@ -22,7 +22,7 @@ def test_sgd_three_steps_match_closed_form(rng, dtype):
     b = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(dtype), requires_grad=True)
     c = Tensor(rng.normal(size=5).astype(dtype), requires_grad=True)
     c0 = c.data.copy()
-    opt = SGD([("a", a), ("b", b), ("c", c)], lr, momentum, weight_decay)
+    opt = SGD([("a", a), ("b", b), ("c", c)], momentum, weight_decay)
     theta = {name: t.data.astype(np.float64) for name, t in (("a", a), ("b", b), ("c", c))}
     velocity = {name: np.zeros_like(arr) for name, arr in theta.items()}
     tol = 1e-13 if dtype == np.float64 else 1e-5
