@@ -377,16 +377,17 @@ class TestSynthetic:
         assert any(_sample_box(kind, rng, size - 1) is None
                    for kind in SHAPE_KINDS for _ in range(50))
 
-    @pytest.mark.parametrize("kwargs,message", [
-        (dict(num_classes=9), "synthetic.num_classes must be in [1, 5], got 9"),
-        (dict(num_classes=0), "synthetic.num_classes must be in [1, 5], got 0"),
-        (dict(min_shapes=-1), "synthetic.min_shapes must be in [0, inf), got -1"),
-        (dict(min_shapes=3, max_shapes=1),
-         "synthetic.max_shapes must be at least synthetic.min_shapes (3), got 1"),
-    ])
-    def test_invalid_config_rejected(self, kwargs, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            SyntheticConfig(**kwargs)
+    def test_invalid_config_rejected(self):
+        cases = [
+            (dict(num_classes=9), "synthetic.num_classes must be in [1, 5], got 9"),
+            (dict(num_classes=0), "synthetic.num_classes must be in [1, 5], got 0"),
+            (dict(min_shapes=-1), "synthetic.min_shapes must be in [0, inf), got -1"),
+            (dict(min_shapes=3, max_shapes=1),
+             "synthetic.max_shapes must be at least synthetic.min_shapes (3), got 1"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                SyntheticConfig(**kwargs)
 
     @pytest.mark.parametrize("size", [MIN_SYNTHETIC_SIZE - 1, 8, 0, -5])
     def test_canvas_below_the_smallest_rejected(self, size):
