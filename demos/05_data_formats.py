@@ -8,9 +8,8 @@ nothing moved.
 import tempfile
 from pathlib import Path
 
-from crackdet.dataio import (SyntheticConfig, convert_coco_to_voc, convert_voc_to_coco,
-                             gen_synthetic, load_coco, load_voc, save_synthetic,
-                             save_voc, stats_table)
+from crackdet.dataio import (SyntheticConfig, gen_synthetic, load_coco, load_voc, save_coco,
+                             save_synthetic, save_voc, stats_table)
 
 cfg = SyntheticConfig(num_images=12, image_size=128, num_classes=5, min_shapes=1, max_shapes=3,
                       seed=4)
@@ -26,8 +25,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nwrote dataset layout: {sorted(p.name for p in (root / 'dataset').iterdir())}")
 
     save_voc(index, root / "voc")
-    convert_voc_to_coco(root / "voc", root / "ds.json")
-    convert_coco_to_voc(root / "ds.json", root / "voc2")
+    save_coco(load_voc(root / "voc"), root / "ds.json")
+    save_voc(load_coco(root / "ds.json"), root / "voc2")
     a = load_voc(root / "voc")
     b = load_voc(root / "voc2")
     same = all(x.box == y.box for x, y in zip(a.annotations, b.annotations))

@@ -25,8 +25,7 @@ _FLOOR = 1e-7
 # candidates cost this much instead of overflowing to inf.
 _CENTER_COST_CAP = 1e150
 # (field, low, high, ends) as ``check_fields`` reads them. No range admits an
-# infinity or a NaN; iou_floor > 0 keeps candidate costs finite and
-# prob_clamp < 0.5 keeps the clip from inverting.
+# infinity or a NaN.
 _RANGES = (
     ("lambda_cls", 0, math.inf, "()"),
     ("lambda_loc", 0, math.inf, "()"),
@@ -34,8 +33,6 @@ _RANGES = (
     ("alpha", 1, math.inf, "()"),
     ("beta", -math.inf, math.inf, "()"),
     ("dynamic_k_cap", 1, math.inf, "[)"),
-    ("iou_floor", 0, 1, "(]"),
-    ("prob_clamp", 0, 0.5, "()"),
 )
 
 
@@ -47,24 +44,23 @@ class AssignConfig:
     alpha: float = 10.0
     beta: float = 3.0
     dynamic_k_cap: int = 10
-    iou_floor: float = _FLOOR
-    prob_clamp: float = _FLOOR
 
     def __post_init__(self):
         check_fields("assignment", self, _RANGES)
 
 
-def classification_cost(y_hat, y, prob_clamp=_FLOOR):
-    """Cross entropy against the soft label, damped by the squared gap."""
-    y_hat = np.clip(np.asarray(y_hat, dtype=np.float64), prob_clamp, 1.0 - prob_clamp)
+def classification_cost(y_hat, y):
+    """Cross entropy against the soft label, damped by the squared gap; y_hat
+    is clipped to [_FLOOR, 1 - _FLOOR] so the logs stay finite."""
+    y_hat = np.clip(np.asarray(y_hat, dtype=np.float64), _FLOOR, 1.0 - _FLOOR)
     y = np.asarray(y, dtype=np.float64)
     ce = -(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat))
     return ce * (y - y_hat) ** 2
 
 
-def location_cost(iou, iou_floor=_FLOOR):
-    """-log(IoU), clamped so a zero overlap costs -log(iou_floor)."""
-    return -np.log(np.maximum(np.asarray(iou, dtype=np.float64), iou_floor))
+def location_cost(iou):
+    """-log(IoU), clamped so a zero overlap costs -log(_FLOOR), a finite cost."""
+    return -np.log(np.maximum(np.asarray(iou, dtype=np.float64), _FLOOR))
 
 
 def center_cost_from_distance(d, cfg: AssignConfig):
@@ -121,8 +117,8 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
     candidates = inside_x & inside_y
 
     y_hat = pred_probs[:, np.asarray(gt_labels, dtype=np.intp)].T
-    delta = classification_cost(y_hat, ious, cfg.prob_clamp)
-    theta = location_cost(ious, cfg.iou_floor)
+    delta = classification_cost(y_hat, ious)
+    theta = location_cost(ious)
     centers = np.stack([(pred_boxes[:, 0] + pred_boxes[:, 2]) / 2.0,
                         (pred_boxes[:, 1] + pred_boxes[:, 3]) / 2.0], axis=1)
     gt_centers = np.stack([(gt_boxes[:, 0] + gt_boxes[:, 2]) / 2.0,

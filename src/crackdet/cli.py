@@ -256,6 +256,8 @@ def _gradcheck_suite(cfg: RunConfig, seeds: int):
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
+    if args.seeds < 1:
+        raise CrackdetError(f"--seeds must be at least 1, got {args.seeds}")
     results = _gradcheck_suite(cfg, seeds=args.seeds)
     worst = max(results.values())
     for name, err in results.items():
@@ -370,8 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage line and message
+        if exc.code:
+            return 1
+        raise
     if args.seed is not None:  # --seed is two more, so load_config checks its value
         args.overrides += [f"training.seed={args.seed}", f"synthetic.seed={args.seed}"]
     try:

@@ -84,8 +84,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Defaults, then the JSON file, then --set overrides, strictly validated.
 
     Each section is built once from its defaults and collected values, so
-    its own ``__post_init__`` checks the final combination (and the neck's
-    fills an unset block count, so the echo names the blocks that are built).
+    its own ``__post_init__`` checks the final combination.
     """
     cfg = RunConfig()
     changes = {f.name: {} for f in fields(cfg)}
@@ -124,6 +123,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
 
 
 def config_dict(cfg: RunConfig) -> dict:
+    """Plain JSON values; an unset neck block count reads as the blocks built."""
     out = dataclasses.asdict(cfg)
     out["model"]["backbone_widths"] = list(out["model"]["backbone_widths"])
+    out["neck"]["num_attention_blocks"] = len(cfg.neck.active_slots())
     return out

@@ -307,18 +307,6 @@ def save_voc(index: DatasetIndex, dirpath):
         write_atomic(os.path.join(dirpath, f"{stem}.xml"), ET.tostring(root))
 
 
-def convert_voc_to_coco(src_dir, dst_json):
-    index = load_voc(src_dir)
-    save_coco(index, dst_json)
-    return index
-
-
-def convert_coco_to_voc(src_json, dst_dir, center_boxes=False):
-    index = load_coco(src_json, center_boxes=center_boxes)
-    save_voc(index, dst_dir)
-    return index
-
-
 # -- statistics -------------------------------------------------------------
 
 

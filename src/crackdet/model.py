@@ -53,14 +53,6 @@ class ModelSection:
             raise ConfigError("model.image_size must be divisible by 32")
 
 
-@dataclass
-class RawPredictions:
-    """Per level: class logits (B,K,H,W) and softplus distances (B,4,H,W)."""
-
-    cls_logits: list[Tensor]
-    distances: list[Tensor]
-
-
 class Detection(namedtuple("Detection", "image_id category_id score box")):
     """One detection: image id, category id, score and corner box. Every way
     of building one (positional, keyword, ``_make``, ``_replace``, unpickling)
@@ -156,22 +148,21 @@ def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64) -> HeadPa
     )
 
 
-def head_forward(pyramid: PyramidFeatures, p: HeadParams) -> RawPredictions:
-    """Shared-across-levels branch towers; distances come out nonnegative."""
+def _flatten_levels(tensors: list[Tensor]) -> Tensor:
+    """Per-level (B,C,H,W) maps -> (B, N, C) in ``anchor_points`` order."""
+    return nm.concat([nm.reshape(nm.transpose(t, (0, 2, 3, 1)),
+                                 (t.shape[0], t.shape[2] * t.shape[3], t.shape[1]))
+                      for t in tensors], axis=1)
+
+
+def head_forward(pyramid: PyramidFeatures, p: HeadParams) -> tuple[Tensor, Tensor]:
+    """Shared-across-levels branch towers: (B, N, K) class logits and (B, N, 4)
+    nonnegative distances, both in ``anchor_points`` order."""
     cls_logits, distances = [], []
     for feat in pyramid.levels():
         cls_logits.append(nm.conv1x1(p.stem_cls(feat), p.w_cls, p.b_cls))
         distances.append(nm.softplus(nm.conv1x1(p.stem_reg(feat), p.w_reg, p.b_reg)))
-    return RawPredictions(cls_logits, distances)
-
-
-def flatten_levels(tensors: list[Tensor]) -> Tensor:
-    """Per-level (B,C,H,W) maps -> (B, N, C) in anchor enumeration order."""
-    rows = []
-    for t in tensors:
-        b, c, h, w = t.shape
-        rows.append(nm.reshape(nm.transpose(t, (0, 2, 3, 1)), (b, h * w, c)))
-    return nm.concat(rows, axis=1)
+    return _flatten_levels(cls_logits), _flatten_levels(distances)
 
 
 def decode_boxes(distances: np.ndarray, points_xy: np.ndarray, strides: np.ndarray) -> np.ndarray:
@@ -246,7 +237,7 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
 @dataclass
 class Detector(nm.Module):
     """Backbone + neck + head bundle, of its parameters' dtype, with its anchor
-    grid: ``points_xy`` (N,2) cell centres and ``strides`` (N,), in ``flatten_levels`` order."""
+    grid: ``points_xy`` (N,2) cell centres and ``strides`` (N,), the rows of its predictions."""
 
     backbone: BackboneParams
     neck: NeckParams
@@ -295,17 +286,16 @@ class Detector(nm.Module):
                 raise DataError(f"checkpoint entry '{key}' holds a non-finite value")
             target[...] = arrays[key]
 
-    def forward(self, images: Tensor) -> RawPredictions:
+    def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
+        """(B, N, K) class logits and (B, N, 4) distances, see ``head_forward``."""
         pyramid = neck_forward(backbone_forward(images, self.backbone), self.neck)
         return head_forward(pyramid, self.head)
 
     def predict_arrays(self, images: np.ndarray):
-        """(B,3,H,W) float input -> per-image (probs (N,K), distances (N,4))."""
+        """(B,3,H,W) float input -> probs (B,N,K) and distances (B,N,4)."""
         with nm.no_grad(), nm.eval_mode():
-            preds = self.forward(self.input_batch(images))
-            probs = nm.sigmoid(flatten_levels(preds.cls_logits)).data
-            dists = flatten_levels(preds.distances).data
-        return probs, dists
+            logits, dists = self.forward(self.input_batch(images))
+            return nm.sigmoid(logits).data, dists.data
 
     def predict(self, images: np.ndarray, image_ids=None) -> list[Detection]:
         image_ids = range(len(images)) if image_ids is None else list(image_ids)

@@ -40,17 +40,13 @@ class PyramidFeatures:
         return (self.p3, self.p4, self.p5)
 
 
-class _SlotCount(int):
-    """A block count filled in from the placement rather than set: it stays
-    unset, so a settings object derived from this one (``dataclasses.replace``
-    with another placement) counts that placement's slots again."""
-
-
 @dataclass
 class NeckSettings:
     """The neck's run settings, the config's ``neck`` section, with the run's
     defaults; checks every rule that needs no pyramid geometry. An unset
-    ``num_attention_blocks`` reads as the placement's slot count."""
+    (None) ``num_attention_blocks`` stays unset and means every slot of the
+    placement, so ``dataclasses.replace`` with another placement counts that
+    placement's slots."""
 
     out_channels: int = 96
     csp_depth: int = 1
@@ -67,9 +63,7 @@ class NeckSettings:
                                     ("csp_depth", 0, math.inf, "[)")))
         check_choice("neck.placement", self.placement, PLACEMENT_SLOTS)
         slots = PLACEMENT_SLOTS[self.placement]
-        if self.num_attention_blocks is None or isinstance(self.num_attention_blocks, _SlotCount):
-            self.num_attention_blocks = _SlotCount(len(slots))
-        if self.num_attention_blocks > len(slots):
+        if self.num_attention_blocks is not None and self.num_attention_blocks > len(slots):
             raise ConfigError(f"placement '{self.placement}' offers {len(slots)} slots, "
                               f"got num_attention_blocks={self.num_attention_blocks}")
         if self.out_channels % 2:
@@ -249,7 +243,7 @@ def describe_layout(cfg: NeckConfig) -> dict:
               for slot, acfg in _slot_configs(cfg).items()]
     return {
         "placement": cfg.placement,
-        "num_attention_blocks": cfg.num_attention_blocks,
+        "num_attention_blocks": len(cfg.active_slots()),
         "attention_blocks": blocks,
         "total_parameters": parameter_count(cfg),
     }

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .dataio import gen_synthetic, normalize_images, write_atomic
 from .errors import ConfigError, DataError, NumericsError
 from .losses import giou_loss, soft_cls_loss_pooled, total_loss
-from .model import Detector, build_detector, flatten_levels
+from .model import Detector, build_detector
 
 # A step whose total loss exceeds this multiple of step 0's (the default run
 # peaks near 1.1x) has diverged: train_toy stops it before any checkpoint.
@@ -49,40 +49,32 @@ def image_gts(index, image_id, num_classes):
 def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunConfig):
     """Forward a batch and assemble the assignment-driven losses.
 
-    ``gt_per_image`` is a list of (boxes, labels) pairs aligned with the batch.
-    Returns (total Tensor, LossBreakdown, assignments).
+    ``gt_per_image`` is a list of (boxes (G,4), labels (G,)) array pairs
+    aligned with the batch. Returns (total Tensor, LossBreakdown).
     """
-    batch = len(images)
-    preds = detector.forward(detector.input_batch(images))
-    cls_flat = flatten_levels(preds.cls_logits)
-    dist_flat = flatten_levels(preds.distances)
-    _, n_anchors, num_classes = cls_flat.shape
-
+    cls_flat, dist_flat = detector.forward(detector.input_batch(images))
+    batch, n_anchors, num_classes = cls_flat.shape
     probs = nm._sigmoid_np(cls_flat.data)
 
     targets = np.zeros((batch, n_anchors, num_classes), dtype=np.float64)
-    pos_rows, pos_boxes = [], []
-    assignments = []
-    for b in range(batch):
-        boxes, labels = gt_per_image[b]
+    pos_rows, pos_boxes = [np.empty(0, dtype=np.intp)], [np.empty((0, 4))]
+    for b, (boxes, labels) in enumerate(gt_per_image):
         if len(boxes) == 0:
-            assignments.append(None)
             continue
         _, asg = detector.assign(probs[b], dist_flat.data[b], boxes, labels, cfg.assignment)
-        assignments.append(asg)
         targets[b] = asg.targets(labels, num_classes)
-        for a in np.where(asg.gt_index >= 0)[0]:
-            pos_rows.append(b * n_anchors + a)
-            pos_boxes.append(boxes[asg.gt_index[a]])
-    num_pos = len(pos_rows)
+        pos = np.flatnonzero(asg.gt_index >= 0)
+        pos_rows.append(b * n_anchors + pos)
+        pos_boxes.append(boxes[asg.gt_index[pos]])
+    rows = np.concatenate(pos_rows)
+    num_pos = len(rows)
 
     cls_loss = soft_cls_loss_pooled(cls_flat, targets, num_pos)
-    rows = np.array(pos_rows, dtype=np.intp)
     anchors = rows % n_anchors
     sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows)
-    reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors], pos_boxes)
-    total, breakdown = total_loss(cls_loss, reg_loss, num_pos, cfg.loss)
-    return total, breakdown, assignments
+    reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors],
+                         np.concatenate(pos_boxes))
+    return total_loss(cls_loss, reg_loss, num_pos, cfg.loss)
 
 
 @dataclass
@@ -154,7 +146,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         batch_imgs = normalize_images(raw_images[batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
-        total, breakdown, _ = batch_losses(detector, batch_imgs, batch_gts, cfg)
+        total, breakdown = batch_losses(detector, batch_imgs, batch_gts, cfg)
         total.backward()
         opt.step(cosine_lr(cfg.training.lr, step, cfg.training.steps))
         rows.append((step, breakdown.cls_loss, breakdown.reg_loss,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from crackdet.assignment import (AssignConfig, CostMatrix, build_cost_matrix,
                                  center_cost, center_cost_from_distance, classification_cost,
                                  dynamic_assign, location_cost, total_cost)
+from crackdet.config import load_config
 from crackdet.errors import ConfigError
 
 from oracles import assign_oracle
@@ -53,6 +55,17 @@ class TestCostTerms:
         assert abs(location_cost(0.5) - 0.693147) < 1e-6
         assert abs(location_cost(0.0) - 16.118096) < 1e-6
 
+    @pytest.mark.parametrize("field", ["iou_floor", "prob_clamp"])
+    def test_cost_floors_are_constants(self, field):
+        """Both floors are 1e-7 and no setting: a probability of exactly 0 or 1
+        costs what 1e-7 from that end does, and AssignConfig has no field for
+        either floor."""
+        assert classification_cost(0.0, 1.0) == classification_cost(1e-7, 1.0)
+        assert classification_cost(1.0, 0.0) == classification_cost(1.0 - 1e-7, 0.0)
+        assert location_cost(0.0) == location_cost(1e-9) == -math.log(1e-7)
+        with pytest.raises(TypeError, match=field):
+            AssignConfig(**{field: 1e-7})
+
     def test_location_cost_strictly_decreasing(self):
         ious = np.linspace(1e-6, 1.0, 50)
         costs = location_cost(ious)
@@ -90,12 +103,17 @@ class TestCostTerms:
         ("prob_clamp", 0.0), ("prob_clamp", 0.5), ("prob_clamp", 0.7), ("prob_clamp", math.nan),
     ])
     def test_out_of_range_or_non_finite_rejected(self, field, value):
+        """A bad value fails naming its key. The two cost floors are fixed at
+        1e-7, so a config that sets one fails as an unknown key."""
         with pytest.raises(ConfigError, match=f"assignment.{field}"):
-            AssignConfig(**{field: value})
+            if field in ("iou_floor", "prob_clamp"):
+                load_config(overrides=[f"assignment.{field}={json.dumps(value)}"])
+            else:
+                AssignConfig(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"dynamic_k_cap": 1, "lambda_center": 1e-300},
-        {"iou_floor": 1.0, "beta": -3.0, "prob_clamp": 0.49},
+        {"beta": -3.0, "alpha": 1.0000001},
     ])
     def test_range_edges_still_construct(self, kwargs):
         AssignConfig(**kwargs)

@@ -100,8 +100,7 @@ class TestConfig:
             "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
                      "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16},
             "assignment": {"lambda_cls": 1.0, "lambda_loc": 3.0, "lambda_center": 1.0,
-                           "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10,
-                           "iou_floor": 1e-07, "prob_clamp": 1e-07},
+                           "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10},
             "loss": {"w_cls": 1.0, "w_reg": 2.0},
             "eval": {"max_dets": 100},
             "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
@@ -115,15 +114,15 @@ class TestConfig:
         assert RunConfig().synthetic == SyntheticConfig()
 
     def test_config_echo_loads_back_exactly(self, tmp_path):
-        """The echo holds the unrounded values (iou_floor and prob_clamp
-        default to 1e-7), so reloading it gives the same run."""
+        """The echo holds the unrounded values (six decimals would turn both
+        of these into other values), so reloading it gives the same run."""
         gt_path, det_path = make_eval_fixture(tmp_path)
-        overrides = ["training.lr=0.00123456789", "assignment.iou_floor=3e-9"]
+        overrides = ["training.lr=0.00123456789", "model.score_thr=3e-9"]
         assert main(["eval", "--gt", gt_path, "--dets", det_path, "--out", str(tmp_path / "o")]
                     + [arg for o in overrides for arg in ("--set", o)]) == 0
         echo = json.loads((tmp_path / "o" / "eval.json").read_text())["config"]
-        assert echo["assignment"]["iou_floor"] == 3e-9
-        assert echo["assignment"]["prob_clamp"] == 1e-7
+        assert echo["training"]["lr"] == 0.00123456789
+        assert echo["model"]["score_thr"] == 3e-9
         (tmp_path / "echo.json").write_text(json.dumps(echo))
         assert config_dict(load_config(tmp_path / "echo.json")) == \
             config_dict(load_config(overrides=overrides))
@@ -161,8 +160,10 @@ class TestConfig:
     def test_explicit_block_count_kept(self):
         cfg = load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=2"])
         assert cfg.neck.num_attention_blocks == 2
-        assert load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=null"]
-                           ).neck.num_attention_blocks == 4
+        assert cfg.neck.active_slots() == ("td_c5", "td_c4")
+        unset = load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=null"])
+        assert unset.neck.num_attention_blocks is None
+        assert len(unset.neck.active_slots()) == 4
 
     def test_unset_block_count_follows_a_replaced_placement(self):
         """Derived with ``dataclasses.replace`` or loaded with the override,
@@ -170,12 +171,14 @@ class TestConfig:
         count either way, and an explicit count stays as set."""
         loaded = load_config(overrides=["neck.placement=both"])
         derived = dataclasses.replace(load_config().neck, placement="both")
-        assert derived.num_attention_blocks == loaded.neck.num_attention_blocks == 4
-        assert dataclasses.asdict(derived) == config_dict(loaded)["neck"]
+        assert derived == loaded.neck
+        assert len(derived.active_slots()) == len(loaded.neck.active_slots()) == 4
+        assert config_dict(loaded)["neck"] == {**dataclasses.asdict(derived),
+                                               "num_attention_blocks": 4}
         assert json.dumps(config_dict(load_config())["neck"]["num_attention_blocks"]) == "2"
         explicit = load_config(overrides=["neck.placement=both", "neck.num_attention_blocks=2"])
         assert dataclasses.replace(explicit.neck, csp_depth=2).num_attention_blocks == 2
-        assert dataclasses.replace(derived, placement="single_at_end").num_attention_blocks == 1
+        assert dataclasses.replace(derived, placement="single_at_end").active_slots() == ("end",)
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +272,7 @@ class TestConfigRejectedAtLoad:
         "assignment.lambda_center=NaN", "assignment.lambda_center=-1",
         "assignment.alpha=NaN", "assignment.alpha=1", "assignment.alpha=Infinity",
         "assignment.beta=NaN", "assignment.beta=-Infinity", "assignment.beta=Infinity",
+        # iou_floor and prob_clamp are no longer settable: each fails as an unknown key
         "assignment.iou_floor=0", "assignment.iou_floor=1.5", "assignment.iou_floor=NaN",
         "assignment.prob_clamp=0", "assignment.prob_clamp=0.5", "assignment.prob_clamp=0.7",
         "assignment.prob_clamp=NaN",
@@ -426,13 +430,15 @@ class TestSectionsCheckThemselves:
 # The keys of the option-selected forks no run took: an epoch count beside
 # training.steps, a constant learning rate, average-pool downsampling and a
 # reciprocal centre cost; then the values that only repeated a constant:
-# batchnorm's eps and momentum and the attention block's value width, scale
-# and residual switch. Each value is the one the old echo held by default.
+# batchnorm's eps and momentum, the attention block's value width, scale and
+# residual switch, and the assignment costs' IoU floor and probability clamp.
+# Each value is the one the old echo held by default.
 REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
                 "neck.downsample": "conv", "assignment.center_cost_mode": "soft_center_prior",
                 "assignment.eta": 1.0, "assignment.epsilon": 1e-7,
                 "numerics.bn_eps": 1e-5, "numerics.bn_momentum": 0.1,
-                "neck.attn_value_dim": None, "neck.attn_scale": None, "neck.attn_residual": True}
+                "neck.attn_value_dim": None, "neck.attn_scale": None, "neck.attn_residual": True,
+                "assignment.iou_floor": 1e-7, "assignment.prob_clamp": 1e-7}
 
 
 class TestRemovedKeys:
@@ -461,9 +467,9 @@ class TestRemovedKeys:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
             load_config(overrides=[f"{key}={json.dumps(REMOVED_KEYS[key])}"])
 
-    def test_config_has_36_settable_values(self):
+    def test_config_has_34_settable_values(self):
         cfg = config_dict(load_config())
-        assert sum(len(section) for section in cfg.values()) == 36
+        assert sum(len(section) for section in cfg.values()) == 34
         assert not {f"{s}.{k}" for s in cfg for k in cfg[s]} & set(REMOVED_KEYS)
 
 
@@ -765,6 +771,36 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli, "_gradcheck_suite", lambda cfg, seeds: {"conv1x1": 0.5})
         rc = main(["gradcheck", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_a_usage_error(self, tmp_path, capsys, seeds):
+        """Zero seeds would check nothing and still report a pass."""
+        out_dir = tmp_path / "o"
+        assert main(["gradcheck", "--seeds", seeds, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: --seeds must be at least 1, got {seeds}\n"
+        assert not out_dir.exists()
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1 after argparse's usage line and
+    message; exit 2 stays with the numerical checks."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stats"], "the following arguments are required: --dataset"),
+        (["gradcheck", "--seeds", "abc"], "argument --seeds: invalid int value: 'abc'"),
+        (["train"], "argument command: invalid choice: 'train'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["stats-without-dataset", "seeds-not-an-int", "unknown-command", "no-command"])
+    def test_exit_1_with_usage(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: crackdet") and message in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().out
 
 
 def fresh_checkpoint(tmp_path):

@@ -8,10 +8,9 @@ import pytest
 
 from crackdet.dataio import (MIN_SYNTHETIC_SIZE, SHAPE_KINDS, Annotation, Category,
                              DatasetIndex, ImageInfo, SyntheticConfig, _sample_box, coco_dict,
-                             convert_coco_to_voc, convert_voc_to_coco, detections_from_coco,
-                             detections_to_coco, gen_synthetic, load_coco, load_image_batch,
-                             load_voc, normalize_images, read_ppm, save_coco, save_synthetic,
-                             save_voc, stats, write_atomic, write_ppm)
+                             detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
+                             load_image_batch, load_voc, normalize_images, read_ppm, save_coco,
+                             save_synthetic, save_voc, stats, write_atomic, write_ppm)
 from crackdet.errors import ConfigError, DataError, ShapeError
 from crackdet.model import Detection
 
@@ -214,9 +213,9 @@ class TestRoundTrips:
         voc1 = tmp_path / "voc1"
         save_voc(index, voc1)
         coco_path = tmp_path / "ds.json"
-        convert_voc_to_coco(voc1, coco_path)
+        save_coco(load_voc(voc1), coco_path)
         voc2 = tmp_path / "voc2"
-        convert_coco_to_voc(coco_path, voc2)
+        save_voc(load_coco(coco_path), voc2)
         a = load_voc(voc1)
         b = load_voc(voc2)
         assert [ann.box for ann in a.annotations] == [ann.box for ann in b.annotations]

@@ -180,7 +180,7 @@ class TestBatchLosses:
         detector = detector_from_config(cfg, np.random.default_rng(0))
         raw, index = gen_synthetic(cfg.synthetic)
         gts = [image_gts(index, im.id, cfg.model.num_classes) for im in index.images]
-        total, breakdown, _ = batch_losses(detector, normalize_images(raw), gts, cfg)
+        total, breakdown = batch_losses(detector, normalize_images(raw), gts, cfg)
         assert breakdown.num_pos > 0
         return detector, total
 

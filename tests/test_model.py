@@ -16,7 +16,7 @@ from crackdet import numerics as nm
 from crackdet.errors import NumericsError, ShapeError
 from crackdet.geometry import iou
 from crackdet.model import (Detection, ModelSection, anchor_points, backbone_forward,
-                            build_detector, decode, decode_boxes, flatten_levels, head_forward,
+                            build_detector, decode, decode_boxes, head_forward,
                             init_backbone, init_head, nms)
 from crackdet.neck import NeckSettings, PyramidFeatures
 from crackdet.numerics import Tensor, finite_diff_check
@@ -181,8 +181,8 @@ class TestBackboneSplit:
         with nm.no_grad():
             det.forward(images)  # train mode: batch statistics
         with nm.eval_mode():
-            preds = det.forward(images)  # test_folded_predict_matches_op_chain's path
-        assert preds.cls_logits[0]._parents
+            logits, _ = det.forward(images)  # test_folded_predict_matches_op_chain's path
+        assert logits._parents
 
 
 class TestHead:
@@ -193,32 +193,49 @@ class TestHead:
 
     def test_shape_contract_and_nonnegative_distances(self, rng):
         p = init_head(6, 4, num_classes=3, rng=rng)
-        preds = head_forward(self.pyramid(rng), p)
-        for cls, dist, hw in zip(preds.cls_logits, preds.distances, (8, 4, 2)):
-            assert cls.shape == (2, 3, hw, hw)
-            assert dist.shape == (2, 4, hw, hw)
-            assert np.all(dist.data >= 0.0)
+        cls, dist = head_forward(self.pyramid(rng), p)
+        assert cls.shape == (2, 8 * 8 + 4 * 4 + 2 * 2, 3)
+        assert dist.shape == (2, 8 * 8 + 4 * 4 + 2 * 2, 4)
+        assert np.all(dist.data >= 0.0)
+
+    def test_rows_follow_anchor_points(self, rng):
+        """Row n of both outputs is the cell of ``anchor_points`` row n: the
+        levels from stride 8 up, row-major (x fastest) within a level."""
+        p = init_head(6, 4, num_classes=3, rng=rng)
+        pyramid = self.pyramid(rng)
+        cls, dist = head_forward(pyramid, p)
+        _, strides = anchor_points(64)
+        start = 0
+        for feat in pyramid.levels():
+            h, w = feat.shape[2:]
+            rows = slice(start, start + h * w)
+            level_cls = nm.conv1x1(p.stem_cls(feat), p.w_cls, p.b_cls).data
+            level_dist = nm.softplus(nm.conv1x1(p.stem_reg(feat), p.w_reg, p.b_reg)).data
+            for got, level in ((cls, level_cls), (dist, level_dist)):
+                want = level.transpose(0, 2, 3, 1).reshape(2, h * w, -1)
+                assert np.array_equal(got.data[:, rows], want)
+            assert np.all(strides[rows] == 64 // h)
+            start += h * w
+        assert start == len(strides)
 
     def test_zero_weights_give_bias_logits(self, rng):
         p = init_head(6, 4, num_classes=2, rng=rng)
         p.w_cls.data[...] = 0.0
-        preds = head_forward(self.pyramid(rng), p)
-        for cls in preds.cls_logits:
-            for k in range(2):
-                assert np.all(cls.data[:, k] == p.b_cls.data[k])
+        cls, _ = head_forward(self.pyramid(rng), p)
+        for k in range(2):
+            assert np.all(cls.data[:, :, k] == p.b_cls.data[k])
 
     def test_gradient_check(self, rng):
         p = init_head(4, 4, num_classes=2, rng=rng)
         feats = PyramidFeatures(Tensor(rng.normal(size=(1, 4, 4, 4)), requires_grad=True),
                                 Tensor(rng.normal(size=(1, 4, 2, 2)), requires_grad=True),
                                 Tensor(rng.normal(size=(1, 4, 2, 2)), requires_grad=True))
-        readout = rng.normal(size=(1, 2, 4, 4))
+        readout = rng.normal(size=(1, 4 * 4 + 2 * 2 + 2 * 2, 2))
         params = list(feats.levels()) + [t for _, t in p.params()]
 
         def f():
-            preds = head_forward(feats, p)
-            return nm.add(nm.tsum(nm.mul(preds.cls_logits[0], nm.as_tensor(readout))),
-                          nm.tsum(nm.mul(preds.distances[1], preds.distances[1])))
+            cls, dist = head_forward(feats, p)
+            return nm.add(nm.tsum(nm.mul(cls, nm.as_tensor(readout))), nm.tsum(nm.mul(dist, dist)))
 
         assert finite_diff_check(f, params, max_coords=40, rng=rng) < 1e-4
 
@@ -658,10 +675,9 @@ class TestDetectorBundle:
         imgs = rng.normal(size=(2, 3, 64, 64))
         probs, dists = det.predict_arrays(imgs)
         with nm.eval_mode():
-            preds = det.forward(det.input_batch(imgs))
-        assert preds.cls_logits[0]._parents  # the reference recorded the chain
-        for got, want in ((probs, nm.sigmoid(flatten_levels(preds.cls_logits)).data),
-                          (dists, flatten_levels(preds.distances).data)):
+            logits, chain_dists = det.forward(det.input_batch(imgs))
+        assert logits._parents  # the reference recorded the chain
+        for got, want in ((probs, nm.sigmoid(logits).data), (dists, chain_dists.data)):
             assert got.dtype == want.dtype == dtype
             assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= tol
 
@@ -674,10 +690,11 @@ class TestDetectorBundle:
         real = nm.batchnorm
         monkeypatch.setattr(nm, "batchnorm", lambda *args: calls.append(1) or real(*args))
         det.predict(imgs)
-        preds = det.forward(det.input_batch(imgs))
+        stem, _ = det.forward(det.input_batch(imgs))
         assert calls == []
-        stem = preds.cls_logits[0]._parents[0]
-        assert stem.op == "conv_bn" and stem._parents[2] is det.head.stem_cls.bn.gamma
+        while stem.op != "conv_bn":  # back through the flattening and the class conv
+            stem = stem._parents[0]
+        assert stem._parents[2] is det.head.stem_cls.bn.gamma
 
     def test_train_forward_records_one_conv_bn_node_per_unit(self, rng):
         """Every call of a conv->BN(->SiLU) unit (backbone stages, CSP convs,
@@ -687,8 +704,7 @@ class TestDetectorBundle:
         nodes are only the head's biased convs and the talking-heads mix."""
         neck = replace(TINY_NECK, placement="both", num_attention_blocks=4)
         det = build_detector(TINY_MODEL, neck, rng, np.float64)
-        preds = det.forward(det.input_batch(rng.normal(size=(2, 3, 64, 64))))
-        nodes, stack = {}, list(preds.cls_logits) + list(preds.distances)
+        nodes, stack = {}, list(det.forward(det.input_batch(rng.normal(size=(2, 3, 64, 64)))))
         while stack:
             node = stack.pop()
             if id(node) not in nodes:
