@@ -24,14 +24,13 @@ _FLOOR = 1e-7
 # Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
 # candidates cost this much instead of overflowing to inf.
 _CENTER_COST_CAP = 1e150
-# (field, low, high, ends) as ``check_fields`` reads them. No range admits an
-# infinity or a NaN.
+# (field, low, high, ends) as ``check_fields`` reads them; it holds every
+# float field, ``beta`` included, to a finite number.
 _RANGES = (
     ("lambda_cls", 0, math.inf, "()"),
     ("lambda_loc", 0, math.inf, "()"),
     ("lambda_center", 0, math.inf, "()"),
     ("alpha", 1, math.inf, "()"),
-    ("beta", -math.inf, math.inf, "()"),
     ("dynamic_k_cap", 1, math.inf, "[)"),
 )
 

@@ -20,9 +20,9 @@ import numpy as np
 from . import numerics as nm
 from .config import RunConfig, __version__, config_dict, load_config
 from .dataio import (detections_from_coco, detections_to_coco, gen_synthetic, load_coco,
-                     load_image_batch, load_voc, normalize_images, save_synthetic, stats,
-                     stats_table, write_atomic)
-from .errors import CrackdetError, DataError, NumericsError
+                     load_image_batch, load_voc, normalize_images, read_json, save_synthetic,
+                     stats, stats_table, write_atomic)
+from .errors import CrackdetError, NumericsError
 from .evaluator import error_breakdown, evaluate
 from .model import neck_config
 from .neck import describe_layout
@@ -85,21 +85,9 @@ def cmd_stats(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_detections(path):
-    """Accept a bare COCO results list or this kit's wrapped output."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if isinstance(raw, dict):
-        raw = raw.get("detections", raw)
-    return detections_from_coco(raw)
-
-
 def cmd_eval(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
-    detections = _load_detections(args.dets)
+    detections = detections_from_coco(read_json(args.dets), args.dets)
     report = evaluate(index, detections, cfg.eval)
     print(report.to_table())
     write_json(report.to_dict(), os.path.join(args.out, "eval.json"), cfg)
@@ -109,7 +97,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
-    detections = _load_detections(args.dets)
+    detections = detections_from_coco(read_json(args.dets), args.dets)
     breakdown = error_breakdown(index, detections, cfg.eval)
     for stage, ap in breakdown.aps.items():
         print(f"{stage}: {ap:.3f}")
@@ -385,10 +373,11 @@ def main(argv=None) -> int:
         if getattr(args, "epochs", None) is not None:
             per_epoch = max(1, cfg.synthetic.num_images // cfg.training.batch_size)
             cfg.training = dataclasses.replace(cfg.training, steps=args.epochs * per_epoch)
-        if args.dump_arch:
+        rc = args.func(args, cfg)
+        if args.dump_arch:  # after the command, so a failed one leaves no arch.json
             write_json({"arch": describe_layout(neck_config(cfg.model, cfg.neck))},
                        os.path.join(args.out, "arch.json"), cfg)
-        return args.func(args, cfg)
+        return rc
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .assignment import AssignConfig
-from .dataio import SyntheticConfig
+from .dataio import SyntheticConfig, read_json
 from .errors import ConfigError, check_choice, check_fields
 from .evaluator import EvalConfig
 from .losses import LossSection
@@ -89,11 +89,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
     cfg = RunConfig()
     changes = {f.name: {} for f in fields(cfg)}
     if path is not None:
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        raw = read_json(path, ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         for name, values in raw.items():
@@ -114,7 +110,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"unknown config section '{section_name}'")
         try:
             value = json.loads(raw_value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON: the section's type check names the key
             value = raw_value
         _apply(getattr(cfg, section_name), {key: value}, section_name, changes[section_name])
     cfg = RunConfig(**{f.name: f.default_factory(**changes[f.name]) for f in fields(cfg)})

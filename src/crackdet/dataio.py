@@ -6,7 +6,8 @@ COCO convention and the center-form convention are both handled at the
 serialization boundary. The synthetic generator paints class-coded damage
 primitives on noise backgrounds and emits tight boxes, deterministically per
 seed. Images use uncompressed PPM to stay codec-free. Every file the kit
-writes goes through ``write_atomic``.
+writes goes through ``write_atomic`` and every JSON file it reads through
+``read_json``; every number it reads passes ``errors.finite``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, check_fields
+from .errors import ConfigError, DataError, ShapeError, check_fields, finite
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -37,6 +38,16 @@ def write_atomic(path, data):
     with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def read_json(path, error=DataError):
+    """The JSON value in the UTF-8 file at ``path``; ``error`` naming the file if it
+    is not valid JSON (a bad byte or syntax, too deep a nesting, too long an int)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError covers bad bytes and syntax
+            raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 @dataclass
@@ -94,24 +105,30 @@ def _id(record, key, path, entry):
 
 def _text(record, key, path, entry):
     """A name field of one COCO entry (a category's ``name``, an image's
-    ``file_name``): a string, or a DataError naming the file and entry."""
+    ``file_name``): a string with no NUL, which no path can hold, or a
+    DataError naming the file and entry."""
     value = _require(record, key, path, entry)
     if not isinstance(value, str):
         raise DataError(f"{path}: {entry}.{key} must be a string, got {type(value).__name__}")
+    if "\0" in value:
+        raise DataError(f"{path}: {entry}.{key} must not hold a NUL character, got {value!r}")
     return value
 
 
 def _size(record, key, path, entry):
-    """An image's ``width``/``height``: a finite number, or a DataError naming
-    the file and entry."""
+    """An image's ``width``/``height`` as written, an int staying an int, if it is ``finite``."""
     value = _require(record, key, path, entry)
-    try:
-        finite = np.isfinite(float(value))
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise DataError(f"{path}: {entry}.{key} must be a finite number, got {value!r}")
+    finite(value, f"{path}: {entry}.{key}")
     return value
+
+
+def _bbox(record, path, entry):
+    """The ``[x, y, w, h]`` bbox of one COCO entry as four floats, or a
+    DataError naming the file and entry."""
+    bbox = _require(record, "bbox", path, entry)
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise DataError(f"{path}: {entry}.bbox must be a list of 4 numbers")
+    return [finite(v, f"{path}: {entry}.bbox[{k}]") for k, v in enumerate(bbox)]
 
 
 def _check_unique(ids, table):
@@ -125,11 +142,7 @@ def _check_unique(ids, table):
 def load_coco(path, center_boxes=False) -> DatasetIndex:
     """Parse the COCO schema subset; bbox is top-left [x,y,w,h] unless
     ``center_boxes`` flags the center-form annotation convention."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: top level must be a JSON object, got {type(raw).__name__}")
     for key in ("images", "annotations", "categories"):
@@ -155,22 +168,14 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
     annotations = []
     clamped = 0
     for i, r in enumerate(raw["annotations"]):
-        ann_id = _id(r, "id", path, f"annotations[{i}]")
-        image_id = _id(r, "image_id", path, f"annotations[{i}]")
-        category_id = _id(r, "category_id", path, f"annotations[{i}]")
-        bbox = _require(r, "bbox", path, f"annotations[{i}]")
+        entry = f"annotations[{i}]"
+        ann_id, image_id, category_id = (_id(r, k, path, entry)
+                                         for k in ("id", "image_id", "category_id"))
+        x, y, w, h = _bbox(r, path, entry)
         if image_id not in image_ids:
             raise DataError(f"annotation {ann_id} references unknown image id {image_id}")
         if category_id not in category_ids:
             raise DataError(f"annotation {ann_id} references unknown category id {category_id}")
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise DataError(f"{path}: annotations[{i}].bbox must be a list of 4 entries")
-        try:
-            x, y, w, h = (float(v) for v in bbox)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: annotations[{i}].bbox must be numbers ({exc})") from None
-        if not all(map(math.isfinite, (x, y, w, h))):
-            raise DataError(f"{path}: annotations[{i}].bbox must be finite numbers, got {bbox!r}")
         if w < 0 or h < 0:
             raise DataError(f"annotation {ann_id} has negative box size")
         if center_boxes:
@@ -178,10 +183,8 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
         else:
             x1, y1, x2, y2 = x, y, x + w, y + h
         im = image_ids[image_id]
-        cx1 = min(max(x1, 0.0), float(im.width))
-        cy1 = min(max(y1, 0.0), float(im.height))
-        cx2 = min(max(x2, 0.0), float(im.width))
-        cy2 = min(max(y2, 0.0), float(im.height))
+        cx1, cx2 = (min(max(v, 0.0), float(im.width)) for v in (x1, x2))
+        cy1, cy2 = (min(max(v, 0.0), float(im.height)) for v in (y1, y2))
         if (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2):
             clamped += 1
         annotations.append(Annotation(id=ann_id, image_id=image_id,
@@ -221,18 +224,6 @@ def save_coco(index: DatasetIndex, path, center_boxes=False):
                                   indent=2, sort_keys=True) + "\n")
 
 
-def _voc_number(node, tag, where):
-    """The finite number in child ``<tag>`` of ``node``; DataError naming ``where`` otherwise."""
-    text = node.findtext(tag)
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        value = np.nan
-    if not np.isfinite(value):
-        raise DataError(f"{where}: <{tag}> must be a finite number, got {text!r}")
-    return value
-
-
 def load_voc(dirpath) -> DatasetIndex:
     """Parse a directory of VOC XML files; category ids follow sorted names."""
     files = sorted(f for f in os.listdir(dirpath) if f.endswith(".xml"))
@@ -250,8 +241,8 @@ def load_voc(dirpath) -> DatasetIndex:
         size = root.find("size")
         if size is None:
             raise DataError(f"{fpath}: missing <size>")
-        width = int(_voc_number(size, "width", f"{fpath}: <size>"))
-        height = int(_voc_number(size, "height", f"{fpath}: <size>"))
+        width, height = (int(finite(size.findtext(k), f"{fpath}: <size>: <{k}>"))
+                         for k in ("width", "height"))
         objects = []
         for j, obj in enumerate(root.findall("object")):
             name = obj.findtext("name")
@@ -260,7 +251,7 @@ def load_voc(dirpath) -> DatasetIndex:
             bnd = obj.find("bndbox")
             if bnd is None:
                 raise DataError(f"{fpath}: <object> without <bndbox>")
-            coords = {k: _voc_number(bnd, k, f"{fpath}: object[{j}] <bndbox>")
+            coords = {k: finite(bnd.findtext(k), f"{fpath}: object[{j}] <bndbox>: <{k}>")
                       for k in ("xmin", "ymin", "xmax", "ymax")}
             if coords["xmax"] < coords["xmin"] or coords["ymax"] < coords["ymin"]:
                 raise DataError(f"{fpath}: inverted bndbox")
@@ -541,31 +532,25 @@ def detections_to_coco(detections) -> list[dict]:
     return rows
 
 
-def detections_from_coco(rows) -> list:
+def detections_from_coco(rows, path="<results>") -> list:
+    """Detections from a COCO results list, or this kit's output wrapping one
+    as ``{"detections": [...]}``, read from ``path``; a DataError naming
+    ``path`` and the row for a malformed one."""
     from .model import Detection
 
+    if isinstance(rows, dict):
+        rows = rows.get("detections", rows)
     if not isinstance(rows, list):
-        raise DataError(f"results: expected a list of detections, got {type(rows).__name__}")
+        raise DataError(f"{path}: results must be a list of detections, "
+                        f"got {type(rows).__name__}")
     out = []
     for i, r in enumerate(rows):
-        if not isinstance(r, dict):
-            raise DataError(f"results[{i}]: expected an object, got {type(r).__name__}")
-        for key in ("image_id", "category_id", "bbox", "score"):
-            if key not in r:
-                raise DataError(f"results[{i}]: missing field '{key}'")
-        if any(isinstance(r[key], (list, dict)) for key in ("image_id", "category_id")):
-            raise DataError(f"results[{i}]: image_id and category_id must be scalars")
-        bbox = r["bbox"]
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise DataError(f"results[{i}]: bbox must be a list of 4 numbers, got {bbox!r}")
+        entry = f"results[{i}]"
+        image_id, category_id = (_id(r, key, path, entry) for key in ("image_id", "category_id"))
+        x, y, w, h = _bbox(r, path, entry)
+        score = finite(_require(r, "score", path, entry), f"{path}: {entry}.score")
         try:
-            x, y, w, h = (float(v) for v in bbox)
-            score = float(r["score"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"results[{i}]: bbox and score must be numbers ({exc})") from None
-        try:
-            out.append(Detection(image_id=r["image_id"], category_id=r["category_id"],
-                                 score=score, box=(x, y, x + w, y + h)))
+            out.append(Detection(image_id, category_id, score, (x, y, x + w, y + h)))
         except ShapeError as exc:
-            raise DataError(f"results[{i}]: {exc}") from None
+            raise DataError(f"{path}: {entry}: {exc}") from None
     return out

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config checks that raise them."""
+"""Exception types shared across the package, and the checks that raise them."""
 
+import math
 import numbers
 from functools import cache
 from types import UnionType
@@ -26,6 +27,19 @@ class NumericsError(CrackdetError):
     """A numerical check failed or an op produced a non-finite value."""
 
 
+def finite(value, name, error=DataError):
+    """``float(value)`` if that is a finite number, else ``error`` naming
+    ``name``: the one number rule for input files and config values. NaN,
+    an infinity, a non-number and an int too large for a float fail it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 # A float field also takes an int, and both take numpy's scalars.
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
@@ -44,15 +58,17 @@ def _field_types(cls):
 def check_fields(section, obj, ranges):
     """ConfigError naming ``section.field`` unless every field of the
     dataclass ``obj`` has a type its annotation accepts (a bool only a bool
-    field) and, for each ``(field, low, high, ends)`` row of ``ranges``, lies
-    between ``low`` and ``high``, where ``ends`` "[)" reads low <= value <
-    high. An unset (None) field passes its range; a NaN fails every range;
-    an open end at infinity rejects that infinity."""
+    field), a float field passes ``finite`` and, for each ``(field, low,
+    high, ends)`` row of ``ranges``, the field lies between ``low`` and
+    ``high``, where ``ends`` "[)" reads low <= value < high. An unset (None)
+    field passes its range."""
     for key, hint, types in _field_types(type(obj)):
         value = getattr(obj, key)
         if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
             raise ConfigError(f"config key '{section}.{key}' expects "
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        if numbers.Real in types:
+            finite(value, f"{section}.{key}", ConfigError)
     for name, low, high, ends in ranges:
         value = getattr(obj, name)
         if value is None:

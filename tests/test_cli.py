@@ -81,6 +81,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="training.lr"):
             load_config(overrides=["training.lr=false"])
 
+    def test_value_nested_past_the_parser_depth_stays_a_string(self):
+        """A --set value too deep for the JSON parser is kept as the raw
+        string, as a non-JSON value is, and fails the key's type check."""
+        deep = "[" * 3000 + "]" * 3000
+        with pytest.raises(ConfigError, match="config key 'model.head_channels' expects int"):
+            load_config(overrides=[f"model.head_channels={deep}"])
+
+    @pytest.mark.parametrize("key", ["training.lr", "training.momentum", "loss.w_reg",
+                                     "assignment.beta"])
+    def test_float_value_too_large_for_a_float_rejected(self, key):
+        """An int fits a float field, but not one no float can hold."""
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got 1000"):
+            load_config(overrides=[f"{key}=1{'0' * 400}"])
+
     def test_section_validated_on_final_values(self, tmp_path):
         cfg = load_config(overrides=["synthetic.min_shapes=5", "synthetic.max_shapes=6"])
         assert (cfg.synthetic.min_shapes, cfg.synthetic.max_shapes) == (5, 6)
@@ -725,12 +739,23 @@ class TestResultsRejected:
         ([1], "results[0]"),
         ([GOOD, dict(GOOD, image_id=[1])], "results[1]"),
         ([dict(GOOD, category_id={"id": 1})], "results[0]"),
-        ([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "invalid detection"),
-        ([dict(GOOD, bbox=[0, 0, float("inf"), 1])], "invalid detection"),
-        ([dict(GOOD, score=float("nan"))], "invalid detection"),
+        # NaN and inf fail the number rule before a Detection is built; these
+        # five rows keep the ids they had when they matched Detection's
+        # "invalid detection", so their recorded test names still run.
+        pytest.param([dict(GOOD, bbox=[float("nan"), 0, 1, 1])],
+                     "results[0].bbox[0] must be a finite number",
+                     id="results10-invalid detection"),
+        pytest.param([dict(GOOD, bbox=[0, 0, float("inf"), 1])],
+                     "results[0].bbox[2] must be a finite number",
+                     id="results11-invalid detection"),
+        pytest.param([dict(GOOD, score=float("nan"))],
+                     "results[0].score must be a finite number",
+                     id="results12-invalid detection"),
         ([dict(GOOD, bbox=[0, 0, -3, 1])], "results[0]: invalid detection"),
-        ([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "results[0]: invalid detection"),
-        ([dict(GOOD, score=float("inf"))], "results[0]: invalid detection"),
+        pytest.param([dict(GOOD, bbox=[float("nan"), 0, 1, 1])], "bad.json: results[0].bbox[0]",
+                     id="results14-results[0]: invalid detection"),
+        pytest.param([dict(GOOD, score=float("inf"))], "bad.json: results[0].score",
+                     id="results15-results[0]: invalid detection"),
         ([GOOD, dict(GOOD, bbox=[0, 0, 1, -0.5])], "results[1]: invalid detection"),
     ])
     @pytest.mark.parametrize("command", ["eval", "analyze"])
@@ -1134,3 +1159,12 @@ class TestTrainInferPipeline:
         assert arch["placement"] == "top_down_only"
         assert [b["slot"] for b in arch["attention_blocks"]] == ["td_c5", "td_c4"]
         assert arch["total_parameters"] > 0
+
+    @pytest.mark.parametrize("argv", [["gradcheck", "--seeds", "0"],
+                                      ["infer", "--checkpoint", "nope.npz", "--images", "nope"]])
+    def test_dump_arch_not_left_by_a_failed_command(self, tmp_path, argv):
+        """arch.json is written after the command returns, so one that fails
+        leaves no arch.json behind."""
+        out_dir = tmp_path / "arch"
+        assert main(argv + ["--dump-arch", "--out", str(out_dir)] + TINY) == 1
+        assert not (out_dir / "arch.json").exists()

@@ -99,7 +99,8 @@ class TestCocoLoad:
         """A NaN would otherwise load as a box (nan, 0, nan, 10) that ``stats``
         counts as large."""
         path = one_image_coco(tmp_path, [0, 0, 4, 4], bbox)
-        with pytest.raises(DataError, match=r"d\.json: annotations\[1\]\.bbox must be finite"):
+        with pytest.raises(DataError,
+                           match=r"d\.json: annotations\[1\]\.bbox\[\d\] must be a finite number"):
             load_coco(path, center_boxes=center_boxes)
 
     def test_empty_annotations_valid(self, tmp_path):

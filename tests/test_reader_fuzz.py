@@ -260,3 +260,78 @@ def test_unreadable_checkpoint_named(made, capsys, content):
     assert main(["infer", "--checkpoint", ckpt, "--images", made["data"],
                  "--out", os.path.join(case, "out")] + TINY) == 1
     assert ckpt in capsys.readouterr().err
+
+
+def _error_line(capsys, argv, path):
+    """``main``'s error line for ``argv``: exit 1, one ``error:`` line
+    naming ``path``."""
+    capsys.readouterr()
+    assert main(argv + TINY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("content", ["bad_byte", "deep"])
+@pytest.mark.parametrize("target", ["annotations", "detections", "config"])
+def test_unreadable_json_named(made, capsys, target, content):
+    """A byte that is not UTF-8, and nesting 100,000 deep (past the parser's
+    depth), in each JSON file the kit reads exit 1 naming the file."""
+    case = fresh(made, "unreadable_json")
+    blob = b'{"images": "\xff"}' if content == "bad_byte" else b"[" * 100_000 + b"]" * 100_000
+    out = os.path.join(case, "out")
+    if target == "annotations":
+        path = os.path.join(dataset_copy(made, case), "annotations.json")
+        argv = ["stats", "--dataset", os.path.dirname(path), "--out", out]
+    elif target == "detections":
+        path = os.path.join(case, "detections.json")
+        argv = ["eval", "--gt", made["data"], "--dets", path, "--out", out]
+    else:
+        path = os.path.join(case, "config.json")
+        argv = ["gen-data", "--config", path, "--out", out]
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    assert "not valid JSON" in _error_line(capsys, argv, path)
+
+
+@pytest.mark.parametrize("field", ["images[0].width", "annotations[0].bbox[2]",
+                                   "results[0].score"])
+def test_int_too_large_for_a_float_named(made, capsys, field):
+    """10**400, written out in digits, fails the number rule with the file
+    and the entry named (float() of it raises OverflowError)."""
+    case = fresh(made, "big_int")
+    out = os.path.join(case, "out")
+    if field == "results[0].score":
+        path = os.path.join(case, "detections.json")
+        tree = [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 10**400}]
+        argv = ["eval", "--gt", made["data"], "--dets", path, "--out", out]
+    else:
+        path = os.path.join(dataset_copy(made, case), "annotations.json")
+        with open(path) as fh:
+            tree = json.load(fh)
+        if field == "images[0].width":
+            tree["images"][0]["width"] = 10**400
+        else:
+            tree["annotations"][0]["bbox"][2] = 10**400
+        argv = ["stats", "--dataset", os.path.dirname(path), "--out", out]
+    with open(path, "w") as fh:
+        json.dump(tree, fh)
+    assert f"{field} must be a finite number" in _error_line(capsys, argv, path)
+
+
+@pytest.mark.parametrize("command", ["infer", "assign-debug"])
+def test_nul_in_file_name_named(made, capsys, command):
+    """A NUL in an image's file_name, which no path can hold, is a DataError
+    of the annotations file, not a raw ValueError from ``open``."""
+    case = fresh(made, "nul")
+    data = dataset_copy(made, case)
+    path = os.path.join(data, "annotations.json")
+    with open(path) as fh:
+        tree = json.load(fh)
+    tree["images"][0]["file_name"] = "img\x00.ppm"
+    with open(path, "w") as fh:
+        json.dump(tree, fh)
+    flag = "--images" if command == "infer" else "--dataset"
+    argv = [command, "--checkpoint", made["checkpoint"], flag, data,
+            "--out", os.path.join(case, "out")]
+    assert "images[0].file_name" in _error_line(capsys, argv, path)
