@@ -51,12 +51,6 @@ class Attention4DParams(nm.Module):
 
     prefix = "attn"
 
-    def children(self):
-        return [("w_q", self.w_q), ("bn_q", self.bn_q), ("w_k", self.w_k), ("bn_k", self.bn_k),
-                ("w_v", self.w_v), ("bn_v", self.bn_v), ("pos_bias", self.pos_bias),
-                ("t_pre", self.t_pre), ("t_post", self.t_post), ("w_out", self.w_out),
-                ("bn_out", self.bn_out)]
-
 
 def init_attention4d(cfg: Attention4DConfig, rng: np.random.Generator,
                      dtype=np.float64) -> Attention4DParams:

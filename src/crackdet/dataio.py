@@ -94,10 +94,10 @@ def _require(record, key, path, entry):
 
 def _id(record, key, path, entry):
     """An id field of one COCO entry: ids key dicts and sets and are ordered
-    in reports, so a list, an object or null is a DataError naming the file
-    and entry."""
+    in reports, so a list, an object, a bool or null is a DataError naming the
+    file and entry."""
     value = _require(record, key, path, entry)
-    if value is None or isinstance(value, (list, dict)):
+    if value is None or isinstance(value, (list, dict, bool)):
         raise DataError(f"{path}: {entry}.{key} must be a number or string, "
                         f"got {type(value).__name__}")
     return value
@@ -241,7 +241,7 @@ def load_voc(dirpath) -> DatasetIndex:
         size = root.find("size")
         if size is None:
             raise DataError(f"{fpath}: missing <size>")
-        width, height = (int(finite(size.findtext(k), f"{fpath}: <size>: <{k}>"))
+        width, height = (int(finite(size.findtext(k), f"{fpath}: <size>: <{k}>", text=True))
                          for k in ("width", "height"))
         objects = []
         for j, obj in enumerate(root.findall("object")):
@@ -251,7 +251,7 @@ def load_voc(dirpath) -> DatasetIndex:
             bnd = obj.find("bndbox")
             if bnd is None:
                 raise DataError(f"{fpath}: <object> without <bndbox>")
-            coords = {k: finite(bnd.findtext(k), f"{fpath}: object[{j}] <bndbox>: <{k}>")
+            coords = {k: finite(bnd.findtext(k), f"{fpath}: object[{j}] <bndbox>: <{k}>", text=True)
                       for k in ("xmin", "ymin", "xmax", "ymax")}
             if coords["xmax"] < coords["xmin"] or coords["ymax"] < coords["ymin"]:
                 raise DataError(f"{fpath}: inverted bndbox")
@@ -493,7 +493,7 @@ def save_synthetic(images, index: DatasetIndex, out_dir):
 
 def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
     """Read PPM images into a uint8 (B,H,W,3) stack, not normalized; every
-    image must have the first one's shape."""
+    image must have the first one's shape, and no ids give a (0,0,0,3) stack."""
     by_id = {im.id: im for im in index.images}
     images = []
     for i in image_ids:
@@ -503,7 +503,7 @@ def load_image_batch(index: DatasetIndex, root, image_ids) -> np.ndarray:
             raise DataError(f"{path}: image is {image.shape[1]}x{image.shape[0]} px, but the "
                             f"batch's first is {images[0].shape[1]}x{images[0].shape[0]}")
         images.append(image)
-    return np.stack(images)
+    return np.stack(images) if images else np.zeros((0, 0, 0, 3), np.uint8)
 
 
 def normalize_images(images) -> np.ndarray:

@@ -27,16 +27,25 @@ class NumericsError(CrackdetError):
     """A numerical check failed or an op produced a non-finite value."""
 
 
-def finite(value, name, error=DataError):
-    """``float(value)`` if that is a finite number, else ``error`` naming
-    ``name``: the one number rule for input files and config values. NaN,
-    an infinity, a non-number and an int too large for a float fail it."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+def cut(text, limit=80):
+    """``text`` cut to ``limit`` characters plus '...', so that an error line
+    quoting a rejected value stays short."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def finite(value, name, error=DataError, text=False):
+    """``float(value)`` if ``value`` is a finite number, else ``error`` naming
+    ``name``: the one number rule for input files and config values. A number
+    is a real that is no bool or, with ``text`` (XML text), a string that
+    ``float()`` reads. NaN, an infinity and an int too large for a float fail."""
+    number = math.nan
+    if isinstance(value, str if text else numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
     if not math.isfinite(number):
-        raise error(f"{name} must be a finite number, got {value!r}")
+        raise error(f"{name} must be a finite number, got {cut(repr(value))}")
     return number
 
 
@@ -66,7 +75,7 @@ def check_fields(section, obj, ranges):
         value = getattr(obj, key)
         if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
             raise ConfigError(f"config key '{section}.{key}' expects "
-                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+                              f"{getattr(hint, '__name__', hint)}, got {cut(repr(value))}")
         if numbers.Real in types:
             finite(value, f"{section}.{key}", ConfigError)
     for name, low, high, ends in ranges:
@@ -77,10 +86,11 @@ def check_fields(section, obj, ranges):
         below = value < high if ends[1] == ")" else value <= high
         if not (above and below):
             raise ConfigError(f"{section}.{name} must be in {ends[0]}{low}, {high}{ends[1]}, "
-                              f"got {value}")
+                              f"got {cut(str(value))}")
 
 
 def check_choice(key, value, allowed):
     """ConfigError naming ``key`` unless ``value`` is one of ``allowed``."""
     if value not in allowed:
-        raise ConfigError(f"unknown {key} '{value}' (expected one of {'|'.join(allowed)})")
+        raise ConfigError(f"unknown {key} '{cut(str(value))}' "
+                          f"(expected one of {'|'.join(allowed)})")

@@ -87,23 +87,20 @@ def anchor_points(image_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class BackboneParams(nm.Module):
-    stages: list[ConvBNLayer]
+    stage: list[ConvBNLayer]
 
     prefix = "backbone"
-
-    def children(self):
-        return [(f"stage{i}", stage) for i, stage in enumerate(self.stages)]
 
 
 def init_backbone(widths, rng, dtype=np.float64) -> BackboneParams:
     """Five stride-2 stages from RGB; the last three feed the neck."""
     chans = (3,) + tuple(widths)
-    stages = [_conv_bn(rng, chans[i], chans[i + 1], dtype, stride2=True) for i in range(5)]
-    return BackboneParams(stages)
+    return BackboneParams([_conv_bn(rng, chans[i], chans[i + 1], dtype, stride2=True)
+                           for i in range(5)])
 
 
 def _pyramid_levels(x: Tensor, p: BackboneParams) -> list[Tensor]:
-    return [x := stage(x) for stage in p.stages][2:]
+    return [x := stage(x) for stage in p.stage][2:]
 
 
 def backbone_forward(image: Tensor, p: BackboneParams) -> PyramidFeatures:
@@ -128,10 +125,6 @@ class HeadParams(nm.Module):
     b_reg: Tensor
 
     prefix = "head"
-
-    def children(self):
-        return [("stem_cls", self.stem_cls), ("stem_reg", self.stem_reg), ("w_cls", self.w_cls),
-                ("b_cls", self.b_cls), ("w_reg", self.w_reg), ("b_reg", self.b_reg)]
 
 
 def init_head(in_channels, hidden, num_classes, rng, dtype=np.float64) -> HeadParams:
@@ -258,9 +251,6 @@ class Detector(nm.Module):
                              f"model takes {self.image_size}x{self.image_size} "
                              f"(model.image_size)")
         return Tensor(arr)
-
-    def children(self):
-        return [("backbone", self.backbone), ("neck", self.neck), ("head", self.head)]
 
     def state_dict(self) -> dict:
         out = {f"param:{name}": t.data for name, t in self.params()}

@@ -101,9 +101,6 @@ class ConvBNLayer(nm.Module):
     def __call__(self, x):
         return nm.conv_bn(x, self.w, self.bn, stride2=self.stride2, act=True)
 
-    def children(self):
-        return [("w", self.w), ("bn", self.bn)]
-
 
 def _conv_bn(rng, in_ch, out_ch, dtype, stride2=False):
     fan_in = in_ch * (9 if stride2 else 1)
@@ -118,40 +115,34 @@ class CSPParams(nm.Module):
     """Split-transform-merge block: two half-width branches, one stacked with
     residual bottlenecks, concatenated and fused back to the output width."""
 
-    conv_a: ConvBNLayer
-    conv_b: ConvBNLayer
-    bottlenecks: list[ConvBNLayer]
-    conv_final: ConvBNLayer
-
-    def children(self):
-        return [("a", self.conv_a), ("b", self.conv_b),
-                *((f"bottleneck{i}", layer) for i, layer in enumerate(self.bottlenecks)),
-                ("final", self.conv_final)]
+    a: ConvBNLayer
+    b: ConvBNLayer
+    bottleneck: list[ConvBNLayer]
+    final: ConvBNLayer
 
 
 def init_csp(rng, in_ch, out_ch, depth, dtype=np.float64) -> CSPParams:
     hidden = out_ch // 2
     return CSPParams(
-        conv_a=_conv_bn(rng, in_ch, hidden, dtype),
-        conv_b=_conv_bn(rng, in_ch, hidden, dtype),
-        bottlenecks=[_conv_bn(rng, hidden, hidden, dtype) for _ in range(depth)],
-        conv_final=_conv_bn(rng, 2 * hidden, out_ch, dtype),
+        a=_conv_bn(rng, in_ch, hidden, dtype),
+        b=_conv_bn(rng, in_ch, hidden, dtype),
+        bottleneck=[_conv_bn(rng, hidden, hidden, dtype) for _ in range(depth)],
+        final=_conv_bn(rng, 2 * hidden, out_ch, dtype),
     )
 
 
 def csp_layer(x: Tensor, p: CSPParams) -> Tensor:
-    if x.shape[1] != p.conv_a.w.shape[1]:
-        raise ShapeError(f"csp_layer: expected {p.conv_a.w.shape[1]} channels, got {x.shape[1]}")
-    a = p.conv_a(x)
-    b = p.conv_b(x)
-    for layer in p.bottlenecks:
+    if x.shape[1] != p.a.w.shape[1]:
+        raise ShapeError(f"csp_layer: expected {p.a.w.shape[1]} channels, got {x.shape[1]}")
+    a = p.a(x)
+    b = p.b(x)
+    for layer in p.bottleneck:
         b = nm.add(b, layer(b))
-    return p.conv_final(nm.concat([a, b], axis=1))
+    return p.final(nm.concat([a, b], axis=1))
 
 
 @dataclass
 class NeckParams(nm.Module):
-    cfg: NeckConfig
     attn: dict[str, Attention4DParams]
     csp_td4: CSPParams
     csp_td3: CSPParams
@@ -161,12 +152,6 @@ class NeckParams(nm.Module):
     down4: ConvBNLayer
 
     prefix = "neck"
-
-    def children(self):
-        return [*((f"attn.{slot}", self.attn[slot]) for slot in sorted(self.attn)),
-                ("csp_td4", self.csp_td4), ("csp_td3", self.csp_td3),
-                ("csp_bu4", self.csp_bu4), ("csp_bu5", self.csp_bu5),
-                ("down3", self.down3), ("down4", self.down4)]
 
 
 def _slot_configs(cfg: NeckConfig) -> dict[str, Attention4DConfig]:
@@ -193,7 +178,6 @@ def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> Ne
     attn = {slot: init_attention4d(acfg, rng, dtype=dtype)
             for slot, acfg in _slot_configs(cfg).items()}
     return NeckParams(
-        cfg=cfg,
         attn=attn,
         csp_td4=init_csp(rng, c5 + c4, c4, cfg.csp_depth, dtype),
         csp_td3=init_csp(rng, c4 + c3, oc, cfg.csp_depth, dtype),
@@ -205,14 +189,10 @@ def init_neck(cfg: NeckConfig, rng: np.random.Generator, dtype=np.float64) -> Ne
 
 
 def neck_forward(c: PyramidFeatures, p: NeckParams) -> PyramidFeatures:
-    """Fuse a 3-level pyramid; every output level carries cfg.out_channels."""
-    cfg = p.cfg
-    slots = p.attn
+    """Fuse a 3-level pyramid; every output level carries neck.out_channels."""
 
     def refine(slot, x):
-        if slot in slots:
-            return attention4d_forward(x, slots[slot])
-        return x
+        return attention4d_forward(x, p.attn[slot]) if slot in p.attn else x
 
     a5 = refine("td_c5", c.p5)
     u4 = nm.concat([nm.upsample2x(a5), c.p4], axis=1)

@@ -34,6 +34,7 @@ loss term does not turn a float32 network's backward into float64.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import threading
 
 import numpy as np
@@ -718,11 +719,63 @@ def conv_bn(x, w, bn, stride2=False, act=False):
     return _make(y, "conv_bn", (), None)
 
 
-class BatchNorm:
+class Module:
+    """A parameter tree whose layout is its dataclass fields, in field order.
+    A ``Tensor`` field is a parameter, an ``np.ndarray`` field a running
+    statistic, a ``Module`` field a subtree; a list field ``name`` gives the
+    entries ``name0``, ``name1``, ... and a dict field ``name`` gives
+    ``name.<key>`` in sorted key order; any other field (a config, a size, a
+    flag) holds no parameters. A name is its field path, so checkpoint keys
+    are field names, and every array field is saved as a state: a lookup
+    table a block needs must not be an array field. ``prefix`` names the root
+    when no prefix is passed."""
+
+    prefix = ""
+
+    def children(self):
+        """(suffix, Tensor | np.ndarray | Module) for every entry of the fields."""
+        for field in dataclasses.fields(self):
+            yield from _entries(field.name, getattr(self, field.name))
+
+    def _walk(self, prefix, kind):
+        prefix = self.prefix if prefix is None else prefix
+        for suffix, child in self.children():
+            name = f"{prefix}.{suffix}" if prefix else suffix
+            if isinstance(child, Module):
+                yield from child._walk(name, kind)
+            elif isinstance(child, kind):
+                yield name, child
+
+    def params(self, prefix=None):
+        """(name, Tensor) for every trainable tensor, in field order."""
+        return self._walk(prefix, Tensor)
+
+    def states(self, prefix=None):
+        """(name, array) for every running statistic, in field order."""
+        return self._walk(prefix, np.ndarray)
+
+
+def _entries(name, value):
+    if isinstance(value, (Tensor, np.ndarray, Module)):
+        yield name, value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _entries(f"{name}{i}", item)
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            yield from _entries(f"{name}.{key}", value[key])
+
+
+@dataclasses.dataclass(init=False, eq=False)
+class BatchNorm(Module):
     """One normalized layer: trainable gamma and beta, and the running mean
     and variance (not trainable) that train mode updates and eval mode
     normalizes with. ``batchnorm`` and ``conv_bn`` take the bundle whole."""
 
+    gamma: Tensor
+    beta: Tensor
+    running_mean: np.ndarray
+    running_var: np.ndarray
     eps, momentum = 1e-5, 0.1  # the run's values: no setting overrides them
 
     def __init__(self, channels, dtype=np.float64):
@@ -730,44 +783,6 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-
-    def params(self, prefix):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
-    def states(self, prefix):
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var
-
-
-class Module:
-    """A parameter tree: each subclass lists its ``children()`` once, as
-    ``(suffix, Tensor | BatchNorm | Module)`` pairs, and every walk derives
-    from that list. ``prefix`` names the root when no prefix is passed."""
-
-    prefix = ""
-
-    def children(self):
-        raise NotImplementedError
-
-    def _named(self, prefix):
-        prefix = self.prefix if prefix is None else prefix
-        for suffix, child in self.children():
-            yield (f"{prefix}.{suffix}" if prefix else suffix), child
-
-    def params(self, prefix=None):
-        """(name, Tensor) for every trainable tensor, in children order."""
-        for name, child in self._named(prefix):
-            if isinstance(child, Tensor):
-                yield name, child
-            else:
-                yield from child.params(name)
-
-    def states(self, prefix=None):
-        """(name, array) for every batchnorm running statistic."""
-        for name, child in self._named(prefix):
-            if not isinstance(child, Tensor):
-                yield from child.states(name)
 
 
 # -- gradient checking ------------------------------------------------------

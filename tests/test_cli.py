@@ -88,6 +88,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config key 'model.head_channels' expects int"):
             load_config(overrides=[f"model.head_channels={deep}"])
 
+    @pytest.mark.parametrize("value,key", [
+        ("[" * 3000 + "]" * 3000, "model.head_channels"),
+        ("x" * 5000, "neck.placement"),
+        ("1" + "0" * 5000, "training.lr"),
+    ], ids=["nested-list", "long-choice", "long-number"])
+    def test_long_rejected_value_cut_in_the_error_line(self, tmp_path, capsys, value, key):
+        rc = main(["gen-data", "--set", f"{key}={value}", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert key in err and "..." in err and len(err.encode()) < 300, err
+
     @pytest.mark.parametrize("key", ["training.lr", "training.momentum", "loss.w_reg",
                                      "assignment.beta"])
     def test_float_value_too_large_for_a_float_rejected(self, key):
@@ -600,6 +611,26 @@ class TestAnnotationsRejected:
         ("annotations", dict(COCO["annotations"][0], bbox=[0, 0, 4, float("inf")]),
          ("ann.json", "annotations[0].bbox", "finite")),
         ("categories", {"id": None, "name": "crack"}, ("ann.json", "categories[0].id")),
+        # A string or a bool where a number goes is rejected, never read as
+        # one: "3e0" is not 3 and true is not id 1.
+        ("images", dict(COCO["images"][0], width=" 64 "),
+         ("ann.json", "images[0].width must be a finite number, got ' 64 '")),
+        ("images", dict(COCO["images"][0], height=True),
+         ("ann.json", "images[0].height must be a finite number, got True")),
+        ("annotations", dict(COCO["annotations"][0], bbox=["1", 2, 3, 4]),
+         ("ann.json", "annotations[0].bbox[0] must be a finite number")),
+        ("annotations", dict(COCO["annotations"][0], bbox=[1, 2, "3e0", 1]),
+         ("ann.json", "annotations[0].bbox[2] must be a finite number")),
+        ("annotations", dict(COCO["annotations"][0], bbox=[1, 2, 3, True]),
+         ("ann.json", "annotations[0].bbox[3] must be a finite number")),
+        ("images", dict(COCO["images"][0], id=True),
+         ("ann.json", "images[0].id must be a number or string, got bool")),
+        ("annotations", dict(COCO["annotations"][0], category_id=False),
+         ("ann.json", "annotations[0].category_id must be a number or string, got bool")),
+        # An error line quotes at most the first 80 characters of a value.
+        ("annotations", dict(COCO["annotations"][0], bbox=[json.loads("[" * 200 + "]" * 200),
+                                                           0, 4, 3]),
+         ("ann.json", "annotations[0].bbox[0]", "got " + "[" * 80 + "...\n")),
     ])
     def test_coco(self, tmp_path, capsys, section, entry, messages):
         path = tmp_path / "ann.json"
@@ -757,6 +788,10 @@ class TestResultsRejected:
         pytest.param([dict(GOOD, score=float("inf"))], "bad.json: results[0].score",
                      id="results15-results[0]: invalid detection"),
         ([GOOD, dict(GOOD, bbox=[0, 0, 1, -0.5])], "results[1]: invalid detection"),
+        ([dict(GOOD, score="0.9")], "bad.json: results[0].score must be a finite number"),
+        ([dict(GOOD, score=True)], "bad.json: results[0].score must be a finite number"),
+        ([dict(GOOD, bbox=[0, "0", 1, 1])], "bad.json: results[0].bbox[1] must be a finite"),
+        ([dict(GOOD, image_id=True)], "bad.json: results[0].image_id must be a number or"),
     ])
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_exit_1_with_error_line(self, tmp_path, capsys, command, results, message):
@@ -868,6 +903,20 @@ class TestTrainInferPipeline:
         dets = json.loads((inf_dir / "detections.json").read_text())["detections"]
         for row in dets:
             assert set(row) == {"image_id", "category_id", "bbox", "score"}
+
+    def test_infer_on_a_dataset_with_no_images(self, tmp_path, capsys):
+        """As ``stats`` and ``eval`` do on an empty set, ``infer`` writes an
+        empty result with the config echo and exits 0."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "annotations.json").write_text(
+            json.dumps({"images": [], "annotations": [], "categories": []}))
+        rc = main(["infer", "--checkpoint", str(fresh_checkpoint(tmp_path)),
+                   "--images", str(data_dir), "--out", str(tmp_path / "inf")])
+        assert rc == 0
+        assert capsys.readouterr().out == "0 detections over 0 images\n"
+        payload = json.loads((tmp_path / "inf" / "detections.json").read_text())
+        assert payload["detections"] == [] and "config" in payload
 
     def test_infer_rejects_checkpoint_with_extra_blocks(self, tmp_path, capsys):
         """A two-block checkpoint loaded into a one-block neck names the first

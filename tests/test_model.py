@@ -151,7 +151,7 @@ class TestBackboneSplit:
 
     def test_worker_error_reaches_caller_after_join(self, rng):
         p = perturbed_backbone(rng, np.float64)
-        stage, seen = p.stages[3], {}
+        stage, seen = p.stage[3], {}
 
         class Boom(Exception):
             pass
@@ -162,7 +162,7 @@ class TestBackboneSplit:
                 raise Boom
             return stage(x)
 
-        p.stages[3] = failing
+        p.stage[3] = failing
         with nm.no_grad(), nm.eval_mode(), pytest.raises(Boom):
             backbone_forward(Tensor(rng.normal(size=(3, 3, 64, 64))), p)
         assert seen["worker"] is not threading.current_thread()

@@ -45,7 +45,7 @@ class TestNeckSettings:
 class TestCSPLayer:
     def test_zero_final_conv_gives_zeros(self, rng):
         p = init_csp(rng, 6, 4, depth=2)
-        p.conv_final.w.data[...] = 0.0
+        p.final.w.data[...] = 0.0
         out = csp_layer(Tensor(rng.normal(size=(2, 6, 5, 5))), p)
         assert np.all(out.data == 0.0)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import threading
 import tracemalloc
 import warnings
@@ -107,6 +108,68 @@ class TestFloat32:
             out = nm.conv_bn(x, w, bn, stride2, act=True)
         assert self._dtypes(out, [x, w, bn.gamma, bn.beta]) == [np.float32] * 5
         assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
+
+
+@dataclasses.dataclass
+class _Leaf(nm.Module):
+    w: Tensor
+
+
+@dataclasses.dataclass(frozen=True)
+class _Cfg:
+    """A config: a dataclass that is no Module, so the walk skips it whole."""
+
+    stat: np.ndarray
+
+
+@dataclasses.dataclass
+class _Toy(nm.Module):
+    """One field of each kind the walk reads or skips."""
+
+    size: int
+    weight: Tensor
+    stat: np.ndarray
+    cfg: _Cfg
+    blocks: list
+    slots: dict
+    norm: BatchNorm
+
+    prefix = "toy"
+
+
+class TestModuleTree:
+    def _toy(self):
+        def leaf():
+            return _Leaf(Tensor(np.zeros(2), requires_grad=True))
+
+        return _Toy(size=3, weight=Tensor(np.ones(2), requires_grad=True), stat=np.zeros(2),
+                    cfg=_Cfg(np.zeros(2)), blocks=[leaf(), leaf()],
+                    slots={"z": leaf(), "a": leaf()}, norm=BatchNorm(2))
+
+    def test_names_follow_the_fields_in_order(self):
+        toy = self._toy()
+        assert [name for name, _ in toy.params()] == [
+            "toy.weight", "toy.blocks0.w", "toy.blocks1.w", "toy.slots.a.w", "toy.slots.z.w",
+            "toy.norm.gamma", "toy.norm.beta"]
+        assert [name for name, _ in toy.states()] == [
+            "toy.stat", "toy.norm.running_mean", "toy.norm.running_var"]
+        assert [name for name, _ in toy.params("root")][:2] == ["root.weight", "root.blocks0.w"]
+        assert next(toy.params(""))[0] == "weight"
+
+    def test_walk_yields_the_fields_themselves(self):
+        toy = self._toy()
+        params = dict(toy.params())
+        assert params["toy.weight"] is toy.weight
+        assert params["toy.slots.z.w"] is toy.slots["z"].w
+        assert dict(toy.states())["toy.norm.running_var"] is toy.norm.running_var
+
+    def test_batchnorm_is_a_field_module_with_class_constants(self):
+        bn = BatchNorm(3)
+        assert [f.name for f in dataclasses.fields(bn)] == [
+            "gamma", "beta", "running_mean", "running_var"]
+        assert "params" not in vars(BatchNorm) and "states" not in vars(BatchNorm)
+        assert (bn.eps, bn.momentum) == (1e-5, 0.1)
+        assert bn != BatchNorm(3) and len({bn, bn}) == 1
 
 
 class TestBatchNorm:
