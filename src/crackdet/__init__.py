@@ -13,7 +13,7 @@ from .numerics import Tensor, finite_diff_check
 from .geometry import SIZE_RANGES, iou, size_bucket
 from .attention import Attention4DConfig, attention4d_forward, init_attention4d
 from .neck import NeckConfig, PyramidFeatures, neck_forward, parameter_count
-from .assignment import AssignConfig, Assignment, CostMatrix, dynamic_assign
+from .assignment import Assignment, CostMatrix, dynamic_assign
 from .evaluator import EvalConfig, error_breakdown, evaluate
 from .dataio import DatasetIndex, SyntheticConfig, gen_synthetic, load_coco, load_voc
 
@@ -23,7 +23,7 @@ __all__ = [
     "SIZE_RANGES", "iou", "size_bucket",
     "Attention4DConfig", "init_attention4d", "attention4d_forward",
     "NeckConfig", "PyramidFeatures", "neck_forward", "parameter_count",
-    "AssignConfig", "Assignment", "CostMatrix", "dynamic_assign",
+    "Assignment", "CostMatrix", "dynamic_assign",
     "EvalConfig", "evaluate", "error_breakdown",
     "DatasetIndex", "SyntheticConfig", "gen_synthetic", "load_coco", "load_voc",
 ]

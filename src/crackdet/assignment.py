@@ -8,6 +8,10 @@ count k is read off the sum of its top candidate IoUs, the k cheapest
 candidates are selected, and anchors claimed by several ground truths go
 to the cheapest claimant. Matched anchors carry the IoU of their pair as a
 soft classification label.
+
+The weights are fixed: the cost weights lambda = (1, 3, 1) and the soft
+center prior alpha = 10, beta = 3 are RTMDet's (Lyu et al., arXiv:2212.07784);
+the dynamic-k cap of 10 is YOLOX's SimOTA (Ge et al., arXiv:2107.08430).
 """
 
 from __future__ import annotations
@@ -17,35 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError
 from .geometry import iou_matrix
 
 _FLOOR = 1e-7
-# Ceiling of the soft-center-prior power alpha ** (d - beta): far-off
-# candidates cost this much instead of overflowing to inf.
-_CENTER_COST_CAP = 1e150
-# (field, low, high, ends) as ``check_fields`` reads them; it holds every
-# float field, ``beta`` included, to a finite number.
-_RANGES = (
-    ("lambda_cls", 0, math.inf, "()"),
-    ("lambda_loc", 0, math.inf, "()"),
-    ("lambda_center", 0, math.inf, "()"),
-    ("alpha", 1, math.inf, "()"),
-    ("dynamic_k_cap", 1, math.inf, "[)"),
-)
-
-
-@dataclass
-class AssignConfig:
-    lambda_cls: float = 1.0
-    lambda_loc: float = 3.0
-    lambda_center: float = 1.0
-    alpha: float = 10.0
-    beta: float = 3.0
-    dynamic_k_cap: int = 10
-
-    def __post_init__(self):
-        check_fields("assignment", self, _RANGES)
+LAMBDA_CLS, LAMBDA_LOC, LAMBDA_CENTER = 1.0, 3.0, 1.0
+ALPHA, BETA = 10.0, 3.0
+DYNAMIC_K_CAP = 10
+# Ceiling of the exponent d - beta, so that far-off candidates cost
+# alpha ** cap = 1e150 instead of overflowing to inf.
+_CENTER_EXPONENT_CAP = math.log(1e150) / math.log(ALPHA)
 
 
 def classification_cost(y_hat, y):
@@ -62,23 +47,22 @@ def location_cost(iou):
     return -np.log(np.maximum(np.asarray(iou, dtype=np.float64), _FLOOR))
 
 
-def center_cost_from_distance(d, cfg: AssignConfig):
+def center_cost_from_distance(d):
     """Soft center prior ``alpha ** (d - beta)`` of a stride-normalized center distance d."""
     d = np.asarray(d, dtype=np.float64)
-    cap = math.log(_CENTER_COST_CAP) / math.log(cfg.alpha)
-    return cfg.alpha ** np.minimum(d - cfg.beta, cap)
+    return ALPHA ** np.minimum(d - BETA, _CENTER_EXPONENT_CAP)
 
 
-def center_cost(pred_center, gt_center, stride, cfg: AssignConfig):
+def center_cost(pred_center, gt_center, stride):
     px, py = pred_center
     gx, gy = gt_center
     d = np.hypot(px - gx, py - gy) / stride
-    return float(center_cost_from_distance(d, cfg))
+    return float(center_cost_from_distance(d))
 
 
-def total_cost(delta, theta, rho, cfg: AssignConfig):
-    return cfg.lambda_cls * np.asarray(delta) + cfg.lambda_loc * np.asarray(theta) \
-        + cfg.lambda_center * np.asarray(rho)
+def total_cost(delta, theta, rho):
+    return LAMBDA_CLS * np.asarray(delta) + LAMBDA_LOC * np.asarray(theta) \
+        + LAMBDA_CENTER * np.asarray(rho)
 
 
 @dataclass
@@ -102,8 +86,7 @@ class CostMatrix:
 
 def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
                       points_xy: np.ndarray, strides: np.ndarray,
-                      gt_boxes: np.ndarray, gt_labels: np.ndarray,
-                      cfg: AssignConfig) -> CostMatrix:
+                      gt_boxes: np.ndarray, gt_labels: np.ndarray) -> CostMatrix:
     """Assemble the per-(gt, anchor) cost grid from one image's predictions.
 
     pred_probs (N,K) post-sigmoid, pred_boxes (N,4) corner form, gt_labels (G,)
@@ -124,9 +107,9 @@ def build_cost_matrix(pred_probs: np.ndarray, pred_boxes: np.ndarray,
                            (gt_boxes[:, 1] + gt_boxes[:, 3]) / 2.0], axis=1)
     d = np.hypot(centers[None, :, 0] - gt_centers[:, None, 0],
                  centers[None, :, 1] - gt_centers[:, None, 1]) / strides[None, :]
-    rho = center_cost_from_distance(d, cfg)
+    rho = center_cost_from_distance(d)
 
-    cost = total_cost(delta, theta, rho, cfg)
+    cost = total_cost(delta, theta, rho)
     cost = np.where(candidates, cost, np.inf)
     return CostMatrix(cost=cost, iou=ious, candidates=candidates)
 
@@ -154,15 +137,15 @@ class Assignment:
         return out
 
 
-def _dynamic_k(ious_g: np.ndarray, cap: int) -> int:
-    """round-half-up of the summed top-min(cap, n) IoUs, clamped to [1, n]."""
+def _dynamic_k(ious_g: np.ndarray) -> int:
+    """round-half-up of the summed top-min(DYNAMIC_K_CAP, n) IoUs, clamped to [1, n]."""
     n = len(ious_g)
-    top = np.sort(ious_g)[::-1][:min(cap, n)]
+    top = np.sort(ious_g)[::-1][:min(DYNAMIC_K_CAP, n)]
     k = int(np.floor(top.sum() + 0.5))
     return max(1, min(k, n))
 
 
-def dynamic_assign(costs: CostMatrix, cfg: AssignConfig) -> Assignment:
+def dynamic_assign(costs: CostMatrix) -> Assignment:
     """Match anchors to ground truths by the dynamic-k rule.
 
     Selection per GT takes its k cheapest candidates (cost ties -> smaller
@@ -185,7 +168,7 @@ def dynamic_assign(costs: CostMatrix, cfg: AssignConfig) -> Assignment:
             selections.append(cand)
             unassigned.append(g)
             continue
-        k = _dynamic_k(costs.iou[g, cand], cfg.dynamic_k_cap)
+        k = _dynamic_k(costs.iou[g, cand])
         k_per_gt[g] = k
         order = cand[np.lexsort((cand, costs.cost[g, cand]))]
         selections.append(order[:k])

@@ -3,8 +3,8 @@
 Subcommands: stats | eval | analyze | assign-debug | gradcheck | train-toy |
 infer. Every JSON artifact embeds the effective config and the kit version,
 floats are fixed at six decimals, and writes go through a temp-file rename so
-outputs are atomic. Exit codes: 0 success, 1 usage/IO error, 2 numerical-check
-failure.
+outputs are atomic. Exit codes: 0 success, 1 usage/IO error or an allocation
+too large for the machine, 2 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import CrackdetError, NumericsError
 from .evaluator import error_breakdown, evaluate
 from .model import neck_config
 from .neck import describe_layout
-from .train import (detector_from_config, image_gts, load_checkpoint, predict_dataset,
+from .train import (detector_from_config, gt_table, load_checkpoint, predict_dataset,
                     train_toy)
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -118,8 +118,8 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
         detector = detector_from_config(cfg, np.random.default_rng(cfg.training.seed))
     images = normalize_images(load_image_batch(index, args.dataset, [image_id]))
     probs, dists = detector.predict_arrays(images)
-    boxes, labels = image_gts(index, image_id, cfg.model.num_classes)
-    cm, asg = detector.assign(probs[0], dists[0], boxes, labels, cfg.assignment)
+    boxes, labels = gt_table(index, [image_id], cfg.model.num_classes)[image_id]
+    cm, asg = detector.assign(probs[0], dists[0], boxes, labels)
     cost_rows = [[float(v) if np.isfinite(v) else None for v in row] for row in cm.cost]
     payload = {
         "image_id": image_id,
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CrackdetError, OSError) as exc:
+    except (CrackdetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

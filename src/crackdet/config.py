@@ -2,12 +2,13 @@
 
 A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
-with ``--set section.key=value``. The ``model``, ``neck``, ``assignment``,
-``loss``, ``eval`` and ``synthetic`` sections are the library's own
-``ModelSection``, ``NeckSettings``, ``AssignConfig``, ``LossSection``,
-``EvalConfig`` and ``SyntheticConfig``. Each section checks its fields'
-types and values when built, in code or at load; loading adds the neck's
-geometry check. The effective config is echoed into every artifact.
+with ``--set section.key=value``. The ``model``, ``neck``, ``eval`` and
+``synthetic`` sections are the library's own ``ModelSection``,
+``NeckSettings``, ``EvalConfig`` and ``SyntheticConfig``. Each section checks
+its fields' types and values when built, in code or at load; loading adds the
+neck's geometry check. The effective config is echoed into every artifact.
+The assigner's and the loss's weights are constants of ``assignment`` and
+``losses``, not settings.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .assignment import AssignConfig
 from .dataio import SyntheticConfig, read_json
 from .errors import ConfigError, check_choice, check_fields
 from .evaluator import EvalConfig
-from .losses import LossSection
 from .model import ModelSection, neck_config
 from .neck import NeckSettings
 
@@ -59,8 +58,6 @@ class RunConfig:
     numerics: NumericsSection = field(default_factory=NumericsSection)
     model: ModelSection = field(default_factory=ModelSection)
     neck: NeckSettings = field(default_factory=NeckSettings)
-    assignment: AssignConfig = field(default_factory=AssignConfig)
-    loss: LossSection = field(default_factory=LossSection)
     eval: EvalConfig = field(default_factory=EvalConfig)
     # built before ``synthetic``, so ``--seed -1`` names training.seed first
     training: TrainingSection = field(default_factory=TrainingSection)
@@ -107,7 +104,7 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"override key '{dotted}' is not of the form section.key")
         section_name, key = parts
         if section_name not in changes:
-            raise ConfigError(f"unknown config section '{section_name}'")
+            raise ConfigError(f"unknown config key '{dotted}'")
         try:
             value = json.loads(raw_value)
         except (ValueError, RecursionError):  # not JSON: the section's type check names the key

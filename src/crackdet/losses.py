@@ -6,28 +6,22 @@ probability clamping is needed; it is normalized by the positive count,
 floored at one so background-only batches stay finite. Regression is the mean
 1 - GIoU over matched anchors: one fused op on their predicted distances, with
 a closed-form backward, whose value stays float64 whatever the network dtype.
+The total weighs them 1 and 2, RTMDet's loss weights (Lyu et al.,
+arXiv:2212.07784).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import ShapeError, check_fields
+from .errors import ShapeError
 from .model import decode_boxes
 from .numerics import Tensor
 
-
-@dataclass
-class LossSection:
-    w_cls: float = 1.0
-    w_reg: float = 2.0
-
-    def __post_init__(self):
-        check_fields("loss", self, (("w_cls", 0, math.inf, "[)"), ("w_reg", 0, math.inf, "[)")))
+W_CLS, W_REG = 1.0, 2.0
 
 
 @dataclass
@@ -102,9 +96,9 @@ def giou_loss(distances: Tensor, points_xy: np.ndarray, strides: np.ndarray,
     return nm._make((1.0 - giou).sum() * (1.0 / n), "giou_loss", (distances,), backward)
 
 
-def total_loss(cls_loss: Tensor, reg_loss: Tensor, num_pos: int, cfg: LossSection):
+def total_loss(cls_loss: Tensor, reg_loss: Tensor, num_pos: int):
     """Weighted sum; returns (scalar Tensor for backward, float LossBreakdown)."""
-    total = nm.add(nm.mul(cls_loss, cfg.w_cls), nm.mul(reg_loss, cfg.w_reg))
+    total = nm.add(nm.mul(cls_loss, W_CLS), nm.mul(reg_loss, W_REG))
     breakdown = LossBreakdown(cls_loss=float(cls_loss.data), reg_loss=float(reg_loss.data),
                               total=float(total.data), num_pos=int(num_pos))
     return total, breakdown

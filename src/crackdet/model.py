@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .assignment import AssignConfig, Assignment, CostMatrix, build_cost_matrix, dynamic_assign
+from .assignment import Assignment, CostMatrix, build_cost_matrix, dynamic_assign
 from .errors import ConfigError, DataError, ShapeError, check_fields
 from .geometry import iou_matrix
 from .neck import (ConvBNLayer, NeckConfig, NeckParams, NeckSettings, PyramidFeatures, _conv_bn,
@@ -299,13 +299,12 @@ class Detector(nm.Module):
         return out
 
     def assign(self, probs: np.ndarray, distances: np.ndarray, gt_boxes: np.ndarray,
-               gt_labels: np.ndarray, acfg: AssignConfig) -> tuple[CostMatrix, Assignment]:
+               gt_labels: np.ndarray) -> tuple[CostMatrix, Assignment]:
         """One image's (N,K) probabilities + (N,4) distances -> the (GT, anchor)
         cost grid on this detector's anchors and its dynamic assignment."""
         boxes = decode_boxes(distances, self.points_xy, self.strides)
-        cm = build_cost_matrix(probs, boxes, self.points_xy, self.strides,
-                               gt_boxes, gt_labels, acfg)
-        return cm, dynamic_assign(cm, acfg)
+        cm = build_cost_matrix(probs, boxes, self.points_xy, self.strides, gt_boxes, gt_labels)
+        return cm, dynamic_assign(cm)
 
 
 def neck_config(model: ModelSection, neck: NeckSettings) -> NeckConfig:

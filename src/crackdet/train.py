@@ -33,20 +33,23 @@ def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     return build_detector(cfg.model, cfg.neck, rng, np.dtype(cfg.numerics.dtype))
 
 
-def image_gts(index, image_id, num_classes):
-    """(boxes (G,4), zero-based labels (G,)) for one image; a category id
-    that is not one of 1..num_classes is a DataError."""
-    anns = [a for a in index.annotations if a.image_id == image_id]
-    for a in anns:
-        if a.category_id not in range(1, num_classes + 1):
-            raise DataError(f"annotation {a.id} has category id {a.category_id!r}, not in "
-                            f"1..model.num_classes ({num_classes})")
-    boxes = np.array([a.box for a in anns], dtype=np.float64).reshape(-1, 4)
-    labels = np.array([a.category_id - 1 for a in anns], dtype=np.intp)
-    return boxes, labels
+def gt_table(index, image_ids, num_classes):
+    """{image id: (boxes (G,4), zero-based labels (G,))} for ``image_ids``,
+    from one pass over the annotations, each image's in annotation order. A
+    category id of theirs that is not one of 1..num_classes is a DataError."""
+    groups = {image_id: [] for image_id in image_ids}
+    for a in index.annotations:
+        if a.image_id in groups:
+            if a.category_id not in range(1, num_classes + 1):
+                raise DataError(f"annotation {a.id} has category id {a.category_id!r}, not in "
+                                f"1..model.num_classes ({num_classes})")
+            groups[a.image_id].append(a)
+    return {image_id: (np.array([a.box for a in anns], dtype=np.float64).reshape(-1, 4),
+                       np.array([a.category_id - 1 for a in anns], dtype=np.intp))
+            for image_id, anns in groups.items()}
 
 
-def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunConfig):
+def batch_losses(detector: Detector, images: np.ndarray, gt_per_image):
     """Forward a batch and assemble the assignment-driven losses.
 
     ``gt_per_image`` is a list of (boxes (G,4), labels (G,)) array pairs
@@ -61,7 +64,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     for b, (boxes, labels) in enumerate(gt_per_image):
         if len(boxes) == 0:
             continue
-        _, asg = detector.assign(probs[b], dist_flat.data[b], boxes, labels, cfg.assignment)
+        _, asg = detector.assign(probs[b], dist_flat.data[b], boxes, labels)
         targets[b] = asg.targets(labels, num_classes)
         pos = np.flatnonzero(asg.gt_index >= 0)
         pos_rows.append(b * n_anchors + pos)
@@ -74,7 +77,7 @@ def batch_losses(detector: Detector, images: np.ndarray, gt_per_image, cfg: RunC
     sel = nm.take(nm.reshape(dist_flat, (batch * n_anchors, 4)), rows)
     reg_loss = giou_loss(sel, detector.points_xy[anchors], detector.strides[anchors],
                          np.concatenate(pos_boxes))
-    return total_loss(cls_loss, reg_loss, num_pos, cfg.loss)
+    return total_loss(cls_loss, reg_loss, num_pos)
 
 
 @dataclass
@@ -138,15 +141,15 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     params = list(detector.params())
     opt = SGD(params, cfg.training.momentum, cfg.training.weight_decay)
 
-    gts = {im.id: image_gts(index, im.id, cfg.model.num_classes) for im in index.images}
     image_ids = [im.id for im in index.images]
+    gts = gt_table(index, image_ids, cfg.model.num_classes)
     rows = []
     for step in range(cfg.training.steps):
         batch_ids = rng.choice(len(image_ids), size=cfg.training.batch_size, replace=False)
         batch_imgs = normalize_images(raw_images[batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
         opt.zero_grad()
-        total, breakdown = batch_losses(detector, batch_imgs, batch_gts, cfg)
+        total, breakdown = batch_losses(detector, batch_imgs, batch_gts)
         total.backward()
         opt.step(cosine_lr(cfg.training.lr, step, cfg.training.steps))
         rows.append((step, breakdown.cls_loss, breakdown.reg_loss,

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from crackdet import numerics as nm
-from crackdet.assignment import AssignConfig, classification_cost, dynamic_assign, location_cost, total_cost
+from crackdet.assignment import (DYNAMIC_K_CAP, LAMBDA_CENTER, LAMBDA_CLS, LAMBDA_LOC,
+                                 classification_cost, dynamic_assign, location_cost, total_cost)
 from crackdet.attention import Attention4DConfig, attention4d_forward, init_attention4d
 from crackdet.cli import _gradcheck_suite, main
 from crackdet.config import load_config
@@ -90,12 +91,12 @@ def test_criterion_2_attention_oracle():
 @criterion("3 assignment oracle")
 def test_criterion_3_assignment_oracle():
     for seed in range(200):
-        cm, cfg = random_instance(seed)
-        out = dynamic_assign(cm, cfg)
-        owner, ks, unassigned = assign_oracle(*as_plain_lists(cm), cap=cfg.dynamic_k_cap)
+        cm = random_instance(seed)
+        out = dynamic_assign(cm)
+        owner, ks, unassigned = assign_oracle(*as_plain_lists(cm), cap=DYNAMIC_K_CAP)
         assert {a: g for a, g in enumerate(out.gt_index) if g >= 0} == owner, f"seed {seed}"
         assert out.unassigned_gts == unassigned, f"seed {seed}"
-        scaled = dynamic_assign(cm.scaled(7.25), cfg)
+        scaled = dynamic_assign(cm.scaled(7.25))
         assert np.array_equal(out.gt_index, scaled.gt_index), f"seed {seed} scaling"
         assert np.array_equal(out.soft_label, scaled.soft_label), f"seed {seed} scaling"
     return "200 instances, set equality and scaling invariance"
@@ -106,9 +107,8 @@ def test_criterion_4_cost_arithmetic():
     assert location_cost(1.0) == 0.0
     assert abs(location_cost(0.5) - 0.693147) < 1e-6
     assert abs(classification_cost(0.5, 1.0) - 0.173287) < 1e-6
-    cfg = AssignConfig()
-    assert (cfg.lambda_cls, cfg.lambda_loc, cfg.lambda_center) == (1.0, 3.0, 1.0)
-    assert total_cost(1.0, 1.0, 1.0, cfg) == 5.0
+    assert (LAMBDA_CLS, LAMBDA_LOC, LAMBDA_CENTER) == (1.0, 3.0, 1.0)
+    assert total_cost(1.0, 1.0, 1.0) == 5.0
     return "theta(1)=0, theta(0.5), delta(1,0.5), lambda=(1,3,1)"
 
 

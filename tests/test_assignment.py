@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from crackdet.assignment import (AssignConfig, CostMatrix, build_cost_matrix,
-                                 center_cost, center_cost_from_distance, classification_cost,
+from crackdet.assignment import (ALPHA, BETA, DYNAMIC_K_CAP, LAMBDA_CENTER, LAMBDA_CLS,
+                                 LAMBDA_LOC, CostMatrix, build_cost_matrix, center_cost,
+                                 center_cost_from_distance, classification_cost,
                                  dynamic_assign, location_cost, total_cost)
 from crackdet.config import load_config
 from crackdet.errors import ConfigError
@@ -28,8 +29,7 @@ def random_instance(seed):
     centers = points + r.normal(scale=4.0, size=points.shape)
     half = r.uniform(3, 25, size=(num_anchors, 2))
     pred_boxes = np.concatenate([centers - half, centers + half], axis=1)
-    cfg = AssignConfig()
-    return build_cost_matrix(probs, pred_boxes, points, strides, gt_boxes, gt_labels, cfg), cfg
+    return build_cost_matrix(probs, pred_boxes, points, strides, gt_boxes, gt_labels)
 
 
 def as_plain_lists(cm: CostMatrix):
@@ -58,13 +58,13 @@ class TestCostTerms:
     @pytest.mark.parametrize("field", ["iou_floor", "prob_clamp"])
     def test_cost_floors_are_constants(self, field):
         """Both floors are 1e-7 and no setting: a probability of exactly 0 or 1
-        costs what 1e-7 from that end does, and AssignConfig has no field for
-        either floor."""
+        costs what 1e-7 from that end does, and a config that sets either
+        floor fails as an unknown key."""
         assert classification_cost(0.0, 1.0) == classification_cost(1e-7, 1.0)
         assert classification_cost(1.0, 0.0) == classification_cost(1.0 - 1e-7, 0.0)
         assert location_cost(0.0) == location_cost(1e-9) == -math.log(1e-7)
-        with pytest.raises(TypeError, match=field):
-            AssignConfig(**{field: 1e-7})
+        with pytest.raises(ConfigError, match=f"unknown config key 'assignment.{field}'"):
+            load_config(overrides=[f"assignment.{field}=1e-7"])
 
     def test_location_cost_strictly_decreasing(self):
         ious = np.linspace(1e-6, 1.0, 50)
@@ -72,29 +72,29 @@ class TestCostTerms:
         assert np.all(np.diff(costs) < 0)
 
     def test_center_cost_soft_prior(self):
-        cfg = AssignConfig()
-        assert center_cost_from_distance(3.0, cfg) == 1.0
-        assert abs(center_cost_from_distance(4.0, cfg) - 10.0) < 1e-12
+        assert center_cost_from_distance(3.0) == 1.0
+        assert abs(center_cost_from_distance(4.0) - 10.0) < 1e-12
         d = np.linspace(0, 8, 30)
-        assert np.all(np.diff(center_cost_from_distance(d, cfg)) > 0)
+        assert np.all(np.diff(center_cost_from_distance(d)) > 0)
 
     def test_center_cost_normalizes_by_stride(self):
-        cfg = AssignConfig()
-        near = center_cost((0.0, 0.0), (8.0, 6.0), 10.0, cfg)
-        assert near == pytest.approx(center_cost_from_distance(1.0, cfg))
+        near = center_cost((0.0, 0.0), (8.0, 6.0), 10.0)
+        assert near == pytest.approx(center_cost_from_distance(1.0))
 
     def test_total_cost_weighted_sum(self):
-        cfg = AssignConfig()
-        assert total_cost(0.0, 0.0, 0.0, cfg) == 0.0
-        assert abs(total_cost(0.1733, 0.6931, 1.0, cfg) - 3.2526) < 1e-4
-        one = total_cost(0.3, 0.2, 0.1, cfg)
-        assert total_cost(0.6, 0.4, 0.2, cfg) == pytest.approx(2 * one)
+        assert total_cost(0.0, 0.0, 0.0) == 0.0
+        assert abs(total_cost(0.1733, 0.6931, 1.0) - 3.2526) < 1e-4
+        one = total_cost(0.3, 0.2, 0.1)
+        assert total_cost(0.6, 0.4, 0.2) == pytest.approx(2 * one)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            AssignConfig(lambda_loc=0.0)
-        with pytest.raises(ConfigError):
-            AssignConfig(dynamic_k_cap=0)
+        """The constants meet what the cost needs of them: positive finite
+        weights, alpha > 1 so the prior grows with distance, a finite beta and
+        a dynamic-k cap of at least one match."""
+        for weight in (LAMBDA_CLS, LAMBDA_LOC, LAMBDA_CENTER):
+            assert 0.0 < weight < math.inf
+        assert 1.0 < ALPHA < math.inf and math.isfinite(BETA)
+        assert isinstance(DYNAMIC_K_CAP, int) and DYNAMIC_K_CAP >= 1
 
     @pytest.mark.parametrize("field,value", [
         ("lambda_cls", 0.0), ("lambda_loc", math.inf), ("lambda_center", math.nan),
@@ -103,31 +103,15 @@ class TestCostTerms:
         ("prob_clamp", 0.0), ("prob_clamp", 0.5), ("prob_clamp", 0.7), ("prob_clamp", math.nan),
     ])
     def test_out_of_range_or_non_finite_rejected(self, field, value):
-        """A bad value fails naming its key. The two cost floors are fixed at
-        1e-7, so a config that sets one fails as an unknown key."""
-        with pytest.raises(ConfigError, match=f"assignment.{field}"):
-            if field in ("iou_floor", "prob_clamp"):
-                load_config(overrides=[f"assignment.{field}={json.dumps(value)}"])
-            else:
-                AssignConfig(**{field: value})
-
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"dynamic_k_cap": 1, "lambda_center": 1e-300},
-        {"beta": -3.0, "alpha": 1.0000001},
-    ])
-    def test_range_edges_still_construct(self, kwargs):
-        AssignConfig(**kwargs)
-
-    @pytest.mark.parametrize("alpha", [1.0, 0.5])
-    def test_alpha_must_exceed_one(self, alpha):
-        with pytest.raises(ConfigError, match="alpha"):
-            AssignConfig(alpha=alpha)
+        """The weights and the two cost floors are constants, so a config
+        that sets one, to any value, fails as an unknown key."""
+        with pytest.raises(ConfigError, match=f"unknown config key 'assignment.{field}'"):
+            load_config(overrides=[f"assignment.{field}={json.dumps(value)}"])
 
     def test_center_cost_clamp_keeps_near_values_bitwise(self):
-        cfg = AssignConfig()
         d = np.linspace(0.0, 150.0, 301)
-        assert np.array_equal(center_cost_from_distance(d, cfg), cfg.alpha ** (d - cfg.beta))
-        far = center_cost_from_distance(np.array([400.0, 1e4, 1e300]), cfg)
+        assert np.array_equal(center_cost_from_distance(d), ALPHA ** (d - BETA))
+        far = center_cost_from_distance(np.array([400.0, 1e4, 1e300]))
         assert np.all(np.isfinite(far)) and np.all(far == far[0])
 
 
@@ -135,7 +119,7 @@ class TestDynamicAssign:
     def test_single_forced_match(self):
         cm = CostMatrix(cost=np.array([[2.5]]), iou=np.array([[0.4]]),
                         candidates=np.array([[True]]))
-        out = dynamic_assign(cm, AssignConfig())
+        out = dynamic_assign(cm)
         assert out.gt_index.tolist() == [0]
         assert out.k_per_gt.tolist() == [1]
         assert out.soft_label[0] == 0.4
@@ -147,7 +131,7 @@ class TestDynamicAssign:
         iou = np.array([[0.4, 0.3, 0.0],
                         [0.45, 0.0, 0.2]])
         cand = np.isfinite(cost)
-        out = dynamic_assign(CostMatrix(cost, iou, cand), AssignConfig())
+        out = dynamic_assign(CostMatrix(cost, iou, cand))
         assert out.gt_index[0] == 1
         assert out.gt_index[1] == 0
         assert out.unassigned_gts == []
@@ -159,13 +143,13 @@ class TestDynamicAssign:
         cost = np.array([[np.inf, np.inf], [1.0, 2.0]])
         iou = np.array([[0.0, 0.0], [0.6, 0.1]])
         cand = np.isfinite(cost)
-        out = dynamic_assign(CostMatrix(cost, iou, cand), AssignConfig())
+        out = dynamic_assign(CostMatrix(cost, iou, cand))
         assert out.unassigned_gts == [0]
         assert (out.gt_index >= 0).sum() >= 1
 
     def test_soft_labels_equal_matched_iou(self):
-        cm, cfg = random_instance(5)
-        out = dynamic_assign(cm, cfg)
+        cm = random_instance(5)
+        out = dynamic_assign(cm)
         for a in np.where(out.gt_index >= 0)[0]:
             assert out.soft_label[a] == cm.iou[out.gt_index[a], a]
 
@@ -173,15 +157,15 @@ class TestDynamicAssign:
         iou = np.array([[0.9, 0.8, 0.75, 0.1]])
         cost = np.ones((1, 4))
         cand = np.ones((1, 4), dtype=bool)
-        out = dynamic_assign(CostMatrix(cost, iou, cand), AssignConfig())
+        out = dynamic_assign(CostMatrix(cost, iou, cand))
         # top-4 iou sum = 2.55 -> round-half-up -> 3
         assert out.k_per_gt.tolist() == [3]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_exhaustive_oracle(self, seed):
-        cm, cfg = random_instance(seed)
-        out = dynamic_assign(cm, cfg)
-        owner, ks, unassigned = assign_oracle(*as_plain_lists(cm), cap=cfg.dynamic_k_cap)
+        cm = random_instance(seed)
+        out = dynamic_assign(cm)
+        owner, ks, unassigned = assign_oracle(*as_plain_lists(cm), cap=DYNAMIC_K_CAP)
         assert {a: g for a, g in enumerate(out.gt_index) if g >= 0} == owner
         assert out.unassigned_gts == unassigned
         for g, k in ks.items():
@@ -189,17 +173,17 @@ class TestDynamicAssign:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_positive_scaling_invariance(self, seed):
-        cm, cfg = random_instance(seed)
-        base = dynamic_assign(cm, cfg)
+        cm = random_instance(seed)
+        base = dynamic_assign(cm)
         for factor in (0.03125, 5.0, 512.0):
-            scaled = dynamic_assign(cm.scaled(factor), cfg)
+            scaled = dynamic_assign(cm.scaled(factor))
             assert np.array_equal(base.gt_index, scaled.gt_index)
             assert np.array_equal(base.soft_label, scaled.soft_label)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_no_anchor_serves_two_gts_and_candidates_get_served(self, seed):
-        cm, cfg = random_instance(seed)
-        out = dynamic_assign(cm, cfg)
+        cm = random_instance(seed)
+        out = dynamic_assign(cm)
         matched = out.gt_index[out.gt_index >= 0]
         for g in range(cm.cost.shape[0]):
             anchors = np.flatnonzero(out.gt_index == g)
@@ -208,8 +192,8 @@ class TestDynamicAssign:
                 assert len(anchors) >= 1 or g in out.unassigned_gts
 
     def test_targets_matrix_places_soft_labels(self):
-        cm, cfg = random_instance(3)
-        out = dynamic_assign(cm, cfg)
+        cm = random_instance(3)
+        out = dynamic_assign(cm)
         labels = np.zeros(cm.cost.shape[0], dtype=np.intp)
         targets = out.targets(labels, 3)
         pos = np.where(out.gt_index >= 0)[0]
@@ -224,7 +208,7 @@ class TestBuildCostMatrix:
         gt = np.array([[0.0, 0.0, 12.0, 12.0]])
         probs = np.full((3, 2), 0.5)
         boxes = np.concatenate([points - 4, points + 4], axis=1)
-        cm = build_cost_matrix(probs, boxes, points, strides, gt, np.array([0]), AssignConfig())
+        cm = build_cost_matrix(probs, boxes, points, strides, gt, np.array([0]))
         assert cm.candidates.tolist() == [[True, False, True]]
         assert np.isinf(cm.cost[0, 1])
         assert np.isfinite(cm.cost[0, 0]) and np.isfinite(cm.cost[0, 2])
@@ -235,9 +219,8 @@ class TestBuildCostMatrix:
         gt = np.array([[0.0, 0.0, 10.0, 10.0]])
         boxes = np.array([[0.0, 0.0, 10.0, 10.0]])
         probs = np.array([[0.9, 0.1]])
-        cfg = AssignConfig()
-        cm_good = build_cost_matrix(probs, boxes, points, strides, gt, np.array([0]), cfg)
-        cm_bad = build_cost_matrix(probs, boxes, points, strides, gt, np.array([1]), cfg)
+        cm_good = build_cost_matrix(probs, boxes, points, strides, gt, np.array([0]))
+        cm_bad = build_cost_matrix(probs, boxes, points, strides, gt, np.array([1]))
         assert cm_good.cost[0, 0] < cm_bad.cost[0, 0]
 
     def test_candidate_costs_finite_for_huge_predicted_distances(self):
@@ -249,8 +232,7 @@ class TestBuildCostMatrix:
         boxes = decode_boxes(distances, points_xy, strides)
         probs = np.full((len(points_xy), 3), 0.5)
         gt = np.array([[8.0, 8.0, 40.0, 40.0]])
-        cm = build_cost_matrix(probs, boxes, points_xy, strides, gt, np.array([0]),
-                               AssignConfig())
+        cm = build_cost_matrix(probs, boxes, points_xy, strides, gt, np.array([0]))
         assert cm.candidates.sum() == 26
         assert np.all(np.isfinite(cm.cost[cm.candidates]))
-        assert dynamic_assign(cm, AssignConfig()).num_pos >= 1
+        assert dynamic_assign(cm).num_pos >= 1

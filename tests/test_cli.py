@@ -12,7 +12,6 @@ from crackdet.cli import _json_ready, main
 from crackdet.config import (ModelSection, NumericsSection, RunConfig, TrainingSection,
                              __version__, config_dict, load_config)
 from crackdet.errors import ConfigError
-from crackdet.assignment import AssignConfig
 from crackdet.dataio import SyntheticConfig
 from crackdet.neck import NeckSettings
 
@@ -99,8 +98,8 @@ class TestConfig:
         assert rc == 1
         assert key in err and "..." in err and len(err.encode()) < 300, err
 
-    @pytest.mark.parametrize("key", ["training.lr", "training.momentum", "loss.w_reg",
-                                     "assignment.beta"])
+    @pytest.mark.parametrize("key", ["training.lr", "training.momentum",
+                                     "training.weight_decay", "model.score_thr"])
     def test_float_value_too_large_for_a_float_rejected(self, key):
         """An int fits a float field, but not one no float can hold."""
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got 1000"):
@@ -124,9 +123,6 @@ class TestConfig:
                       "score_thr": 0.05, "nms_iou": 0.65},
             "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
                      "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16},
-            "assignment": {"lambda_cls": 1.0, "lambda_loc": 3.0, "lambda_center": 1.0,
-                           "alpha": 10.0, "beta": 3.0, "dynamic_k_cap": 10},
-            "loss": {"w_cls": 1.0, "w_reg": 2.0},
             "eval": {"max_dets": 100},
             "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
                           "min_shapes": 2, "max_shapes": 4, "seed": 0},
@@ -342,7 +338,7 @@ class TestConfigRejectedAtLoad:
 
     @pytest.mark.parametrize("overrides", [
         ["training.momentum=0.999", "training.weight_decay=5"],
-        ["training.momentum=0", "training.weight_decay=0", "loss.w_cls=0", "loss.w_reg=0"],
+        ["training.momentum=0", "training.weight_decay=0"],
     ])
     def test_training_range_edges_still_load(self, overrides):
         """Momentum just below 1 with a large weight decay loads, as do the
@@ -405,14 +401,12 @@ class TestSectionsCheckThemselves:
          "config key 'model.backbone_widths' expects tuple, got 5"),
         (lambda: ModelSection(num_classes=True),
          "config key 'model.num_classes' expects int, got True"),
-        (lambda: AssignConfig(alpha=None),
-         "config key 'assignment.alpha' expects float, got None"),
         (lambda: NeckSettings(num_attention_blocks="big"),
          "config key 'neck.num_attention_blocks' expects int | None, got 'big'"),
         (lambda: SyntheticConfig(num_classes="3"),
          "config key 'synthetic.num_classes' expects int, got '3'"),
     ], ids=["dtype", "placement", "image_size", "replace", "lr_type", "steps_type",
-            "backbone_widths_type", "num_classes_type", "alpha_type",
+            "backbone_widths_type", "num_classes_type",
             "num_attention_blocks_type", "synthetic_type"])
     def test_rejected_at_construction(self, build, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -420,8 +414,8 @@ class TestSectionsCheckThemselves:
 
     # one out-of-range value per RunConfig section
     BAD = {"numerics": ("dtype", "float16"), "model": ("nms_iou", 1.5),
-           "neck": ("csp_depth", -1), "assignment": ("alpha", 1.0), "loss": ("w_reg", -1.0),
-           "eval": ("max_dets", 0), "training": ("steps", 0), "synthetic": ("num_images", 0)}
+           "neck": ("csp_depth", -1), "eval": ("max_dets", 0), "training": ("steps", 0),
+           "synthetic": ("num_images", 0)}
 
     @pytest.mark.parametrize("section", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     def test_every_section_checks_itself(self, section):
@@ -456,35 +450,46 @@ class TestSectionsCheckThemselves:
 # training.steps, a constant learning rate, average-pool downsampling and a
 # reciprocal centre cost; then the values that only repeated a constant:
 # batchnorm's eps and momentum, the attention block's value width, scale and
-# residual switch, and the assignment costs' IoU floor and probability clamp.
+# residual switch, the assignment costs' IoU floor and probability clamp, and
+# the two sections of constants: the assigner's weights and the loss weights.
 # Each value is the one the old echo held by default.
 REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
                 "neck.downsample": "conv", "assignment.center_cost_mode": "soft_center_prior",
                 "assignment.eta": 1.0, "assignment.epsilon": 1e-7,
                 "numerics.bn_eps": 1e-5, "numerics.bn_momentum": 0.1,
                 "neck.attn_value_dim": None, "neck.attn_scale": None, "neck.attn_residual": True,
-                "assignment.iou_floor": 1e-7, "assignment.prob_clamp": 1e-7}
+                "assignment.iou_floor": 1e-7, "assignment.prob_clamp": 1e-7,
+                "assignment.lambda_cls": 1.0, "assignment.lambda_loc": 3.0,
+                "assignment.lambda_center": 1.0, "assignment.alpha": 10.0,
+                "assignment.beta": 3.0, "assignment.dynamic_k_cap": 10,
+                "loss.w_cls": 1.0, "loss.w_reg": 2.0}
+REMOVED_SECTIONS = ("assignment", "loss")
 
 
 class TestRemovedKeys:
     """A removed key is an unknown key: given by --set or in a --config file
-    (an echo written before its removal), it fails at load naming the key."""
+    (an echo written before its removal), it fails at load naming the key. In
+    a file, a key of a removed section fails naming its section."""
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     @pytest.mark.parametrize("source", ["set", "config"])
     def test_cli_exit_1_naming_the_key(self, tmp_path, capsys, key, source):
+        section, name = key.split(".")
+        message = f"unknown config key '{key}'"
         if source == "set":
             extra = ["--set", f"{key}={json.dumps(REMOVED_KEYS[key])}"]
         else:
-            section, name = key.split(".")
             echo = config_dict(load_config())
-            echo[section][name] = REMOVED_KEYS[key]
+            assert (section in echo) == (section not in REMOVED_SECTIONS)
+            echo.setdefault(section, {})[name] = REMOVED_KEYS[key]
             (tmp_path / "old.json").write_text(json.dumps(echo))
             extra = ["--config", str(tmp_path / "old.json")]
+            if section in REMOVED_SECTIONS:
+                message = f"unknown config section '{section}'"
         out_dir = tmp_path / "out"
         rc = main(["train-toy", "--out", str(out_dir)] + TINY + extra)
         err = capsys.readouterr().err
-        assert rc == 1 and err == f"error: unknown config key '{key}'\n"
+        assert rc == 1 and err == f"error: {message}\n"
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -492,9 +497,10 @@ class TestRemovedKeys:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
             load_config(overrides=[f"{key}={json.dumps(REMOVED_KEYS[key])}"])
 
-    def test_config_has_34_settable_values(self):
+    def test_config_has_26_settable_values(self):
         cfg = config_dict(load_config())
-        assert sum(len(section) for section in cfg.values()) == 34
+        assert len(cfg) == 6 and not set(cfg) & set(REMOVED_SECTIONS)
+        assert sum(len(section) for section in cfg.values()) == 26
         assert not {f"{s}.{k}" for s in cfg for k in cfg[s]} & set(REMOVED_KEYS)
 
 
@@ -861,6 +867,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([flag])
         assert exc.value.code == 0 and capsys.readouterr().out
+
+
+def test_allocation_too_large_exits_1(two_image_set, tmp_path, capsys, monkeypatch):
+    """An array too large for the machine (numpy raises a MemoryError) exits
+    1 with one error line, not a traceback, and writes nothing."""
+    import crackdet.model
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.98 TiB for an array with shape "
+                          "(10000000000, 96) and data type float64")
+
+    monkeypatch.setattr(crackdet.model, "init_head", too_large)
+    out_dir = tmp_path / "out"
+    rc = main(["assign-debug", "--dataset", two_image_set, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: Unable to allocate 6.98 TiB") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def fresh_checkpoint(tmp_path):

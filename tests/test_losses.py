@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from crackdet import numerics as nm
-from crackdet.assignment import AssignConfig, CostMatrix, dynamic_assign
+from crackdet.assignment import CostMatrix, dynamic_assign
 from crackdet.config import load_config
 from crackdet.dataio import gen_synthetic, normalize_images
 from crackdet.errors import ShapeError
-from crackdet.losses import (LossBreakdown, LossSection, giou_loss, quality_focal_terms,
+from crackdet.losses import (LossBreakdown, giou_loss, quality_focal_terms,
                              soft_cls_loss_pooled, total_loss)
 from crackdet.numerics import Tensor, finite_diff_check
-from crackdet.train import batch_losses, detector_from_config, image_gts
+from crackdet.train import batch_losses, detector_from_config, gt_table
 from oracles import encode_box, giou_loss_loop
 
 
@@ -46,7 +46,7 @@ class TestSoftClsLoss:
         in every cell) is ln 2 * sum((y - 0.5)^2) / num_pos."""
         cm = CostMatrix(cost=np.array([[1.0, 2.0]]), iou=np.array([[0.8, 0.3]]),
                         candidates=np.array([[True, True]]))
-        asg = dynamic_assign(cm, AssignConfig())
+        asg = dynamic_assign(cm)
         targets = asg.targets(np.array([2]), 3)
         assert asg.num_pos >= 1 and not targets[:, :2].any() and targets[:, 2].any()
         loss = soft_cls_loss_pooled(Tensor(np.zeros((2, 3))), targets, asg.num_pos)
@@ -179,8 +179,9 @@ class TestBatchLosses:
             f"numerics.dtype={dtype}"])
         detector = detector_from_config(cfg, np.random.default_rng(0))
         raw, index = gen_synthetic(cfg.synthetic)
-        gts = [image_gts(index, im.id, cfg.model.num_classes) for im in index.images]
-        total, breakdown = batch_losses(detector, normalize_images(raw), gts, cfg)
+        ids = [im.id for im in index.images]
+        gts = list(gt_table(index, ids, cfg.model.num_classes).values())
+        total, breakdown = batch_losses(detector, normalize_images(raw), gts)
         assert breakdown.num_pos > 0
         return detector, total
 
@@ -205,20 +206,20 @@ class TestBatchLosses:
 
 class TestTotalLoss:
     def test_zero_components(self):
-        total, br = total_loss(Tensor(np.float64(0.0)), Tensor(np.float64(0.0)), 0, LossSection())
+        total, br = total_loss(Tensor(np.float64(0.0)), Tensor(np.float64(0.0)), 0)
         assert float(total.data) == 0.0 and br.total == 0.0
 
     def test_weighted_sum(self):
-        total, br = total_loss(Tensor(np.float64(1.0)), Tensor(np.float64(0.5)), 3, LossSection())
+        total, br = total_loss(Tensor(np.float64(1.0)), Tensor(np.float64(0.5)), 3)
         assert br == LossBreakdown(cls_loss=1.0, reg_loss=0.5, total=2.0, num_pos=3)
 
     def test_linearity(self):
-        _, a = total_loss(Tensor(np.float64(0.2)), Tensor(np.float64(0.4)), 1, LossSection())
-        _, b = total_loss(Tensor(np.float64(0.4)), Tensor(np.float64(0.8)), 1, LossSection())
+        _, a = total_loss(Tensor(np.float64(0.2)), Tensor(np.float64(0.4)), 1)
+        _, b = total_loss(Tensor(np.float64(0.4)), Tensor(np.float64(0.8)), 1)
         assert b.total == pytest.approx(2 * a.total)
 
     def test_total_zero_iff_both_zero(self):
-        _, br = total_loss(Tensor(np.float64(0.1)), Tensor(np.float64(0.0)), 1, LossSection())
+        _, br = total_loss(Tensor(np.float64(0.1)), Tensor(np.float64(0.0)), 1)
         assert br.total > 0.0
 
 

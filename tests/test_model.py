@@ -738,16 +738,15 @@ class TestDetectorBundle:
             Detection(image_id=1, category_id=1, score=score, box=box)
 
     def test_detector_assign_matches_the_spelled_out_steps(self, rng):
-        from crackdet.assignment import AssignConfig, build_cost_matrix, dynamic_assign
+        from crackdet.assignment import build_cost_matrix, dynamic_assign
 
         det = build_detector(TINY_MODEL, TINY_NECK, rng, np.float64)
         probs, dists = det.predict_arrays(rng.normal(size=(1, 3, 64, 64)))
         gt, labels = np.array([[4.0, 6.0, 40.0, 30.0], [20.0, 20.0, 60.0, 60.0]]), np.array([0, 1])
-        cm, asg = det.assign(probs[0], dists[0], gt, labels, AssignConfig())
+        cm, asg = det.assign(probs[0], dists[0], gt, labels)
         boxes = decode_boxes(dists[0], det.points_xy, det.strides)
-        want_cm = build_cost_matrix(probs[0], boxes, det.points_xy, det.strides, gt, labels,
-                                    AssignConfig())
-        want = dynamic_assign(want_cm, AssignConfig())
+        want_cm = build_cost_matrix(probs[0], boxes, det.points_xy, det.strides, gt, labels)
+        want = dynamic_assign(want_cm)
         assert np.array_equal(cm.cost, want_cm.cost) and np.array_equal(cm.iou, want_cm.iou)
         assert np.array_equal(asg.gt_index, want.gt_index) and asg.num_pos > 0
 

@@ -1,6 +1,8 @@
-"""The momentum SGD of train.py against its closed form, and the uint8 images
-that training and inference normalize one batch at a time."""
+"""The momentum SGD of train.py against its closed form, the uint8 images
+that training and inference normalize one batch at a time, and the per-image
+GT table."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -75,9 +77,9 @@ class TestBatchNormalization:
         batches = []
         original = train.batch_losses
 
-        def capture(detector, images, gt_per_image, cfg):
+        def capture(detector, images, gt_per_image):
             batches.append(images)
-            return original(detector, images, gt_per_image, cfg)
+            return original(detector, images, gt_per_image)
 
         monkeypatch.setattr(train, "batch_losses", capture)
         sizes = watch_normalize(monkeypatch)
@@ -123,3 +125,25 @@ class TestBatchNormalization:
         with pytest.raises(ShapeError, match="uint8"):
             train.predict_dataset(detector, dataio.normalize_images(raw),
                                   [im.id for im in index.images])
+
+
+def test_gt_table_equals_the_per_image_scan():
+    """One pass over the annotations gives each image what scanning every
+    annotation for it gives: its boxes and zero-based labels in annotation
+    order, and empty arrays for an image with no GT."""
+    cfg = load_config(overrides=SMALL)
+    _, index = dataio.gen_synthetic(cfg.synthetic)
+    ids = [im.id for im in index.images]
+    anns = [a for a in index.annotations if a.image_id != ids[3]]
+    index = dataclasses.replace(index, annotations=anns[1::2] + anns[::2])
+    table = train.gt_table(index, ids, cfg.model.num_classes)
+    assert list(table) == ids
+    for image_id in ids:
+        own = [a for a in index.annotations if a.image_id == image_id]
+        boxes, labels = table[image_id]
+        assert boxes.dtype == np.float64 and boxes.shape == (len(own), 4)
+        assert labels.dtype == np.intp
+        assert boxes.tolist() == [list(a.box) for a in own]
+        assert labels.tolist() == [a.category_id - 1 for a in own]
+    assert table[ids[3]][0].shape == (0, 4) and table[ids[3]][1].shape == (0,)
+    assert list(train.gt_table(index, [ids[5]], 2)) == [ids[5]]
