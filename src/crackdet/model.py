@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -53,6 +54,13 @@ class ModelSection:
             raise ConfigError("model.image_size must be divisible by 32")
 
 
+def _valid_detection(x1, y1, x2, y2, score):
+    """The rule every ``Detection`` meets, on numbers or elementwise on arrays
+    of rows: an upright box, and a finite box and score. The sum is finite
+    only when every coordinate and the score are."""
+    return (x1 <= x2) & (y1 <= y2) & (abs(x2 - x1 + y2 - y1 + score) < math.inf)
+
+
 class Detection(namedtuple("Detection", "image_id category_id score box")):
     """One detection: image id, category id, score and corner box. Every way
     of building one (positional, keyword, ``_make``, ``_replace``, unpickling)
@@ -62,8 +70,7 @@ class Detection(namedtuple("Detection", "image_id category_id score box")):
 
     def __new__(cls, image_id, category_id, score, box):
         x1, y1, x2, y2 = box
-        # the sum is finite only when every coordinate and the score are
-        if not (x1 <= x2 and y1 <= y2 and math.isfinite(x2 - x1 + y2 - y1 + score)):
+        if not _valid_detection(x1, y1, x2, y2, score):
             raise ShapeError("invalid detection "
                              f"{super().__new__(cls, image_id, category_id, score, box)}")
         return tuple.__new__(cls, (image_id, category_id, score, box))
@@ -208,7 +215,8 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
 
     Only the anchors over ``score_thr`` in some class are decoded, and one
     IoU matrix over them serves every class; NMS never suppresses across
-    classes."""
+    classes. The rows meet ``Detection``'s rule, checked over all of them at
+    once, so each is built without its per-row check."""
     if cls_probs.shape[0] != len(points_xy) or distances.shape[0] != len(points_xy):
         raise ShapeError("decode: predictions do not match the anchor grid")
     above = cls_probs > score_thr
@@ -222,9 +230,12 @@ def decode(cls_probs: np.ndarray, distances: np.ndarray, points_xy: np.ndarray,
     kept = order[classes, rank]
     scores = cls_probs[anchors[kept], classes]
     final = np.lexsort((classes, -scores))
-    return [Detection(image_id, k + 1, score, tuple(box))
-            for k, score, box in zip(classes[final].tolist(), scores[final].tolist(),
-                                     boxes[kept[final]].tolist())]
+    scores, corners = scores[final], boxes[kept[final]].T
+    rows = zip(repeat(image_id), (classes[final] + 1).tolist(), scores.tolist(),
+               zip(*corners.tolist()))
+    if _valid_detection(*corners, scores).all():
+        return list(map(tuple.__new__, repeat(Detection), rows))
+    return list(starmap(Detection, rows))  # raises on the first invalid row
 
 
 @dataclass

@@ -589,6 +589,16 @@ def _channel_dot(a, b):
     return (a[..., None, :] @ b[..., :, None]).sum(axis=0)[:, 0, 0]
 
 
+def _silu_of_half(h):
+    """SiLU in three passes from its half-scale input ``h = y / 2``, in place:
+    with t = 1 + tanh(h) = 2 * sigmoid(y), silu(y) = h * t. ``h`` becomes
+    silu(y); returns ``t``."""
+    t = np.tanh(h)
+    t += 1.0
+    h *= t
+    return t
+
+
 def _bn_forward(z, bn, act):
     """The one batchnorm: normalize the raw (B, C, L) array ``z`` over its
     (B, L) slices (centring it in place), then SiLU when ``act`` is set;
@@ -634,9 +644,7 @@ def _bn_forward(z, bn, act):
     out = xc * k
     out += (bn.beta.data * half)[:, None]
     if act:
-        t = np.tanh(out)
-        t += 1.0
-        out *= t
+        t = _silu_of_half(out)
 
     def backward(g):
         # With SiLU, gy is twice dL/dy: 2 * silu'(y) = t + silu(y) * (2 - t).
@@ -702,20 +710,23 @@ def conv_bn(x, w, bn, stride2=False, act=False):
     affine map, so it is folded into the conv on every call (nothing is
     cached, so loaded or updated parameters take effect at once):
     ``scale = gamma / sqrt(var + eps)``, ``w' = w * scale`` and
-    ``b' = beta - mean * scale``. The chain is then one matmul, an in-place
-    bias and SiLU, and one 'conv_bn' tensor with no backward. Otherwise
-    (training, or grad on) it is one 'conv_bn' node with a hand-written
-    backward, ``_conv_bn_train``.
+    ``b' = beta - mean * scale``. With SiLU both are halved, as in
+    ``_bn_forward``, which is exact: the matmul and the in-place bias give
+    y / 2 bit for bit, and ``_silu_of_half`` finishes in three passes. The
+    result is one 'conv_bn' tensor with no backward. Otherwise (training, or
+    grad on) it is one 'conv_bn' node with a hand-written backward,
+    ``_conv_bn_train``.
     """
     if not folds_bn():
         return _conv_bn_train(as_tensor(x), as_tensor(w), bn, stride2, act)
     w = as_tensor(w).data
     _check_bn(bn, w.shape[0])
-    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    half = 0.5 if act else 1.0
+    scale = bn.gamma.data * half / np.sqrt(bn.running_var + bn.eps)
     y = _conv_forward(as_tensor(x).data, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)), stride2)
-    y += (bn.beta.data - bn.running_mean * scale)[:, None, None]
+    y += (bn.beta.data * half - bn.running_mean * scale)[:, None, None]
     if act:
-        y *= _sigmoid_np(y)
+        _silu_of_half(y)
     return _make(y, "conv_bn", (), None)
 
 

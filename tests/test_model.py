@@ -438,6 +438,40 @@ class TestDetection:
                 build()
                 pytest.fail(f"{name} accepted {bad}")
 
+    @pytest.mark.parametrize("bad", ["nan_distance", "inf_probability"])
+    def test_decode_validates_its_rows(self, bad):
+        """``decode`` checks its rows in one batch and builds them unchecked;
+        a bad row raises the ShapeError that building it alone raises."""
+        xy, strides = anchor_points(64)
+        probs, dists = np.full((len(xy), 2), 0.01), np.ones((len(xy), 4))
+        probs[3, 0] = probs[40, 1] = 0.9
+        if bad == "nan_distance":
+            dists[40, 2] = math.nan
+            row = (7, 2, 0.9, tuple(decode_boxes(dists, xy, strides)[40].tolist()))
+        else:
+            probs[3, 0] = math.inf
+            row = (7, 1, math.inf, tuple(decode_boxes(dists, xy, strides)[3].tolist()))
+        with pytest.raises(ShapeError, match="invalid detection") as alone:
+            Detection(*row)
+        with pytest.raises(ShapeError, match="invalid detection") as decoded:
+            decode(probs, dists, xy, strides, 0.05, 0.65, image_id=7)
+        assert str(decoded.value) == str(alone.value)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decode_rows_are_plain_detections(self, dtype):
+        """``decode``'s rows carry the field types per-row construction gives:
+        int ids, a float score and a tuple of four floats."""
+        xy, strides = anchor_points(64)
+        r = np.random.default_rng(0)
+        probs = r.uniform(size=(len(xy), 3)).astype(dtype)
+        dets = decode(probs, r.uniform(0.0, 3.0, size=(len(xy), 4)).astype(dtype), xy, strides,
+                      0.05, 0.65, image_id=7)
+        assert dets
+        for d in dets:
+            assert type(d) is Detection and [type(v) for v in d[:3]] == [int, int, float]
+            assert type(d.box) is tuple and [type(v) for v in d.box] == [float] * 4
+            assert Detection(*d) == d and pickle.loads(pickle.dumps(d)) == d
+
     def test_valid_record_round_trips(self):
         d = Detection(*self.FIELDS)
         for back in (pickle.loads(pickle.dumps(d)), Detection._make(self.FIELDS),

@@ -294,9 +294,9 @@ class TestAsTensor:
 
 class TestConvBN:
     @staticmethod
-    def _layer(rng, stride2):
-        w = rng.normal(size=(5, 3, 3, 3) if stride2 else (5, 3))
-        bn = BatchNorm(5)
+    def _layer(rng, stride2, dtype=np.float64):
+        w = rng.normal(size=(5, 3, 3, 3) if stride2 else (5, 3)).astype(dtype)
+        bn = BatchNorm(5, dtype)
         bn.running_mean[...] = rng.normal(size=5)
         bn.running_var[...] = rng.uniform(0.5, 2.0, size=5)
         bn.gamma.data[...] = rng.normal(size=5)
@@ -320,6 +320,24 @@ class TestConvBN:
         assert want.op == ("silu" if act else "batchnorm")
         assert got.op == "conv_bn" and got._backward is None and not got._parents
         assert np.abs(got.data - want.data).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride2", [False, True])
+    @pytest.mark.parametrize("act", [False, True])
+    def test_folded_half_scale_silu_is_bitwise(self, rng, dtype, stride2, act):
+        """The folded op runs the conv and bias at half scale and SiLU in
+        three passes; halving is exact, so it equals the five-pass
+        y * sigmoid(y) on the full-scale fold bit for bit."""
+        w, bn = self._layer(rng, stride2, dtype)
+        x = rng.normal(size=(4, 3, 8, 8)).astype(dtype)
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        want = nm._conv_forward(x, w * scale.reshape((-1,) + (1,) * (w.ndim - 1)), stride2)
+        want += (bn.beta.data - bn.running_mean * scale)[:, None, None]
+        if act:
+            want = want * nm._sigmoid_np(want)
+        with nm.eval_mode(), nm.no_grad():
+            got = nm.conv_bn(Tensor(x), Tensor(w), bn, stride2, act)
+        assert got.dtype == dtype and np.array_equal(got.data, want)
 
     @pytest.mark.parametrize("stride2", [False, True])
     @pytest.mark.parametrize("act", [False, True])
