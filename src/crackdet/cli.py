@@ -110,7 +110,9 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
     index = _load_index(args.dataset)
     image_ids = [im.id for im in index.images]
     if not 0 <= args.image_index < len(image_ids):
-        raise CrackdetError(f"image index {args.image_index} out of range 0..{len(image_ids) - 1}")
+        held = f"images 0..{len(image_ids) - 1}" if image_ids else "no images"
+        raise CrackdetError(f"--image-index {args.image_index} is out of range: "
+                            f"{args.dataset} holds {held}")
     image_id = image_ids[args.image_index]
     if args.checkpoint:
         detector = load_checkpoint(cfg, args.checkpoint)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, check_fields, finite
+from .errors import ConfigError, DataError, ShapeError, check_fields, cut, finite
 from .geometry import SIZE_RANGES, size_bucket
 
 SHAPE_KINDS = ("transverse", "longitudinal", "alligator", "block", "pothole")
@@ -103,23 +103,30 @@ def _id(record, key, path, entry):
     return value
 
 
-def _text(record, key, path, entry):
-    """A name field of one COCO entry (a category's ``name``, an image's
-    ``file_name``): a string with no NUL, which no path can hold, or a
-    DataError naming the file and entry."""
-    value = _require(record, key, path, entry)
+def _text(value, name):
+    """A name read from an annotation file (a category's name, an image's
+    ``file_name``): a non-empty string with no NUL, which no path can hold,
+    or a DataError naming ``name``."""
     if not isinstance(value, str):
-        raise DataError(f"{path}: {entry}.{key} must be a string, got {type(value).__name__}")
-    if "\0" in value:
-        raise DataError(f"{path}: {entry}.{key} must not hold a NUL character, got {value!r}")
+        raise DataError(f"{name} must be a string, got {type(value).__name__}")
+    if not value or "\0" in value:
+        raise DataError(f"{name} must be a non-empty string with no NUL, got {cut(repr(value))}")
     return value
 
 
-def _size(record, key, path, entry):
-    """An image's ``width``/``height`` as written, an int staying an int, if it is ``finite``."""
-    value = _require(record, key, path, entry)
-    finite(value, f"{path}: {entry}.{key}")
-    return value
+def _size(value, name, text=False):
+    """An image's width or height: a finite, integral number of at least 1,
+    or a DataError naming ``name``. A JSON number is kept as written; XML
+    text (``text``) becomes an int."""
+    number = finite(value, name, text=text)
+    if number < 1 or not number.is_integer():
+        raise DataError(f"{name} must be an integer of at least 1, got {cut(repr(value))}")
+    return int(number) if text else value
+
+
+def _clamped(box, width, height):
+    """The corner ``box`` clamped into a ``width`` x ``height`` image."""
+    return tuple(min(max(v, 0.0), float(size)) for v, size in zip(box, (width, height) * 2))
 
 
 def _bbox(record, path, entry):
@@ -152,13 +159,16 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
             raise DataError(f"{path}: top-level '{key}' must be a list, "
                             f"got {type(raw[key]).__name__}")
 
+    def checked(rule, record, key, entry):
+        return rule(_require(record, key, path, entry), f"{path}: {entry}.{key}")
+
     images = [ImageInfo(id=_id(r, "id", path, f"images[{i}]"),
-                        file_name=_text(r, "file_name", path, f"images[{i}]"),
-                        width=_size(r, "width", path, f"images[{i}]"),
-                        height=_size(r, "height", path, f"images[{i}]"))
+                        file_name=checked(_text, r, "file_name", f"images[{i}]"),
+                        width=checked(_size, r, "width", f"images[{i}]"),
+                        height=checked(_size, r, "height", f"images[{i}]"))
               for i, r in enumerate(raw["images"])]
     categories = [Category(id=_id(r, "id", path, f"categories[{i}]"),
-                           name=_text(r, "name", path, f"categories[{i}]"))
+                           name=checked(_text, r, "name", f"categories[{i}]"))
                   for i, r in enumerate(raw["categories"])]
     _check_unique([im.id for im in images], "images")
     _check_unique([c.id for c in categories], "categories")
@@ -183,12 +193,10 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
         else:
             x1, y1, x2, y2 = x, y, x + w, y + h
         im = image_ids[image_id]
-        cx1, cx2 = (min(max(v, 0.0), float(im.width)) for v in (x1, x2))
-        cy1, cy2 = (min(max(v, 0.0), float(im.height)) for v in (y1, y2))
-        if (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2):
-            clamped += 1
+        box = _clamped((x1, y1, x2, y2), im.width, im.height)
+        clamped += box != (x1, y1, x2, y2)
         annotations.append(Annotation(id=ann_id, image_id=image_id,
-                                      category_id=category_id, box=(cx1, cy1, cx2, cy2)))
+                                      category_id=category_id, box=box))
     _check_unique([a.id for a in annotations], "annotations")
     return DatasetIndex(images=images, annotations=annotations,
                         categories=categories, clamp_warnings=clamped)
@@ -241,36 +249,38 @@ def load_voc(dirpath) -> DatasetIndex:
         size = root.find("size")
         if size is None:
             raise DataError(f"{fpath}: missing <size>")
-        width, height = (int(finite(size.findtext(k), f"{fpath}: <size>: <{k}>", text=True))
+        width, height = (_size(size.findtext(k), f"{fpath}: <size>: <{k}>", text=True)
                          for k in ("width", "height"))
         objects = []
         for j, obj in enumerate(root.findall("object")):
             name = obj.findtext("name")
             if name is None:
                 raise DataError(f"{fpath}: <object> without <name>")
+            _text(name, f"{fpath}: object[{j}] <name>")
             bnd = obj.find("bndbox")
             if bnd is None:
                 raise DataError(f"{fpath}: <object> without <bndbox>")
-            coords = {k: finite(bnd.findtext(k), f"{fpath}: object[{j}] <bndbox>: <{k}>", text=True)
-                      for k in ("xmin", "ymin", "xmax", "ymax")}
-            if coords["xmax"] < coords["xmin"] or coords["ymax"] < coords["ymin"]:
+            box = tuple(finite(bnd.findtext(k), f"{fpath}: object[{j}] <bndbox>: <{k}>", text=True)
+                        for k in ("xmin", "ymin", "xmax", "ymax"))
+            if box[2] < box[0] or box[3] < box[1]:
                 raise DataError(f"{fpath}: inverted bndbox")
-            objects.append((name, coords))
+            objects.append((name, box))
             names.add(name)
         parsed.append((filename, width, height, objects))
 
     category_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
     images, annotations = [], []
-    ann_id = 1
+    clamped = 0
     for image_id, (filename, width, height, objects) in enumerate(parsed, start=1):
         images.append(ImageInfo(id=image_id, file_name=filename, width=width, height=height))
-        for name, c in objects:
-            annotations.append(Annotation(id=ann_id, image_id=image_id,
-                                          category_id=category_ids[name],
-                                          box=(c["xmin"], c["ymin"], c["xmax"], c["ymax"])))
-            ann_id += 1
+        for name, box in objects:
+            inside = _clamped(box, width, height)
+            clamped += inside != box
+            annotations.append(Annotation(id=len(annotations) + 1, image_id=image_id,
+                                          category_id=category_ids[name], box=inside))
     categories = [Category(id=i, name=n) for n, i in sorted(category_ids.items(), key=lambda kv: kv[1])]
-    return DatasetIndex(images=images, annotations=annotations, categories=categories)
+    return DatasetIndex(images=images, annotations=annotations, categories=categories,
+                        clamp_warnings=clamped)
 
 
 def save_voc(index: DatasetIndex, dirpath):

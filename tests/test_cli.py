@@ -597,12 +597,26 @@ class TestAnnotationsRejected:
     @pytest.mark.parametrize("size,xmin,messages", [
         ("<height>10</height>", "1", ("a.xml", "<size>", "<width>")),
         ("<width>10</width><height>10</height>", "one", ("a.xml", "object[0]", "<xmin>", "one")),
+        # An image size is a finite integer of at least 1, never cut to one.
+        ("<width>-5</width><height>10</height>", "1",
+         ("a.xml: <size>: <width> must be an integer of at least 1, got '-5'",)),
+        ("<width>10</width><height>64.7</height>", "1",
+         ("a.xml: <size>: <height> must be an integer of at least 1, got '64.7'",)),
+        ("<width>0</width><height>10</height>", "1", ("a.xml: <size>: <width>",)),
     ])
     def test_voc(self, tmp_path, capsys, size, xmin, messages):
         voc = tmp_path / "voc"
         voc.mkdir()
         (voc / "a.xml").write_text(self.VOC.format(size=size, xmin=xmin))
         self._stats_fails(voc, tmp_path, capsys, *messages)
+
+    def test_voc_empty_name(self, tmp_path, capsys):
+        voc = tmp_path / "voc"
+        voc.mkdir()
+        xml = self.VOC.format(size="<width>10</width><height>10</height>", xmin="1")
+        (voc / "a.xml").write_text(xml.replace("<name>crack</name>", "<name></name>"))
+        self._stats_fails(voc, tmp_path, capsys,
+                          "a.xml: object[0] <name> must be a non-empty string")
 
     @pytest.mark.parametrize("section,entry,messages", [
         ("annotations", dict(COCO["annotations"][0], bbox=[0, 0, "w", 3]),
@@ -637,6 +651,16 @@ class TestAnnotationsRejected:
         ("annotations", dict(COCO["annotations"][0], bbox=[json.loads("[" * 200 + "]" * 200),
                                                            0, 4, 3]),
          ("ann.json", "annotations[0].bbox[0]", "got " + "[" * 80 + "...\n")),
+        # An image size is a finite integer of at least 1, as in VOC, and a
+        # name is not empty.
+        ("images", dict(COCO["images"][0], width=-5),
+         ("ann.json", "images[0].width must be an integer of at least 1, got -5")),
+        ("images", dict(COCO["images"][0], height=0), ("ann.json", "images[0].height")),
+        ("images", dict(COCO["images"][0], width=64.7), ("ann.json", "images[0].width", "64.7")),
+        ("images", dict(COCO["images"][0], file_name=""),
+         ("ann.json", "images[0].file_name must be a non-empty string")),
+        ("categories", {"id": 1, "name": ""},
+         ("ann.json", "categories[0].name must be a non-empty string")),
     ])
     def test_coco(self, tmp_path, capsys, section, entry, messages):
         path = tmp_path / "ann.json"
@@ -849,18 +873,9 @@ class TestGradcheckCommand:
 
 class TestUsageErrors:
     """A command line argparse rejects exits 1 after argparse's usage line and
-    message; exit 2 stays with the numerical checks."""
-
-    @pytest.mark.parametrize("argv, message", [
-        (["stats"], "the following arguments are required: --dataset"),
-        (["gradcheck", "--seeds", "abc"], "argument --seeds: invalid int value: 'abc'"),
-        (["train"], "argument command: invalid choice: 'train'"),
-        ([], "the following arguments are required: command"),
-    ], ids=["stats-without-dataset", "seeds-not-an-int", "unknown-command", "no-command"])
-    def test_exit_1_with_usage(self, capsys, argv, message):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: crackdet") and message in err
+    message (the rows of ``test_entry_point.py``); exit 2 stays with the
+    numerical checks. In process, ``--help`` and ``--version`` leave ``main``
+    as argparse's ``SystemExit(0)``."""
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
@@ -886,6 +901,15 @@ def test_allocation_too_large_exits_1(two_image_set, tmp_path, capsys, monkeypat
     assert err.startswith("error: Unable to allocate 6.98 TiB") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_image_index_out_of_range_names_flag_and_dataset(two_image_set, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["assign-debug", "--dataset", two_image_set, "--image-index", "2",
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (f"error: --image-index 2 is out of range: "
+                                       f"{two_image_set} holds images 0..1\n")
+    assert not out_dir.exists()
 
 
 def fresh_checkpoint(tmp_path):

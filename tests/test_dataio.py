@@ -186,6 +186,16 @@ class TestVocLoad:
         assert index.category_names() == {1: "block", 2: "pothole"}
         assert index.annotations[0].category_id == 2
 
+    def test_out_of_bounds_clamped_with_warning(self, tmp_path):
+        """A box past the image is clamped into it and counted, as in COCO."""
+        objs = (self.OBJ.format(name="crack", x1=-3, y1=2, x2=500, y2=22)
+                + self.OBJ.format(name="crack", x1=1, y1=2, x2=64, y2=48))
+        (tmp_path / "a.xml").write_text(self.VOC_XML.format(name="a.jpg", objects=objs))
+        index = load_voc(tmp_path)
+        assert index.clamp_warnings == 1
+        assert [a.box for a in index.annotations] == [(0.0, 2.0, 64.0, 22.0),
+                                                       (1.0, 2.0, 64.0, 48.0)]
+
     def test_inverted_box_names_file(self, tmp_path):
         objs = self.OBJ.format(name="crack", x1=30, y1=2, x2=11, y2=22)
         (tmp_path / "bad.xml").write_text(self.VOC_XML.format(name="b.jpg", objects=objs))

@@ -1,10 +1,11 @@
 """Every reader against malformed files: ``cli.main`` returns 0, 1 or 2 and
 never raises.
 
-The valid files come from ``gen-data``, a tiny 8-image ``train-toy`` and
-``infer``. Each case mutates one of them (a JSON-tree edit, a byte
-truncation, a PPM header edit, or an ``.npz`` member drop, dtype or shape
-change) and runs, in process, every command that reads it. Hypothesis runs
+The valid files come from ``gen-data`` (its annotations also written as VOC
+XML), a tiny 8-image ``train-toy`` and ``infer``. Each case mutates one of
+them (a JSON-tree edit, an XML node edit or deletion, a byte truncation, a
+PPM header edit, or an ``.npz`` member drop, dtype or shape change) and
+runs, in process, every command that reads it. Hypothesis runs
 derandomized, so each run tries the same cases. A raise here is a reader that
 lets a malformed file through untyped: mend it at the reader with a
 ``DataError`` naming the file, never by widening ``main``'s ``except``.
@@ -13,6 +14,7 @@ lets a malformed file through untyped: mend it at the reader with a
 import json
 import os
 import shutil
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crackdet.cli import main
+from crackdet.dataio import load_coco, save_voc
 
 TINY = ["--set", "model.backbone_widths=[2,3,4,6,8]", "--set", "model.head_channels=4",
         "--set", "neck.out_channels=4", "--set", "neck.attn_key_dim=4",
@@ -35,14 +38,17 @@ VALUES = [None, True, False, 0, -1, 1, 2.5, 2**63, -2**63, 1e308, -1e308, float(
 
 @pytest.fixture(scope="module")
 def made(tmp_path_factory):
-    """The valid files: a dataset dir, a checkpoint and two results files."""
+    """The valid files: a dataset dir, the same dir with VOC XML in place of
+    ``annotations.json``, a checkpoint and two results files."""
     root = tmp_path_factory.mktemp("made")
-    data, train, infer = (str(root / name) for name in ("data", "train", "infer"))
+    data, voc, train, infer = (str(root / name) for name in ("data", "voc", "train", "infer"))
     assert main(["gen-data", "--out", data] + TINY) == 0
+    shutil.copytree(data, voc, ignore=shutil.ignore_patterns("annotations.json"))
+    save_voc(load_coco(os.path.join(data, "annotations.json")), voc)
     assert main(["train-toy", "--out", train] + TINY) == 0
     ckpt = os.path.join(train, "checkpoint.npz")
     assert main(["infer", "--checkpoint", ckpt, "--images", data, "--out", infer] + TINY) == 0
-    return {"root": root, "data": data, "checkpoint": ckpt,
+    return {"root": root, "data": data, "voc": voc, "checkpoint": ckpt,
             "detections": os.path.join(infer, "detections.json"),
             "self_eval": os.path.join(train, "self_eval_detections.json")}
 
@@ -60,10 +66,10 @@ def run(*argv):
     assert rc in (0, 1, 2), argv
 
 
-def dataset_copy(made, case):
-    """A writable copy of the dataset dir under ``case``."""
+def dataset_copy(made, case, source="data"):
+    """A writable copy of the dataset dir (``source`` "voc": its VOC form) under ``case``."""
     data = os.path.join(case, "data")
-    shutil.copytree(made["data"], data)
+    shutil.copytree(made[source], data)
     return data
 
 
@@ -165,6 +171,36 @@ def test_truncated_file(made, target, keep):
         name = "annotations.json" if target == "annotations" else "images/img_00001.ppm"
         _truncated_copy(os.path.join(made["data"], name), os.path.join(data, name), keep)
         run_dataset_readers(made, data, case, images_only=target == "ppm")
+
+
+@settings(FUZZ, max_examples=30)
+@given(image=st.integers(0, 10**6), node=st.integers(0, 10**6),
+       op=st.sampled_from(["text", "delete", "truncate"]), value=st.sampled_from(VALUES),
+       keep=st.floats(0.0, 1.0, exclude_max=True))
+# Nodes below the root: 0 filename, 1 size, 2 width, 3 height, 6 name, 10 xmax.
+@example(image=0, node=2, op="text", value=-1, keep=0.0)
+@example(image=0, node=3, op="text", value=2.5, keep=0.0)
+@example(image=0, node=6, op="text", value="", keep=0.0)
+@example(image=0, node=10, op="text", value=2**63, keep=0.0)
+def test_voc_xml_edit(made, image, node, op, value, keep):
+    """One VOC file of the dataset with one node below the root given
+    ``value`` as its text, or deleted, or the file's bytes cut to ``keep``."""
+    case = fresh(made, "voc")
+    data = dataset_copy(made, case, "voc")
+    files = sorted(f for f in os.listdir(data) if f.endswith(".xml"))
+    path = os.path.join(data, files[image % len(files)])
+    if op == "truncate":
+        _truncated_copy(path, path, keep)
+    else:
+        tree = ET.parse(path)
+        nodes = list(tree.iter())[1:]  # document order
+        target = nodes[node % len(nodes)]
+        if op == "text":
+            target.text = str(value)
+        else:
+            next(p for p in tree.iter() if target in p).remove(target)
+        tree.write(path)
+    run_dataset_readers(made, data, case)
 
 
 TOKENS = [b"", b"0", b"-1", b"1", b"2", b"63", b"64", b"65", b"255", b"256", b"65535",
