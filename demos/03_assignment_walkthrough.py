@@ -7,15 +7,15 @@ anchor goes to the cheaper ground truth while the loser falls back.
 
 import numpy as np
 
-from crackdet.assignment import (build_cost_matrix, center_cost, classification_cost,
-                                 dynamic_assign, location_cost, total_cost)
+from crackdet.assignment import (build_cost_matrix, center_cost_from_distance,
+                                 classification_cost, dynamic_assign, location_cost, total_cost)
 
 print("== cost terms ==")
 print(f"classification cost at y=1, y_hat=0.5: {classification_cost(0.5, 1.0):.6f}")
 print(f"location cost at IoU 1.0 / 0.5 / 0.0: {location_cost(1.0):.3f} / "
       f"{location_cost(0.5):.6f} / {location_cost(0.0):.3f}")
 print(f"center cost at stride-normalized distances 3 and 4: "
-      f"{center_cost((0, 0), (24, 0), 8):.3f} and {center_cost((0, 0), (32, 0), 8):.3f}")
+      f"{center_cost_from_distance(3.0):.3f} and {center_cost_from_distance(4.0):.3f}")
 print(f"weighted total of (0.1733, 0.6931, 1.0): {total_cost(0.1733, 0.6931, 1.0):.4f}")
 
 print("\n== a small scene ==")

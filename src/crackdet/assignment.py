@@ -53,13 +53,6 @@ def center_cost_from_distance(d):
     return ALPHA ** np.minimum(d - BETA, _CENTER_EXPONENT_CAP)
 
 
-def center_cost(pred_center, gt_center, stride):
-    px, py = pred_center
-    gx, gy = gt_center
-    d = np.hypot(px - gx, py - gy) / stride
-    return float(center_cost_from_distance(d))
-
-
 def total_cost(delta, theta, rho):
     return LAMBDA_CLS * np.asarray(delta) + LAMBDA_LOC * np.asarray(theta) \
         + LAMBDA_CENTER * np.asarray(rho)

@@ -124,9 +124,14 @@ def _size(value, name, text=False):
     return int(number) if text else value
 
 
-def _clamped(box, width, height):
-    """The corner ``box`` clamped into a ``width`` x ``height`` image."""
-    return tuple(min(max(v, 0.0), float(size)) for v, size in zip(box, (width, height) * 2))
+def _clamped(box, width, height, entry):
+    """The corner ``box`` clamped into a ``width`` x ``height`` image, or a
+    DataError naming ``entry`` if the box has area but none of it inside."""
+    x1, y1, x2, y2 = inside = tuple(min(max(v, 0.0), float(size))
+                                    for v, size in zip(box, (width, height) * 2))
+    if box[2] > box[0] and box[3] > box[1] and (x2 == x1 or y2 == y1):
+        raise DataError(f"{entry}: box {list(box)} lies wholly outside its {width}x{height} image")
+    return inside
 
 
 def _bbox(record, path, entry):
@@ -193,7 +198,7 @@ def load_coco(path, center_boxes=False) -> DatasetIndex:
         else:
             x1, y1, x2, y2 = x, y, x + w, y + h
         im = image_ids[image_id]
-        box = _clamped((x1, y1, x2, y2), im.width, im.height)
+        box = _clamped((x1, y1, x2, y2), im.width, im.height, f"{path}: {entry}")
         clamped += box != (x1, y1, x2, y2)
         annotations.append(Annotation(id=ann_id, image_id=image_id,
                                       category_id=category_id, box=box))
@@ -239,6 +244,7 @@ def load_voc(dirpath) -> DatasetIndex:
         raise DataError(f"{dirpath}: no .xml files found")
     parsed = []
     names = set()
+    clamped = 0
     for fname in files:
         fpath = os.path.join(dirpath, fname)
         try:
@@ -264,20 +270,19 @@ def load_voc(dirpath) -> DatasetIndex:
                         for k in ("xmin", "ymin", "xmax", "ymax"))
             if box[2] < box[0] or box[3] < box[1]:
                 raise DataError(f"{fpath}: inverted bndbox")
-            objects.append((name, box))
+            inside = _clamped(box, width, height, f"{fpath}: object[{j}]")
+            clamped += inside != box
+            objects.append((name, inside))
             names.add(name)
         parsed.append((filename, width, height, objects))
 
     category_ids = {name: i + 1 for i, name in enumerate(sorted(names))}
     images, annotations = [], []
-    clamped = 0
     for image_id, (filename, width, height, objects) in enumerate(parsed, start=1):
         images.append(ImageInfo(id=image_id, file_name=filename, width=width, height=height))
         for name, box in objects:
-            inside = _clamped(box, width, height)
-            clamped += inside != box
             annotations.append(Annotation(id=len(annotations) + 1, image_id=image_id,
-                                          category_id=category_ids[name], box=inside))
+                                          category_id=category_ids[name], box=box))
     categories = [Category(id=i, name=n) for n, i in sorted(category_ids.items(), key=lambda kv: kv[1])]
     return DatasetIndex(images=images, annotations=annotations, categories=categories,
                         clamp_warnings=clamped)

@@ -105,16 +105,16 @@ class ErrorBreakdown:
 
 
 def match_detections(ious, iou_thr, gt_ignore=None):
-    """Greedy COCO matching of a batch of (image, category) groups at one IoU
-    threshold or several, in one event-driven walk; one group is a batch of one.
+    """Greedy COCO matching, in one event-driven walk, of a batch of (image,
+    category) groups (one group is a batch of one) at each threshold of ``iou_thr``.
 
     ``ious`` holds one (n_det, n_gt) IoU block per group, detections by
     descending score. In its group each detection takes the free GT of
     highest IoU >= iou_thr (inclusive), preferring non-ignored GTs; among
     equal IoUs the last GT wins. A detection whose only match is ignored is
-    itself ignored. Flags are flat over the batch, groups in batch order: 1-D
-    (tp, det_ignore, gt_matched) for a scalar ``iou_thr``, (T, n) arrays for T
-    thresholds. ``gt_ignore`` is (n_gt,), shared by every row, or (T, n_gt).
+    itself ignored. The flags (tp, det_ignore, gt_matched) are (T, n) arrays,
+    flat over the batch, groups in batch order; ``gt_ignore`` is (n_gt,),
+    shared by every row, or (T, n_gt).
 
     A detection changes a (threshold, group) row only when it takes a GT, so
     each pass moves every row to its next detection that still reaches a free
@@ -125,7 +125,6 @@ def match_detections(ious, iou_thr, gt_ignore=None):
     thresholds at a time.
     """
     thrs = np.asarray(iou_thr, dtype=np.float64)
-    scalar, thrs = thrs.ndim == 0, thrs.reshape(-1)
     n_thr = len(thrs)
     n_dets, n_gts = [b.shape[0] for b in ious], [b.shape[1] for b in ious]
     d_off, g_off = [0, *accumulate(n_dets)], [0, *accumulate(n_gts)]
@@ -174,7 +173,7 @@ def match_detections(ious, iou_thr, gt_ignore=None):
             tp[t0 + t, det_idx[g, e]] = took
             det_ignore[t0 + t, det_idx[g, e]] = ~took
             gt_matched[t0 + t, gt_idx[g, j]] = True
-    return (tp[0], det_ignore[0], gt_matched[0]) if scalar else (tp, det_ignore, gt_matched)
+    return tp, det_ignore, gt_matched
 
 
 def _match_blocks(n_cands, n_gts, n_thr):
@@ -192,16 +191,16 @@ def _match_blocks(n_cands, n_gts, n_thr):
         yield block
 
 
-def compute_ap(tp, det_ignore, num_gt, recall_grid=RECALL_GRID):
+def compute_ap(tp, det_ignore, num_gt):
     """101-point interpolated AP from score-ordered TP flags; -1.0 if no GTs."""
     curves = _pr_curves(np.asarray(tp, dtype=bool).reshape(1, -1),
-                        np.asarray(det_ignore, dtype=bool).reshape(1, -1), num_gt, recall_grid)
+                        np.asarray(det_ignore, dtype=bool).reshape(1, -1), num_gt)
     return SENTINEL if curves is None else float(curves[0].mean())
 
 
-def _pr_curves(tp, det_ignore, num_gt, grid):
-    """Interpolated precision at each recall in ``grid`` for every row of an
-    (S, n) block of score-ordered flags: (S, len(grid)), or None if no GTs.
+def _pr_curves(tp, det_ignore, num_gt):
+    """Interpolated precision at each recall of ``RECALL_GRID`` for every row
+    of an (S, n) block of score-ordered flags: (S, 101), or None if no GTs.
     ``num_gt`` is one GT count or one per row; a row with none is all zeros
     and skips the work.
 
@@ -220,20 +219,20 @@ def _pr_curves(tp, det_ignore, num_gt, grid):
     kept, n = ~det_ignore[rows], num_gt[rows, None]
     at, col = np.nonzero(tp[rows] & kept)  # the kept TPs, row by row in score order
     rank = np.arange(len(at)) - np.searchsorted(at, at)  # TPs before each in its row
-    k = _recall_counts(grid, n)
+    k = _recall_counts(n)
     envelope = np.zeros((len(rows), max(k.max(), rank.max(initial=0) + 1) + 1))
     envelope[at, rank] = (rank + 1) / np.cumsum(kept, axis=1, dtype=np.int32)[at, col]
     np.maximum.accumulate(envelope[:, ::-1], axis=1, out=envelope[:, ::-1])
-    curves = np.zeros((len(num_gt), len(grid)))
+    curves = np.zeros((len(num_gt), len(RECALL_GRID)))
     curves[rows] = envelope[np.arange(len(rows))[:, None], np.maximum(k - 1, 0)]
     return curves
 
 
-def _recall_counts(grid, n):
+def _recall_counts(n):
     """Least TP counts k with k / n >= each grid point, as a recall divides."""
-    k = np.ceil(grid * n).astype(np.int64)  # at most one off either way
-    k -= (k - 1) / n >= grid
-    return k + (k / n < grid)
+    k = np.ceil(RECALL_GRID * n).astype(np.int64)  # at most one off either way
+    k -= (k - 1) / n >= RECALL_GRID
+    return k + (k / n < RECALL_GRID)
 
 
 @dataclass
@@ -241,12 +240,14 @@ class _Groups:
     """A report's (image, category) groups, by image, then category: one IoU
     block each, detections in score order. ``slots`` places each detection in
     a (category, column) slab ``width`` columns wide, columns by descending
-    score, then input order; ``gt_onehot`` is (n_gt, K), each GT's category."""
+    score, then input order, and ``det_areas`` holds their box areas;
+    ``gt_onehot`` is (n_gt, K), each GT's category."""
 
     ious: list
     det_order: np.ndarray
     slots: tuple
     width: int
+    det_areas: np.ndarray
     gt_areas: np.ndarray
     gt_onehot: np.ndarray
 
@@ -324,6 +325,7 @@ def _collect_groups(index, detections, cfg):
     grouped = g[:, 1] >= 0  # in a block, shared unlisted-image position included
     groups = _Groups(ious=blocks, det_order=d_order[kept], slots=(d_cat[kept], col[kept]),
                      width=per_cat.max(initial=0), gt_areas=areas[grouped],
+                     det_areas=np.prod(d_box[kept, 2:] - d_box[kept, :2], axis=1),
                      gt_onehot=g[grouped, 1, None] == edges[:-1])
     return groups, cross
 
@@ -339,11 +341,15 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
 
-    ignore = (groups.gt_areas < _AREA_LO) | (groups.gt_areas >= _AREA_HI)
+    # A stratum ignores the GTs outside its area range and, as COCO does, the
+    # unmatched detections outside it: neither counts in that stratum's rows.
+    ignore, outside = ((areas < _AREA_LO) | (areas >= _AREA_HI)
+                       for areas in (groups.gt_areas, groups.det_areas))
     tp, ign, _ = match_detections(groups.ious, _ROW_THRESHOLDS, ignore)
+    ign |= ~tp & outside
     tp, ign = groups.slab(tp, False), groups.slab(ign, True)
     num_gt = groups.gt_onehot.T.astype(np.int64) @ ~ignore.T  # (category, row)
-    curves = _pr_curves(tp, ign, num_gt.reshape(-1), RECALL_GRID)
+    curves = _pr_curves(tp, ign, num_gt.reshape(-1))
     shape = (len(num_gt), len(AREA_RANGES), len(IOU_THRESHOLDS))
     num_gt = num_gt.reshape(shape)
     row_aps = np.zeros(shape) if curves is None else curves.mean(axis=1).reshape(shape)
@@ -383,7 +389,7 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     tps = groups.slab(np.stack([tp[2], tp[1], loc, loc, loc]), False)
     igns = groups.slab(np.stack([none, none, none, ~loc & cross[groups.det_order], ~loc]), True)
     num_gt = groups.gt_onehot.sum(axis=0)
-    stages = _pr_curves(tps, igns, np.repeat(num_gt, 5), RECALL_GRID)
+    stages = _pr_curves(tps, igns, np.repeat(num_gt, 5))
     if stages is None:
         stages = np.zeros((len(num_gt) * 5, len(RECALL_GRID)))
     # Oth repeats Sim; FN pins every category with GTs at 1.0.

@@ -8,9 +8,10 @@ accumulates gradients additively into every tensor created with
 has no arithmetic operators or shape methods. Shapes are strict: elementwise
 ops take equal shapes, ``mul`` also a python scalar as its second operand,
 and nothing broadcasts. All parameterized layers
-(conv1x1, conv3x3s2, batchnorm, the fused conv_bn, positional bias) spell
-out their own backward rules instead; the convs share one raw-array forward
-and backward, and ``batchnorm`` is ``conv_bn``'s batchnorm on its own.
+(conv1x1, conv3x3s2, the fused conv_bn, positional bias) spell out their own
+backward rules instead; the convs share one raw-array forward and backward.
+``batchnorm`` is ``conv_bn`` with an identity 1x1 weight, and SiLU runs
+only inside ``conv_bn`` (``act``): neither records a node of its own.
 
 Activations are (B, C, H, W) arrays. The convs' weight gradient is one 2-D
 GEMM against a channel-major input matrix with one column per output pixel
@@ -289,13 +290,6 @@ def softplus(a):
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
     return _make(out, "softplus", (a,), lambda g: (g * _sigmoid_np(a.data),))
-
-
-def silu(a):
-    """x * sigmoid(x) — smooth everywhere, so finite differences stay honest."""
-    a = as_tensor(a)
-    s = _sigmoid_np(a.data)
-    return _make(a.data * s, "silu", (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
 
 
 # -- reductions and reshaping --------------------------------------------
@@ -671,19 +665,10 @@ def _bn_forward(z, bn, act):
 
 
 def batchnorm(x, bn):
-    """The BatchNorm ``bn`` over the (B,H,W) slices of x (B,C,H,W): the fused
-    op's batchnorm on its own, as one 'batchnorm' node with parents (x,
-    gamma, beta). It normalizes a copy, never the caller's array.
-    """
+    """The BatchNorm ``bn`` over the (B,H,W) slices of x (B,C,H,W): ``conv_bn``
+    with an identity 1x1 weight, whose matmul passes x through exactly."""
     x = as_tensor(x)
-    B, C, H, W = x.data.shape
-    out, bn_backward = _bn_forward(x.data.reshape(B, C, H * W).copy(), bn, act=False)
-
-    def backward(g):
-        gz, ggamma, gbeta = bn_backward(g)
-        return gz.reshape(B, C, H, W), ggamma, gbeta
-
-    return _make(out.reshape(B, C, H, W), "batchnorm", (x, bn.gamma, bn.beta), backward)
+    return conv_bn(x, np.eye(len(bn.gamma.data), dtype=x.dtype), bn)
 
 
 def _conv_bn_train(x, w, bn, stride2, act):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crackdet.assignment import (ALPHA, BETA, DYNAMIC_K_CAP, LAMBDA_CENTER, LAMBDA_CLS,
-                                 LAMBDA_LOC, CostMatrix, build_cost_matrix, center_cost,
+                                 LAMBDA_LOC, CostMatrix, build_cost_matrix,
                                  center_cost_from_distance, classification_cost,
                                  dynamic_assign, location_cost, total_cost)
 from crackdet.config import load_config
@@ -78,8 +78,14 @@ class TestCostTerms:
         assert np.all(np.diff(center_cost_from_distance(d)) > 0)
 
     def test_center_cost_normalizes_by_stride(self):
-        near = center_cost((0.0, 0.0), (8.0, 6.0), 10.0)
-        assert near == pytest.approx(center_cost_from_distance(1.0))
+        """The cost matrix's centre term reads the centre distance in strides:
+        two anchors alike but for their strides, 10 and 5, differ by the
+        prior at distances 1 and 2 (the centres lie 10 px apart)."""
+        pred = np.array([[14.0, 12.0, 22.0, 20.0]] * 2)
+        cm = build_cost_matrix(np.full((2, 1), 0.5), pred, np.full((2, 2), 10.0),
+                               np.array([10.0, 5.0]), [[0.0, 0.0, 20.0, 20.0]], [0])
+        want = LAMBDA_CENTER * (center_cost_from_distance(1.0) - center_cost_from_distance(2.0))
+        assert cm.cost[0, 0] - cm.cost[0, 1] == pytest.approx(want)
 
     def test_total_cost_weighted_sum(self):
         assert total_cost(0.0, 0.0, 0.0) == 0.0

@@ -603,6 +603,9 @@ class TestAnnotationsRejected:
         ("<width>10</width><height>64.7</height>", "1",
          ("a.xml: <size>: <height> must be an integer of at least 1, got '64.7'",)),
         ("<width>0</width><height>10</height>", "1", ("a.xml: <size>: <width>",)),
+        # A box with area must share some of it with its image.
+        ("<width>5</width><height>5</height>", "6",
+         ("a.xml: object[0]: box [6.0, 1.0, 9.0, 9.0] lies wholly outside its 5x5 image",)),
     ])
     def test_voc(self, tmp_path, capsys, size, xmin, messages):
         voc = tmp_path / "voc"
@@ -661,6 +664,9 @@ class TestAnnotationsRejected:
          ("ann.json", "images[0].file_name must be a non-empty string")),
         ("categories", {"id": 1, "name": ""},
          ("ann.json", "categories[0].name must be a non-empty string")),
+        ("annotations", dict(COCO["annotations"][0], bbox=[10, 2, 5, 5]),
+         ("ann.json: annotations[0]: box [10.0, 2.0, 15.0, 7.0] lies wholly outside its "
+          "10x10 image",)),
     ])
     def test_coco(self, tmp_path, capsys, section, entry, messages):
         path = tmp_path / "ann.json"

@@ -141,6 +141,21 @@ class TestCocoLoad:
         assert index.clamp_warnings == 1
         assert index.annotations[0].box == (40.0, 40.0, 50.0, 50.0)
 
+    @pytest.mark.parametrize("bbox,box", [([100, 100, 0, 0], (50.0, 50.0, 50.0, 50.0)),
+                                          ([-10, 5, 10, 0], (0.0, 5.0, 0.0, 5.0))])
+    def test_zero_area_box_outside_clamped_with_warning(self, tmp_path, bbox, box):
+        """Only a box with area must share some of it with its image: a
+        zero-area one outside is clamped onto the image's edge and counted."""
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "a.jpg", "width": 50, "height": 50}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": bbox}],
+            "categories": [{"id": 1, "name": "crack"}],
+        }))
+        index = load_coco(path)
+        assert index.clamp_warnings == 1
+        assert index.annotations[0].box == box
+
     @pytest.mark.parametrize("key,value", [("images", 5), ("annotations", {"x": 1}),
                                            ("categories", "crack"), ("images", None)])
     def test_top_level_table_must_be_a_list(self, tmp_path, key, value):

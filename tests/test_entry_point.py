@@ -94,6 +94,14 @@ ROWS = {
         "str.json: images[0].width must be a finite number, got ' 64 '",
         files={"str.json": json.dumps(
             dict(COCO, images=[dict(COCO["images"][0], width=" 64 ")])).encode()}),
+    "coco-box-outside-image": Row(
+        "stats --dataset far.json --out y",
+        "far.json: annotations[0]: box [100.0, 100.0, 110.0, 110.0] lies wholly outside its "
+        "64x64 image",
+        files={"far.json": json.dumps(dict(
+            COCO, annotations=[{"id": 1, "image_id": 1, "category_id": 1,
+                                "bbox": [100, 100, 10, 10]}],
+            categories=[{"id": 1, "name": "crack"}])).encode()}),
     "voc-negative-width": Row("stats --dataset voc --out o",
                               "a.xml: <size>: <width> must be an integer of at least 1, got '-5'",
                               files={"voc/a.xml": VOC}),

@@ -71,28 +71,28 @@ def match_one(dets, gts, iou_thr, gt_ignore=None):
 
 class TestMatchDetections:
     def test_single_tp(self):
-        tp, ignore, matched = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.5)
-        assert tp.tolist() == [True] and matched.tolist() == [True]
+        tp, ignore, matched = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], [0.5])
+        assert tp.tolist() == [[True]] and matched.tolist() == [[True]]
 
     def test_threshold_boundary_is_inclusive(self):
-        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.6)
-        assert tp.tolist() == [True]
-        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], 0.75)
-        assert tp.tolist() == [False]
+        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], [0.6])
+        assert tp.tolist() == [[True]]
+        tp, _, _ = match_one([(0, 0, 10, 6)], [(0, 0, 10, 10)], [0.75])
+        assert tp.tolist() == [[False]]
 
     def test_duplicate_detection_is_fp(self):
-        tp, _, matched = match_one([(0, 0, 10, 9), (0, 0, 10, 9)], [(0, 0, 10, 10)], 0.5)
-        assert tp.tolist() == [True, False]
-        assert matched.tolist() == [True]
+        tp, _, matched = match_one([(0, 0, 10, 9), (0, 0, 10, 9)], [(0, 0, 10, 10)], [0.5])
+        assert tp.tolist() == [[True, False]]
+        assert matched.tolist() == [[True]]
 
     def test_prefers_unignored_gt(self):
         gt = [(0, 0, 10, 10), (1, 0, 11, 10)]
-        tp, ignore, _ = match_one([(0, 0, 10, 10)], gt, 0.5, gt_ignore=[True, False])
-        assert tp.tolist() == [True] and ignore.tolist() == [False]
+        tp, ignore, _ = match_one([(0, 0, 10, 10)], gt, [0.5], gt_ignore=[True, False])
+        assert tp.tolist() == [[True]] and ignore.tolist() == [[False]]
 
     def test_match_only_ignored_gt_ignores_detection(self):
-        tp, ignore, _ = match_one([(0, 0, 10, 10)], [(0, 0, 10, 10)], 0.5, gt_ignore=[True])
-        assert tp.tolist() == [False] and ignore.tolist() == [True]
+        tp, ignore, _ = match_one([(0, 0, 10, 10)], [(0, 0, 10, 10)], [0.5], gt_ignore=[True])
+        assert tp.tolist() == [[False]] and ignore.tolist() == [[True]]
 
     def test_threshold_sequence_gives_one_row_per_threshold(self):
         # IoU exactly 0.6: inclusive at 0.6, a miss at 0.65.
@@ -126,8 +126,6 @@ class TestMatchDetections:
         tp, ignore, matched = match_one(dets, gts, (0.5, 0.75))
         assert tp.shape == ignore.shape == (2, n_det) and matched.shape == (2, n_gt)
         assert not tp.any() and not ignore.any() and not matched.any()
-        tp, _, matched = match_one(dets, gts, 0.5)
-        assert tp.shape == (n_det,) and matched.shape == (n_gt,)
 
 
 class TestEvalConfig:
@@ -188,15 +186,14 @@ class TestComputeAP:
         ignore[1, :3] = True
         ignore[2] = True
         num_gt = int(tp.sum(axis=1).max()) + 1
-        grid = RECALL_GRID
-        block = _pr_curves(tp, ignore, num_gt, grid)
-        assert block.shape == (S, len(grid))
+        block = _pr_curves(tp, ignore, num_gt)
+        assert block.shape == (S, len(RECALL_GRID))
         for s in range(S):
-            alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], num_gt, grid)
+            alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], num_gt)
             assert np.array_equal(block[s], alone[0])
-            assert compute_ap(tp[s], ignore[s], num_gt, grid) == float(block[s].mean())
+            assert compute_ap(tp[s], ignore[s], num_gt) == float(block[s].mean())
         assert not block[2].any()
-        assert _pr_curves(tp, ignore, 0, grid) is None
+        assert _pr_curves(tp, ignore, 0) is None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_one_gt_count_per_row(self, seed):
@@ -210,15 +207,15 @@ class TestComputeAP:
         counts[[0, 5]] = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _pr_curves(tp, ignore, counts, RECALL_GRID)
+            block = _pr_curves(tp, ignore, counts)
         for s in range(S):
             if counts[s] == 0:
                 assert not block[s].any()
             else:
-                alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], int(counts[s]), RECALL_GRID)
+                alone = _pr_curves(tp[s:s + 1], ignore[s:s + 1], int(counts[s]))
                 assert np.array_equal(block[s], alone[0])
-        assert _pr_curves(tp, ignore, np.zeros(S, dtype=int), RECALL_GRID) is None
-        assert _pr_curves(tp, ignore, 0, RECALL_GRID) is None
+        assert _pr_curves(tp, ignore, np.zeros(S, dtype=int)) is None
+        assert _pr_curves(tp, ignore, 0) is None
 
     @given(st.tuples(st.integers(1, 6), st.integers(0, 30)).flatmap(lambda shape: st.tuples(
         st.lists(st.lists(st.sampled_from("TFIX"), min_size=shape[1], max_size=shape[1]),
@@ -232,7 +229,7 @@ class TestComputeAP:
         block, counts = case
         flags = np.array(block, dtype="<U1").reshape(len(counts), -1)
         tp, ignore = np.isin(flags, ("T", "X")), np.isin(flags, ("I", "X"))
-        got = _pr_curves(tp, ignore, np.array(counts), RECALL_GRID)
+        got = _pr_curves(tp, ignore, np.array(counts))
         want = pr_curves_every_detection(tp, ignore, np.array(counts), RECALL_GRID)
         assert (got is None and want is None) or np.array_equal(got, want)
 
@@ -240,7 +237,7 @@ class TestComputeAP:
         """For every GT count up to 2,000, each grid point's TP count is the
         first recall k / n at or above it, exactly as a recall search finds it."""
         n = np.arange(1, 2001)
-        got = _recall_counts(RECALL_GRID, n[:, None])
+        got = _recall_counts(n[:, None])
         for count, row in zip(n, got):
             want = np.searchsorted(np.arange(count + 1) / count, RECALL_GRID, "left")
             assert np.array_equal(row, want), count
@@ -370,6 +367,22 @@ class TestEvaluateHandCases:
         assert report.aggregate["ap_small"] == 1.0
         assert report.aggregate["ap_large"] == 1.0
 
+    def test_unmatched_detection_outside_a_stratum_is_ignored_there(self):
+        """COCO's rule for the size strata: an unmatched detection whose area
+        lies outside a stratum counts there neither as a TP nor as a FP. The
+        unmatched 130 x 130 detection outranks the small GT's match, so it
+        halves AP in the "all" stratum but not in the small one; an unmatched
+        small detection still counts as a FP in the small stratum."""
+        index = make_index([(1, 1, (0.0, 0.0, 20.0, 20.0))], categories=("crack",))
+        dets = [det(1, 1, 0.95, (50.0, 50.0, 180.0, 180.0)),
+                det(1, 1, 0.90, (0.0, 0.0, 20.0, 20.0))]
+        report = evaluate(index, dets).aggregate
+        assert report["ap_small"] == 1.0
+        assert report["ap"] == pytest.approx(ap_101_reference([False, True], 1), abs=1e-12)
+        assert report["ap_large"] == SENTINEL
+        small_fp = dets + [det(1, 1, 0.93, (100.0, 100.0, 110.0, 110.0))]
+        assert evaluate(index, small_fp).aggregate["ap_small"] == pytest.approx(0.5, abs=1e-12)
+
     def test_higher_score_takes_the_shared_gt(self):
         """Within a group the greedy walk goes by descending score, not input
         order: the 0.9 detection (IoU 0.6) takes the GT at IoU 0.5, and the
@@ -421,18 +434,14 @@ class TestEvaluateProperties:
 
     @pytest.mark.parametrize("seed", range(14))
     def test_adding_tp_for_unmatched_gt_never_decreases_ap(self, seed):
+        """A score-1.0 detection on a GT whose (image, category) group holds
+        no detection never lowers AP. The first GT's group is emptied first,
+        so every scene has such a GT."""
         index, dets = random_scene(seed)
+        target = index.annotations[0]
+        group = (target.image_id, target.category_id)
+        dets = [d for d in dets if (d.image_id, d.category_id) != group]
         before = evaluate(index, dets)
-        matched_boxes = {(d.image_id, d.category_id) for d in dets}
-        target = None
-        for ann in index.annotations:
-            hit = any(d.image_id == ann.image_id and d.category_id == ann.category_id
-                      for d in dets)
-            if not hit:
-                target = ann
-                break
-        if target is None:
-            pytest.skip("every GT already covered in this scene")
         dets2 = dets + [det(target.image_id, target.category_id, 1.0, target.box)]
         after = evaluate(index, dets2)
         for key in ("ap", "ap50", "ap75"):
@@ -602,8 +611,8 @@ class TestMatchOracle:
         for t, thr in enumerate(thresholds):
             want = greedy_match_loop(dets, gts, thr, ignore)
             assert (tp[t].tolist(), det_ignore[t].tolist(), matched[t].tolist()) == want
-            scalar = match_one(dets, gts, thr, ignore)
-            assert [a.tolist() for a in scalar] == list(want)
+            alone = match_one(dets, gts, [thr], ignore)
+            assert [a[0].tolist() for a in alone] == list(want)
 
     @given(match_cases_per_row())
     @settings(max_examples=300, deadline=None)
@@ -768,11 +777,21 @@ class TestIouOncePerGroup:
         assert batches == [len(groups.ious)]
 
 
+# Scene boxes reach every size stratum: _box's small ones, boxes of exactly
+# 32² and 96² (the strata's half-open bounds), medium ones and large ones.
+_scene_box = st.one_of(_box, st.builds(
+    lambda x, y, wh: (float(x), float(y), float(x + wh[0]), float(y + wh[1])),
+    st.integers(0, 40), st.integers(0, 40),
+    st.one_of(st.sampled_from(((32, 32), (16, 64), (96, 96), (64, 144))),
+              st.tuples(st.integers(33, 95), st.integers(33, 95)),
+              st.tuples(st.integers(97, 160), st.integers(97, 160)))))
+
+
 @st.composite
 def scenes(draw):
     """A 1-4 image dataset (some images empty) and its scored detections."""
     num_images = draw(st.integers(1, 4))
-    item = st.tuples(st.integers(1, num_images), st.integers(1, 2), _box)
+    item = st.tuples(st.integers(1, num_images), st.integers(1, 2), _scene_box)
     gts = draw(st.lists(item, max_size=8))
     dets = draw(st.lists(st.tuples(item, st.sampled_from((0.25, 0.5, 0.75))), max_size=12))
     return (make_index(gts, num_images=num_images),
@@ -781,16 +800,20 @@ def scenes(draw):
 
 def evaluate_per_bucket(index, detections, cfg=None):
     """The report built one size stratum and one group at a time: four walks
-    per group, each a batch of one with the stratum's 1-D ignore flags, and
-    one PR-curve block and one ``float(c.mean())`` per row for every
-    (category, stratum)."""
+    per group, each a batch of one with the stratum's 1-D ignore flags, then
+    COCO's rule that an unmatched detection outside the stratum is ignored
+    too, and one PR-curve block and one ``float(c.mean())`` per row for
+    every (category, stratum)."""
     cfg = cfg or EvalConfig()
     groups, _ = _collect_groups(index, detections, cfg)
+    boxes = np.array([detections[i].box for i in groups.det_order], dtype=np.float64)
+    det_areas = np.array([(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in boxes])
     n_thr = len(IOU_THRESHOLDS)
     flags = {}
     for bucket, (lo, hi) in AREA_RANGES.items():
         ignore = (groups.gt_areas < lo) | (groups.gt_areas >= hi)
         tp, ign, _ = match_one_group_at_a_time(groups.ious, IOU_THRESHOLDS, ignore)
+        ign |= ~tp & ((det_areas < lo) | (det_areas >= hi))
         flags[bucket] = groups.slab(tp, False), groups.slab(ign, True), ignore
     per_class = {}
     for k, cat in enumerate(index.categories):
@@ -799,7 +822,7 @@ def evaluate_per_bucket(index, detections, cfg=None):
         aps, recalls = {}, {}
         for bucket, (tp, ign, ignore) in flags.items():
             num_gt = int((~ignore[gts]).sum())
-            curves = _pr_curves(tp[rows], ign[rows], num_gt, RECALL_GRID)
+            curves = _pr_curves(tp[rows], ign[rows], num_gt)
             if curves is None:
                 aps[bucket] = recalls[bucket] = [SENTINEL] * n_thr
             else:
@@ -899,8 +922,8 @@ def grouping_scenes(draw):
     categories are the rule; GTs also on the unlisted image 9 and the
     unlisted category 7."""
     num_images = draw(st.integers(1, 3))
-    listed = st.tuples(st.integers(1, num_images), st.integers(1, 3), _box)
-    unlisted = st.tuples(st.sampled_from((1, 9)), st.sampled_from((1, 7)), _box)
+    listed = st.tuples(st.integers(1, num_images), st.integers(1, 3), _scene_box)
+    unlisted = st.tuples(st.sampled_from((1, 9)), st.sampled_from((1, 7)), _scene_box)
     gts = draw(st.lists(st.one_of(listed, unlisted), max_size=10))
     dets = draw(st.lists(st.tuples(listed, st.sampled_from((0.25, 0.5))), max_size=40))
     return (make_index(gts, num_images=num_images, categories=("crack", "pothole", "patch")),
@@ -970,7 +993,7 @@ def error_breakdown_per_category(index, detections):
     for k, cat in enumerate(index.categories):
         if num_gt[k]:
             rows = slice(5 * k, 5 * k + 5)
-            stages = _pr_curves(tps[rows], igns[rows], int(num_gt[k]), RECALL_GRID)
+            stages = _pr_curves(tps[rows], igns[rows], int(num_gt[k]))
             by_cat[cat.id] = np.concatenate([stages[[0, 1, 2, 3, 3, 4]],
                                              np.ones((1, len(RECALL_GRID)))])
     mean_curves = (np.mean(list(by_cat.values()), axis=0) if by_cat

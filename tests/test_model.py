@@ -695,7 +695,7 @@ class TestDetectorBundle:
     @pytest.mark.parametrize("perturb", [False, True])
     def test_folded_predict_matches_op_chain(self, rng, dtype, tol, perturb):
         """predict_arrays folds every conv->BN(->SiLU) into one op; the same
-        eval-mode forward with grad on takes the conv, batchnorm, silu chain.
+        eval-mode forward with grad on records them unfolded, as graph nodes.
         Folding reorders the arithmetic, so the two agree to ``tol`` (relative
         to max(1, |value|)), not bit for bit."""
         det = self._small_detector(rng, dtype)
