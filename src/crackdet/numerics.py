@@ -143,7 +143,7 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
+    def backward(self, on_grad=None):
         """Reverse pass from a scalar; gradients accumulate into .grad fields.
 
         The walk releases the graph as it goes: each node drops its backward
@@ -155,11 +155,20 @@ class Tensor:
         allocated for that parent alone (sharing no memory with g), which
         the walk then owns. The walk adds in place, or hands over as a
         leaf's ``grad``, only arrays it owns; a borrowed one is copied first.
+
+        A leaf (a ``requires_grad`` tensor no op produced) gets its ``grad``
+        right after the last of its consumers has run, and then, on this
+        thread, ``on_grad(leaf)`` when given: once per leaf that a gradient
+        reached. The callback may change that leaf's ``data`` and ``grad`` in
+        place or drop its ``grad``, because a closure reads only its own
+        node's parents and the arrays it saved, never another leaf's: the
+        rest of the walk is as it would have been without the callback.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
+        consumers: dict[int, int] = {}  # leaf -> consumer edges still to run
         stack = [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -174,41 +183,56 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
+                if p._backward is None:
+                    consumers[id(p)] = consumers.get(id(p), 0) + 1
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        owned = {id(self)}
+        owned: set[int] = set()
+
+        def settle(leaf, g, mine):
+            if not leaf.requires_grad:
+                return
+            if g.dtype != leaf.data.dtype:  # a float64 loss term must not upcast a float32 net
+                g, mine = g.astype(leaf.data.dtype), True
+            if leaf.grad is None:
+                leaf.grad = g if mine else np.array(g)
+            else:
+                leaf.grad += g
+            if on_grad is not None:
+                on_grad(leaf)
+
         while topo:
             node = topo.pop()  # children first; the list drops each node as it goes
             g = grads.pop(id(node), None)
-            mine = id(node) in owned
             backward, parents = node._backward, node._parents
-            if backward is not None:
-                node._backward, node._parents = _released, ()
-            if g is None:
+            if backward is None:  # a leaf settles after its last consumer; the root has none
+                if node is self:
+                    settle(node, g, True)
                 continue
-            if g.dtype != node.data.dtype:  # a float64 loss term must not upcast a float32 net
-                g, mine = g.astype(node.data.dtype), True
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = g if mine else np.array(g)
-                else:
-                    node.grad += g
-            if backward is None:
-                continue
-            for parent, pg in zip(parents, backward(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
-                if key not in grads:
-                    grads[key] = pg
-                    if not np.may_share_memory(pg, g):
+            node._backward, node._parents = _released, ()
+            if g is not None:
+                if g.dtype != node.data.dtype:
+                    g = g.astype(node.data.dtype)
+                for parent, pg in zip(parents, backward(g)):
+                    if pg is None:
+                        continue
+                    key = id(parent)
+                    if key not in grads:
+                        grads[key] = pg
+                        if not np.may_share_memory(pg, g):
+                            owned.add(key)
+                    elif key in owned:
+                        grads[key] += pg
+                    else:
+                        grads[key] = np.add(grads[key], pg, out=np.empty_like(grads[key]))
                         owned.add(key)
-                elif key in owned:
-                    grads[key] += pg
-                else:
-                    grads[key] = np.add(grads[key], pg, out=np.empty_like(grads[key]))
-                    owned.add(key)
+            for parent in parents:
+                key = id(parent)
+                if key in consumers:
+                    consumers[key] -= 1
+                    if consumers[key] == 0 and key in grads:
+                        settle(parent, grads.pop(key), key in owned)
 
 
 def as_tensor(x, like=None):

@@ -2,7 +2,8 @@
 
 Each step forwards a batch, snapshots the predictions to run the dynamic
 soft-label assigner per image, then backpropagates the quality-focal
-classification loss plus the GIoU regression loss. The learning rate follows
+classification loss plus the GIoU regression loss, updating each parameter
+inside the backward walk once its gradient is final. The learning rate follows
 a cosine schedule. Everything is driven by seeded generators, so two runs
 with the same config produce byte-identical logs.
 """
@@ -90,6 +91,7 @@ class SGD:
 
     def __post_init__(self):
         self.velocity = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._names = {id(t): name for name, t in self.params}
         # One scratch array per dtype, as long as its largest tensor, takes
         # each update's terms in turn, so a step allocates nothing.
         sizes = {}
@@ -97,12 +99,13 @@ class SGD:
             sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), t.data.size)
         self._scratch = {dtype: np.empty(size, dtype=dtype) for dtype, size in sizes.items()}
 
-    def step(self, lr):
+    def step(self, lr, tensors=None):
         """Per tensor, in place: v = momentum * v + (grad + weight_decay *
-        data), then data -= lr * v. A tensor with no grad still decays, and
-        every grad is left as it was."""
-        for name, t in self.params:
-            v = self.velocity[name]
+        data), then data -= lr * v. Updates ``tensors``, some of ``params``'
+        tensors, or every one when None; no other tensor or velocity changes.
+        A tensor with no grad still decays, and every grad is left as it was."""
+        for t in (t for _, t in self.params) if tensors is None else tensors:
+            v = self.velocity[self._names[id(t)]]
             tmp = self._scratch[t.data.dtype][:t.data.size].reshape(t.data.shape)
             np.multiply(t.data, self.weight_decay, out=tmp)
             if t.grad is not None:
@@ -115,6 +118,29 @@ class SGD:
     def zero_grad(self):
         for _, t in self.params:
             t.zero_grad()
+
+
+def train_step(detector: Detector, opt: SGD, images, gt_per_image, lr):
+    """One training step; returns its LossBreakdown (the loss before the update).
+
+    The backward walk updates each parameter, and drops its ``grad``, as
+    soon as it has finished that gradient, so the step never holds every
+    gradient at once; a parameter no gradient reached decays after the walk.
+    The bytes are those of ``backward()`` followed by ``opt.step(lr)``.
+    """
+    total, breakdown = batch_losses(detector, images, gt_per_image)
+    waiting = {id(t): t for _, t in opt.params}
+
+    def update(leaf):
+        t = waiting.pop(id(leaf), None)
+        if t is not None:
+            opt.step(lr, (t,))
+            t.grad = None
+
+    total.backward(on_grad=update)
+    if waiting:
+        opt.step(lr, waiting.values())
+    return breakdown
 
 
 def cosine_lr(base_lr, step, total_steps):
@@ -148,10 +174,8 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
         batch_ids = rng.choice(len(image_ids), size=cfg.training.batch_size, replace=False)
         batch_imgs = normalize_images(raw_images[batch_ids])
         batch_gts = [gts[image_ids[i]] for i in batch_ids]
-        opt.zero_grad()
-        total, breakdown = batch_losses(detector, batch_imgs, batch_gts)
-        total.backward()
-        opt.step(cosine_lr(cfg.training.lr, step, cfg.training.steps))
+        breakdown = train_step(detector, opt, batch_imgs, batch_gts,
+                               cosine_lr(cfg.training.lr, step, cfg.training.steps))
         rows.append((step, breakdown.cls_loss, breakdown.reg_loss,
                      breakdown.total, breakdown.num_pos))
         if not math.isfinite(breakdown.total) or breakdown.total > DIVERGENCE_FACTOR * rows[0][3]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -1119,17 +1120,29 @@ class TestTrainInferPipeline:
         assert (again / "loss.csv").read_bytes() == loss
 
     def test_step_lr_follows_the_cosine_schedule(self, tmp_path, monkeypatch):
-        """The first SGD step gets training.lr and each later step less, as
-        ``cosine_lr`` gives over training.steps."""
+        """Each training step updates every parameter once, inside the
+        backward walk, with one lr: training.lr at the first step and less at
+        each later one, as ``cosine_lr`` gives over training.steps."""
         import crackdet.train as train
 
-        real_step, lrs = train.SGD.step, []
-        monkeypatch.setattr(train.SGD, "step",
-                            lambda opt, lr: lrs.append(lr) or real_step(opt, lr))
+        real_step, calls = train.SGD.step, []
+
+        def watched_step(opt, lr, tensors=None):
+            tensors = [t for _, t in opt.params] if tensors is None else list(tensors)
+            calls.append((lr, [id(t) for t in tensors], len(opt.params)))
+            real_step(opt, lr, tensors)
+
+        monkeypatch.setattr(train.SGD, "step", watched_step)
         rc = main(["train-toy", "--out", str(tmp_path / "lr")] + TINY
                   + ["--set", "training.lr=0.01"])
+        steps = [(lr, list(group)) for lr, group in
+                 itertools.groupby(calls, key=lambda call: call[0])]
+        lrs = [lr for lr, _ in steps]
         assert rc == 0 and lrs == [train.cosine_lr(0.01, step, 6) for step in range(6)]
         assert lrs[0] == 0.01 and all(a > b for a, b in zip(lrs, lrs[1:]))
+        for _, group in steps:
+            stepped = [key for _, keys, _ in group for key in keys]
+            assert len(stepped) == len(set(stepped)) == group[0][2]
 
     def test_epochs_flag_with_zero_batch_size_exit_1(self, tmp_path, capsys):
         """A zero batch size fails when the config loads, before --epochs
@@ -1202,11 +1215,13 @@ class TestTrainInferPipeline:
 
         real_step, steps = train.SGD.step, []
 
-        def poisoned_step(opt, lr):
-            steps.append(lr)
-            if len(steps) == 3:
-                opt.params[1][1].grad[...] = np.nan
-            real_step(opt, lr)
+        def poisoned_step(opt, lr, tensors=None):
+            target = opt.params[1][1]
+            if any(t is target for t in tensors):
+                steps.append(lr)
+                if len(steps) == 3:
+                    target.grad[...] = np.nan
+            real_step(opt, lr, tensors)
 
         monkeypatch.setattr(train.SGD, "step", poisoned_step)
         out_dir = tmp_path / "nan"

@@ -789,14 +789,22 @@ def test_train_toy_float32_end_to_end(monkeypatch):
     """Ten float32 training steps on the default architecture: every loss is
     finite and every parameter, gradient and running statistic stays float32,
     also the gradients reaching each conv backward (the GIoU terms are
-    float64, and must not upcast the network's backward)."""
+    float64, and must not upcast the network's backward). The gradients are
+    read where each update takes them, since the step releases them."""
     from crackdet.config import load_config
-    from crackdet.train import train_toy
+    from crackdet.train import SGD, train_toy
 
-    seen = set()
+    seen, grads = set(), set()
     real = nm._conv_backward
     monkeypatch.setattr(nm, "_conv_backward",
                         lambda g, *args: seen.add(g.dtype) or real(g, *args))
+    real_step = SGD.step
+
+    def step(opt, lr, tensors=None):
+        grads.update(None if t.grad is None else t.grad.dtype for t in tensors)
+        real_step(opt, lr, tensors)
+
+    monkeypatch.setattr(SGD, "step", step)
     cfg = load_config(overrides=["numerics.dtype=float32", "training.steps=10",
                                  "synthetic.num_images=8"])
     det, _, _, rows = train_toy(cfg)
@@ -805,5 +813,5 @@ def test_train_toy_float32_end_to_end(monkeypatch):
     assert all(np.isfinite(r[1:4]).all() for r in rows)
     params = list(det.params())
     assert all(t.data.dtype == np.float32 for _, t in params)
-    assert all(t.grad is not None and t.grad.dtype == np.float32 for _, t in params)
+    assert grads == {np.dtype(np.float32)}
     assert all(arr.dtype == np.float32 for _, arr in det.states())

@@ -733,6 +733,25 @@ class TestBackwardWalk:
         a.grad += 1.0
         assert b.grad.tolist() == [1.0] * 3
 
+    def test_on_grad_gets_each_reached_leaf_once_with_its_final_grad(self):
+        """Two consumers of ``a`` both run before it is handed over; the
+        constant ``c`` and the unreached ``d`` never are; a leaf root is
+        handed over with its unit gradient."""
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.full(2, 3.0), requires_grad=True)
+        c = Tensor(np.ones(2))
+        d = Tensor(np.ones(2), requires_grad=True)
+        nm.mul(d, 2.0)
+        seen = []
+        loss = nm.tsum(nm.add(nm.add(nm.mul(a, b), a), c))
+        loss.backward(on_grad=lambda leaf: seen.append((leaf, leaf.grad.tolist())))
+        assert sorted((id(t), g) for t, g in seen) == sorted(
+            [(id(a), [4.0, 4.0]), (id(b), [1.0, 1.0])])
+        assert c.grad is None and d.grad is None
+        root, seen = Tensor(np.array(2.0), requires_grad=True), []
+        root.backward(on_grad=seen.append)
+        assert seen == [root] and root.grad == 1.0
+
     def test_backward_releases_the_graph(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)

@@ -46,6 +46,29 @@ def test_sgd_three_steps_match_closed_form(rng, dtype):
     assert np.all(np.abs(c.data) < np.abs(c0))  # weight decay alone shrinks it
 
 
+def test_sgd_step_updates_only_the_given_tensors(rng):
+    """``step(lr, tensors)`` updates those tensors and their velocities as a
+    full step would, and leaves every other tensor and velocity alone."""
+    tensors = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
+    for t in tensors:
+        t.grad = rng.normal(size=t.data.shape)
+    twins = [Tensor(t.data.copy(), requires_grad=True) for t in tensors]
+    for t, twin in zip(tensors, twins):
+        twin.grad = t.grad.copy()
+    opt = SGD([(f"p{i}", t) for i, t in enumerate(tensors)], 0.9, 1e-2)
+    full = SGD([(f"p{i}", t) for i, t in enumerate(twins)], 0.9, 1e-2)
+    before = [t.data.copy() for t in tensors]
+    opt.step(0.1, [tensors[2], tensors[0]])
+    full.step(0.1)
+    for i in (0, 2):
+        assert np.array_equal(tensors[i].data, twins[i].data)
+        assert np.array_equal(opt.velocity[f"p{i}"], full.velocity[f"p{i}"])
+    assert np.array_equal(tensors[1].data, before[1]) and not opt.velocity["p1"].any()
+    opt.step(0.1, [])
+    assert all(np.array_equal(t.data, twin.data) for t, twin in
+               zip(tensors[::2], twins[::2]))
+
+
 SMALL = ["model.backbone_widths=[2,3,4,6,8]", "model.head_channels=4", "neck.out_channels=4",
          "neck.attn_key_dim=4", "synthetic.num_images=10", "synthetic.num_classes=2",
          "model.num_classes=2", "training.steps=5"]
@@ -147,3 +170,78 @@ def test_gt_table_equals_the_per_image_scan():
         assert labels.tolist() == [a.category_id - 1 for a in own]
     assert table[ids[3]][0].shape == (0, 4) and table[ids[3]][1].shape == (0,)
     assert list(train.gt_table(index, [ids[5]], 2)) == [ids[5]]
+
+
+def small_run(dtype, placement):
+    """A detector, its SGD, and the batches of three steps of a SMALL run."""
+    cfg = load_config(overrides=SMALL + [f"numerics.dtype={dtype}",
+                                         f"neck.placement={placement}"])
+    detector = train.detector_from_config(cfg, np.random.default_rng(0))
+    raw, index = dataio.gen_synthetic(cfg.synthetic)
+    ids = [im.id for im in index.images]
+    gts = train.gt_table(index, ids, cfg.model.num_classes)
+    pick = np.random.default_rng(1)
+    batches = []
+    for _ in range(3):
+        chosen = pick.choice(len(ids), size=cfg.training.batch_size, replace=False)
+        batches.append((dataio.normalize_images(raw[chosen]), [gts[ids[i]] for i in chosen]))
+    # A parameter no op reads: it gets no gradient and only decays.
+    unused = Tensor(np.ones(3, dtype=dtype), requires_grad=True)
+    opt = SGD(list(detector.params()) + [("unused", unused)],
+              cfg.training.momentum, cfg.training.weight_decay)
+    return detector, opt, batches
+
+
+class TestStepInsideTheWalk:
+    """train_step updates each parameter inside the backward walk, with the
+    bytes of a whole backward() followed by one full SGD step."""
+
+    @pytest.mark.parametrize("placement", ["top_down_only", "both"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_same_bytes_as_backward_then_step(self, dtype, placement):
+        detector, opt, batches = small_run(dtype, placement)
+        twin, twin_opt, _ = small_run(dtype, placement)
+        for step, (images, gts) in enumerate(batches):
+            lr = train.cosine_lr(0.01, step, len(batches))
+            got = train.train_step(detector, opt, images, gts, lr)
+            total, want = train.batch_losses(twin, images, gts)
+            total.backward()
+            twin_opt.step(lr)
+            twin_opt.zero_grad()
+            assert got == want
+        for (name, t), (_, u) in zip(opt.params, twin_opt.params):
+            assert t.data.dtype == np.dtype(dtype) and t.grad is None
+            assert np.array_equal(t.data, u.data), name
+            assert np.array_equal(opt.velocity[name], twin_opt.velocity[name]), name
+        assert opt.velocity["unused"].any()  # it decayed on every step
+        for (name, a), (_, b) in zip(detector.states(), twin.states()):
+            assert np.array_equal(a, b), name
+
+    def test_a_finished_leaf_is_never_read_again(self):
+        """NaN written into each finished leaf's data and grad reaches no
+        other leaf's gradient: a closure reads only its own node's parents
+        and the arrays it saved. Each parameter is finished exactly once."""
+        detector, _, [(images, gts), *_] = small_run("float64", "both")
+        twin, _, _ = small_run("float64", "both")
+        total, _ = train.batch_losses(twin, images, gts)
+        total.backward()
+        want = dict(zip((id(t) for _, t in detector.params()),
+                        (t.grad for _, t in twin.params())))
+        finished = []
+
+        def poison(leaf):
+            finished.append((id(leaf), leaf.grad.copy()))
+            leaf.data[...] = np.nan
+            leaf.grad[...] = np.nan
+
+        total, _ = train.batch_losses(detector, images, gts)
+        total.backward(on_grad=poison)
+        assert sorted(key for key, _ in finished) == sorted(want)
+        for key, grad in finished:
+            assert np.array_equal(grad, want[key])
+
+    def test_train_toy_releases_every_gradient(self):
+        cfg = load_config(overrides=SMALL + ["training.steps=2"])
+        detector, _, _, rows = train.train_toy(cfg)
+        assert len(rows) == 2
+        assert all(t.grad is None for _, t in detector.params())
