@@ -6,7 +6,7 @@ well under a minute; the full default schedule lives behind
 """
 
 from crackdet.config import load_config
-from crackdet.evaluator import EvalConfig, evaluate
+from crackdet.evaluator import evaluate
 from crackdet.train import predict_dataset, train_toy
 
 cfg = load_config(overrides=[
@@ -25,7 +25,7 @@ for step in (0, 39, 79, 119):
 print("\nself-evaluation on the training split:")
 ids = [im.id for im in index.images]
 detections = predict_dataset(detector, raw_images, ids)
-report = evaluate(index, detections, EvalConfig())
+report = evaluate(index, detections)
 print(report.to_table())
 
 img_id = ids[0]

@@ -14,7 +14,7 @@ from .geometry import SIZE_RANGES, iou, size_bucket
 from .attention import Attention4DConfig, attention4d_forward, init_attention4d
 from .neck import NeckConfig, PyramidFeatures, neck_forward, parameter_count
 from .assignment import Assignment, CostMatrix, dynamic_assign
-from .evaluator import EvalConfig, error_breakdown, evaluate
+from .evaluator import error_breakdown, evaluate
 from .dataio import DatasetIndex, SyntheticConfig, gen_synthetic, load_coco, load_voc
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "Attention4DConfig", "init_attention4d", "attention4d_forward",
     "NeckConfig", "PyramidFeatures", "neck_forward", "parameter_count",
     "Assignment", "CostMatrix", "dynamic_assign",
-    "EvalConfig", "evaluate", "error_breakdown",
+    "evaluate", "error_breakdown",
     "DatasetIndex", "SyntheticConfig", "gen_synthetic", "load_coco", "load_voc",
 ]

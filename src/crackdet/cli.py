@@ -88,7 +88,7 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 def cmd_eval(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = detections_from_coco(read_json(args.dets), args.dets)
-    report = evaluate(index, detections, cfg.eval)
+    report = evaluate(index, detections)
     print(report.to_table())
     write_json(report.to_dict(), os.path.join(args.out, "eval.json"), cfg)
     write_atomic(os.path.join(args.out, "eval.txt"), report.to_table() + "\n")
@@ -98,7 +98,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     index = _load_index(args.gt, center_boxes=args.center_boxes)
     detections = detections_from_coco(read_json(args.dets), args.dets)
-    breakdown = error_breakdown(index, detections, cfg.eval)
+    breakdown = error_breakdown(index, detections)
     for stage, ap in breakdown.aps.items():
         print(f"{stage}: {ap:.3f}")
     write_json(breakdown.to_dict(), os.path.join(args.out, "analyze.json"), cfg)
@@ -141,7 +141,7 @@ def cmd_assign_debug(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _gradcheck_suite(cfg: RunConfig, seeds: int):
+def _gradcheck_suite(seeds: int):
     """Representative per-module gradient checks; returns {module: max error}."""
     from .attention import Attention4DConfig, attention4d_forward, init_attention4d
     from .losses import giou_loss, soft_cls_loss_pooled
@@ -248,7 +248,7 @@ def _gradcheck_suite(cfg: RunConfig, seeds: int):
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
     if args.seeds < 1:
         raise CrackdetError(f"--seeds must be at least 1, got {args.seeds}")
-    results = _gradcheck_suite(cfg, seeds=args.seeds)
+    results = _gradcheck_suite(seeds=args.seeds)
     worst = max(results.values())
     for name, err in results.items():
         status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -263,7 +263,7 @@ def cmd_train_toy(args, cfg: RunConfig) -> int:
     detector, index, raw_images, rows = train_toy(cfg, out_dir=args.out)
     image_ids = [im.id for im in index.images]
     detections = predict_dataset(detector, raw_images, image_ids)
-    report = evaluate(index, detections, cfg.eval)
+    report = evaluate(index, detections)
     print(f"trained {len(rows)} steps; final total loss {rows[-1][3]:.6f}")
     print(report.to_table())
     write_json({"report": report.to_dict(),

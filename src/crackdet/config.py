@@ -2,13 +2,14 @@
 
 A config loads from a single JSON file; unknown keys are rejected with their
 full path named, and individual values can be overridden from the command line
-with ``--set section.key=value``. The ``model``, ``neck``, ``eval`` and
-``synthetic`` sections are the library's own ``ModelSection``,
-``NeckSettings``, ``EvalConfig`` and ``SyntheticConfig``. Each section checks
-its fields' types and values when built, in code or at load; loading adds the
-neck's geometry check. The effective config is echoed into every artifact.
-The assigner's and the loss's weights are constants of ``assignment`` and
-``losses``, not settings.
+with ``--set section.key=value``. The ``model``, ``neck`` and ``synthetic``
+sections are the library's own ``ModelSection``, ``NeckSettings`` and
+``SyntheticConfig``. Each section checks its fields' types and values when
+built, in code or at load; loading adds the neck's geometry check. The
+effective config is echoed into every artifact. The assigner's and the loss's
+weights, SGD's momentum and weight decay, and the evaluator's ``max_dets`` are
+constants of ``assignment``, ``losses``, ``train`` and ``evaluator``, not
+settings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field, fields
 
 from .dataio import SyntheticConfig, read_json
 from .errors import ConfigError, check_choice, check_fields
-from .evaluator import EvalConfig
 from .model import ModelSection, neck_config
 from .neck import NeckSettings
 
@@ -40,16 +40,12 @@ class TrainingSection:
     batch_size: int = 4
     steps: int = 300
     lr: float = 4e-3
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     seed: int = 0
 
     def __post_init__(self):
         check_fields("training", self, (("batch_size", 1, math.inf, "[)"),
                                         ("steps", 1, math.inf, "[)"),
                                         ("lr", 0, math.inf, "()"),
-                                        ("momentum", 0, 1, "[)"),
-                                        ("weight_decay", 0, math.inf, "[)"),
                                         ("seed", 0, math.inf, "[)")))
 
 
@@ -58,7 +54,6 @@ class RunConfig:
     numerics: NumericsSection = field(default_factory=NumericsSection)
     model: ModelSection = field(default_factory=ModelSection)
     neck: NeckSettings = field(default_factory=NeckSettings)
-    eval: EvalConfig = field(default_factory=EvalConfig)
     # built before ``synthetic``, so ``--seed -1`` names training.seed first
     training: TrainingSection = field(default_factory=TrainingSection)
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)

@@ -213,16 +213,12 @@ def _num(v):
     return int(f) if f.is_integer() else f
 
 
-def coco_dict(index: DatasetIndex, center_boxes=False) -> dict:
+def coco_dict(index: DatasetIndex) -> dict:
     anns = []
     for a in index.annotations:
         x1, y1, x2, y2 = a.box
-        if center_boxes:
-            bbox = [(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1]
-        else:
-            bbox = [x1, y1, x2 - x1, y2 - y1]
         anns.append({"id": a.id, "image_id": a.image_id, "category_id": a.category_id,
-                     "bbox": [_num(v) for v in bbox],
+                     "bbox": [_num(v) for v in (x1, y1, x2 - x1, y2 - y1)],
                      "area": _num((x2 - x1) * (y2 - y1))})
     return {
         "images": [{"id": im.id, "file_name": im.file_name,
@@ -232,9 +228,8 @@ def coco_dict(index: DatasetIndex, center_boxes=False) -> dict:
     }
 
 
-def save_coco(index: DatasetIndex, path, center_boxes=False):
-    write_atomic(path, json.dumps(coco_dict(index, center_boxes=center_boxes),
-                                  indent=2, sort_keys=True) + "\n")
+def save_coco(index: DatasetIndex, path):
+    write_atomic(path, json.dumps(coco_dict(index), indent=2, sort_keys=True) + "\n")
 
 
 def load_voc(dirpath) -> DatasetIndex:

@@ -2,7 +2,6 @@
 
 import math
 import numbers
-from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -53,10 +52,9 @@ def finite(value, name, error=DataError, text=False):
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 
 
-@cache
 def _field_types(cls):
     """(field, annotation, accepted types) of each field of ``cls``, None only
-    in an ``X | None`` field; cached, as each ``evaluate`` builds an ``EvalConfig``."""
+    in an ``X | None`` field."""
     rows = []
     for key, hint in get_type_hints(cls).items():
         options = get_args(hint) if isinstance(hint, UnionType) else (hint,)

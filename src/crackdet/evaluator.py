@@ -15,12 +15,13 @@ the PR curves of all its categories in one block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import CrackdetError, check_fields
+from .errors import CrackdetError, cut
 from .geometry import SIZE_RANGES, iou_matrix
 
 SENTINEL = -1.0
@@ -32,6 +33,10 @@ AREA_RANGES = {"all": (0.0, np.inf), **SIZE_RANGES}
 
 ERROR_STAGES = ("C75", "C50", "Loc", "Sim", "Oth", "BG", "FN")
 
+# Only the best MAX_DETS detections of each (image, category) count: part of
+# COCO's AP definition, not a setting.
+MAX_DETS = 100
+
 # Elements (thresholds x groups x candidates x GTs) of one padded block of the
 # matching walk, 5 bytes each in its tables: about 1.3 MB.
 _MATCH_BLOCK_ELEMENTS = 1 << 18
@@ -41,17 +46,6 @@ _MATCH_BLOCK_ELEMENTS = 1 << 18
 _ROW_THRESHOLDS = np.tile(IOU_THRESHOLDS, len(AREA_RANGES))
 _AREA_LO, _AREA_HI = (np.repeat(bounds, len(IOU_THRESHOLDS))[:, None]
                       for bounds in zip(*AREA_RANGES.values()))
-
-
-@dataclass
-class EvalConfig:
-    """The evaluator's one setting, the config's ``eval`` section: the best
-    ``max_dets`` detections of each (image, category) count."""
-
-    max_dets: int = 100
-
-    def __post_init__(self):
-        check_fields("eval", self, (("max_dets", 1, np.inf, "[)"),))
 
 
 METRIC_KEYS = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large",
@@ -259,14 +253,15 @@ class _Groups:
         return out.reshape(len(out) * len(flags), self.width)
 
 
-def _collect_groups(index, detections, cfg):
+def _collect_groups(index, detections, max_dets=MAX_DETS):
     """The report's ``_Groups``; and, per detection in input order, whether it
-    overlaps a GT of another class at IoU >= 0.1.
+    overlaps a GT of another class at IoU >= 0.1. A ``max_dets`` that is not
+    an int of at least 1 is a CrackdetError.
 
     One stable lexsort orders the detections by (category, descending score),
     ties in input order: the slab order. A stable argsort of their image codes
     in that order gives the group order (image, category, descending score,
-    input order). Each group keeps the detections ranked below ``cfg.max_dets``
+    input order). Each group keeps the detections ranked below ``max_dets``
     in its run; a kept detection's slab column is its count of kept ones
     before it in its category's slab order. The GTs are sorted by (image,
     category). Each image's IoU matrix gives the groups' blocks (its
@@ -275,6 +270,8 @@ def _collect_groups(index, detections, cfg):
     unlisted images, where no detection can be, share one position after the
     listed images.
     """
+    if isinstance(max_dets, bool) or not isinstance(max_dets, numbers.Integral) or max_dets < 1:
+        raise CrackdetError(f"max_dets must be an int of at least 1, got {cut(repr(max_dets))}")
     cat_ids = [c.id for c in index.categories]
     cat_pos = {cat: k for k, cat in enumerate(cat_ids)}
     img_pos = {im.id: k for k, im in enumerate(index.images)}
@@ -295,7 +292,7 @@ def _collect_groups(index, detections, cfg):
     d_box = np.fromiter(chain.from_iterable(d_boxes), np.float64,
                         4 * len(d_boxes)).reshape(-1, 4)[d_order]
     key = d_img * len(cat_ids) + d_cat  # rank in its (image, category) run decides the cut
-    kept = np.arange(len(key)) - np.searchsorted(key, key) < cfg.max_dets
+    kept = np.arange(len(key)) - np.searchsorted(key, key) < max_dets
     # GT columns: image, category, box.
     g = np.array([(img_pos.get(a.image_id, len(index.images)), cat_pos.get(a.category_id, -1),
                    *a.box) for a in index.annotations], dtype=np.float64).reshape(-1, 6)
@@ -315,7 +312,7 @@ def _collect_groups(index, detections, cfg):
         rows = (d0 + np.searchsorted(d_cat[d0:d1], edges)).tolist()
         cols = (g0 + np.searchsorted(g[g0:g1, 1], edges)).tolist()
         for k in range(len(cat_ids)):
-            r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + cfg.max_dets), cols[k], cols[k + 1]
+            r0, r1, c0, c1 = rows[k], min(rows[k + 1], rows[k] + max_dets), cols[k], cols[k + 1]
             if r0 < r1 or c0 < c1:
                 blocks.append(ious[r0 - d0:r1 - d0, c0 - g0:c1 - g0])
     per_cat = np.bincount(d_cat[kept], minlength=len(cat_ids))
@@ -336,10 +333,9 @@ def _aggregate(values):
     return float(np.add.reduce(np.array(live)) / len(live)) if live else SENTINEL
 
 
-def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
+def evaluate(index, detections, *, max_dets=MAX_DETS) -> EvalReport:
     """Full per-class and aggregate AP/AR report for a dataset's detections."""
-    cfg = cfg or EvalConfig()
-    groups, _ = _collect_groups(index, detections, cfg)
+    groups, _ = _collect_groups(index, detections, max_dets)
 
     # A stratum ignores the GTs outside its area range and, as COCO does, the
     # unmatched detections outside it: neither counts in that stratum's rows.
@@ -369,7 +365,7 @@ def evaluate(index, detections, cfg: EvalConfig | None = None) -> EvalReport:
     return EvalReport(per_class=per_class, aggregate=aggregate)
 
 
-def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBreakdown:
+def error_breakdown(index, detections, *, max_dets=MAX_DETS) -> ErrorBreakdown:
     """Seven progressive PR stages; APs are monotone and FN pins at 1.0.
 
     Every stage matches all GTs of a category with none ignored, in one walk
@@ -381,8 +377,7 @@ def error_breakdown(index, detections, cfg: EvalConfig | None = None) -> ErrorBr
     share one supercategory, so Oth's set is Sim's and the two stages are one
     result. FN scores every category with GTs at 1.0.
     """
-    cfg = cfg or EvalConfig()
-    groups, cross = _collect_groups(index, detections, cfg)
+    groups, cross = _collect_groups(index, detections, max_dets)
     tp, _, _ = match_detections(groups.ious, (0.10, 0.50, 0.75))
     loc, none = tp[0], np.zeros_like(tp[0])
     # Rows C75, C50, Loc, Sim, BG; no GT is ignored, so only Sim and BG ignore.

@@ -29,6 +29,9 @@ from .model import Detector, build_detector
 # peaks near 1.1x) has diverged: train_toy stops it before any checkpoint.
 DIVERGENCE_FACTOR = 1e3
 
+# SGD's momentum and weight decay in every run: YOLOX's recipe, not settings.
+MOMENTUM, WEIGHT_DECAY = 0.9, 5e-4
+
 
 def detector_from_config(cfg: RunConfig, rng: np.random.Generator) -> Detector:
     return build_detector(cfg.model, cfg.neck, rng, np.dtype(cfg.numerics.dtype))
@@ -165,7 +168,7 @@ def train_toy(cfg: RunConfig, out_dir=None, progress=None):
     rng = np.random.default_rng(cfg.training.seed)
     detector = detector_from_config(cfg, rng)
     params = list(detector.params())
-    opt = SGD(params, cfg.training.momentum, cfg.training.weight_decay)
+    opt = SGD(params, MOMENTUM, WEIGHT_DECAY)
 
     image_ids = [im.id for im in index.images]
     gts = gt_table(index, image_ids, cfg.model.num_classes)

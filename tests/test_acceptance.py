@@ -19,7 +19,7 @@ from crackdet.cli import _gradcheck_suite, main
 from crackdet.config import load_config
 from crackdet.dataio import (SyntheticConfig, gen_synthetic, load_coco, load_voc, save_coco,
                              save_voc, stats)
-from crackdet.evaluator import ERROR_STAGES, EvalConfig, error_breakdown, evaluate
+from crackdet.evaluator import ERROR_STAGES, error_breakdown, evaluate
 from crackdet.model import Detection
 from crackdet.neck import NeckConfig, parameter_count
 from crackdet.numerics import Tensor
@@ -47,7 +47,7 @@ def criterion(label):
 @criterion("1 gradient suite")
 def test_criterion_1_gradient_suite():
     start = time.time()
-    results = _gradcheck_suite(load_config(), seeds=100)
+    results = _gradcheck_suite(seeds=100)
     elapsed = time.time() - start
     expected = {"conv1x1", "batchnorm", "softmax", "attention4d", "csp_layer",
                 "neck", "soft_cls_loss", "giou_loss"}
@@ -173,7 +173,7 @@ def test_criterion_7_toy_training():
 
     image_ids = [im.id for im in index.images]
     detections = predict_dataset(detector, raw_images, image_ids)
-    report = evaluate(index, detections, EvalConfig())
+    report = evaluate(index, detections)
     ap50 = report.aggregate["ap50"]
     elapsed = time.time() - start
     assert ap50 >= 0.5, f"self-eval AP50 {ap50:.3f} < 0.5"

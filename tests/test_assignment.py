@@ -229,6 +229,20 @@ class TestBuildCostMatrix:
         cm_bad = build_cost_matrix(probs, boxes, points, strides, gt, np.array([1]))
         assert cm_good.cost[0, 0] < cm_bad.cost[0, 0]
 
+    def test_thin_box_between_stride_32_rows_has_no_stride_32_candidate(self):
+        """At 256 px a 9-px-thin box (y 20-29) lies between the stride-32
+        centre rows at y 16 and 48: the inside-box rule gives it candidates
+        at strides 8 (rows 20 and 28) and 16 (row 24), none at stride 32."""
+        from crackdet.model import anchor_points
+
+        points_xy, strides = anchor_points(256)
+        boxes = np.concatenate([points_xy - strides[:, None], points_xy + strides[:, None]], 1)
+        gt = np.array([[20.0, 20.0, 200.0, 29.0]])
+        cm = build_cost_matrix(np.full((len(points_xy), 3), 0.5), boxes, points_xy, strides,
+                               gt, np.array([0]))
+        per_stride = {s: int(cm.candidates[0, strides == s].sum()) for s in (8, 16, 32)}
+        assert per_stride == {8: 46, 16: 12, 32: 0}
+
     def test_candidate_costs_finite_for_huge_predicted_distances(self):
         from crackdet.model import anchor_points, decode_boxes
 

@@ -99,8 +99,7 @@ class TestConfig:
         assert rc == 1
         assert key in err and "..." in err and len(err.encode()) < 300, err
 
-    @pytest.mark.parametrize("key", ["training.lr", "training.momentum",
-                                     "training.weight_decay", "model.score_thr"])
+    @pytest.mark.parametrize("key", ["training.lr", "model.score_thr"])
     def test_float_value_too_large_for_a_float_rejected(self, key):
         """An int fits a float field, but not one no float can hold."""
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got 1000"):
@@ -124,11 +123,9 @@ class TestConfig:
                       "score_thr": 0.05, "nms_iou": 0.65},
             "neck": {"out_channels": 96, "csp_depth": 1, "placement": "top_down_only",
                      "num_attention_blocks": 2, "attn_heads": 2, "attn_key_dim": 16},
-            "eval": {"max_dets": 100},
             "synthetic": {"num_images": 200, "image_size": 64, "num_classes": 3,
                           "min_shapes": 2, "max_shapes": 4, "seed": 0},
-            "training": {"batch_size": 4, "steps": 300, "lr": 0.004, "momentum": 0.9,
-                         "weight_decay": 0.0005, "seed": 0},
+            "training": {"batch_size": 4, "steps": 300, "lr": 0.004, "seed": 0},
         }
 
     def test_one_synthetic_default(self):
@@ -273,6 +270,8 @@ class TestConfigRejectedAtLoad:
         ("training.lr=-1", "training.lr"),
         ("training.lr=NaN", "training.lr"),
         ("training.lr=Infinity", "training.lr"),
+        # momentum, weight_decay and the loss weights are no longer settable:
+        # each fails as an unknown key
         ("training.momentum=5", "training.momentum"),
         ("training.momentum=1", "training.momentum"),
         ("training.momentum=-0.1", "training.momentum"),
@@ -338,12 +337,13 @@ class TestConfigRejectedAtLoad:
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
     @pytest.mark.parametrize("overrides", [
-        ["training.momentum=0.999", "training.weight_decay=5"],
-        ["training.momentum=0", "training.weight_decay=0"],
+        ["training.lr=5e-324", "training.steps=1", "training.batch_size=1"],
+        ["training.lr=1e300", "training.seed=0"],
     ])
     def test_training_range_edges_still_load(self, overrides):
-        """Momentum just below 1 with a large weight decay loads, as do the
-        zero edges: each value is bounded under its own key only."""
+        """The smallest positive and a huge learning rate load, as do one
+        step, a batch of one and seed 0: each value is bounded under its own
+        key only."""
         load_config(overrides=overrides)
 
     @pytest.mark.parametrize("override", ["neck.out_channels=0", "model.head_channels=0",
@@ -415,7 +415,7 @@ class TestSectionsCheckThemselves:
 
     # one out-of-range value per RunConfig section
     BAD = {"numerics": ("dtype", "float16"), "model": ("nms_iou", 1.5),
-           "neck": ("csp_depth", -1), "eval": ("max_dets", 0), "training": ("steps", 0),
+           "neck": ("csp_depth", -1), "training": ("steps", 0),
            "synthetic": ("num_images", 0)}
 
     @pytest.mark.parametrize("section", dataclasses.fields(RunConfig), ids=lambda f: f.name)
@@ -426,33 +426,18 @@ class TestSectionsCheckThemselves:
             section.default_factory(**{key: value})
 
     def test_numpy_scalars_fit(self):
-        section = TrainingSection(steps=np.int64(3), lr=np.float32(0.5), momentum=np.int64(0))
+        section = TrainingSection(steps=np.int64(3), lr=np.float32(0.5), seed=np.int64(0))
         assert section.steps == 3 and section.lr == 0.5
-
-    def test_field_types_resolved_once_per_class(self, monkeypatch):
-        import crackdet.errors as errors
-
-        calls, real = [], errors.get_type_hints
-        monkeypatch.setattr(errors, "get_type_hints", lambda cls: calls.append(cls) or real(cls))
-
-        @dataclasses.dataclass
-        class Probe:
-            size: int = 1
-
-            def __post_init__(self):
-                errors.check_fields("probe", self, ())
-
-        for size in (1, 2, 3):
-            Probe(size)
-        assert calls == [Probe]
+        assert TrainingSection(lr=np.int64(1)).lr == 1
 
 
 # The keys of the option-selected forks no run took: an epoch count beside
 # training.steps, a constant learning rate, average-pool downsampling and a
 # reciprocal centre cost; then the values that only repeated a constant:
 # batchnorm's eps and momentum, the attention block's value width, scale and
-# residual switch, the assignment costs' IoU floor and probability clamp, and
-# the two sections of constants: the assigner's weights and the loss weights.
+# residual switch, the assignment costs' IoU floor and probability clamp, the
+# two sections of constants (the assigner's weights and the loss weights),
+# SGD's momentum and weight decay, and the eval section's one value, max_dets.
 # Each value is the one the old echo held by default.
 REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
                 "neck.downsample": "conv", "assignment.center_cost_mode": "soft_center_prior",
@@ -463,8 +448,9 @@ REMOVED_KEYS = {"training.epochs": 2, "training.schedule": "cosine",
                 "assignment.lambda_cls": 1.0, "assignment.lambda_loc": 3.0,
                 "assignment.lambda_center": 1.0, "assignment.alpha": 10.0,
                 "assignment.beta": 3.0, "assignment.dynamic_k_cap": 10,
-                "loss.w_cls": 1.0, "loss.w_reg": 2.0}
-REMOVED_SECTIONS = ("assignment", "loss")
+                "loss.w_cls": 1.0, "loss.w_reg": 2.0,
+                "training.momentum": 0.9, "training.weight_decay": 5e-4, "eval.max_dets": 100}
+REMOVED_SECTIONS = ("assignment", "loss", "eval")
 
 
 class TestRemovedKeys:
@@ -498,10 +484,21 @@ class TestRemovedKeys:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
             load_config(overrides=[f"{key}={json.dumps(REMOVED_KEYS[key])}"])
 
-    def test_config_has_26_settable_values(self):
+    def test_config_has_23_settable_values(self):
+        """Each section's keys, so that a removal names the keys it moved."""
         cfg = config_dict(load_config())
-        assert len(cfg) == 6 and not set(cfg) & set(REMOVED_SECTIONS)
-        assert sum(len(section) for section in cfg.values()) == 26
+        assert {name: sorted(section) for name, section in cfg.items()} == {
+            "numerics": ["dtype"],
+            "model": ["backbone_widths", "head_channels", "image_size", "nms_iou",
+                      "num_classes", "score_thr"],
+            "neck": ["attn_heads", "attn_key_dim", "csp_depth", "num_attention_blocks",
+                     "out_channels", "placement"],
+            "training": ["batch_size", "lr", "seed", "steps"],
+            "synthetic": ["image_size", "max_shapes", "min_shapes", "num_classes",
+                          "num_images", "seed"],
+        }
+        assert sum(len(section) for section in cfg.values()) == 23
+        assert not set(cfg) & set(REMOVED_SECTIONS)
         assert not {f"{s}.{k}" for s in cfg for k in cfg[s]} & set(REMOVED_KEYS)
 
 
@@ -865,7 +862,7 @@ class TestGradcheckCommand:
 
     def test_exit_2_on_numerical_failure(self, tmp_path, monkeypatch):
         import crackdet.cli as cli
-        monkeypatch.setattr(cli, "_gradcheck_suite", lambda cfg, seeds: {"conv1x1": 0.5})
+        monkeypatch.setattr(cli, "_gradcheck_suite", lambda seeds: {"conv1x1": 0.5})
         rc = main(["gradcheck", "--out", str(tmp_path / "o")])
         assert rc == 2
 
@@ -1183,6 +1180,7 @@ class TestTrainInferPipeline:
         assert not (out_dir / "loss.csv").exists()
 
     def test_max_dets_below_one_exit_1(self, tmp_path, capsys):
+        """eval.max_dets is no key now: any value fails at load, naming it."""
         out_dir = tmp_path / "md"
         rc = main(["train-toy", "--out", str(out_dir)] + TINY + ["--set", "eval.max_dets=0"])
         assert rc == 1
@@ -1199,6 +1197,7 @@ class TestTrainInferPipeline:
         assert not (out_dir / "checkpoint.npz").exists()
 
     def test_momentum_out_of_range_exit_1_without_artifacts(self, tmp_path, capsys):
+        """training.momentum is no key now: any value fails at load, naming it."""
         out_dir = tmp_path / "mom"
         rc = main(["train-toy", "--out", str(out_dir)] + TINY
                   + ["--set", "training.momentum=5", "--set", "training.steps=5"])

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import pytest
 
 from crackdet import __version__
+from crackdet.config import config_dict, load_config
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 # The address space of a run marked ``memory``: 2,000,000 KiB, room for
@@ -53,6 +54,13 @@ VOC = b"""<annotation><filename>a.ppm</filename>
     <bndbox><xmin>1</xmin><ymin>1</ymin><xmax>500</xmax><ymax>9</ymax></bndbox>
   </object>
 </annotation>"""
+# A config echo written before SGD's momentum and weight decay and the eval
+# section's max_dets became constants, keys sorted as a run writes them; the
+# first holds only the old training section.
+ECHO = config_dict(load_config())
+OLD_TRAINING = dict(ECHO, training=dict(ECHO["training"], momentum=0.9, weight_decay=0.0005))
+OLD_ECHO = dict(OLD_TRAINING, eval={"max_dets": 100})
+EVAL_INPUTS = {"gt.json": json.dumps(COCO).encode(), "dets.json": b"[]"}
 
 ROWS = {
     "version": Row("--version", f"crackdet {__version__}\n", code=0),
@@ -82,6 +90,14 @@ ROWS = {
                                     "unknown config key 'assignment.alpha'"),
     "removed-loss-w-reg": Row("gen-data --set loss.w_reg=2 --out u",
                               "unknown config key 'loss.w_reg'"),
+    "old-echo-training-momentum": Row(
+        "eval --config old.json --gt gt.json --dets dets.json --out e",
+        "unknown config key 'training.momentum'",
+        files={"old.json": json.dumps(OLD_TRAINING, sort_keys=True).encode(), **EVAL_INPUTS}),
+    "old-echo-eval-section": Row(
+        "eval --config old.json --gt gt.json --dets dets.json --out f",
+        "unknown config section 'eval'",
+        files={"old.json": json.dumps(OLD_ECHO, sort_keys=True).encode(), **EVAL_INPUTS}),
     "long-value-cut": Row(f"gen-data --set neck.placement={'x' * 5000} --out q",
                           f"unknown neck.placement '{'x' * 80}...'"),
     # Input files: each error line names the file and, in it, the entry.

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from crackdet import evaluator as evaluator_module
 from crackdet.dataio import Annotation, Category, DatasetIndex, ImageInfo
-from crackdet.errors import ConfigError, CrackdetError
+from crackdet.errors import CrackdetError
 from crackdet.evaluator import (AREA_RANGES, ERROR_STAGES, IOU_THRESHOLDS, METRIC_KEYS,
-                                RECALL_GRID, SENTINEL, ErrorBreakdown, EvalConfig, EvalReport,
+                                MAX_DETS, RECALL_GRID, SENTINEL, ErrorBreakdown, EvalReport,
                                 _aggregate,
                                 _collect_groups, _pr_curves, _recall_counts, compute_ap,
                                 error_breakdown, evaluate, match_detections)
@@ -129,23 +129,29 @@ class TestMatchDetections:
 
 
 class TestEvalConfig:
+    """The evaluator's one knob, the ``max_dets`` keyword of both reports
+    (``MAX_DETS`` in every run), is checked as the old ``eval`` section was."""
+
     @pytest.mark.parametrize("max_dets", [0, -1])
     def test_max_dets_below_one_rejected(self, max_dets):
-        with pytest.raises(ConfigError, match="max_dets"):
-            EvalConfig(max_dets=max_dets)
+        index, dets = random_scene(1)
+        for report in (evaluate, error_breakdown):
+            with pytest.raises(CrackdetError, match=f"max_dets must be an int of at least 1, "
+                                                    f"got {max_dets}"):
+                report(index, dets, max_dets=max_dets)
 
     @pytest.mark.parametrize("max_dets", [2.5, 3.0, True, "3", None])
     def test_non_integer_max_dets_rejected(self, max_dets):
         """A float would cut each group at its ceiling and a bool reads as 0
         or 1; neither reaches the grouping."""
-        with pytest.raises(ConfigError, match="config key 'eval.max_dets' expects int"):
-            EvalConfig(max_dets=max_dets)
+        index, dets = random_scene(1)
+        with pytest.raises(CrackdetError, match="max_dets must be an int of at least 1"):
+            evaluate(index, dets, max_dets=max_dets)
 
     def test_numpy_integer_max_dets_accepted(self):
         index, dets = random_scene(1)
-        cfg = EvalConfig(max_dets=np.int64(1))
-        assert evaluate(index, dets, cfg).to_dict() == evaluate(
-            index, dets, EvalConfig(max_dets=1)).to_dict()
+        assert evaluate(index, dets, max_dets=np.int64(1)).to_dict() == evaluate(
+            index, dets, max_dets=1).to_dict()
 
 
 class TestComputeAP:
@@ -400,8 +406,8 @@ class TestEvaluateHandCases:
         index = make_index([(1, 1, box), (2, 1, box)])
         dets = [det(1, 2, 0.99, far), det(1, 2, 0.98, far), det(1, 1, 0.5, box),
                 det(2, 1, 0.5, box), det(2, 1, 0.9, far)]
-        assert evaluate(index, dets, EvalConfig(max_dets=1)).per_class[1]["ar"] == 0.5
-        assert evaluate(index, dets, EvalConfig(max_dets=2)).per_class[1]["ar"] == 1.0
+        assert evaluate(index, dets, max_dets=1).per_class[1]["ar"] == 0.5
+        assert evaluate(index, dets, max_dets=2).per_class[1]["ar"] == 1.0
 
 
 class TestEvaluateProperties:
@@ -527,7 +533,7 @@ class TestErrorBreakdown:
 
 def cross_flags(index, dets):
     """The per-detection cross-class flags ``_collect_groups`` returns."""
-    return _collect_groups(index, dets, EvalConfig())[1]
+    return _collect_groups(index, dets)[1]
 
 
 class TestCrossClassOverlaps:
@@ -643,7 +649,7 @@ def match_batches(draw):
     or the default) and 8 GTs drawn partly from one shared pool of boxes;
     ascending thresholds, often equal to one of the batch's own IoUs; one
     (T, n_gt) block of ignore flags per group."""
-    max_dets = draw(st.sampled_from((1, EvalConfig().max_dets)))
+    max_dets = draw(st.sampled_from((1, MAX_DETS)))
     pool = draw(st.lists(_box, min_size=1, max_size=4))
     pick = st.one_of(st.sampled_from(pool), _box)
     sides = [(draw(st.lists(pick, max_size=10))[:max_dets], draw(st.lists(pick, max_size=8)))
@@ -764,7 +770,7 @@ class TestIouOncePerGroup:
         one batch holding every (image, category) group of the report, for
         every size stratum and IoU threshold together."""
         index, dets = random_scene(42, 6)
-        groups, _ = _collect_groups(index, dets, EvalConfig())
+        groups, _ = _collect_groups(index, dets)
         assert len(groups.ious) > len(index.categories)
         batches = []
         real = evaluator_module.match_detections
@@ -798,14 +804,13 @@ def scenes(draw):
             [det(image_id, cat, score, box) for (image_id, cat, box), score in dets])
 
 
-def evaluate_per_bucket(index, detections, cfg=None):
+def evaluate_per_bucket(index, detections, max_dets=MAX_DETS):
     """The report built one size stratum and one group at a time: four walks
     per group, each a batch of one with the stratum's 1-D ignore flags, then
     COCO's rule that an unmatched detection outside the stratum is ignored
     too, and one PR-curve block and one ``float(c.mean())`` per row for
     every (category, stratum)."""
-    cfg = cfg or EvalConfig()
-    groups, _ = _collect_groups(index, detections, cfg)
+    groups, _ = _collect_groups(index, detections, max_dets)
     boxes = np.array([detections[i].box for i in groups.det_order], dtype=np.float64)
     det_areas = np.array([(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in boxes])
     n_thr = len(IOU_THRESHOLDS)
@@ -843,20 +848,19 @@ def evaluate_per_bucket(index, detections, cfg=None):
 
 
 class TestEvaluateOneWalk:
-    @given(scenes(), st.sampled_from((None, 1)))
+    @given(scenes(), st.sampled_from((MAX_DETS, 1)))
     @settings(max_examples=200, deadline=None)
     def test_report_equals_per_bucket_walks(self, scene, max_dets):
         index, dets = scene
-        cfg = None if max_dets is None else EvalConfig(max_dets=max_dets)
-        want = evaluate_per_bucket(index, dets, cfg).to_dict()
-        assert evaluate(index, dets, cfg).to_dict() == want
+        want = evaluate_per_bucket(index, dets, max_dets).to_dict()
+        assert evaluate(index, dets, max_dets=max_dets).to_dict() == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_scenes_equal_per_bucket_walks(self, seed):
         index, dets = random_scene(seed, 6)
-        for cfg in (None, EvalConfig(max_dets=1)):
-            want = evaluate_per_bucket(index, dets, cfg).to_dict()
-            assert evaluate(index, dets, cfg).to_dict() == want
+        for max_dets in (MAX_DETS, 1):
+            want = evaluate_per_bucket(index, dets, max_dets).to_dict()
+            assert evaluate(index, dets, max_dets=max_dets).to_dict() == want
 
 
 class TestEvaluatorProperties:
@@ -937,7 +941,7 @@ class TestGroupingOracle:
         """The one-sort grouping gives the two-sort oracle's order, slab slots,
         width, IoU blocks, GT arrays and cross-class flags."""
         index, dets = scene
-        groups, cross = _collect_groups(index, dets, EvalConfig(max_dets=max_dets))
+        groups, cross = _collect_groups(index, dets, max_dets)
         want = collect_groups_two_sorts(index, dets, max_dets)
         assert groups.det_order.tolist() == want["det_order"].tolist()
         assert [s.tolist() for s in groups.slots] == [s.tolist() for s in want["slots"]]
@@ -983,7 +987,7 @@ def error_breakdown_per_category(index, detections):
     """``error_breakdown`` with its per-class tail as a loop: one PR-curve
     block per category with GTs, each stage AP a 1-D ``mean`` of its curve,
     and the mean curves ``np.mean`` over a list of those blocks."""
-    groups, cross = _collect_groups(index, detections, EvalConfig())
+    groups, cross = _collect_groups(index, detections)
     tp, _, _ = match_detections(groups.ious, (0.10, 0.50, 0.75))
     loc, none = tp[0], np.zeros_like(tp[0])
     tps = groups.slab(np.stack([tp[2], tp[1], loc, loc, loc]), False)

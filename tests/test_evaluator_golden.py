@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from crackdet import dataio
-from crackdet.evaluator import EvalConfig, error_breakdown, evaluate
+from crackdet.evaluator import MAX_DETS, error_breakdown, evaluate
 from crackdet.model import Detection
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "evaluator_golden.json")
@@ -54,12 +54,13 @@ def golden_scene():
 
 
 def golden_reports():
-    """The stored JSON text: both reports at the default config and at max_dets 1."""
+    """The stored JSON text: both reports at ``MAX_DETS`` and at max_dets 1."""
     index, dets = golden_scene()
     reports = {}
-    for name, cfg in (("default", EvalConfig()), ("max_dets_1", EvalConfig(max_dets=1))):
-        reports[name] = {"evaluate": evaluate(index, dets, cfg).to_dict(),
-                         "error_breakdown": error_breakdown(index, dets, cfg).to_dict()}
+    for name, max_dets in (("default", MAX_DETS), ("max_dets_1", 1)):
+        reports[name] = {"evaluate": evaluate(index, dets, max_dets=max_dets).to_dict(),
+                         "error_breakdown": error_breakdown(index, dets,
+                                                            max_dets=max_dets).to_dict()}
     return json.dumps(reports, indent=1) + "\n"
 
 
@@ -76,7 +77,7 @@ def test_golden_scene_exercises_every_stratum_and_the_cut():
     counts = {}
     for d in dets:
         counts[(d.image_id, d.category_id)] = counts.get((d.image_id, d.category_id), 0) + 1
-    assert max(counts.values()) > EvalConfig().max_dets
+    assert max(counts.values()) > MAX_DETS
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -187,8 +187,7 @@ def small_run(dtype, placement):
         batches.append((dataio.normalize_images(raw[chosen]), [gts[ids[i]] for i in chosen]))
     # A parameter no op reads: it gets no gradient and only decays.
     unused = Tensor(np.ones(3, dtype=dtype), requires_grad=True)
-    opt = SGD(list(detector.params()) + [("unused", unused)],
-              cfg.training.momentum, cfg.training.weight_decay)
+    opt = SGD(list(detector.params()) + [("unused", unused)], train.MOMENTUM, train.WEIGHT_DECAY)
     return detector, opt, batches
 
 
